@@ -129,6 +129,35 @@ class PayloadResult:
         }
 
 
+def _factorize(
+    W: np.ndarray, threshold: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, SubspaceReport]:
+    """One SVD of ``W``: its factors ``(u, s, vt)`` and the subspace split.
+
+    Tall ``W`` (S >= d) gets the thin SVD, so ``u`` is S x d and no S x S
+    matrix is formed; ``vt`` is d x d either way, so the unidentifiable
+    complement is complete. Only wide ``W`` needs the full form, where
+    ``u`` is S x S and small.
+    """
+    W = np.asarray(W, dtype=float)
+    if W.size == 0:
+        raise IdentifyError("empty regressor matrix")
+    u, s, vt = np.linalg.svd(W, full_matrices=W.shape[0] < W.shape[1])
+    d = W.shape[1]
+    sigma_max = s[0] if s.size else 0.0
+    rank = int(np.sum(s > threshold * sigma_max)) if sigma_max > 0 else 0
+    singular = np.zeros(d)
+    singular[: s.size] = s
+    report = SubspaceReport(
+        rank=rank,
+        identifiable_basis=vt[:rank].T.copy(),
+        unidentifiable_basis=vt[rank:].T.copy(),
+        singular_values=singular,
+        threshold=threshold,
+    )
+    return u, s, vt, report
+
+
 def identifiable_subspace(W: np.ndarray, threshold: float = DEFAULT_SVD_THRESHOLD) -> SubspaceReport:
     """Split parameter directions by whether they influence the data.
 
@@ -136,22 +165,7 @@ def identifiable_subspace(W: np.ndarray, threshold: float = DEFAULT_SVD_THRESHOL
     identifiable subspace; the orthogonal complement is unidentifiable for
     this data matrix.
     """
-    W = np.asarray(W, dtype=float)
-    if W.size == 0:
-        raise IdentifyError("empty regressor matrix")
-    _, s, vt = np.linalg.svd(W, full_matrices=True)
-    d = W.shape[1]
-    sigma_max = s[0] if s.size else 0.0
-    rank = int(np.sum(s > threshold * sigma_max)) if sigma_max > 0 else 0
-    singular = np.zeros(d)
-    singular[: s.size] = s
-    return SubspaceReport(
-        rank=rank,
-        identifiable_basis=vt[:rank].T.copy(),
-        unidentifiable_basis=vt[rank:].T.copy(),
-        singular_values=singular,
-        threshold=threshold,
-    )
+    return _factorize(W, threshold)[3]
 
 
 def _link_feasibility(stack: RegressorStack, alpha_free: np.ndarray):
@@ -179,14 +193,9 @@ def ols_identify(
     b = stack.T - stack.w0
     if A.shape[0] == 0 or A.shape[1] == 0:
         raise IdentifyError("empty stack")
-    sub = identifiable_subspace(A, threshold)
-    if A.shape[0] < sub.rank:
-        raise IdentifyError("fewer rows than identifiable directions")
-    u, s, vt = np.linalg.svd(A, full_matrices=False)
-    keep = s > threshold * s[0] if s[0] > 0 else np.zeros(s.shape, dtype=bool)
-    coeff = np.zeros_like(s)
-    coeff[keep] = (u.T @ b)[keep] / s[keep]
-    alpha = vt.T @ coeff
+    u, s, vt, sub = _factorize(A, threshold)
+    r = sub.rank
+    alpha = vt[:r].T @ ((u[:, :r].T @ b) / s[:r])
     prior_free = _prior_free(stack, prior)
     if sub.unidentifiable_basis.shape[1]:
         bun = sub.unidentifiable_basis
@@ -250,33 +259,29 @@ def _pseudo_inertia_from_10(v: np.ndarray) -> np.ndarray:
     return np.einsum("k,kij->ij", v, _PI_BASES)
 
 
-def _is_pd(mat: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(mat)
-        return True
-    except np.linalg.LinAlgError:
-        return False
+def _log_barrier(x, lmis, log_indices) -> float | None:
+    """Sum of the LMI log-dets and the logs of the positive entries at ``x``.
 
-
-def _barrier_value(x, lmis, log_indices, mu, f_quad):
-    val = f_quad(x)
-    for term in lmis:
-        J = term.value(x)
-        sign, logdet = np.linalg.slogdet(J)
-        if sign <= 0:
-            return np.inf
-        val -= mu * logdet
+    None when ``x`` is not strictly feasible. One Cholesky per LMI gives both
+    the verdict and the log-det, ``2 * sum(log(diag(L)))``.
+    """
+    total = 0.0
     if log_indices.size:
-        if np.any(x[log_indices] <= 0):
-            return np.inf
-        val -= mu * float(np.sum(np.log(x[log_indices])))
-    return val
+        xi = x[log_indices]
+        if np.any(xi <= 0):
+            return None
+        total = float(np.sum(np.log(xi)))
+    for term in lmis:
+        try:
+            chol = np.linalg.cholesky(term.value(x))
+        except np.linalg.LinAlgError:
+            return None
+        total += 2.0 * float(np.sum(np.log(np.diagonal(chol))))
+    return total
 
 
 def _strictly_feasible(x, lmis, log_indices) -> bool:
-    if log_indices.size and np.any(x[log_indices] <= 0):
-        return False
-    return all(_is_pd(term.value(x)) for term in lmis)
+    return _log_barrier(x, lmis, log_indices) is not None
 
 
 def _barrier_minimize(
@@ -300,11 +305,13 @@ def _barrier_minimize(
     shrinks mu geometrically.
     """
     x = x0.copy()
-    if not _strictly_feasible(x, lmis, log_indices):
+    log_x = _log_barrier(x, lmis, log_indices)
+    if log_x is None:
         raise InfeasiblePriorError("barrier start point is not strictly interior")
+    f_x = f_quad(x)
 
     n_terms = max(1, len(lmis) * 4 + log_indices.size)
-    mu = mu_initial if mu_initial is not None else max(1e-6, (abs(f_quad(x)) + 1.0) / n_terms)
+    mu = mu_initial if mu_initial is not None else max(1e-6, (abs(f_x) + 1.0) / n_terms)
     mu_values, objective_values, newton_counts = [], [], []
 
     while True:
@@ -332,18 +339,19 @@ def _barrier_minimize(
             except np.linalg.LinAlgError:
                 step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
             decrement = float(-grad @ step)
-            if decrement <= 0 or 0.5 * decrement < 1e-11 * (1.0 + abs(f_quad(x))):
+            if decrement <= 0 or 0.5 * decrement < 1e-11 * (1.0 + abs(f_x)):
                 break
 
-            phi0 = _barrier_value(x, lmis, log_indices, mu, f_quad)
+            phi0 = f_x - mu * log_x
             t = 1.0
             accepted = False
             for _ in range(60):
                 cand = x + t * step
-                if _strictly_feasible(cand, lmis, log_indices):
-                    phi = _barrier_value(cand, lmis, log_indices, mu, f_quad)
-                    if phi <= phi0 - 1e-4 * t * decrement:
-                        x = cand
+                log_cand = _log_barrier(cand, lmis, log_indices)
+                if log_cand is not None:
+                    f_cand = f_quad(cand)
+                    if f_cand - mu * log_cand <= phi0 - 1e-4 * t * decrement:
+                        x, f_x, log_x = cand, f_cand, log_cand
                         accepted = True
                         break
                 t *= 0.5
@@ -352,7 +360,7 @@ def _barrier_minimize(
                 break
 
         mu_values.append(mu)
-        objective_values.append(f_quad(x))
+        objective_values.append(f_x)
         newton_counts.append(iterations)
         if mu <= mu_final:
             break

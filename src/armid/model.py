@@ -90,20 +90,6 @@ def rpy_matrix(roll: float, pitch: float, yaw: float) -> np.ndarray:
     )
 
 
-def axis_angle_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Rodrigues rotation about a unit axis."""
-    x, y, z = axis
-    c, s = math.cos(angle), math.sin(angle)
-    cc = 1.0 - c
-    return np.array(
-        [
-            [c + x * x * cc, x * y * cc - z * s, x * z * cc + y * s],
-            [y * x * cc + z * s, c + y * y * cc, y * z * cc - x * s],
-            [z * x * cc - y * s, z * y * cc + x * s, c + z * z * cc],
-        ]
-    )
-
-
 @dataclass(frozen=True)
 class Transform:
     """Rigid transform: ``x_parent = rotation @ x_child + translation``."""
@@ -127,15 +113,6 @@ class Transform:
     @staticmethod
     def from_xyz_rpy(xyz: Sequence[float], rpy: Sequence[float]) -> "Transform":
         return Transform(rpy_matrix(*rpy), np.asarray(xyz, dtype=float))
-
-    def compose(self, other: "Transform") -> "Transform":
-        return Transform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        return points @ self.rotation.T + self.translation
 
 
 @dataclass(frozen=True)
@@ -413,17 +390,6 @@ def params_from_com(
 def solid_sphere_params(mass: float, radius: float, center: Sequence[float]) -> LinkInertialParams:
     """Uniform solid sphere, expressed about the link frame origin."""
     inertia_com = (2.0 / 5.0) * mass * radius**2 * np.eye(3)
-    return params_from_com(mass, center, inertia_com)
-
-
-def solid_box_params(
-    mass: float, size: Sequence[float], center: Sequence[float]
-) -> LinkInertialParams:
-    """Uniform solid box with side lengths ``size``, about the link frame origin."""
-    sx, sy, sz = size
-    inertia_com = (mass / 12.0) * np.diag(
-        [sy**2 + sz**2, sx**2 + sz**2, sx**2 + sy**2]
-    )
     return params_from_com(mass, center, inertia_com)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,37 @@ class TestSubspace:
             v = report.unidentifiable_basis[:, k]
             assert np.linalg.norm(stack.W @ v) <= report.threshold * sigma_max * 1.01
 
+    @pytest.mark.parametrize("fixture, count", [("chain3", 200), ("arm7", 100)])
+    def test_thin_split_matches_full_svd(self, fixture, count):
+        model = builtin_fixture(fixture).model
+        stack = _noiseless_stack(model, np.random.default_rng(5), count=count)
+        W = stack.W
+        assert W.shape[0] > W.shape[1]
+        report = identifiable_subspace(W)
+        _, s_ref, vt_ref = np.linalg.svd(W, full_matrices=True)
+        rank_ref = int(np.sum(s_ref > report.threshold * s_ref[0]))
+        assert report.rank == rank_ref
+        np.testing.assert_allclose(
+            report.singular_values, s_ref, rtol=1e-12, atol=1e-12 * s_ref[0]
+        )
+        for basis, ref in (
+            (report.identifiable_basis, vt_ref[:rank_ref].T),
+            (report.unidentifiable_basis, vt_ref[rank_ref:].T),
+        ):
+            np.testing.assert_allclose(basis @ basis.T, ref @ ref.T, atol=1e-10)
+        Q = np.hstack([report.identifiable_basis, report.unidentifiable_basis])
+        assert Q.shape == (W.shape[1], W.shape[1])
+        np.testing.assert_allclose(Q.T @ Q, np.eye(W.shape[1]), atol=1e-12)
+
+    def test_wide_stack_gets_complete_complement(self):
+        W = np.random.default_rng(6).standard_normal((5, 12))
+        report = identifiable_subspace(W)
+        assert report.rank == 5
+        assert report.unidentifiable_basis.shape == (12, 7)
+        np.testing.assert_allclose(W @ report.unidentifiable_basis, 0.0, atol=1e-12)
+        Q = np.hstack([report.identifiable_basis, report.unidentifiable_basis])
+        np.testing.assert_allclose(Q.T @ Q, np.eye(12), atol=1e-12)
+
 
 class TestOls:
     def test_normal_equations_scalar(self):
@@ -126,6 +159,38 @@ class TestOls:
         )
         with pytest.raises(IdentifyError):
             ols_identify(stack)
+
+    def test_wide_stack_minimum_norm(self):
+        W = np.random.default_rng(7).standard_normal((5, 12))
+        T = np.random.default_rng(8).standard_normal(5)
+        stack = RegressorStack(W=W, w0=np.zeros(5), T=T, sample_count=5)
+        result = ols_identify(stack)
+        np.testing.assert_allclose(result.alpha_hat, np.linalg.pinv(W) @ T, atol=1e-12)
+
+
+class TestMemory:
+    """Identification memory grows with the log length, never with its square."""
+
+    @pytest.mark.parametrize("estimator", ["ols", "consistent"])
+    def test_long_stack_peak_is_small_multiple_of_W(self, estimator):
+        truth = pack_params(builtin_fixture("arm7").model)
+        rng = np.random.default_rng(9)
+        W = rng.standard_normal((20_000, truth.size))
+        T = W @ truth + 1e-2 * rng.standard_normal(W.shape[0])
+        stack = RegressorStack(
+            W=W, w0=np.zeros(W.shape[0]), T=T, sample_count=W.shape[0] // 7,
+            free_mask=np.ones(truth.size, dtype=bool),
+        )
+        tracemalloc.start()
+        try:
+            if estimator == "ols":
+                ols_identify(stack, prior=truth)
+            else:
+                consistent_identify(stack, truth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * W.nbytes
 
 
 class TestConsistent:
