@@ -25,7 +25,7 @@ from .dynamics import stack_regressor
 from .excite import ALOptions, DesignProblem
 from .identify import IdentifyError
 from .model import ModelError
-from .signals import SignalError
+from .signals import SignalError, _write_csv
 from .simulate import SimulateError
 
 EXIT_OK = 0
@@ -112,41 +112,24 @@ def _load_trials(data_dir: Path) -> list[signals.RawTrial]:
     return [signals.trial_from_csv(p) for p in paths]
 
 
+_METRICS_HEADER = ["method", "link", "mass_pct", "com_pct", "inertia_pct"]
+
+
+def _metrics_row(method: str, link: str, estimate, truth, char_length) -> list:
+    return [method, link, *identify.error_metrics(estimate, truth, char_length)]
+
+
 def _metrics_rows(model, alpha_hat, truth, char_length, method):
-    rows = []
-    n = model.num_joints
-    for i in range(n):
-        est = model_mod.LinkInertialParams.from_vector(
-            alpha_hat[13 * i : 13 * i + 13]
+    return [
+        _metrics_row(
+            method,
+            model.joint_specs[i].name,
+            model_mod.LinkInertialParams.from_vector(alpha_hat[13 * i : 13 * i + 13]),
+            model_mod.LinkInertialParams.from_vector(truth[13 * i : 13 * i + 13]),
+            char_length,
         )
-        tru = model_mod.LinkInertialParams.from_vector(truth[13 * i : 13 * i + 13])
-        mass_pct, com_pct, inertia_pct = identify.error_metrics(est, tru, char_length)
-        rows.append(
-            {
-                "method": method,
-                "link": model.joint_specs[i].name,
-                "mass_pct": mass_pct,
-                "com_pct": com_pct,
-                "inertia_pct": inertia_pct,
-            }
-        )
-    return rows
-
-
-def _write_metrics_csv(path: Path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "link", "mass_pct", "com_pct", "inertia_pct"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row["method"],
-                    row["link"],
-                    repr(float(row["mass_pct"])),
-                    repr(float(row["com_pct"])),
-                    repr(float(row["inertia_pct"])),
-                ]
-            )
+        for i in range(model.num_joints)
+    ]
 
 
 # --- design -----------------------------------------------------------------------
@@ -211,11 +194,7 @@ def _payload_from_spec(path: str) -> model_mod.LinkInertialParams:
     with open(path) as fh:
         spec = json.load(fh)
     if "first_moment" in spec:
-        return model_mod.LinkInertialParams(
-            mass=spec["mass"],
-            first_moment=np.asarray(spec["first_moment"], dtype=float),
-            rotational_inertia=np.asarray(spec["rotational_inertia"], dtype=float),
-        )
+        return model_mod.rigid_body_from_dict(spec)
     return model_mod.solid_sphere_params(
         spec["mass"], spec.get("radius", 0.05), spec.get("com", [0.0, 0.0, 0.0])
     )
@@ -285,17 +264,6 @@ def _resolve_cutoffs(args, manifest) -> tuple[float | None, float | None]:
     return pos, torque
 
 
-def _strictly_feasible_prior(alpha: np.ndarray, n: int) -> bool:
-    for i in range(n):
-        params = model_mod.LinkInertialParams.from_vector(alpha[13 * i : 13 * i + 13])
-        report = model_mod.is_physically_feasible(params, tol=0.0)
-        if not report.feasible:
-            return False
-        if min(params.viscous_friction, params.coulomb_friction, params.rotor_inertia) <= 0:
-            return False
-    return True
-
-
 def _load_base_params(args, n: int) -> np.ndarray:
     with open(args.base_params) as fh:
         data = json.load(fh)
@@ -350,11 +318,8 @@ def cmd_identify(args) -> int:
     config_hash = run_config.hash()
 
     if args.mode == "robot":
-        stack = stack_regressor(robot, dataset.states, dataset.torques)
-        if truth is not None and _strictly_feasible_prior(truth, robot.num_joints):
-            prior = truth
-        else:
-            prior = signals.default_identification_prior(robot.num_joints)
+        stack = stack_regressor(robot, dataset.q, dataset.qd, dataset.qdd, dataset.tau)
+        prior = signals.identification_prior(truth, robot.num_joints)
         result_ols = identify.ols_identify(stack, prior=prior)
         result_cons = identify.consistent_identify(stack, prior, reg_weight=args.reg_weight)
         payload = {
@@ -369,7 +334,7 @@ def cmd_identify(args) -> int:
         if truth is not None:
             rows = _metrics_rows(robot, result_ols.alpha_hat, truth, char_length, "ols")
             rows += _metrics_rows(robot, result_cons.alpha_hat, truth, char_length, "consistent")
-            _write_metrics_csv(out_dir / "metrics.csv", rows)
+            _write_csv(out_dir / "metrics.csv", _METRICS_HEADER, rows)
         return EXIT_OK
 
     # payload mode
@@ -381,7 +346,8 @@ def cmd_identify(args) -> int:
     last = robot.num_joints - 1
     mask[13 * last : 13 * last + 10] = False
     stack = stack_regressor(
-        robot, dataset.states, dataset.torques, fixed_mask=mask, fixed_values=base
+        robot, dataset.q, dataset.qd, dataset.qdd, dataset.tau,
+        fixed_mask=mask, fixed_values=base,
     )
     result = identify.payload_identify(stack, base, reg_weight=args.reg_weight)
     payload = {
@@ -392,22 +358,11 @@ def cmd_identify(args) -> int:
     }
     _write_json(out_dir / "payload.json", payload)
     if manifest.get("payload"):
-        truth_payload = simulate.payload_from_manifest(manifest["payload"])
-        mass_pct, com_pct, inertia_pct = identify.error_metrics(
-            result.params, truth_payload, char_length
+        truth_payload = model_mod.rigid_body_from_dict(manifest["payload"])
+        row = _metrics_row(
+            "payload", robot.joint_specs[last].name, result.params, truth_payload, char_length
         )
-        _write_metrics_csv(
-            out_dir / "metrics.csv",
-            [
-                {
-                    "method": "payload",
-                    "link": robot.joint_specs[last].name,
-                    "mass_pct": mass_pct,
-                    "com_pct": com_pct,
-                    "inertia_pct": inertia_pct,
-                }
-            ],
-        )
+        _write_csv(out_dir / "metrics.csv", _METRICS_HEADER, [row])
     if result.boundary_warning:
         print("payload estimate hugs the feasibility boundary", file=sys.stderr)
         return EXIT_WARNINGS
@@ -447,18 +402,11 @@ def cmd_tune_filters(args) -> int:
         paths={"data": str(args.data), "out": str(args.out)},
         parameters={"grid": args.grid},
     )
-    with open(out_dir / "cutoff_search.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["position_cutoff", "torque_cutoff", "residual", "error"])
-        for entry in table:
-            writer.writerow(
-                [
-                    entry.position_cutoff,
-                    entry.torque_cutoff,
-                    "" if entry.residual is None else repr(float(entry.residual)),
-                    entry.error or "",
-                ]
-            )
+    _write_csv(
+        out_dir / "cutoff_search.csv",
+        ["position_cutoff", "torque_cutoff", "residual", "error"],
+        [(e.position_cutoff, e.torque_cutoff, e.residual, e.error) for e in table],
+    )
     _write_json(
         out_dir / "best_cutoffs.json",
         {

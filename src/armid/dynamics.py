@@ -15,9 +15,7 @@ and everything is vectorized along the sample axis.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -327,37 +325,31 @@ class RegressorStack:
 
 def stack_regressor(
     model: RobotModel,
-    states: Sequence[JointState],
-    torques: Sequence[np.ndarray],
+    q,
+    qd,
+    qdd,
+    tau,
     fixed_mask: np.ndarray | None = None,
     fixed_values: np.ndarray | None = None,
 ) -> RegressorStack:
     """Stack measured samples into the linear system ``T = W alpha + w0``.
 
     Args:
-        states: kinematic samples.
-        torques: measured joint torques aligned with states.
+        q, qd, qdd: kinematic samples, each (S, N).
+        tau: measured joint torques aligned with them, (S, N).
         fixed_mask: 13N booleans; True marks parameters held at fixed_values,
             whose torque contribution moves into w0.
         fixed_values: values for the masked parameters (ignored elsewhere).
     """
-    if len(states) != len(torques):
-        raise ValidationError(
-            f"{len(states)} states but {len(torques)} torque samples"
-        )
-    if len(states) == 0:
+    tau = np.asarray(tau, dtype=float)
+    if tau.size == 0:
         raise ValidationError("empty sample list")
+    if tau.shape != np.shape(q):
+        raise ValidationError(f"torque shape {tau.shape} does not match states {np.shape(q)}")
     n = model.num_joints
     total = num_params(model)
-    q = np.stack([s.q for s in states])
-    qd = np.stack([s.qd for s in states])
-    qdd = np.stack([s.qdd for s in states])
-    tau = np.stack([np.asarray(t, dtype=float) for t in torques])
-    if tau.shape != q.shape:
-        raise ValidationError(f"torque shape {tau.shape} does not match states {q.shape}")
-
     W_full = regressor_batch(model, q, qd, qdd).reshape(-1, total)
-    S = len(states)
+    S = W_full.shape[0] // n
     if fixed_mask is None:
         mask = np.zeros(total, dtype=bool)
         fixed = np.zeros(total)
@@ -385,19 +377,6 @@ def stack_regressor(
         free_mask=free,
         fixed_values=fixed,
     )
-
-
-def stack_to_csv(stack: RegressorStack, path) -> None:
-    """Debug dump: one row per stacked sample, columns W | w0 | T."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        ncols = stack.W.shape[1]
-        writer.writerow([f"W{j}" for j in range(ncols)] + ["w0", "T"])
-        for i in range(stack.W.shape[0]):
-            writer.writerow(
-                [repr(float(v)) for v in stack.W[i]]
-                + [repr(float(stack.w0[i])), repr(float(stack.T[i]))]
-            )
 
 
 # --- kinematics helpers (used by collision checks and energy tests) -------------
@@ -460,18 +439,11 @@ def energy(model: RobotModel, state: JointState) -> tuple[float, float]:
     return kinetic, potential
 
 
-def verify_regressor_identity(
-    model: RobotModel, states: Sequence[JointState], tol: float = 1e-9
-) -> float:
+def verify_regressor_identity(model: RobotModel, q, qd, qdd, tol: float = 1e-9) -> float:
     """Max |W alpha - tau| over the given states; raises if above tol."""
-    alpha = pack_params(model)
-    worst = 0.0
-    q = np.stack([s.q for s in states])
-    qd = np.stack([s.qd for s in states])
-    qdd = np.stack([s.qdd for s in states])
     W = regressor_batch(model, q, qd, qdd)
     tau = inverse_dynamics_batch(model, q, qd, qdd)
-    worst = float(np.max(np.abs(W @ alpha - tau)))
+    worst = float(np.max(np.abs(W @ pack_params(model) - tau)))
     if worst > tol:
         raise ValidationError(f"regressor identity violated: {worst:.3e} > {tol:.1e}")
     return worst

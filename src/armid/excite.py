@@ -25,6 +25,7 @@ import numpy as np
 from .dynamics import forward_kinematics, regressor_batch
 from .identify import identifiable_subspace
 from .model import RobotModel, model_to_dict
+from .signals import _write_csv
 
 
 class ExciteError(Exception):
@@ -539,6 +540,34 @@ def _split_vector(x: np.ndarray, n: int, L: int):
     return q0, a, b
 
 
+def _joint_limits(model: RobotModel):
+    """Lower and upper position, velocity and acceleration limits, each (N,)."""
+    specs = model.joint_specs
+    lo = np.array([j.position_limits[0] for j in specs])
+    hi = np.array([j.position_limits[1] for j in specs])
+    vmax = np.array([j.velocity_limit for j in specs])
+    amax = np.array([j.acceleration_limit for j in specs])
+    return lo, hi, vmax, amax
+
+
+def _random_coefficients(rng: np.random.Generator, model: RobotModel, L: int):
+    """Random exciting ``(q0, a, b)``: offsets near mid-range, Gaussian
+    coefficients scaled to the velocity limits."""
+    lo, hi, vmax, _ = _joint_limits(model)
+    n = model.num_joints
+    q0 = (lo + hi) / 2.0 + 0.2 * (hi - lo) * rng.uniform(-0.5, 0.5, n)
+    a = rng.normal(0.0, 1.0, (n, L)) * (vmax[:, None] / (2.0 * L))
+    b = rng.normal(0.0, 1.0, (n, L)) * (vmax[:, None] / (2.0 * L))
+    return q0, a, b
+
+
+def _rest_to_rest(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project coefficients so velocity and acceleration vanish at both ends:
+    sum_l a_il = 0 and sum_l l b_il = 0."""
+    ls = np.arange(1, a.shape[1] + 1)
+    return a - a.mean(axis=1, keepdims=True), b - (b @ ls)[:, None] * ls / float(ls @ ls)
+
+
 def _design_basis(problem: DesignProblem, seed: int) -> tuple[np.ndarray, int]:
     """Structural identifiable basis estimated from random in-limit states."""
     model = problem.model
@@ -548,10 +577,7 @@ def _design_basis(problem: DesignProblem, seed: int) -> tuple[np.ndarray, int]:
         return np.eye(total), total
     rng = np.random.default_rng([seed, 1701])
     samples = max(80, 4 * total)
-    lo = np.array([j.position_limits[0] for j in model.joint_specs])
-    hi = np.array([j.position_limits[1] for j in model.joint_specs])
-    vmax = np.array([j.velocity_limit for j in model.joint_specs])
-    amax = np.array([j.acceleration_limit for j in model.joint_specs])
+    lo, hi, vmax, amax = _joint_limits(model)
     q = rng.uniform(lo, hi, (samples, n))
     qd = rng.uniform(-vmax, vmax, (samples, n))
     qdd = rng.uniform(-amax, amax, (samples, n))
@@ -586,25 +612,14 @@ def design_trajectory(
         )
 
     basis, rank = _design_basis(problem, opts.seed)
-
-    lo = np.array([j.position_limits[0] for j in model.joint_specs])
-    hi = np.array([j.position_limits[1] for j in model.joint_specs])
-    vmax = np.array([j.velocity_limit for j in model.joint_specs])
-    for i, joint in enumerate(model.joint_specs):
-        if hi[i] < lo[i]:
-            raise ExciteError(f"joint '{joint.name}' has reversed limits")
-
-    ls_harmonics = np.arange(1, L + 1)
-    lsq = float(ls_harmonics @ ls_harmonics)
+    lo, hi, vmax, _ = _joint_limits(model)
 
     def build(x: np.ndarray) -> FourierTrajectory:
-        # Project the coefficients onto the rest-to-rest subspace
-        # (sum_l a_il = 0 and sum_l b_il l = 0) so every candidate satisfies
+        # Project onto the rest-to-rest subspace so every candidate satisfies
         # the boundary equalities exactly and the search fights only the
         # inequality constraints.
         q0, a, b = _split_vector(x, n, L)
-        a = a - a.mean(axis=1, keepdims=True)
-        b = b - (b @ ls_harmonics)[:, None] * ls_harmonics / lsq
+        a, b = _rest_to_rest(a, b)
         return FourierTrajectory(
             base_frequency=omega,
             harmonics=L,
@@ -613,11 +628,13 @@ def design_trajectory(
             cosine_coeffs=b,
         )
 
-    def objective(x: np.ndarray) -> float:
-        traj = build(x)
-        _, q, qd, qdd = sample_trajectory(traj, problem.sample_rate)
+    def information(x: np.ndarray) -> InformationObjective:
+        _, q, qd, qdd = sample_trajectory(build(x), problem.sample_rate)
         W = regressor_batch(model, q, qd, qdd).reshape(-1, 13 * n)
-        return information_objective(W @ basis, problem.gamma).value
+        return information_objective(W @ basis, problem.gamma)
+
+    def objective(x: np.ndarray) -> float:
+        return information(x).value
 
     def constraints(x: np.ndarray) -> ConstraintRecord:
         return evaluate_constraints(build(x), problem)
@@ -633,24 +650,15 @@ def design_trajectory(
 
     def restart_sampler(rng: np.random.Generator) -> np.ndarray:
         # Random exciting start; build() projects it onto rest-to-rest anyway.
-        q0 = (lo + hi) / 2.0 + 0.2 * (hi - lo) * rng.uniform(-0.5, 0.5, n)
-        a = rng.normal(0.0, 1.0, (n, L)) * (vmax[:, None] / (2.0 * L))
-        b = rng.normal(0.0, 1.0, (n, L)) * (vmax[:, None] / (2.0 * L))
+        q0, a, b = _random_coefficients(rng, model, L)
         return np.concatenate([q0, a.ravel(), b.ravel()])
 
-    initial_traj = build(x0)
-    _, q, qd, qdd = sample_trajectory(initial_traj, problem.sample_rate)
-    W0 = regressor_batch(model, q, qd, qdd).reshape(-1, 13 * n)
-    initial_info = information_objective(W0 @ basis, problem.gamma)
-
+    initial_info = information(x0)
     result = augmented_lagrangian_minimize(
         objective, constraints, x0, opts, step=step, restart_sampler=restart_sampler
     )
-
     traj = build(result.x)
-    _, q, qd, qdd = sample_trajectory(traj, problem.sample_rate)
-    Wf = regressor_batch(model, q, qd, qdd).reshape(-1, 13 * n)
-    final_info = information_objective(Wf @ basis, problem.gamma)
+    final_info = information(result.x)
 
     vel_tol, acc_tol = problem.boundary_tolerance
     boundary_ok = all(
@@ -686,27 +694,14 @@ def random_feasible_trajectory(
     acceleration subspace and scaled down until all limit inequalities hold.
     Returns None when no feasible draw is found.
     """
-    model = problem.model
-    n = model.num_joints
-    L = harmonics
-    lo = np.array([j.position_limits[0] for j in model.joint_specs])
-    hi = np.array([j.position_limits[1] for j in model.joint_specs])
-    vmax = np.array([j.velocity_limit for j in model.joint_specs])
-    ls = np.arange(1, L + 1)
-
     for _ in range(max_tries):
-        center = (lo + hi) / 2.0
-        q0 = center + 0.2 * (hi - lo) * (rng.uniform(-0.5, 0.5, n))
-        a = rng.normal(0.0, 1.0, (n, L)) * (vmax[:, None] / (2.0 * L))
-        b = rng.normal(0.0, 1.0, (n, L)) * (vmax[:, None] / (2.0 * L))
-        # zero start/end velocity: sum_l a_il = 0 ; zero accel: sum_l b_il l = 0
-        a = a - a.mean(axis=1, keepdims=True)
-        b = b - (b @ ls)[:, None] * ls / float(ls @ ls)
+        q0, a, b = _random_coefficients(rng, problem.model, harmonics)
+        a, b = _rest_to_rest(a, b)
         scale = 1.0
         for _ in range(12):
             traj = FourierTrajectory(
                 base_frequency=omega,
-                harmonics=L,
+                harmonics=harmonics,
                 offsets=q0,
                 sine_coeffs=scale * a,
                 cosine_coeffs=scale * b,
@@ -761,21 +756,10 @@ def load_trajectory(path) -> tuple[FourierTrajectory, dict]:
 
 def export_trajectory_csv(path, traj: FourierTrajectory, rate: float) -> None:
     """Sampled replay file: ``t,q_*,qd_*,qdd_*`` rows."""
-    import csv as _csv
-
     t, q, qd, qdd = sample_trajectory(traj, rate, include_endpoint=True)
     n = traj.num_joints
-    header = ["t"]
-    for prefix in ("q", "qd", "qdd"):
-        header += [f"{prefix}_{i + 1}" for i in range(n)]
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(header)
-        for k in range(t.size):
-            row = [repr(float(t[k]))]
-            for arr in (q, qd, qdd):
-                row += [repr(float(v)) for v in arr[k]]
-            writer.writerow(row)
+    header = ["t"] + [f"{prefix}_{i + 1}" for prefix in ("q", "qd", "qdd") for i in range(n)]
+    _write_csv(path, header, np.column_stack([t, q, qd, qdd]).tolist())
 
 
 def problem_fingerprint(problem: DesignProblem, omega: float, harmonics: int) -> str:

@@ -30,6 +30,7 @@ from .model import (
     inertia_about_com,
     is_physically_feasible,
     pseudo_inertia,
+    rigid_body_to_dict,
 )
 
 DEFAULT_SVD_THRESHOLD = 1e-8
@@ -117,9 +118,7 @@ class PayloadResult:
 
     def as_dict(self) -> dict:
         return {
-            "mass": self.params.mass,
-            "first_moment": self.params.first_moment.tolist(),
-            "rotational_inertia": self.params.rotational_inertia.tolist(),
+            **rigid_body_to_dict(self.params),
             "pseudo_inertia_min_eig": self.pseudo_inertia_min_eig,
             "composite_min_eig": self.composite_min_eig,
             "residual": self.residual,
@@ -179,11 +178,7 @@ def _link_feasibility(stack: RegressorStack, alpha_free: np.ndarray):
     return tuple(reports)
 
 
-def ols_identify(
-    stack: RegressorStack,
-    prior: np.ndarray | None = None,
-    threshold: float = DEFAULT_SVD_THRESHOLD,
-) -> IdentificationResult:
+def ols_identify(stack: RegressorStack, prior: np.ndarray | None = None) -> IdentificationResult:
     """Minimum-norm least squares on the identifiable subspace.
 
     Unidentifiable directions are filled from the prior (zeros by default),
@@ -191,9 +186,7 @@ def ols_identify(
     """
     A = stack.W
     b = stack.T - stack.w0
-    if A.shape[0] == 0 or A.shape[1] == 0:
-        raise IdentifyError("empty stack")
-    u, s, vt, sub = _factorize(A, threshold)
+    u, s, vt, sub = _factorize(A, DEFAULT_SVD_THRESHOLD)
     r = sub.rank
     alpha = vt[:r].T @ ((u[:, :r].T @ b) / s[:r])
     prior_free = _prior_free(stack, prior)
@@ -284,6 +277,13 @@ def _strictly_feasible(x, lmis, log_indices) -> bool:
     return _log_barrier(x, lmis, log_indices) is not None
 
 
+# Barrier path: mu shrinks by _MU_SHRINK per stage until it reaches _MU_FINAL;
+# each stage takes at most _NEWTON_MAX_ITER damped Newton steps.
+_MU_SHRINK = 0.2
+_MU_FINAL = 1e-10
+_NEWTON_MAX_ITER = 60
+
+
 def _barrier_minimize(
     quad_hess: np.ndarray,
     quad_grad,
@@ -291,10 +291,6 @@ def _barrier_minimize(
     lmis: Sequence[_LmiTerm],
     log_indices: np.ndarray,
     x0: np.ndarray,
-    mu_initial: float | None = None,
-    mu_shrink: float = 0.2,
-    mu_final: float = 1e-10,
-    newton_max_iter: int = 60,
 ) -> tuple[np.ndarray, BarrierTrace]:
     """Path-following minimization of a convex quadratic under LMI and
     positivity constraints.
@@ -302,7 +298,7 @@ def _barrier_minimize(
     ``quad_hess`` is the constant Hessian of the quadratic objective,
     ``quad_grad(x)`` its gradient, and ``f_quad(x)`` its value. Each barrier
     stage runs damped Newton until the Newton decrement is negligible, then
-    shrinks mu geometrically.
+    shrinks mu geometrically by ``_MU_SHRINK`` down to ``_MU_FINAL``.
     """
     x = x0.copy()
     log_x = _log_barrier(x, lmis, log_indices)
@@ -311,12 +307,12 @@ def _barrier_minimize(
     f_x = f_quad(x)
 
     n_terms = max(1, len(lmis) * 4 + log_indices.size)
-    mu = mu_initial if mu_initial is not None else max(1e-6, (abs(f_x) + 1.0) / n_terms)
+    mu = max(1e-6, (abs(f_x) + 1.0) / n_terms)
     mu_values, objective_values, newton_counts = [], [], []
 
     while True:
         iterations = 0
-        for _ in range(newton_max_iter):
+        for _ in range(_NEWTON_MAX_ITER):
             grad = quad_grad(x).copy()
             hess = quad_hess.copy()
             for term in lmis:
@@ -362,9 +358,9 @@ def _barrier_minimize(
         mu_values.append(mu)
         objective_values.append(f_x)
         newton_counts.append(iterations)
-        if mu <= mu_final:
+        if mu <= _MU_FINAL:
             break
-        mu = max(mu * mu_shrink, mu_final) if mu * mu_shrink > mu_final else mu_final
+        mu = max(mu * _MU_SHRINK, _MU_FINAL)
 
     trace = BarrierTrace(
         mu_path=tuple(mu_values),
@@ -379,12 +375,39 @@ def _barrier_minimize(
 _REGULARIZATION_FLOOR = 1e-14
 
 
+def _regularized_least_squares(A, b, target, reg_weight):
+    """``||A x - b||^2 + reg * ||P_un (x - target)||^2`` as its value and
+    gradient functions and constant Hessian, plus the subspace split of ``A``.
+
+    ``P_un`` projects onto the unidentifiable subspace of ``A``, so the
+    regularizer leaves identifiable directions unbiased. ``reg`` defaults to
+    ``1e-3 * sigma_max^2`` and never drops below the regularization floor.
+    """
+    sub = identifiable_subspace(A)
+    sigma_max = sub.singular_values[0]
+    if reg_weight is None:
+        reg_weight = 1e-3 * sigma_max**2
+    reg_eff = max(reg_weight, _REGULARIZATION_FLOOR * max(sigma_max**2, 1.0))
+    bun = sub.unidentifiable_basis
+    d = A.shape[1]
+    proj_un = bun @ bun.T if bun.shape[1] else np.zeros((d, d))
+
+    AtA = A.T @ A
+    Atb = A.T @ b
+
+    def f_quad(x):
+        r = A @ x - b
+        du = proj_un @ (x - target)
+        return float(r @ r) + reg_eff * float(du @ du)
+
+    def quad_grad(x):
+        return 2.0 * (AtA @ x - Atb) + 2.0 * reg_eff * (proj_un @ (x - target))
+
+    return f_quad, quad_grad, 2.0 * (AtA + reg_eff * proj_un), sub
+
+
 def consistent_identify(
-    stack: RegressorStack,
-    prior: np.ndarray,
-    reg_weight: float | None = None,
-    threshold: float = DEFAULT_SVD_THRESHOLD,
-    mu_final: float = 1e-10,
+    stack: RegressorStack, prior: np.ndarray, reg_weight: float | None = None
 ) -> IdentificationResult:
     """Physically consistent estimation: least squares under realizability.
 
@@ -399,35 +422,14 @@ def consistent_identify(
     """
     if stack.free_mask is None:
         raise IdentifyError("consistent_identify needs a stack with link structure")
-    A = stack.W
-    b = stack.T - stack.w0
-    d = A.shape[1]
-    if d == 0:
+    if stack.W.shape[1] == 0:
         raise IdentifyError("no free parameters to identify")
-    sub = identifiable_subspace(A, threshold)
-    sigma_max = sub.singular_values[0]
-    if reg_weight is None:
-        reg_weight = 1e-3 * sigma_max**2
-    if reg_weight < 0:
+    if reg_weight is not None and reg_weight < 0:
         raise IdentifyError("reg_weight must be >= 0")
-    reg_eff = max(reg_weight, _REGULARIZATION_FLOOR * max(sigma_max**2, 1.0))
-
     prior_free = _prior_free(stack, prior)
-    bun = sub.unidentifiable_basis
-    proj_un = bun @ bun.T if bun.shape[1] else np.zeros((d, d))
-
-    AtA = A.T @ A
-    Atb = A.T @ b
-
-    def f_quad(x):
-        r = A @ x - b
-        du = proj_un @ (x - prior_free)
-        return float(r @ r) + reg_eff * float(du @ du)
-
-    def quad_grad(x):
-        return 2.0 * (AtA @ x - Atb) + 2.0 * reg_eff * (proj_un @ (x - prior_free))
-
-    quad_hess = 2.0 * (AtA + reg_eff * proj_un)
+    f_quad, quad_grad, quad_hess, sub = _regularized_least_squares(
+        stack.W, stack.T - stack.w0, prior_free, reg_weight
+    )
 
     lmis, log_indices = _build_link_constraints(stack)
     x0 = prior_free.copy()
@@ -435,9 +437,7 @@ def consistent_identify(
         raise InfeasiblePriorError(
             "prior is not strictly feasible (pseudo-inertia PD and frictions > 0 required)"
         )
-    x, trace = _barrier_minimize(
-        quad_hess, quad_grad, f_quad, lmis, log_indices, x0, mu_final=mu_final
-    )
+    x, trace = _barrier_minimize(quad_hess, quad_grad, f_quad, lmis, log_indices, x0)
 
     return IdentificationResult(
         alpha_hat=stack.embed(x),
@@ -490,10 +490,7 @@ def default_payload_start(scale: float = 1e-3) -> np.ndarray:
 def payload_identify(
     stack_with_object: RegressorStack,
     base_params: np.ndarray,
-    last_link_index: int | None = None,
     reg_weight: float | None = None,
-    threshold: float = DEFAULT_SVD_THRESHOLD,
-    mu_final: float = 1e-10,
 ) -> PayloadResult:
     """Estimate grasped-object parameters as a last-link difference.
 
@@ -508,9 +505,10 @@ def payload_identify(
     if stack.free_mask is None:
         raise IdentifyError("payload_identify needs a stack with link structure")
     n = stack.num_links
-    last = n - 1 if last_link_index is None else last_link_index
+    start = (n - 1) * PARAMS_PER_LINK
+    last_inertial = slice(start, start + INERTIAL_PARAMS_PER_LINK)
     expected = np.zeros(n * PARAMS_PER_LINK, dtype=bool)
-    expected[last * PARAMS_PER_LINK : last * PARAMS_PER_LINK + INERTIAL_PARAMS_PER_LINK] = True
+    expected[last_inertial] = True
     if not np.array_equal(stack.free_mask, expected):
         raise IdentifyError(
             "stack must leave exactly the last link's 10 inertial parameters free"
@@ -518,33 +516,12 @@ def payload_identify(
     base = np.asarray(base_params, dtype=float)
     if base.shape != (n * PARAMS_PER_LINK,):
         raise IdentifyError(f"base_params must have {n * PARAMS_PER_LINK} entries")
-    base10 = base[last * PARAMS_PER_LINK : last * PARAMS_PER_LINK + INERTIAL_PARAMS_PER_LINK]
-
-    A = stack.W
-    b = stack.T - stack.w0 - A @ base10
-    sub = identifiable_subspace(A, threshold)
-    sigma_max = sub.singular_values[0]
-    if reg_weight is None:
-        reg_weight = 1e-3 * sigma_max**2
-    reg_eff = max(reg_weight, _REGULARIZATION_FLOOR * max(sigma_max**2, 1.0))
-    bun = sub.unidentifiable_basis
-    proj_un = bun @ bun.T if bun.shape[1] else np.zeros((A.shape[1], A.shape[1]))
+    base10 = base[last_inertial]
 
     p0 = default_payload_start()
-    target = p0.copy()
-
-    AtA = A.T @ A
-    Atb = A.T @ b
-
-    def f_quad(x):
-        r = A @ x - b
-        du = proj_un @ (x - target)
-        return float(r @ r) + reg_eff * float(du @ du)
-
-    def quad_grad(x):
-        return 2.0 * (AtA @ x - Atb) + 2.0 * reg_eff * (proj_un @ (x - target))
-
-    quad_hess = 2.0 * (AtA + reg_eff * proj_un)
+    f_quad, quad_grad, quad_hess, _ = _regularized_least_squares(
+        stack.W, stack.T - stack.w0 - stack.W @ base10, p0.copy(), reg_weight
+    )
 
     indices = np.arange(INERTIAL_PARAMS_PER_LINK)
     lmi_difference = _LmiTerm(
@@ -564,9 +541,7 @@ def payload_identify(
     else:
         raise InfeasiblePriorError("could not find a strictly feasible payload start")
 
-    p, trace = _barrier_minimize(
-        quad_hess, quad_grad, f_quad, lmis, log_indices, p0, mu_final=mu_final
-    )
+    p, trace = _barrier_minimize(quad_hess, quad_grad, f_quad, lmis, log_indices, p0)
 
     diff = np.zeros(PARAMS_PER_LINK)
     diff[:INERTIAL_PARAMS_PER_LINK] = p

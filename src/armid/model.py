@@ -23,22 +23,6 @@ import numpy as np
 
 PARAMS_PER_LINK = 13
 
-PARAM_NAMES = (
-    "m",
-    "h_x",
-    "h_y",
-    "h_z",
-    "I_xx",
-    "I_xy",
-    "I_xz",
-    "I_yy",
-    "I_yz",
-    "I_zz",
-    "mu_v",
-    "mu_c",
-    "I_r",
-)
-
 # Indices into the per-link 13-slot layout.
 MASS_INDEX = 0
 FIRST_MOMENT_SLICE = slice(1, 4)
@@ -239,13 +223,6 @@ class RobotModel:
 
 def num_params(model: RobotModel) -> int:
     return PARAMS_PER_LINK * model.num_joints
-
-
-def param_names(model: RobotModel) -> list[str]:
-    """Flat parameter names, e.g. ``m[joint_1]``, in pack order."""
-    return [
-        f"{p}[{joint.name}]" for joint, _ in model.links for p in PARAM_NAMES
-    ]
 
 
 def pack_params(model: RobotModel) -> np.ndarray:
@@ -576,26 +553,6 @@ def parse_robot_description(text: str) -> RobotModel:
 # --- serialization --------------------------------------------------------------
 
 
-def model_summary(model: RobotModel) -> dict:
-    """JSON-ready summary: joint names, limits, and the packed parameter vector."""
-    return {
-        "name": model.name,
-        "num_joints": model.num_joints,
-        "gravity": model.gravity.tolist(),
-        "joints": [
-            {
-                "name": j.name,
-                "position_limits": list(j.position_limits),
-                "velocity_limit": j.velocity_limit,
-                "acceleration_limit": j.acceleration_limit,
-            }
-            for j in model.joint_specs
-        ],
-        "parameters": pack_params(model).tolist(),
-        "parameter_names": param_names(model),
-    }
-
-
 def model_to_dict(model: RobotModel) -> dict:
     """Full round-trippable serialization (kinematics and parameters)."""
     return {
@@ -641,3 +598,17 @@ def model_from_dict(data: dict) -> RobotModel:
         gravity=np.asarray(data["gravity"], dtype=float),
         name=data["name"],
     )
+
+
+def rigid_body_to_dict(p: LinkInertialParams) -> dict:
+    """JSON-ready ``mass``, ``first_moment`` and ``rotational_inertia`` of ``p``."""
+    return {
+        "mass": p.mass,
+        "first_moment": p.first_moment.tolist(),
+        "rotational_inertia": p.rotational_inertia.tolist(),
+    }
+
+
+def rigid_body_from_dict(data: dict) -> LinkInertialParams:
+    """Inverse of :func:`rigid_body_to_dict`; joint-side terms are zero."""
+    return LinkInertialParams(data["mass"], data["first_moment"], data["rotational_inertia"])

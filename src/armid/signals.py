@@ -12,13 +12,21 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import signal as _signal
 
-from .dynamics import JointState, RegressorStack, stack_regressor
-from .model import RobotModel, is_physically_feasible, pack_params
+from . import identify
+from .dynamics import stack_regressor
+from .model import (
+    PARAMS_PER_LINK,
+    LinkInertialParams,
+    ModelError,
+    RobotModel,
+    is_physically_feasible,
+    pack_params,
+)
 
 # Samples discarded at each boundary per differentiation pass (the five-point
 # stencil needs two neighbours on each side).
@@ -92,17 +100,6 @@ class ProcessedDataset:
             if not np.all(np.isfinite(arr)):
                 raise SignalError(f"{name} contains non-finite values after processing")
             object.__setattr__(self, name, arr)
-
-    @property
-    def states(self) -> list[JointState]:
-        return [
-            JointState(self.q[i], self.qd[i], self.qdd[i])
-            for i in range(self.q.shape[0])
-        ]
-
-    @property
-    def torques(self) -> list[np.ndarray]:
-        return [self.tau[i] for i in range(self.tau.shape[0])]
 
 
 def lowpass_zero_phase(x: np.ndarray, cutoff: float, rate: float) -> np.ndarray:
@@ -195,11 +192,6 @@ def process_trial(
     )
 
 
-def dataset_stack(model: RobotModel, dataset: ProcessedDataset) -> RegressorStack:
-    """Convenience: stack a processed dataset against a model."""
-    return stack_regressor(model, dataset.states, dataset.torques)
-
-
 @dataclass(frozen=True)
 class CutoffSearchEntry:
     position_cutoff: float | None
@@ -213,40 +205,32 @@ def tune_filter_cutoffs(
     model: RobotModel,
     grid: Sequence[tuple[float | None, float | None]] = DEFAULT_CUTOFF_GRID,
     prior: np.ndarray | None = None,
-    identify_fn: Callable[[RegressorStack, np.ndarray], object] | None = None,
 ) -> tuple[tuple[float | None, float | None], list[CutoffSearchEntry]]:
     """Grid-search filter cutoffs by the consistent-identification residual.
 
     Every grid point processes the trial, runs the constrained identification,
-    and records its residual. Failed points are skipped but kept in the table.
-    Ties break toward the lower cutoffs. Returns the best (position, torque)
-    pair and the full search table.
+    and records its residual. A point that fails with a data, model or
+    identification error is skipped but kept in the table; any other
+    exception is a bug and propagates. Ties break toward the lower cutoffs.
+    Returns the best (position, torque) pair and the full search table.
     """
-    from .identify import consistent_identify
-
     if not grid:
         raise SignalError("cutoff grid is empty")
     if prior is None:
-        prior = pack_params(model)
-        strict = all(
-            r.feasible
-            and min(r.viscous_friction, r.coulomb_friction, r.rotor_inertia) > 0
-            for r in (is_physically_feasible(p, tol=0.0) for p in model.inertial_params)
-        )
-        if not strict:
-            prior = default_identification_prior(model.num_joints)
-    solve = identify_fn or (lambda stack, pr: consistent_identify(stack, pr))
+        prior = identification_prior(pack_params(model), model.num_joints)
 
     table: list[CutoffSearchEntry] = []
     for pos_cut, torque_cut in grid:
         try:
-            dataset = process_trial(trial, pos_cut, torque_cut)
-            stack = dataset_stack(model, dataset)
-            result = solve(stack, prior)
+            ds = process_trial(trial, pos_cut, torque_cut)
+            stack = stack_regressor(model, ds.q, ds.qd, ds.qdd, ds.tau)
+            result = identify.consistent_identify(stack, prior)
             table.append(
                 CutoffSearchEntry(pos_cut, torque_cut, float(result.residual))
             )
-        except Exception as exc:  # recorded, not raised: one bad point must not kill the sweep
+        except (
+            SignalError, ModelError, identify.IdentifyError, np.linalg.LinAlgError
+        ) as exc:  # recorded, not raised: one bad point must not kill the sweep
             table.append(CutoffSearchEntry(pos_cut, torque_cut, None, error=str(exc)))
 
     valid = [e for e in table if e.residual is not None]
@@ -270,21 +254,48 @@ def default_identification_prior(num_links: int) -> np.ndarray:
     return np.tile(per_link, num_links)
 
 
+def identification_prior(candidate: np.ndarray | None, num_links: int) -> np.ndarray:
+    """``candidate`` if it can start the barrier, else the default prior.
+
+    A usable start is strictly feasible on every link: positive definite
+    pseudo-inertia and strictly positive friction and rotor terms.
+    """
+    if candidate is not None:
+        links = (
+            LinkInertialParams.from_vector(candidate[k : k + PARAMS_PER_LINK])
+            for k in range(0, num_links * PARAMS_PER_LINK, PARAMS_PER_LINK)
+        )
+        if all(
+            is_physically_feasible(p, tol=0.0).feasible
+            and min(p.viscous_friction, p.coulomb_friction, p.rotor_inertia) > 0
+            for p in links
+        ):
+            return candidate
+    return default_identification_prior(num_links)
+
+
 # --- CSV interchange -------------------------------------------------------------
+
+
+def _write_csv(path, header: Sequence[str], rows) -> None:
+    """Write ``header`` then ``rows``; every float table armid writes uses this.
+
+    ``csv`` writes a float cell as its ``repr``, the shortest decimal that
+    reads back to the same 64-bit value, and None as an empty cell. Pass a
+    float table as ``table.tolist()``.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def trial_to_csv(trial: RawTrial, path) -> None:
     """Write ``t,q_1..q_N,tau_1..tau_N`` rows in 64-bit decimal text."""
     n = trial.num_joints
     header = ["t"] + [f"q_{i + 1}" for i in range(n)] + [f"tau_{i + 1}" for i in range(n)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(trial.timestamps.size):
-            row = [repr(float(trial.timestamps[k]))]
-            row += [repr(float(v)) for v in trial.q[k]]
-            row += [repr(float(v)) for v in trial.tau[k]]
-            writer.writerow(row)
+    table = np.column_stack([trial.timestamps, trial.q, trial.tau])
+    _write_csv(path, header, table.tolist())
 
 
 def trial_from_csv(path) -> RawTrial:
@@ -317,19 +328,3 @@ def trial_from_csv(path) -> RawTrial:
         )
     except SignalError as exc:
         raise SignalError(f"{path}: {exc}") from exc
-
-
-def dataset_to_csv(dataset: ProcessedDataset, path) -> None:
-    """Write ``t,q_*,qd_*,qdd_*,tau_*`` rows for a processed dataset."""
-    n = dataset.q.shape[1]
-    header = ["t"]
-    for prefix in ("q", "qd", "qdd", "tau"):
-        header += [f"{prefix}_{i + 1}" for i in range(n)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(dataset.timestamps.size):
-            row = [repr(float(dataset.timestamps[k]))]
-            for arr in (dataset.q, dataset.qd, dataset.qdd, dataset.tau):
-                row += [repr(float(v)) for v in arr[k]]
-            writer.writerow(row)

@@ -28,6 +28,7 @@ from .model import (
     model_to_dict,
     pack_params,
     params_from_com,
+    rigid_body_to_dict,
 )
 from .signals import RawTrial, trial_to_csv
 
@@ -281,15 +282,7 @@ def write_dataset(
         "model": model_to_dict(fixture.model),
         "truth_parameters": pack_params(fixture.model).tolist(),
         "char_length": fixture.char_length,
-        "payload": (
-            None
-            if fixture.payload is None
-            else {
-                "mass": fixture.payload.mass,
-                "first_moment": fixture.payload.first_moment.tolist(),
-                "rotational_inertia": fixture.payload.rotational_inertia.tolist(),
-            }
-        ),
+        "payload": None if fixture.payload is None else rigid_body_to_dict(fixture.payload),
         "trajectory": trajectory_to_dict(traj),
         "rate": rate,
         "trials": trials,
@@ -307,10 +300,3 @@ def write_dataset(
         fh.write("\n")
     return paths
 
-
-def payload_from_manifest(entry: dict) -> LinkInertialParams:
-    return LinkInertialParams(
-        mass=entry["mass"],
-        first_moment=np.asarray(entry["first_moment"], dtype=float),
-        rotational_inertia=np.asarray(entry["rotational_inertia"], dtype=float),
-    )

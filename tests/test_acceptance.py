@@ -11,12 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from armid.dynamics import (
-    JointState,
-    inverse_dynamics_batch,
-    regressor_batch,
-    stack_regressor,
-)
+from armid.dynamics import inverse_dynamics_batch, regressor_batch, stack_regressor
 from armid.excite import (
     ALOptions,
     ConstraintRecord,
@@ -75,6 +70,7 @@ def test_criterion_1_regressor_identity():
     print(f"\nACCEPTANCE 1 regressor identity: PASS ({detail}; {elapsed:.1f}s < 30s)")
 
 
+@pytest.mark.slow
 def test_criterion_2_noiseless_roundtrip():
     """Design on chain3, simulate noiselessly, full pipeline recovers truth."""
     start = time.monotonic()
@@ -93,7 +89,7 @@ def test_criterion_2_noiseless_roundtrip():
 
     trials = generate_dataset(fixture, traj, 100.0, 1, NoiseSpec(seed=0))
     dataset = process_trial(trials[0], None, None)
-    stack = stack_regressor(model, dataset.states, dataset.torques)
+    stack = stack_regressor(model, dataset.q, dataset.qd, dataset.qdd, dataset.tau)
 
     sub = identifiable_subspace(stack.W)
     basis = sub.identifiable_basis
@@ -143,7 +139,8 @@ def test_criterion_3_noisy_payload_anchor():
     mask = np.ones(13 * n, dtype=bool)
     mask[13 * (n - 1) : 13 * (n - 1) + 10] = False
     stack = stack_regressor(
-        model, dataset.states, dataset.torques, fixed_mask=mask, fixed_values=truth
+        model, dataset.q, dataset.qd, dataset.qdd, dataset.tau,
+        fixed_mask=mask, fixed_values=truth,
     )
     result = payload_identify(stack, truth)
 
@@ -167,6 +164,7 @@ def test_criterion_3_noisy_payload_anchor():
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_design_efficacy():
     """Optimized f_c beats the random-trajectory mean by at least 5x."""
     start = time.monotonic()
@@ -229,11 +227,10 @@ def test_criterion_5_feasibility_guarantee():
         q = rng.uniform(-2.0, 2.0, (150, 3))
         qd = rng.uniform(-2.0, 2.0, (150, 3))
         qdd = rng.uniform(-6.0, 6.0, (150, 3))
-        states = [JointState(q[i], qd[i], qdd[i]) for i in range(150)]
         tau = inverse_dynamics_batch(model, q, qd, qdd)
         tau = tau * (1.0 + 0.01 * rng.standard_normal(tau.shape))
         tau = tau + 0.05 * rng.standard_normal(tau.shape)
-        stack = stack_regressor(model, states, list(tau))
+        stack = stack_regressor(model, q, qd, qdd, tau)
         result = consistent_identify(stack, prior)
         if all(f.feasible for f in result.link_feasibility):
             feasible_count += 1
@@ -249,7 +246,6 @@ def test_criterion_5_feasibility_guarantee():
     q = srng.uniform(-2.0, 2.0, (300, 3))
     qd = srng.uniform(-2.0, 2.0, (300, 3))
     qdd = srng.uniform(-6.0, 6.0, (300, 3))
-    states = [JointState(q[i], qd[i], qdd[i]) for i in range(300)]
     tau_clean = inverse_dynamics_batch(rigged, q, qd, qdd)
     mask = np.ones(39, dtype=bool)
     mask[26:36] = False
@@ -259,7 +255,7 @@ def test_criterion_5_feasibility_guarantee():
     payload_runs = 10
     for seed in range(payload_runs):
         tau = tau_clean + 0.05 * np.random.default_rng(seed).standard_normal(tau_clean.shape)
-        stack = stack_regressor(rigged, states, list(tau), fixed_mask=mask, fixed_values=vec)
+        stack = stack_regressor(rigged, q, qd, qdd, tau, fixed_mask=mask, fixed_values=vec)
         if ols_identify(stack).alpha_hat[26] < 0:
             ols_negative += 1
         result = payload_identify(stack, vec)
@@ -345,10 +341,9 @@ def test_criterion_7_convexity_and_ordering():
         q = rng.uniform(-2.0, 2.0, (120, 3))
         qd = rng.uniform(-2.0, 2.0, (120, 3))
         qdd = rng.uniform(-6.0, 6.0, (120, 3))
-        states = [JointState(q[i], qd[i], qdd[i]) for i in range(120)]
         tau = inverse_dynamics_batch(model, q, qd, qdd)
         tau = tau + 0.05 * rng.standard_normal(tau.shape)
-        stack = stack_regressor(model, states, list(tau))
+        stack = stack_regressor(model, q, qd, qdd, tau)
 
         prior = default_identification_prior(3)
         r_ols = ols_identify(stack, prior=prior)

@@ -1,9 +1,11 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from armid import identify
 from armid.cli import EXIT_ERROR, EXIT_OK, EXIT_WARNINGS, main
 from armid.excite import (
     DesignProblem,
@@ -252,3 +254,54 @@ class TestTuneAndReport:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["report", "--runs", str(empty)]) == EXIT_ERROR
+
+
+class TestGoldenCsv:
+    """Exact bytes of the CLI's CSV artifacts, with the estimates pinned."""
+
+    def _planar2_data(self, tmp_path):
+        traj_path = _write_trajectory(tmp_path, "planar2")
+        data_dir = tmp_path / "data"
+        code = main(
+            [
+                "simulate", "--fixture", "planar2", "--traj", str(traj_path),
+                "--trials", "1", "--rate", "50", "--out", str(data_dir),
+            ]
+        )
+        assert code == EXIT_OK
+        return data_dir
+
+    def test_metrics_rows(self, tmp_path, monkeypatch):
+        data_dir = self._planar2_data(tmp_path)
+        monkeypatch.setattr(
+            identify, "error_metrics", lambda est, truth, length: (0.1, 1e-05, 1 / 3)
+        )
+        out_dir = tmp_path / "ident"
+        code = main(
+            ["identify", "--mode", "robot", "--data", str(data_dir), "--out", str(out_dir)]
+        )
+        assert code == EXIT_OK
+        row = "{},{},0.1,1e-05,0.3333333333333333\r\n"
+        expected = "method,link,mass_pct,com_pct,inertia_pct\r\n" + "".join(
+            row.format(method, link)
+            for method in ("ols", "consistent")
+            for link in ("shoulder", "elbow")
+        )
+        assert (out_dir / "metrics.csv").read_bytes() == expected.encode()
+
+    def test_cutoff_search_rows(self, tmp_path, monkeypatch):
+        data_dir = self._planar2_data(tmp_path)
+        monkeypatch.setattr(
+            identify, "consistent_identify", lambda stack, prior: SimpleNamespace(residual=1 / 3)
+        )
+        out_dir = tmp_path / "tuned"
+        code = main(
+            ["tune-filters", "--data", str(data_dir), "--grid", "6,2000:6", "--out", str(out_dir)]
+        )
+        assert code == EXIT_OK
+        expected = (
+            "position_cutoff,torque_cutoff,residual,error\r\n"
+            "6.0,6.0,0.3333333333333333,\r\n"
+            '2000.0,6.0,,"cutoff 2000.0 Hz must lie in (0, 25.0) for rate 50.0 Hz"\r\n'
+        )
+        assert (out_dir / "cutoff_search.csv").read_bytes() == expected.encode()

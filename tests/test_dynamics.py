@@ -13,7 +13,6 @@ from armid.dynamics import (
     regressor_batch,
     smooth_sign,
     stack_regressor,
-    stack_to_csv,
 )
 from armid.model import RobotModel, ValidationError, pack_params, unpack_params
 
@@ -129,11 +128,10 @@ class TestRegressor:
 
         rng = np.random.default_rng(9)
         q, qd, qdd = _random_states(twolink_model, rng, 50)
-        states = [JointState(q[i], qd[i], qdd[i]) for i in range(50)]
-        worst = verify_regressor_identity(twolink_model, states)
+        worst = verify_regressor_identity(twolink_model, q, qd, qdd)
         assert worst < 1e-9
         with pytest.raises(ValidationError):
-            verify_regressor_identity(twolink_model, states, tol=0.0)
+            verify_regressor_identity(twolink_model, q, qd, qdd, tol=0.0)
 
     def test_zero_state_zero_gravity_is_zero_matrix(self, twolink_model):
         model = RobotModel(links=twolink_model.links, gravity=np.zeros(3))
@@ -172,13 +170,12 @@ class TestStack:
     def test_shapes_and_zero_offset(self, twolink_model):
         rng = np.random.default_rng(3)
         q, qd, qdd = _random_states(twolink_model, rng, 10)
-        states = [JointState(q[i], qd[i], qdd[i]) for i in range(10)]
-        torques = list(inverse_dynamics_batch(twolink_model, q, qd, qdd))
+        torques = inverse_dynamics_batch(twolink_model, q, qd, qdd)
         fixed = np.zeros(26, dtype=bool)
         fixed[:13] = True
         fixed[13:21] = True  # leave 5 free columns
         stack = stack_regressor(
-            twolink_model, states, torques, fixed_mask=fixed,
+            twolink_model, q, qd, qdd, torques, fixed_mask=fixed,
             fixed_values=pack_params(twolink_model),
         )
         assert stack.W.shape == (20, 5)
@@ -188,18 +185,16 @@ class TestStack:
     def test_no_fixed_means_zero_w0(self, twolink_model):
         rng = np.random.default_rng(4)
         q, qd, qdd = _random_states(twolink_model, rng, 5)
-        states = [JointState(q[i], qd[i], qdd[i]) for i in range(5)]
-        torques = list(inverse_dynamics_batch(twolink_model, q, qd, qdd))
-        stack = stack_regressor(twolink_model, states, torques)
+        torques = inverse_dynamics_batch(twolink_model, q, qd, qdd)
+        stack = stack_regressor(twolink_model, q, qd, qdd, torques)
         np.testing.assert_array_equal(stack.w0, np.zeros(10))
 
     def test_all_fixed_at_truth_consumes_signal(self, twolink_model):
         rng = np.random.default_rng(5)
         q, qd, qdd = _random_states(twolink_model, rng, 50)
-        states = [JointState(q[i], qd[i], qdd[i]) for i in range(50)]
-        torques = list(inverse_dynamics_batch(twolink_model, q, qd, qdd))
+        torques = inverse_dynamics_batch(twolink_model, q, qd, qdd)
         stack = stack_regressor(
-            twolink_model, states, torques,
+            twolink_model, q, qd, qdd, torques,
             fixed_mask=np.ones(26, dtype=bool),
             fixed_values=pack_params(twolink_model),
         )
@@ -207,42 +202,25 @@ class TestStack:
         assert np.max(np.abs(stack.T - stack.w0)) < 1e-9
 
     def test_dimension_mismatch(self, twolink_model):
-        states = [JointState(np.zeros(2), np.zeros(2), np.zeros(2))]
+        q = qd = qdd = np.zeros((1, 2))
         with pytest.raises(ValidationError):
-            stack_regressor(twolink_model, states, [np.zeros(2), np.zeros(2)])
+            stack_regressor(twolink_model, q, qd, qdd, np.zeros((2, 2)))
         with pytest.raises(ValidationError):
-            stack_regressor(twolink_model, states, [np.zeros(3)])
+            stack_regressor(twolink_model, q, qd, qdd, np.zeros((1, 3)))
 
     def test_embed_roundtrip(self, twolink_model):
         rng = np.random.default_rng(6)
         q, qd, qdd = _random_states(twolink_model, rng, 3)
-        states = [JointState(q[i], qd[i], qdd[i]) for i in range(3)]
-        torques = list(inverse_dynamics_batch(twolink_model, q, qd, qdd))
+        torques = inverse_dynamics_batch(twolink_model, q, qd, qdd)
         truth = pack_params(twolink_model)
         fixed = np.zeros(26, dtype=bool)
         fixed[5] = True
         stack = stack_regressor(
-            twolink_model, states, torques, fixed_mask=fixed, fixed_values=truth
+            twolink_model, q, qd, qdd, torques, fixed_mask=fixed, fixed_values=truth
         )
         free_part = truth[~fixed]
         embedded = stack.embed(free_part)
         np.testing.assert_array_equal(embedded, truth)
-
-    def test_csv_debug_dump(self, twolink_model, tmp_path):
-        rng = np.random.default_rng(7)
-        q, qd, qdd = _random_states(twolink_model, rng, 2)
-        states = [JointState(q[i], qd[i], qdd[i]) for i in range(2)]
-        torques = list(inverse_dynamics_batch(twolink_model, q, qd, qdd))
-        stack = stack_regressor(twolink_model, states, torques)
-        path = tmp_path / "stack.csv"
-        stack_to_csv(stack, path)
-        rows = path.read_text().strip().splitlines()
-        assert len(rows) == 1 + 4  # header + S*N
-        assert rows[0].endswith("w0,T")
-        reread = np.array(
-            [[float(v) for v in row.split(",")] for row in rows[1:]]
-        )
-        np.testing.assert_array_equal(reread[:, :-2], stack.W)
 
 
 class TestKinematics:

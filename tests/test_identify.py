@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from armid.dynamics import JointState, RegressorStack, inverse_dynamics_batch, stack_regressor
+from armid.dynamics import RegressorStack, inverse_dynamics_batch, stack_regressor
 from armid.identify import (
     BarrierTrace,
     IdentifyError,
@@ -30,16 +30,16 @@ def _random_states(model, rng, count):
     q = rng.uniform(-2.0, 2.0, (count, n))
     qd = rng.uniform(-2.0, 2.0, (count, n))
     qdd = rng.uniform(-6.0, 6.0, (count, n))
-    return [JointState(q[i], qd[i], qdd[i]) for i in range(count)], q, qd, qdd
+    return q, qd, qdd
 
 
 def _noiseless_stack(model, rng, count=400, noise=0.0, noise_seed=0):
-    states, q, qd, qdd = _random_states(model, rng, count)
+    q, qd, qdd = _random_states(model, rng, count)
     tau = inverse_dynamics_batch(model, q, qd, qdd)
     if noise:
         nrng = np.random.default_rng(noise_seed)
         tau = tau + noise * nrng.standard_normal(tau.shape)
-    return stack_regressor(model, states, list(tau))
+    return stack_regressor(model, q, qd, qdd, tau)
 
 
 class TestSubspace:
@@ -215,12 +215,12 @@ class TestConsistent:
         vec[26:36] = tiny.to_vector()[:10]
         rigged = unpack_params(vec, model)
         rng = np.random.default_rng(0)
-        states, q, qd, qdd = _random_states(rigged, rng, 300)
+        q, qd, qdd = _random_states(rigged, rng, 300)
         tau = inverse_dynamics_batch(rigged, q, qd, qdd)
         tau += 0.05 * np.random.default_rng(0).standard_normal(tau.shape)
         mask = np.ones(39, dtype=bool)
         mask[26:36] = False
-        stack = stack_regressor(rigged, states, list(tau), fixed_mask=mask, fixed_values=vec)
+        stack = stack_regressor(rigged, q, qd, qdd, tau, fixed_mask=mask, fixed_values=vec)
 
         r_ols = ols_identify(stack)
         assert r_ols.alpha_hat[26] < 0  # frozen seed: OLS mass is negative
@@ -304,13 +304,13 @@ class TestPayload:
         ).to_vector()[:10]
         loaded = unpack_params(loaded_vec, model)
         rng = np.random.default_rng(12)
-        states, q, qd, qdd = _random_states(model, rng, count)
+        q, qd, qdd = _random_states(model, rng, count)
         tau = inverse_dynamics_batch(loaded, q, qd, qdd)
         if noise:
             tau = tau + noise * np.random.default_rng(noise_seed).standard_normal(tau.shape)
         mask = np.ones(39, dtype=bool)
         mask[26:36] = False
-        stack = stack_regressor(model, states, list(tau), fixed_mask=mask, fixed_values=truth)
+        stack = stack_regressor(model, q, qd, qdd, tau, fixed_mask=mask, fixed_values=truth)
         return stack, truth
 
     def test_noiseless_sphere_recovery(self):

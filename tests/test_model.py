@@ -14,7 +14,6 @@ from armid.model import (
     inertia_about_com,
     is_physically_feasible,
     model_from_dict,
-    model_summary,
     model_to_dict,
     pack_params,
     params_from_com,
@@ -302,16 +301,6 @@ class TestInvariantsAndSerialization:
         bad = np.array([[0.1, 1e-6, 0.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.1]])
         with pytest.raises(ValidationError, match="asymmetry"):
             LinkInertialParams(1.0, np.zeros(3), bad)
-
-    def test_summary_contents(self, twolink_model):
-        import json
-
-        summary = model_summary(twolink_model)
-        assert summary["num_joints"] == 2
-        assert len(summary["parameters"]) == 26
-        assert len(summary["parameter_names"]) == 26
-        assert summary["joints"][0]["name"] == "a"
-        assert json.loads(json.dumps(summary)) == summary
 
     def test_dict_roundtrip(self, twolink_model):
         rebuilt = model_from_dict(model_to_dict(twolink_model))

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
+from armid import identify
 from armid.model import pack_params
 from armid.signals import (
     DEFAULT_CUTOFF_GRID,
     RawTrial,
     SignalError,
     average_trials,
-    dataset_stack,
-    dataset_to_csv,
     differentiate_twice,
     lowpass_zero_phase,
     process_trial,
@@ -171,13 +170,6 @@ class TestProcess:
         np.testing.assert_array_equal(ds.q, trial.q[4:-4])
         np.testing.assert_array_equal(ds.tau, trial.tau[4:-4])
 
-    def test_states_align(self):
-        trial = _make_trial(fn=np.sin, n=2)
-        ds = process_trial(trial, None, None)
-        states = ds.states
-        assert len(states) == len(ds.torques) == ds.q.shape[0]
-        np.testing.assert_array_equal(states[3].q, ds.q[3])
-
 
 class TestTuneCutoffs:
     def _noiseless_setup(self):
@@ -223,6 +215,34 @@ class TestTuneCutoffs:
         assert table[1].residual is None
         assert table[1].error
 
+    def test_programming_error_propagates(self, monkeypatch):
+        model, trial = self._noiseless_setup()
+
+        def broken(stack, prior):
+            raise RuntimeError("bug in the estimator")
+
+        monkeypatch.setattr(identify, "consistent_identify", broken)
+        with pytest.raises(RuntimeError, match="bug in the estimator"):
+            tune_filter_cutoffs(trial, model, [(8.0, 8.0)])
+
+    def test_identify_error_recorded(self, monkeypatch):
+        model, trial = self._noiseless_setup()
+        real = identify.consistent_identify
+        calls = []
+
+        def fails_first(stack, prior):
+            calls.append(None)
+            if len(calls) == 1:
+                raise identify.IdentifyError("barrier gave up")
+            return real(stack, prior)
+
+        monkeypatch.setattr(identify, "consistent_identify", fails_first)
+        best, table = tune_filter_cutoffs(trial, model, [(4.0, 4.0), (8.0, 8.0)])
+        assert best == (8.0, 8.0)
+        assert table[0].residual is None
+        assert table[0].error == "barrier gave up"
+        assert table[1].residual is not None
+
     def test_empty_grid(self):
         model, trial = self._noiseless_setup()
         with pytest.raises(SignalError):
@@ -242,6 +262,36 @@ class TestCsv:
         np.testing.assert_array_equal(back.q, trial.q)
         np.testing.assert_array_equal(back.tau, trial.tau)
 
+    def test_written_bytes(self, tmp_path):
+        # Pins the file format: shortest round-trip decimals and \r\n line ends.
+        q = np.zeros((16, 1))
+        q[:5, 0] = [0.1, 1e-05, -0.0, 1 / 3, 123456789.125]
+        tau = np.zeros((16, 1))
+        tau[:5, 0] = [-1e-05, 123456789.125, 1 / 3, 0.1, -0.0]
+        trial = RawTrial(timestamps=np.arange(16) / 10.0, q=q, tau=tau)
+        path = tmp_path / "trial.csv"
+        trial_to_csv(trial, path)
+        rows = [
+            "t,q_1,tau_1",
+            "0.0,0.1,-1e-05",
+            "0.1,1e-05,123456789.125",
+            "0.2,-0.0,0.3333333333333333",
+            "0.3,0.3333333333333333,0.1",
+            "0.4,123456789.125,-0.0",
+            "0.5,0.0,0.0",
+            "0.6,0.0,0.0",
+            "0.7,0.0,0.0",
+            "0.8,0.0,0.0",
+            "0.9,0.0,0.0",
+            "1.0,0.0,0.0",
+            "1.1,0.0,0.0",
+            "1.2,0.0,0.0",
+            "1.3,0.0,0.0",
+            "1.4,0.0,0.0",
+            "1.5,0.0,0.0",
+        ]
+        assert path.read_bytes() == "".join(r + "\r\n" for r in rows).encode()
+
     def test_corrupt_row_named(self, tmp_path):
         trial = _make_trial(fn=np.sin)
         path = tmp_path / "trial.csv"
@@ -251,14 +301,6 @@ class TestCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SignalError, match="row 6"):
             trial_from_csv(path)
-
-    def test_dataset_csv_header(self, tmp_path):
-        trial = _make_trial(fn=np.sin, n=2)
-        ds = process_trial(trial, None, None)
-        path = tmp_path / "ds.csv"
-        dataset_to_csv(ds, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "t,q_1,q_2,qd_1,qd_2,qdd_1,qdd_2,tau_1,tau_2"
 
 
 class TestRawTrialValidation:
