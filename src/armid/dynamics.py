@@ -5,12 +5,14 @@ friction and reflected rotor inertia:
 
     tau = M(q) qdd + C(q, qd) qd - tau_g(q) + mu_v qd + mu_c sign(qd) + I_r qdd
 
-computed by a recursive Newton-Euler pass. Because the torques are linear in
-the 13 per-link dynamic parameters, the same pass run with unit basis
-parameters yields the regressor matrix W with ``tau = W @ alpha`` exactly.
+computed by a recursive Newton-Euler pass. The torques are linear in the 13
+per-link dynamic parameters, ``tau = W @ alpha``; :func:`regressor_batch`
+builds W in closed form from the same kinematic pass, and the Newton-Euler
+torques are the independent check on it.
 
-All core routines are batched over samples: ``q, qd, qdd`` have shape (S, N)
-and everything is vectorized along the sample axis.
+All core routines are batched over samples: ``q, qd, qdd`` have shape (S, N).
+Inside, vectors are (3, S) arrays and rotations (3, 3, S), so each numpy call
+works on whole rows of samples.
 """
 
 from __future__ import annotations
@@ -20,7 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    COULOMB_INDEX,
+    FIRST_MOMENT_SLICE,
+    INERTIA_SLICE,
+    INERTIAL_PARAMS_PER_LINK,
+    MASS_INDEX,
     PARAMS_PER_LINK,
+    ROTOR_INDEX,
+    VISCOUS_INDEX,
     RobotModel,
     ValidationError,
     num_params,
@@ -71,56 +80,82 @@ def _check_batch(model: RobotModel, q, qd, qdd):
     return q, qd, qdd
 
 
+def _cross(a, b):
+    """a x b per component, for (3, ...) arrays that broadcast against each other."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def _skew(p):
+    """[p]x, so that [p]x b = p x b; shape (3, 3) for a 3-vector, (3, 3, S) for (3, S)."""
+    zero = np.zeros_like(p[0])
+    return np.array([[zero, -p[2], p[1]], [p[2], zero, -p[0]], [-p[1], p[0], zero]])
+
+
+def _inertia_map(x):
+    """L(x), shape (3, 6, S): L(x) (Ixx, Ixy, Ixz, Iyy, Iyz, Izz) = I x."""
+    x0, x1, x2 = x
+    z = np.zeros_like(x0)
+    return np.array([[x0, x1, x2, z, z, z], [z, x0, z, x1, x2, z], [z, z, x0, z, x1, x2]])
+
+
+def _mul(M, x):
+    """M x per sample, for M of shape (m, c) or (m, c, S) and x of (c, S) or (c, J, S)."""
+    return np.einsum("ic...,c...->i...", M, x)
+
+
+def _mul_t(M, x):
+    """M^T x per sample, for M of shape (c, m) or (c, m, S) and x as in :func:`_mul`."""
+    return np.einsum("ci...,c...->i...", M, x)
+
+
 def _joint_rotations(model: RobotModel, q: np.ndarray) -> list[np.ndarray]:
-    """Per-link rotation child->parent, shape (S, 3, 3) each."""
+    """Per-link rotation child->parent, shape (3, 3, S) each.
+
+    R0 Rodrigues(a, theta) = R0 a a^T + cos(theta) (R0 - R0 a a^T) + sin(theta) R0 [a]x.
+    """
+    cos = np.cos(q.T)
+    sin = np.sin(q.T)
     rotations = []
     for i, (joint, _) in enumerate(model.links):
-        a = joint.axis
-        theta = q[:, i]
-        c = np.cos(theta)
-        s = np.sin(theta)
-        cc = 1.0 - c
-        outer = np.outer(a, a)
-        skew = np.array(
-            [[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]]
+        r0 = joint.parent_frame_pose.rotation
+        along = r0 @ np.outer(joint.axis, joint.axis)
+        rotations.append(
+            along[..., None]
+            + (r0 - along)[..., None] * cos[i]
+            + (r0 @ _skew(joint.axis))[..., None] * sin[i]
         )
-        rj = (
-            c[:, None, None] * np.eye(3)
-            + s[:, None, None] * skew
-            + cc[:, None, None] * outer
-        )
-        rotations.append(np.einsum("ij,sjk->sik", joint.parent_frame_pose.rotation, rj))
     return rotations
 
 
 def _kinematic_pass(model: RobotModel, q, qd, qdd):
     """Propagate angular velocity/acceleration and origin acceleration per link.
 
-    Quantities are expressed in each link's own frame. Gravity enters as a
-    fictitious upward base acceleration, which makes a hanging equilibrium
-    produce zero torque.
+    Quantities are expressed in each link's own frame as (3, S) arrays, and
+    rotations as (3, 3, S). Gravity enters as a fictitious upward base
+    acceleration, which makes a hanging equilibrium produce zero torque.
     """
     S = q.shape[0]
     rotations = _joint_rotations(model, q)
-    omega = np.zeros((S, 3))
-    alpha = np.zeros((S, 3))
-    acc = np.broadcast_to(-model.gravity, (S, 3))
+    qd_t, qdd_t = qd.T, qdd.T
+    omega = np.zeros((3, S))
+    alpha = np.zeros((3, S))
+    acc = np.broadcast_to(-model.gravity[:, None], (3, S))
     omegas, alphas, accs = [], [], []
     for i, (joint, _) in enumerate(model.links):
-        rt = np.swapaxes(rotations[i], 1, 2)  # parent -> child
-        p = joint.parent_frame_pose.translation
-        a = joint.axis
-        omega_parent_local = np.einsum("sij,sj->si", rt, omega)
-        acc_origin = acc + np.cross(alpha, np.broadcast_to(p, (S, 3))) + np.cross(
-            omega, np.cross(omega, np.broadcast_to(p, (S, 3)))
-        )
-        acc = np.einsum("sij,sj->si", rt, acc_origin)
+        R = rotations[i]
+        skew_p = _skew(joint.parent_frame_pose.translation)
+        a = joint.axis[:, None]
+        # acc + alpha x p + omega x (omega x p), then into the child frame
+        acc = _mul_t(R, acc - skew_p @ alpha - _cross(omega, skew_p @ omega))
+        omega_parent_local = _mul_t(R, omega)
         alpha = (
-            np.einsum("sij,sj->si", rt, alpha)
-            + qdd[:, i : i + 1] * a
-            + np.cross(omega_parent_local, qd[:, i : i + 1] * a)
+            _mul_t(R, alpha)
+            + qdd_t[i] * a
+            - qd_t[i] * (_skew(joint.axis) @ omega_parent_local)
         )
-        omega = omega_parent_local + qd[:, i : i + 1] * a
+        omega = omega_parent_local + qd_t[i] * a
         omegas.append(omega)
         alphas.append(alpha)
         accs.append(acc)
@@ -129,29 +164,24 @@ def _kinematic_pass(model: RobotModel, q, qd, qdd):
 
 def _link_wrench(mass, h, inertia, omega, alpha, acc):
     """Newton-Euler wrench about the link frame origin; linear in (m, h, I)."""
-    force = mass * acc + np.cross(alpha, h) + np.cross(omega, np.cross(omega, h))
-    torque = alpha @ inertia.T + np.cross(omega, omega @ inertia.T) + np.cross(h, acc)
+    force = mass * acc + _cross(alpha, h) + _cross(omega, _cross(omega, h))
+    torque = inertia @ alpha + _cross(omega, inertia @ omega) + _cross(h, acc)
     return force, torque
 
 
 def _backward_pass(model, rotations, forces, torques):
     """Accumulate child wrenches down the chain and project onto joint axes."""
     n = model.num_joints
-    S = forces[0].shape[0]
-    tau = np.zeros((S, n))
+    tau = np.empty((forces[0].shape[1], n))
     f_total = forces[n - 1]
     n_total = torques[n - 1]
-    tau[:, n - 1] = n_total @ model.links[n - 1][0].axis
+    tau[:, n - 1] = model.links[n - 1][0].axis @ n_total
     for i in range(n - 2, -1, -1):
-        r_child = rotations[i + 1]
-        p_child = model.links[i + 1][0].parent_frame_pose.translation
-        f_from_child = np.einsum("sij,sj->si", r_child, f_total)
-        n_from_child = np.einsum("sij,sj->si", r_child, n_total) + np.cross(
-            np.broadcast_to(p_child, (S, 3)), f_from_child
-        )
+        f_from_child = _mul(rotations[i + 1], f_total)
+        skew_p = _skew(model.links[i + 1][0].parent_frame_pose.translation)
+        n_total = torques[i] + _mul(rotations[i + 1], n_total) + skew_p @ f_from_child
         f_total = forces[i] + f_from_child
-        n_total = torques[i] + n_from_child
-        tau[:, i] = n_total @ model.links[i][0].axis
+        tau[:, i] = model.links[i][0].axis @ n_total
     return tau
 
 
@@ -179,10 +209,6 @@ def inverse_dynamics_batch(model: RobotModel, q, qd, qdd) -> np.ndarray:
 
 def inverse_dynamics(model: RobotModel, state: JointState) -> np.ndarray:
     """Joint torques for a single state."""
-    if state.q.size != model.num_joints:
-        raise ValidationError(
-            f"state has {state.q.size} joints, model has {model.num_joints}"
-        )
     return inverse_dynamics_batch(
         model, state.q[None, :], state.qd[None, :], state.qdd[None, :]
     )[0]
@@ -191,73 +217,51 @@ def inverse_dynamics(model: RobotModel, state: JointState) -> np.ndarray:
 def regressor_batch(model: RobotModel, q, qd, qdd) -> np.ndarray:
     """Torque regressor for a batch of states, shape (S, N, 13N).
 
-    Column k holds the inverse dynamics evaluated with the k-th unit basis
-    parameter vector. The parameter-independent kinematic pass is shared
-    across all basis sweeps; the wrench and backward propagation are rerun
-    per basis parameter.
+    Closed form Y_jk = z_j^T X_{j<-k} A_k (Atkeson, An & Hollerbach 1986). In
+    link k's frame, with angular velocity w, angular acceleration al and
+    origin acceleration a (gravity included), the wrench of its 10 inertial
+    parameters (m, h, I) is
+
+        force  = [a, [al]x + [w]x^2, 0]
+        torque = [0, -[a]x, L(al) + [w]x L(w)],   L(v) I_vec = I v.
+
+    The torque at an ancestor joint j <= k is u^T torque + v^T force, where
+    (u, v) is joint j's axis carried out to frame k: it starts as (z_j, 0)
+    and, per step into a child frame with rotation R and origin p,
+    becomes (R^T u, R^T (v + u x p)). Joints past link k see none of its
+    parameters, so those entries stay 0.
     """
     q, qd, qdd = _check_batch(model, q, qd, qdd)
     S = q.shape[0]
     n = model.num_joints
-    total = num_params(model)
     rotations, omegas, alphas, accs = _kinematic_pass(model, q, qd, qdd)
-
-    # Precompute child->ancestor wrench propagation per link.
-    W = np.zeros((S, n, total))
-    eye3 = np.eye(3)
-    inertia_bases = []
-    for r in range(3):
-        for c in range(r, 3):
-            basis = np.zeros((3, 3))
-            basis[r, c] = 1.0
-            basis[c, r] = 1.0
-            inertia_bases.append(basis)
-
-    for link in range(n):
-        col0 = link * PARAMS_PER_LINK
-        omega, alpha, acc = omegas[link], alphas[link], accs[link]
-        basis_wrenches = []
-        # mass
-        basis_wrenches.append((acc, np.zeros((S, 3))))
-        # first moment components
-        for k in range(3):
-            h = eye3[k]
-            hb = np.broadcast_to(h, (S, 3))
-            f = np.cross(alpha, hb) + np.cross(omega, np.cross(omega, hb))
-            t = np.cross(hb, acc)
-            basis_wrenches.append((f, t))
-        # inertia components (symmetric basis matrices)
-        for basis in inertia_bases:
-            t = alpha @ basis.T + np.cross(omega, omega @ basis.T)
-            basis_wrenches.append((np.zeros((S, 3)), t))
-
-        for offset, (f, t) in enumerate(basis_wrenches):
-            col = col0 + offset
-            W[:, link, col] = t @ model.links[link][0].axis
-            f_cur, n_cur = f, t
-            for j in range(link - 1, -1, -1):
-                r_child = rotations[j + 1]
-                p_child = model.links[j + 1][0].parent_frame_pose.translation
-                f_parent = np.einsum("sij,sj->si", r_child, f_cur)
-                n_parent = np.einsum("sij,sj->si", r_child, n_cur) + np.cross(
-                    np.broadcast_to(p_child, (S, 3)), f_parent
-                )
-                W[:, j, col] = n_parent @ model.links[j][0].axis
-                f_cur, n_cur = f_parent, n_parent
-
-        # friction and rotor columns act on their own joint only
-        W[:, link, col0 + 10] = qd[:, link]
-        W[:, link, col0 + 11] = smooth_sign(qd[:, link])
-        W[:, link, col0 + 12] = qdd[:, link]
+    W = np.zeros((S, n, num_params(model)))
+    u = np.empty((3, 0, S))
+    v = np.empty((3, 0, S))
+    eye = np.eye(3)[..., None]
+    for k, (joint, _) in enumerate(model.links):
+        if k:
+            # u x p = -[p]x u
+            v = _mul_t(rotations[k], v - _mul(_skew(joint.parent_frame_pose.translation), u))
+            u = _mul_t(rotations[k], u)
+        u = np.concatenate([u, np.broadcast_to(joint.axis[:, None, None], (3, 1, S))], axis=1)
+        v = np.concatenate([v, np.zeros((3, 1, S))], axis=1)
+        w, al, a = omegas[k], alphas[k], accs[k]
+        force_h = _skew(al) + w[:, None] * w - eye * (w * w).sum(axis=0)  # [al]x + [w]x^2
+        torque_inertia = _inertia_map(al) + _cross(w, _inertia_map(w))  # L(al) + [w]x L(w)
+        col0 = k * PARAMS_PER_LINK
+        block = W[:, : k + 1, col0 : col0 + INERTIAL_PARAMS_PER_LINK].T  # a view, (10, k + 1, S)
+        block[MASS_INDEX] = (v * a[:, None]).sum(axis=0)
+        block[FIRST_MOMENT_SLICE] = _mul_t(force_h, v) - _mul_t(_skew(a), u)
+        block[INERTIA_SLICE] = _mul_t(torque_inertia, u)
+        W[:, k, col0 + VISCOUS_INDEX] = qd[:, k]
+        W[:, k, col0 + COULOMB_INDEX] = smooth_sign(qd[:, k])
+        W[:, k, col0 + ROTOR_INDEX] = qdd[:, k]
     return W
 
 
 def regressor(model: RobotModel, state: JointState) -> np.ndarray:
     """Regressor for a single state, shape (N, 13N)."""
-    if state.q.size != model.num_joints:
-        raise ValidationError(
-            f"state has {state.q.size} joints, model has {model.num_joints}"
-        )
     return regressor_batch(
         model, state.q[None, :], state.qd[None, :], state.qdd[None, :]
     )[0]
@@ -390,7 +394,7 @@ def forward_kinematics(model: RobotModel, q) -> tuple[np.ndarray, np.ndarray]:
     q = np.atleast_2d(np.asarray(q, dtype=float))
     S = q.shape[0]
     n = model.num_joints
-    rotations = _joint_rotations(model, q)
+    rotations = [r.transpose(2, 0, 1) for r in _joint_rotations(model, q)]
     R = np.empty((S, n, 3, 3))
     p = np.empty((S, n, 3))
     R_acc = np.broadcast_to(np.eye(3), (S, 3, 3))
@@ -412,23 +416,18 @@ def energy(model: RobotModel, state: JointState) -> tuple[float, float]:
     the torque recursion, so it can serve as a power-balance cross-check.
     """
     q = state.q[None, :]
-    qd = state.qd[None, :]
-    S = 1
     rotations = _joint_rotations(model, q)
-    omega = np.zeros((S, 3))
-    vel = np.zeros((S, 3))
+    omega = np.zeros(3)
+    vel = np.zeros(3)
     kinetic = 0.0
     for i, (joint, params) in enumerate(model.links):
-        rt = np.swapaxes(rotations[i], 1, 2)
-        p = joint.parent_frame_pose.translation
-        vel = np.einsum("sij,sj->si", rt, vel + np.cross(omega, np.broadcast_to(p, (S, 3))))
-        omega = np.einsum("sij,sj->si", rt, omega) + qd[:, i : i + 1] * joint.axis
-        v = vel[0]
-        w = omega[0]
+        rt = rotations[i][:, :, 0].T
+        vel = rt @ (vel + _cross(omega, joint.parent_frame_pose.translation))
+        omega = rt @ omega + state.qd[i] * joint.axis
         kinetic += (
-            0.5 * params.mass * float(v @ v)
-            + float(v @ np.cross(w, params.first_moment))
-            + 0.5 * float(w @ params.rotational_inertia @ w)
+            0.5 * params.mass * float(vel @ vel)
+            + float(vel @ _cross(omega, params.first_moment))
+            + 0.5 * float(omega @ params.rotational_inertia @ omega)
         )
     R, p = forward_kinematics(model, q)
     potential = 0.0

@@ -96,6 +96,13 @@ def fourier_eval(traj: FourierTrajectory, t) -> tuple[np.ndarray, np.ndarray, np
     return q, qd, qdd
 
 
+def _check_sample_rate(rate: float, omega: float, harmonics: int, error: type[Exception]):
+    """Raise ``error`` if ``rate`` Hz aliases the top harmonic ``harmonics * omega``."""
+    nyquist_rate = 2.0 * omega * harmonics / (2.0 * math.pi)
+    if rate <= nyquist_rate:
+        raise error(f"rate {rate} Hz aliases harmonic content up to {nyquist_rate / 2.0} Hz")
+
+
 def sample_trajectory(
     traj: FourierTrajectory, rate: float, include_endpoint: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -604,12 +611,7 @@ def design_trajectory(
     model = problem.model
     n = model.num_joints
     L = harmonics
-    nyquist_needed = 2.0 * omega * L / (2.0 * math.pi)
-    if problem.sample_rate <= nyquist_needed:
-        raise ExciteError(
-            f"sample rate {problem.sample_rate} Hz cannot resolve harmonic "
-            f"content up to {nyquist_needed / 2.0} Hz"
-        )
+    _check_sample_rate(problem.sample_rate, omega, L, ExciteError)
 
     basis, rank = _design_basis(problem, opts.seed)
     lo, hi, vmax, _ = _joint_limits(model)

@@ -10,14 +10,13 @@ a real arm.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import inverse_dynamics_batch
-from .excite import FourierTrajectory, sample_trajectory, trajectory_to_dict
+from .excite import FourierTrajectory, _check_sample_rate, sample_trajectory, trajectory_to_dict
 from .model import (
     JointSpec,
     LinkInertialParams,
@@ -236,11 +235,7 @@ def generate_dataset(
     """
     if trials < 1:
         raise SimulateError("need at least one trial")
-    nyquist_needed = 2.0 * traj.base_frequency * traj.harmonics / (2.0 * math.pi)
-    if rate <= nyquist_needed:
-        raise SimulateError(
-            f"rate {rate} Hz aliases harmonic content up to {nyquist_needed / 2.0} Hz"
-        )
+    _check_sample_rate(rate, traj.base_frequency, traj.harmonics, SimulateError)
     model = fixture.model
     if fixture.payload is not None:
         model = lump_payload(model, fixture.payload)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from armid.model import (
     JointSpec,
@@ -7,6 +8,11 @@ from armid.model import (
     Transform,
     params_from_com,
 )
+
+# Property tests run the same bounded set of examples on every run, so the
+# suite stays deterministic and writes no example database.
+settings.register_profile("armid", derandomize=True, max_examples=30, deadline=None, database=None)
+settings.load_profile("armid")
 
 
 @pytest.fixture

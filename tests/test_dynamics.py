@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from armid.dynamics import (
     JointState,
@@ -14,7 +18,33 @@ from armid.dynamics import (
     smooth_sign,
     stack_regressor,
 )
-from armid.model import RobotModel, ValidationError, pack_params, unpack_params
+from armid.model import (
+    PARAMS_PER_LINK,
+    JointSpec,
+    RobotModel,
+    Transform,
+    ValidationError,
+    num_params,
+    pack_params,
+    params_from_com,
+    rpy_matrix,
+    unpack_params,
+)
+from armid.simulate import FIXTURE_NAMES, builtin_fixture
+
+
+def _assert_columns_pinned(model, q, qd, qdd):
+    """Column c of the regressor is the inverse dynamics of the c-th unit
+    parameter vector, and link k's columns are exactly 0 at joints past k."""
+    W = regressor_batch(model, q, qd, qdd)
+    atol = 1e-12 * np.max(np.abs(W))
+    for col, unit in enumerate(np.eye(num_params(model))):
+        tau = inverse_dynamics_batch(unpack_params(unit, model), q, qd, qdd)
+        np.testing.assert_allclose(W[:, :, col], tau, rtol=0, atol=atol, err_msg=f"column {col}")
+    for k in range(model.num_joints):
+        np.testing.assert_array_equal(
+            W[:, k + 1 :, k * PARAMS_PER_LINK : (k + 1) * PARAMS_PER_LINK], 0.0
+        )
 
 
 def _random_states(model, rng, count, accel_scale=6.0):
@@ -153,17 +183,59 @@ class TestRegressor:
             rotor[i] = qdd[0, i]
             np.testing.assert_allclose(W[:, 13 * i + 12], rotor, atol=1e-12)
 
-    def test_lower_block_triangular(self, twolink_model):
-        # parameters of link 2 cannot influence... the other way around:
-        # parameters of link 1 produce no torque at joint 2 only through
-        # the chain; columns of link 2 params must affect both joints, and
-        # link-1 columns must not appear below their own joint row pattern.
-        rng = np.random.default_rng(2)
-        q, qd, qdd = _random_states(twolink_model, rng, 1)
-        W = regressor(twolink_model, JointState(q[0], qd[0], qdd[0]))
-        # no structural zero expected for joint 1 vs link 2 columns; check
-        # instead that joint 2 row is independent of link-1 inertial columns
-        assert np.max(np.abs(W[1, 0:10])) < 1e-12
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_every_column_is_unit_parameter_dynamics(self, name):
+        model = builtin_fixture(name).model
+        q, qd, qdd = _random_states(model, np.random.default_rng(12), 40)
+        _assert_columns_pinned(model, q, qd, qdd)
+
+    def test_peak_memory_is_small_multiple_of_output(self):
+        # Memory must stay linear in the sample count: no per-parameter or
+        # per-descendant copies of the output.
+        model = builtin_fixture("arm7").model
+        q, qd, qdd = _random_states(model, np.random.default_rng(13), 2000)
+        tracemalloc.start()
+        try:
+            W = regressor_batch(model, q, qd, qdd)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * W.nbytes, f"peak {peak / W.nbytes:.2f}x the output"
+
+
+@st.composite
+def _random_chain(draw):
+    """A serial chain of 1-7 links with random axes, poses and realizable inertias."""
+    angle = st.floats(-np.pi, np.pi)
+    coord = st.floats(-0.5, 0.5)
+    links = []
+    for i in range(draw(st.integers(1, 7))):
+        polar, azimuth = draw(st.floats(0.0, np.pi)), draw(angle)
+        axis = [np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth), np.cos(polar)]
+        pose = Transform.from_xyz_rpy([draw(coord) for _ in range(3)], [draw(angle) for _ in range(3)])
+        joint = JointSpec(f"j{i}", np.array(axis), pose, (-3.0, 3.0), 2.0, 10.0)
+        # I = tr(S) 1 - S for a positive second moment S is always realizable.
+        second_moment = np.diag([draw(st.floats(1e-3, 0.2)) for _ in range(3)])
+        turn = rpy_matrix(*(draw(angle) for _ in range(3)))
+        inertia_com = turn @ (np.trace(second_moment) * np.eye(3) - second_moment) @ turn.T
+        params = params_from_com(
+            draw(st.floats(0.1, 5.0)), [draw(coord) for _ in range(3)], inertia_com,
+            *(draw(st.floats(0.0, 1.0)) for _ in range(3)),
+        )
+        links.append((joint, params))
+    return RobotModel(links=tuple(links))
+
+
+class TestRandomChains:
+    @given(model=_random_chain(), seed=st.integers(0, 2**32 - 1))
+    def test_regressor_identity_and_columns(self, model, seed):
+        rng = np.random.default_rng(seed)
+        q, qd, qdd = _random_states(model, rng, 50)
+        W = regressor_batch(model, q, qd, qdd)
+        tau = inverse_dynamics_batch(model, q, qd, qdd)
+        scale = max(1.0, float(np.max(np.abs(tau))))
+        assert np.max(np.abs(W @ pack_params(model) - tau)) <= 1e-9 * scale
+        _assert_columns_pinned(model, q[:3], qd[:3], qdd[:3])
 
 
 class TestStack:

@@ -289,7 +289,7 @@ class TestDesign:
     def test_design_rejects_undersampling(self):
         model = builtin_fixture("pendulum1").model
         problem = DesignProblem(model=model, sample_rate=0.5)
-        with pytest.raises(ExciteError):
+        with pytest.raises(ExciteError, match="alias"):
             design_trajectory(problem, 2 * math.pi * 0.1, 5, ALOptions())
 
     def test_random_feasible_trajectories(self):
