@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,7 @@ from .dynamics import stack_regressor
 from .excite import ALOptions, DesignProblem
 from .identify import IdentifyError
 from .model import ModelError
-from .signals import SignalError, _write_csv
+from .signals import SignalError, _json_hash, _write_csv, _write_json
 from .simulate import SimulateError
 
 EXIT_OK = 0
@@ -58,26 +57,11 @@ class RunConfig:
     parameters: dict = field(default_factory=dict)
     seed: int | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "paths": dict(self.paths),
-            "parameters": dict(self.parameters),
-            "seed": self.seed,
-        }
 
-    def hash(self) -> str:
-        return _config_hash(self.as_dict())
-
-
-def _config_hash(config: dict) -> str:
-    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _stamp(run: RunConfig) -> dict:
+    """The ``config`` and ``config_hash`` entries every artifact carries."""
+    config = asdict(run)
+    return {"config": config, "config_hash": _json_hash(config)}
 
 
 def _load_model(args) -> model_mod.RobotModel:
@@ -97,19 +81,19 @@ def _parse_cutoff(raw: str | None):
     return float(raw)
 
 
-def _load_manifest(data_dir: Path) -> dict:
+def _load_dataset(data_dir: Path) -> tuple[dict, model_mod.RobotModel, signals.RawTrial]:
+    """A dataset directory's manifest, its robot model, and its averaged trial."""
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.exists():
         raise ValueError(f"no manifest.json in {data_dir}")
     with open(manifest_path) as fh:
-        return json.load(fh)
-
-
-def _load_trials(data_dir: Path) -> list[signals.RawTrial]:
+        manifest = json.load(fh)
+    robot = model_mod.model_from_dict(manifest["model"])
     paths = sorted(data_dir.glob("trial_*.csv"))
     if not paths:
         raise ValueError(f"no trial_*.csv files in {data_dir}")
-    return [signals.trial_from_csv(p) for p in paths]
+    averaged = signals.average_trials([signals.trial_from_csv(p) for p in paths])
+    return manifest, robot, averaged
 
 
 _METRICS_HEADER = ["method", "link", "mass_pct", "com_pct", "inertia_pct"]
@@ -168,19 +152,16 @@ def cmd_design(args) -> int:
         },
         seed=args.seed,
     )
+    stamp = _stamp(config)
     provenance = {
-        "config": config.as_dict(),
-        "config_hash": config.hash(),
+        **stamp,
         "problem_hash": excite.problem_fingerprint(problem, omega, args.harmonics),
         "seed": args.seed,
         "objective_history": [h["objective"] for h in report.history],
     }
     excite.save_trajectory(out_dir / "trajectory.json", traj, provenance)
     excite.export_trajectory_csv(out_dir / "trajectory.csv", traj, args.sample_rate)
-    _write_json(
-        out_dir / "design_report.json",
-        {"report": report.as_dict(), "config": config.as_dict(), "config_hash": config.hash()},
-    )
+    _write_json(out_dir / "design_report.json", {"report": report.as_dict(), **stamp})
     if report.flagged:
         print("design completed with infeasibility flag", file=sys.stderr)
         return EXIT_WARNINGS
@@ -239,7 +220,7 @@ def cmd_simulate(args) -> int:
         args.rate,
         args.trials,
         noise,
-        extra_manifest={"config": config.as_dict(), "config_hash": config.hash()},
+        extra_manifest=_stamp(config),
     )
     return EXIT_OK
 
@@ -273,8 +254,6 @@ def _load_base_params(args, n: int) -> np.ndarray:
         print(f"using base parameter set labeled {label}", file=sys.stderr)
     elif "alpha" in data:
         alpha = np.asarray(data["alpha"], dtype=float)
-    elif "consistent" in data:
-        alpha = np.asarray(data["consistent"]["alpha"], dtype=float)
     else:
         raise ValueError("base parameter file needs 'alpha' or 'labeled_sets'")
     if alpha.shape != (13 * n,):
@@ -283,11 +262,7 @@ def _load_base_params(args, n: int) -> np.ndarray:
 
 
 def cmd_identify(args) -> int:
-    data_dir = Path(args.data)
-    manifest = _load_manifest(data_dir)
-    robot = model_mod.model_from_dict(manifest["model"])
-    trials = _load_trials(data_dir)
-    averaged = signals.average_trials(trials)
+    manifest, robot, averaged = _load_dataset(Path(args.data))
     pos_cut, torque_cut = _resolve_cutoffs(args, manifest)
     dataset = signals.process_trial(averaged, pos_cut, torque_cut)
 
@@ -299,7 +274,7 @@ def cmd_identify(args) -> int:
         else None
     )
     char_length = manifest.get("char_length", 0.3)
-    run_config = RunConfig(
+    config = RunConfig(
         command="identify",
         paths={
             "data": str(args.data),
@@ -314,8 +289,7 @@ def cmd_identify(args) -> int:
             "configuration": args.configuration,
         },
     )
-    config = run_config.as_dict()
-    config_hash = run_config.hash()
+    stamp = _stamp(config)
 
     if args.mode == "robot":
         stack = stack_regressor(robot, dataset.q, dataset.qd, dataset.qdd, dataset.tau)
@@ -323,8 +297,7 @@ def cmd_identify(args) -> int:
         result_ols = identify.ols_identify(stack, prior=prior)
         result_cons = identify.consistent_identify(stack, prior, reg_weight=args.reg_weight)
         payload = {
-            "config": config,
-            "config_hash": config_hash,
+            **stamp,
             "cutoffs": {"position": pos_cut, "torque": torque_cut},
             "ols": result_ols.as_dict(),
             "consistent": result_cons.as_dict(),
@@ -351,8 +324,7 @@ def cmd_identify(args) -> int:
     )
     result = identify.payload_identify(stack, base, reg_weight=args.reg_weight)
     payload = {
-        "config": config,
-        "config_hash": config_hash,
+        **stamp,
         "cutoffs": {"position": pos_cut, "torque": torque_cut},
         "payload": result.as_dict(),
     }
@@ -387,11 +359,7 @@ def _parse_grid(raw: str):
 
 
 def cmd_tune_filters(args) -> int:
-    data_dir = Path(args.data)
-    manifest = _load_manifest(data_dir)
-    robot = model_mod.model_from_dict(manifest["model"])
-    trials = _load_trials(data_dir)
-    averaged = signals.average_trials(trials)
+    _, robot, averaged = _load_dataset(Path(args.data))
     grid = _parse_grid(args.grid)
     best, table = signals.tune_filter_cutoffs(averaged, robot, grid)
 
@@ -410,8 +378,7 @@ def cmd_tune_filters(args) -> int:
     _write_json(
         out_dir / "best_cutoffs.json",
         {
-            "config": config.as_dict(),
-            "config_hash": config.hash(),
+            **_stamp(config),
             "position_cutoff": best[0],
             "torque_cutoff": best[1],
         },

@@ -10,7 +10,8 @@ per-link dynamic parameters, ``tau = W @ alpha``; :func:`regressor_batch`
 builds W in closed form from the same kinematic pass, and the Newton-Euler
 torques are the independent check on it.
 
-All core routines are batched over samples: ``q, qd, qdd`` have shape (S, N).
+All core routines are batched over samples: ``q, qd, qdd`` have shape (S, N),
+and a single (N,) state counts as S = 1.
 Inside, vectors are (3, S) arrays and rotations (3, 3, S), so each numpy call
 works on whole rows of samples.
 """
@@ -41,28 +42,8 @@ from .model import (
 SMOOTH_SIGN_EPS = 1e-3
 
 
-def smooth_sign(qd: np.ndarray, eps: float = SMOOTH_SIGN_EPS) -> np.ndarray:
-    return np.tanh(np.asarray(qd, dtype=float) / eps)
-
-
-@dataclass(frozen=True)
-class JointState:
-    """One kinematic sample: positions, velocities, accelerations."""
-
-    q: np.ndarray
-    qd: np.ndarray
-    qdd: np.ndarray
-
-    def __post_init__(self):
-        for name in ("q", "qd", "qdd"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 1:
-                raise ValidationError(f"{name} must be a 1-D vector")
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"{name} contains non-finite entries")
-            object.__setattr__(self, name, arr)
-        if not (self.q.shape == self.qd.shape == self.qdd.shape):
-            raise ValidationError("q, qd, qdd must have identical shapes")
+def smooth_sign(qd: np.ndarray) -> np.ndarray:
+    return np.tanh(np.asarray(qd, dtype=float) / SMOOTH_SIGN_EPS)
 
 
 def _check_batch(model: RobotModel, q, qd, qdd):
@@ -207,13 +188,6 @@ def inverse_dynamics_batch(model: RobotModel, q, qd, qdd) -> np.ndarray:
     return tau
 
 
-def inverse_dynamics(model: RobotModel, state: JointState) -> np.ndarray:
-    """Joint torques for a single state."""
-    return inverse_dynamics_batch(
-        model, state.q[None, :], state.qd[None, :], state.qdd[None, :]
-    )[0]
-
-
 def regressor_batch(model: RobotModel, q, qd, qdd) -> np.ndarray:
     """Torque regressor for a batch of states, shape (S, N, 13N).
 
@@ -235,7 +209,10 @@ def regressor_batch(model: RobotModel, q, qd, qdd) -> np.ndarray:
     S = q.shape[0]
     n = model.num_joints
     rotations, omegas, alphas, accs = _kinematic_pass(model, q, qd, qdd)
-    W = np.zeros((S, n, num_params(model)))
+    # Parameter-major memory, so the (S*N, 13N) stack that stack_regressor
+    # reshapes from it is a column-major view, not a copy. A masked column
+    # selection is column-major too, so both stack paths round alike in BLAS.
+    W = np.zeros((num_params(model), S, n)).transpose(1, 2, 0)
     u = np.empty((3, 0, S))
     v = np.empty((3, 0, S))
     eye = np.eye(3)[..., None]
@@ -258,13 +235,6 @@ def regressor_batch(model: RobotModel, q, qd, qdd) -> np.ndarray:
         W[:, k, col0 + COULOMB_INDEX] = smooth_sign(qd[:, k])
         W[:, k, col0 + ROTOR_INDEX] = qdd[:, k]
     return W
-
-
-def regressor(model: RobotModel, state: JointState) -> np.ndarray:
-    """Regressor for a single state, shape (N, 13N)."""
-    return regressor_batch(
-        model, state.q[None, :], state.qd[None, :], state.qdd[None, :]
-    )[0]
 
 
 @dataclass(frozen=True)
@@ -371,7 +341,8 @@ def stack_regressor(
     fixed[~mask] = 0.0
 
     free = ~mask
-    W = W_full[:, free]
+    # Selecting all columns by mask would still copy the whole regressor.
+    W = W_full if fixed_mask is None else W_full[:, free]
     w0 = W_full[:, mask] @ fixed[mask] if mask.any() else np.zeros(S * n)
     return RegressorStack(
         W=W,
@@ -409,13 +380,14 @@ def forward_kinematics(model: RobotModel, q) -> tuple[np.ndarray, np.ndarray]:
     return R, p
 
 
-def energy(model: RobotModel, state: JointState) -> tuple[float, float]:
-    """Kinetic and potential energy of the chain (friction and rotor ignored).
+def energy(model: RobotModel, q, qd) -> tuple[float, float]:
+    """Kinetic and potential energy of the chain at one state (friction and
+    rotor ignored); ``q`` and ``qd`` have shape (N,).
 
     Computed from the kinematic recursions and link poses, independently of
     the torque recursion, so it can serve as a power-balance cross-check.
     """
-    q = state.q[None, :]
+    q = np.asarray(q, dtype=float)[None, :]
     rotations = _joint_rotations(model, q)
     omega = np.zeros(3)
     vel = np.zeros(3)
@@ -423,7 +395,7 @@ def energy(model: RobotModel, state: JointState) -> tuple[float, float]:
     for i, (joint, params) in enumerate(model.links):
         rt = rotations[i][:, :, 0].T
         vel = rt @ (vel + _cross(omega, joint.parent_frame_pose.translation))
-        omega = rt @ omega + state.qd[i] * joint.axis
+        omega = rt @ omega + qd[i] * joint.axis
         kinetic += (
             0.5 * params.mass * float(vel @ vel)
             + float(vel @ _cross(omega, params.first_moment))

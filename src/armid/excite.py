@@ -14,10 +14,9 @@ with seeded random restarts). Everything is deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from .dynamics import forward_kinematics, regressor_batch
 from .identify import identifiable_subspace
 from .model import RobotModel, model_to_dict
-from .signals import _write_csv
+from .signals import _json_hash, _write_csv, _write_json
 
 
 class ExciteError(Exception):
@@ -129,6 +128,15 @@ class Sphere:
             raise ExciteError("sphere radius must be >= 0")
 
 
+# Log-sum-exp sharpness for the aggregated limit margins.
+_LSE_BETA = 50.0
+# Required clearance between link spheres and obstacles, m.
+_COLLISION_MARGIN = 0.0
+# Rest-to-rest tolerance reported in the design: |qd| and |qdd| at both ends.
+_BOUNDARY_VEL_TOL = 1e-3
+_BOUNDARY_ACC_TOL = 1e-2
+
+
 @dataclass(frozen=True)
 class DesignProblem:
     """Everything the trajectory optimizer needs besides (omega, harmonics)."""
@@ -138,10 +146,6 @@ class DesignProblem:
     gamma: float = 0.1
     obstacles: tuple[Sphere, ...] = ()
     link_collision_spheres: tuple[tuple[Sphere, ...], ...] = ()
-    boundary_tolerance: tuple[float, float] = (1e-3, 1e-2)
-    collision_margin: float = 0.0
-    use_full_regressor: bool = False
-    lse_beta: float = 50.0
 
     def __post_init__(self):
         if self.gamma < 0:
@@ -211,9 +215,6 @@ class ConstraintRecord:
             worst = max(worst, float(np.max(self.inequality_vector())), 0.0)
         return worst
 
-    def as_dict(self) -> dict:
-        return {"equalities": dict(self.equalities), "inequalities": dict(self.inequalities)}
-
 
 def evaluate_constraints(traj: FourierTrajectory, problem: DesignProblem) -> ConstraintRecord:
     """Limit, boundary, and collision constraints for one trajectory.
@@ -227,18 +228,17 @@ def evaluate_constraints(traj: FourierTrajectory, problem: DesignProblem) -> Con
     if traj.num_joints != model.num_joints:
         raise ExciteError("trajectory and model joint counts differ")
     t, q, qd, qdd = sample_trajectory(traj, problem.sample_rate, include_endpoint=True)
-    beta = problem.lse_beta
 
     inequalities: dict[str, float] = {}
     for i, joint in enumerate(model.joint_specs):
         lo, hi = joint.position_limits
-        inequalities[f"pos_upper_{joint.name}"] = smooth_max(q[:, i] - hi, beta)
-        inequalities[f"pos_lower_{joint.name}"] = smooth_max(lo - q[:, i], beta)
+        inequalities[f"pos_upper_{joint.name}"] = smooth_max(q[:, i] - hi, _LSE_BETA)
+        inequalities[f"pos_lower_{joint.name}"] = smooth_max(lo - q[:, i], _LSE_BETA)
         inequalities[f"vel_{joint.name}"] = smooth_max(
-            np.concatenate([qd[:, i], -qd[:, i]]) - joint.velocity_limit, beta
+            np.concatenate([qd[:, i], -qd[:, i]]) - joint.velocity_limit, _LSE_BETA
         )
         inequalities[f"acc_{joint.name}"] = smooth_max(
-            np.concatenate([qdd[:, i], -qdd[:, i]]) - joint.acceleration_limit, beta
+            np.concatenate([qdd[:, i], -qdd[:, i]]) - joint.acceleration_limit, _LSE_BETA
         )
 
     _, qd0, qdd0 = fourier_eval(traj, 0.0)
@@ -260,7 +260,7 @@ def evaluate_constraints(traj: FourierTrajectory, problem: DesignProblem) -> Con
                     dist = np.linalg.norm(centers - obstacle.center, axis=1)
                     clearance = float(np.min(dist)) - sphere.radius - obstacle.radius
                     inequalities[f"collision_{joint_name}_s{si}_o{oi}"] = (
-                        problem.collision_margin - clearance
+                        _COLLISION_MARGIN - clearance
                     )
 
     return ConstraintRecord(equalities=equalities, inequalities=inequalities)
@@ -269,24 +269,27 @@ def evaluate_constraints(traj: FourierTrajectory, problem: DesignProblem) -> Con
 # --- augmented Lagrangian solver --------------------------------------------------
 
 
+# Penalty update: rho grows by _PENALTY_GROWTH, up to _MAX_PENALTY, whenever
+# an outer iteration fails to shrink the infeasibility by 4x. Multipliers stay
+# within +-_MULTIPLIER_BOUND.
+_PENALTY_GROWTH = 5.0
+_MAX_PENALTY = 1e10
+_MULTIPLIER_BOUND = 1e6
+# Nelder-Mead step for coordinates the caller gives no step (or a zero one).
+_INITIAL_STEP = 0.25
+
+
 @dataclass(frozen=True)
 class ALOptions:
     initial_penalty: float = 10.0
-    penalty_growth: float = 5.0
-    multiplier_bounds: float = 1e6
     outer_iterations: int = 8
     subproblem_budget: int = 2000
     constraint_tolerance: float = 1e-3
     seed: int = 0
-    initial_step: float = 0.25
     restarts: int = 3
-    restart_scale: float = 1.0
     step_decay: float = 0.7
-    max_penalty: float = 1e10
 
     def __post_init__(self):
-        if self.penalty_growth <= 1:
-            raise ExciteError("penalty growth must be > 1")
         if self.subproblem_budget <= 0 or self.outer_iterations <= 0:
             raise ExciteError("budgets must be positive")
 
@@ -379,7 +382,7 @@ def augmented_lagrangian_minimize(
     fails to shrink by 4x. Subproblems are minimized derivative-free by
     Nelder-Mead restarts seeded deterministically from ``opts.seed``; restart
     points come from ``restart_sampler`` when given, otherwise from Gaussian
-    perturbations of the subproblem incumbent.
+    perturbations of the subproblem incumbent, one step wide.
 
     Returns the best point found, preferring feasibility within
     ``constraint_tolerance`` and breaking ties by objective value. A result
@@ -388,9 +391,9 @@ def augmented_lagrangian_minimize(
     x0 = np.asarray(x0, dtype=float)
     n = x0.size
     if step is None:
-        step = opts.initial_step
+        step = _INITIAL_STEP
     step_vec = np.broadcast_to(np.asarray(step, dtype=float), (n,)).copy()
-    step_vec[step_vec == 0] = opts.initial_step
+    step_vec[step_vec == 0] = _INITIAL_STEP
     rng = np.random.default_rng(opts.seed)
 
     rec0 = constraints(x0)
@@ -415,11 +418,7 @@ def augmented_lagrangian_minimize(
         return g, h
 
     def consider(x, f, record):
-        g, h = as_vectors(record)
-        infeas = max(
-            float(np.max(np.abs(g))) if g.size else 0.0,
-            float(np.max(np.clip(h, 0.0, None))) if h.size else 0.0,
-        )
+        infeas = record.max_violation()
         violation = max(infeas - tol, 0.0)
         current = (best["violation"], best["objective"])
         candidate = (violation, f)
@@ -463,7 +462,7 @@ def augmented_lagrangian_minimize(
             if restart_sampler is not None:
                 start = restart_sampler(rng)
             else:
-                start = x_sub + opts.restart_scale * step_vec * rng.standard_normal(n)
+                start = x_sub + step_vec * rng.standard_normal(n)
             cand, f_cand, used = _nelder_mead(
                 lagrangian, start, scale * step_vec, min(chunk, budget)
             )
@@ -474,12 +473,9 @@ def augmented_lagrangian_minimize(
 
         record = constraints(x)
         g, h = as_vectors(record)
-        infeas = max(
-            float(np.max(np.abs(g))) if g.size else 0.0,
-            float(np.max(np.clip(h, 0.0, None))) if h.size else 0.0,
-        )
-        lam = np.clip(lam + rho * g, -opts.multiplier_bounds, opts.multiplier_bounds)
-        mu = np.clip(mu + rho * h, 0.0, opts.multiplier_bounds)
+        infeas = record.max_violation()
+        lam = np.clip(lam + rho * g, -_MULTIPLIER_BOUND, _MULTIPLIER_BOUND)
+        mu = np.clip(mu + rho * h, 0.0, _MULTIPLIER_BOUND)
         history.append(
             {
                 "outer": outer,
@@ -490,7 +486,7 @@ def augmented_lagrangian_minimize(
             }
         )
         if infeas > 0.25 * prev_infeas and infeas > tol:
-            rho = min(rho * opts.penalty_growth, opts.max_penalty)
+            rho = min(rho * _PENALTY_GROWTH, _MAX_PENALTY)
         prev_infeas = infeas
 
     x_best = best["x"] if best["x"] is not None else x
@@ -529,7 +525,7 @@ class DesignReport:
         return {
             "initial": dict(self.initial._asdict()),
             "final": dict(self.final._asdict()),
-            "constraints": self.record.as_dict(),
+            "constraints": asdict(self.record),
             "feasible": self.feasible,
             "flagged": self.flagged,
             "boundary_within_tolerance": self.boundary_within_tolerance,
@@ -538,13 +534,6 @@ class DesignReport:
             "seed": self.seed,
             "history": self.history,
         }
-
-
-def _split_vector(x: np.ndarray, n: int, L: int):
-    q0 = x[:n]
-    a = x[n : n + n * L].reshape(n, L)
-    b = x[n + n * L :].reshape(n, L)
-    return q0, a, b
 
 
 def _joint_limits(model: RobotModel):
@@ -580,8 +569,6 @@ def _design_basis(problem: DesignProblem, seed: int) -> tuple[np.ndarray, int]:
     model = problem.model
     n = model.num_joints
     total = 13 * n
-    if problem.use_full_regressor:
-        return np.eye(total), total
     rng = np.random.default_rng([seed, 1701])
     samples = max(80, 4 * total)
     lo, hi, vmax, amax = _joint_limits(model)
@@ -603,9 +590,8 @@ def design_trajectory(
 
     The decision vector stacks (q0, a, b), N*(2L+1) entries. The objective is
     the information criterion of the regressor sampled over one period,
-    projected onto the structurally identifiable subspace unless
-    ``problem.use_full_regressor`` is set. Constraints come from
-    :func:`evaluate_constraints`.
+    projected onto the structurally identifiable subspace. Constraints come
+    from :func:`evaluate_constraints`.
     """
     opts = opts or ALOptions()
     model = problem.model
@@ -620,12 +606,11 @@ def design_trajectory(
         # Project onto the rest-to-rest subspace so every candidate satisfies
         # the boundary equalities exactly and the search fights only the
         # inequality constraints.
-        q0, a, b = _split_vector(x, n, L)
-        a, b = _rest_to_rest(a, b)
+        a, b = _rest_to_rest(x[n : n + n * L].reshape(n, L), x[n + n * L :].reshape(n, L))
         return FourierTrajectory(
             base_frequency=omega,
             harmonics=L,
-            offsets=q0,
+            offsets=x[:n],
             sine_coeffs=a,
             cosine_coeffs=b,
         )
@@ -662,9 +647,8 @@ def design_trajectory(
     traj = build(result.x)
     final_info = information(result.x)
 
-    vel_tol, acc_tol = problem.boundary_tolerance
     boundary_ok = all(
-        abs(value) <= (vel_tol if name.startswith("qd_") else acc_tol)
+        abs(value) <= (_BOUNDARY_VEL_TOL if name.startswith("qd_") else _BOUNDARY_ACC_TOL)
         for name, value in result.record.equalities.items()
     )
 
@@ -683,20 +667,23 @@ def design_trajectory(
     return traj, report
 
 
+# Coefficient draws random_feasible_trajectory tries before giving up.
+_FEASIBLE_DRAWS = 50
+
+
 def random_feasible_trajectory(
     problem: DesignProblem,
     omega: float,
     harmonics: int,
     rng: np.random.Generator,
-    max_tries: int = 50,
 ) -> FourierTrajectory | None:
     """Draw a random rest-to-rest trajectory satisfying the inequality limits.
 
     Coefficients are projected onto the zero start/end velocity and
     acceleration subspace and scaled down until all limit inequalities hold.
-    Returns None when no feasible draw is found.
+    Returns None when none of ``_FEASIBLE_DRAWS`` draws is feasible.
     """
-    for _ in range(max_tries):
+    for _ in range(_FEASIBLE_DRAWS):
         q0, a, b = _random_coefficients(rng, problem.model, harmonics)
         a, b = _rest_to_rest(a, b)
         scale = 1.0
@@ -744,10 +731,7 @@ def trajectory_from_dict(data: dict) -> FourierTrajectory:
 
 
 def save_trajectory(path, traj: FourierTrajectory, provenance: dict | None = None) -> None:
-    payload = {"trajectory": trajectory_to_dict(traj), "provenance": provenance or {}}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, {"trajectory": trajectory_to_dict(traj), "provenance": provenance or {}})
 
 
 def load_trajectory(path) -> tuple[FourierTrajectory, dict]:
@@ -766,19 +750,17 @@ def export_trajectory_csv(path, traj: FourierTrajectory, rate: float) -> None:
 
 def problem_fingerprint(problem: DesignProblem, omega: float, harmonics: int) -> str:
     """Stable hash of the design setup, for provenance blocks."""
-    payload = {
-        "model": model_to_dict(problem.model),
-        "sample_rate": problem.sample_rate,
-        "gamma": problem.gamma,
-        "obstacles": [[o.center.tolist(), o.radius] for o in problem.obstacles],
-        "link_spheres": [
-            [[s.center.tolist(), s.radius] for s in spheres]
-            for spheres in problem.link_collision_spheres
-        ],
-        "collision_margin": problem.collision_margin,
-        "use_full_regressor": problem.use_full_regressor,
-        "omega": omega,
-        "harmonics": harmonics,
-    }
-    text = json.dumps(payload, sort_keys=True)
-    return hashlib.sha256(text.encode()).hexdigest()
+    return _json_hash(
+        {
+            "model": model_to_dict(problem.model),
+            "sample_rate": problem.sample_rate,
+            "gamma": problem.gamma,
+            "obstacles": [[o.center.tolist(), o.radius] for o in problem.obstacles],
+            "link_spheres": [
+                [[s.center.tolist(), s.radius] for s in spheres]
+                for spheres in problem.link_collision_spheres
+            ],
+            "omega": omega,
+            "harmonics": harmonics,
+        }
+    )

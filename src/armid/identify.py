@@ -16,7 +16,7 @@ Three estimators share the measurement model ``T = W alpha + w0``:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -47,10 +47,6 @@ class InfeasiblePriorError(IdentifyError):
 class BarrierError(IdentifyError):
     """Newton iteration on the barrier subproblem failed."""
 
-    def __init__(self, message: str, trace: "BarrierTrace | None" = None):
-        super().__init__(message)
-        self.trace = trace
-
 
 @dataclass(frozen=True)
 class SubspaceReport:
@@ -78,13 +74,6 @@ class BarrierTrace:
     objective_path: tuple[float, ...]
     newton_iterations: tuple[int, ...]
 
-    def as_dict(self) -> dict:
-        return {
-            "mu_path": list(self.mu_path),
-            "objective_path": list(self.objective_path),
-            "newton_iterations": list(self.newton_iterations),
-        }
-
 
 @dataclass(frozen=True)
 class IdentificationResult:
@@ -100,9 +89,9 @@ class IdentificationResult:
             "method": self.method,
             "alpha": self.alpha_hat.tolist(),
             "residual": self.residual,
-            "link_feasibility": [r.as_dict() for r in self.link_feasibility],
+            "link_feasibility": [asdict(r) for r in self.link_feasibility],
             "subspace": self.subspace.as_dict(),
-            "trace": self.trace.as_dict() if self.trace else None,
+            "trace": asdict(self.trace) if self.trace else None,
         }
 
 
@@ -124,13 +113,11 @@ class PayloadResult:
             "residual": self.residual,
             "boundary_warning": self.boundary_warning,
             "object_frame_note": self.object_frame_note,
-            "trace": self.trace.as_dict(),
+            "trace": asdict(self.trace),
         }
 
 
-def _factorize(
-    W: np.ndarray, threshold: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, SubspaceReport]:
+def _factorize(W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, SubspaceReport]:
     """One SVD of ``W``: its factors ``(u, s, vt)`` and the subspace split.
 
     Tall ``W`` (S >= d) gets the thin SVD, so ``u`` is S x d and no S x S
@@ -144,7 +131,7 @@ def _factorize(
     u, s, vt = np.linalg.svd(W, full_matrices=W.shape[0] < W.shape[1])
     d = W.shape[1]
     sigma_max = s[0] if s.size else 0.0
-    rank = int(np.sum(s > threshold * sigma_max)) if sigma_max > 0 else 0
+    rank = int(np.sum(s > DEFAULT_SVD_THRESHOLD * sigma_max)) if sigma_max > 0 else 0
     singular = np.zeros(d)
     singular[: s.size] = s
     report = SubspaceReport(
@@ -152,19 +139,19 @@ def _factorize(
         identifiable_basis=vt[:rank].T.copy(),
         unidentifiable_basis=vt[rank:].T.copy(),
         singular_values=singular,
-        threshold=threshold,
+        threshold=DEFAULT_SVD_THRESHOLD,
     )
     return u, s, vt, report
 
 
-def identifiable_subspace(W: np.ndarray, threshold: float = DEFAULT_SVD_THRESHOLD) -> SubspaceReport:
+def identifiable_subspace(W: np.ndarray) -> SubspaceReport:
     """Split parameter directions by whether they influence the data.
 
-    Directions whose singular value exceeds ``threshold * sigma_max`` span the
-    identifiable subspace; the orthogonal complement is unidentifiable for
-    this data matrix.
+    Directions whose singular value exceeds ``DEFAULT_SVD_THRESHOLD *
+    sigma_max`` span the identifiable subspace; the orthogonal complement is
+    unidentifiable for this data matrix.
     """
-    return _factorize(W, threshold)[3]
+    return _factorize(W)[3]
 
 
 def _link_feasibility(stack: RegressorStack, alpha_free: np.ndarray):
@@ -186,7 +173,7 @@ def ols_identify(stack: RegressorStack, prior: np.ndarray | None = None) -> Iden
     """
     A = stack.W
     b = stack.T - stack.w0
-    u, s, vt, sub = _factorize(A, DEFAULT_SVD_THRESHOLD)
+    u, s, vt, sub = _factorize(A)
     r = sub.rank
     alpha = vt[:r].T @ ((u[:, :r].T @ b) / s[:r])
     prior_free = _prior_free(stack, prior)
@@ -271,10 +258,6 @@ def _log_barrier(x, lmis, log_indices) -> float | None:
             return None
         total += 2.0 * float(np.sum(np.log(np.diagonal(chol))))
     return total
-
-
-def _strictly_feasible(x, lmis, log_indices) -> bool:
-    return _log_barrier(x, lmis, log_indices) is not None
 
 
 # Barrier path: mu shrinks by _MU_SHRINK per stage until it reaches _MU_FINAL;
@@ -433,7 +416,7 @@ def consistent_identify(
 
     lmis, log_indices = _build_link_constraints(stack)
     x0 = prior_free.copy()
-    if not _strictly_feasible(x0, lmis, log_indices):
+    if _log_barrier(x0, lmis, log_indices) is None:
         raise InfeasiblePriorError(
             "prior is not strictly feasible (pseudo-inertia PD and frictions > 0 required)"
         )
@@ -479,11 +462,18 @@ _OBJECT_FRAME_NOTE = (
 )
 
 
-def default_payload_start(scale: float = 1e-3) -> np.ndarray:
-    """Small strictly feasible body used as the barrier start for payloads."""
+# Mass of the payload barrier start, kg: a 5 cm solid sphere at the link origin.
+_PAYLOAD_START_MASS = 1e-3
+
+
+def default_payload_start() -> np.ndarray:
+    """Small strictly feasible body used as the barrier start for payloads.
+
+    A fresh array on every call: :func:`payload_identify` shrinks it in place.
+    """
     body = np.zeros(INERTIAL_PARAMS_PER_LINK)
-    body[0] = scale
-    body[4] = body[7] = body[9] = 0.4 * scale * 0.05**2
+    body[0] = _PAYLOAD_START_MASS
+    body[4] = body[7] = body[9] = 0.4 * _PAYLOAD_START_MASS * 0.05**2
     return body
 
 
@@ -535,7 +525,7 @@ def payload_identify(
 
     # Shrink the generic start until both LMIs hold strictly.
     for _ in range(40):
-        if _strictly_feasible(p0, lmis, log_indices):
+        if _log_barrier(p0, lmis, log_indices) is not None:
             break
         p0 *= 0.5
     else:

@@ -155,11 +155,6 @@ class LinkInertialParams:
         for name in ("viscous_friction", "coulomb_friction", "rotor_inertia"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
-    @property
-    def com(self) -> np.ndarray:
-        """Center of mass in the link frame (requires mass != 0)."""
-        return self.first_moment / self.mass
-
     def to_vector(self) -> np.ndarray:
         out = np.empty(PARAMS_PER_LINK)
         out[MASS_INDEX] = self.mass
@@ -266,17 +261,6 @@ class FeasibilityReport:
     rotor_inertia: float
     binding_constraint: str
     margin: float
-
-    def as_dict(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "pseudo_inertia_min_eig": self.pseudo_inertia_min_eig,
-            "viscous_friction": self.viscous_friction,
-            "coulomb_friction": self.coulomb_friction,
-            "rotor_inertia": self.rotor_inertia,
-            "binding_constraint": self.binding_constraint,
-            "margin": self.margin,
-        }
 
 
 def is_physically_feasible(p: LinkInertialParams, tol: float = 1e-9) -> FeasibilityReport:

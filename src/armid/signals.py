@@ -11,6 +11,8 @@ phase lag between positions and torques biases identification.
 from __future__ import annotations
 
 import csv
+import hashlib
+import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -274,7 +276,7 @@ def identification_prior(candidate: np.ndarray | None, num_links: int) -> np.nda
     return default_identification_prior(num_links)
 
 
-# --- CSV interchange -------------------------------------------------------------
+# --- artifact formats ------------------------------------------------------------
 
 
 def _write_csv(path, header: Sequence[str], rows) -> None:
@@ -288,6 +290,19 @@ def _write_csv(path, header: Sequence[str], rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_json(path, payload: dict) -> None:
+    """Write ``payload`` as indented JSON with sorted keys; every JSON
+    artifact armid writes uses this, so field order never changes its bytes."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _json_hash(payload: dict) -> str:
+    """SHA-256 of ``payload`` as compact sorted-key JSON: config and problem hashes."""
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 def trial_to_csv(trial: RawTrial, path) -> None:

@@ -9,8 +9,7 @@ a real arm.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,7 @@ from .model import (
     params_from_com,
     rigid_body_to_dict,
 )
-from .signals import RawTrial, trial_to_csv
+from .signals import RawTrial, _write_json, trial_to_csv
 
 
 class SimulateError(Exception):
@@ -281,17 +280,10 @@ def write_dataset(
         "trajectory": trajectory_to_dict(traj),
         "rate": rate,
         "trials": trials,
-        "noise": {
-            "torque_abs_std": noise.torque_abs_std,
-            "torque_rel_std": noise.torque_rel_std,
-            "position_std": noise.position_std,
-            "seed": noise.seed,
-        },
+        "noise": asdict(noise),
     }
     if extra_manifest:
         manifest.update(extra_manifest)
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "manifest.json", manifest)
     return paths
 

@@ -163,6 +163,51 @@ class TestSimulateIdentifyPipeline:
         metrics = (out_dir / "metrics.csv").read_text()
         assert "payload" in metrics
 
+    def _payload_dataset(self, tmp_path):
+        traj_path = _write_trajectory(tmp_path, "chain3")
+        payload_spec = tmp_path / "payload.json"
+        payload_spec.write_text(json.dumps({"mass": 0.4, "radius": 0.05}))
+        data_dir = tmp_path / "data"
+        code = main(
+            [
+                "simulate", "--fixture", "chain3", "--traj", str(traj_path),
+                "--trials", "1", "--payload", str(payload_spec), "--out", str(data_dir),
+            ]
+        )
+        assert code == EXIT_OK
+        truth = json.loads((data_dir / "manifest.json").read_text())["truth_parameters"]
+        return data_dir, truth
+
+    def test_labeled_base_params_pick_nearest_set(self, tmp_path, capsys):
+        data_dir, truth = self._payload_dataset(tmp_path)
+        base_path = tmp_path / "base.json"
+        # Only the 0.06 set is usable, so picking 0.02 would fail the run.
+        base_path.write_text(json.dumps({"labeled_sets": {"0.02": [1.0], "0.06": truth}}))
+        out_dir = tmp_path / "payload_out"
+        code = main(
+            [
+                "identify", "--mode", "payload", "--data", str(data_dir),
+                "--base-params", str(base_path), "--configuration", "0.05",
+                "--out", str(out_dir),
+            ]
+        )
+        assert code == EXIT_OK
+        assert "using base parameter set labeled 0.06" in capsys.readouterr().err
+        assert (out_dir / "payload.json").exists()
+
+    def test_base_params_without_alpha_or_labeled_sets(self, tmp_path, capsys):
+        data_dir, truth = self._payload_dataset(tmp_path)
+        base_path = tmp_path / "base.json"
+        base_path.write_text(json.dumps({"consistent": {"alpha": truth}}))
+        code = main(
+            [
+                "identify", "--mode", "payload", "--data", str(data_dir),
+                "--base-params", str(base_path), "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert "needs 'alpha' or 'labeled_sets'" in capsys.readouterr().err
+
     def test_rerun_is_byte_identical(self, tmp_path):
         traj_path = _write_trajectory(tmp_path, "planar2")
         data_dir = tmp_path / "data"

@@ -6,14 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from armid.dynamics import (
-    JointState,
     RegressorStack,
     SMOOTH_SIGN_EPS,
     energy,
     forward_kinematics,
-    inverse_dynamics,
     inverse_dynamics_batch,
-    regressor,
     regressor_batch,
     smooth_sign,
     stack_regressor,
@@ -60,20 +57,19 @@ def _random_states(model, rng, count, accel_scale=6.0):
 
 class TestInverseDynamics:
     def test_hanging_equilibrium(self, pendulum_model):
-        state = JointState(np.zeros(1), np.zeros(1), np.zeros(1))
-        tau = inverse_dynamics(pendulum_model, state)
+        tau = inverse_dynamics_batch(pendulum_model, np.zeros(1), np.zeros(1), np.zeros(1))[0]
         np.testing.assert_allclose(tau, [0.0], atol=1e-12)
 
     def test_horizontal_gravity_torque(self, pendulum_model):
         # Static torque = m g l = 1.0 * 9.81 * 0.5 = 4.905 N m, by hand.
-        state = JointState(np.array([np.pi / 2]), np.zeros(1), np.zeros(1))
-        tau = inverse_dynamics(pendulum_model, state)
+        tau = inverse_dynamics_batch(
+            pendulum_model, np.array([np.pi / 2]), np.zeros(1), np.zeros(1)
+        )[0]
         assert abs(tau[0]) == pytest.approx(4.905, abs=1e-12)
 
     def test_zero_gravity_rest_is_zero(self, twolink_model):
         model = RobotModel(links=twolink_model.links, gravity=np.zeros(3))
-        state = JointState(np.array([0.3, -0.7]), np.zeros(2), np.zeros(2))
-        tau = inverse_dynamics(model, state)
+        tau = inverse_dynamics_batch(model, np.array([0.3, -0.7]), np.zeros(2), np.zeros(2))[0]
         np.testing.assert_allclose(tau, np.zeros(2), atol=1e-12)
 
     def test_friction_terms(self, pendulum_model):
@@ -84,18 +80,16 @@ class TestInverseDynamics:
         model = unpack_params(vec, pendulum_model)
         qd = 0.8
         qdd = 1.5
-        base = inverse_dynamics(
-            pendulum_model, JointState(np.zeros(1), np.array([qd]), np.array([qdd]))
-        )
-        tau = inverse_dynamics(
-            model, JointState(np.zeros(1), np.array([qd]), np.array([qdd]))
-        )
+        base = inverse_dynamics_batch(
+            pendulum_model, np.zeros(1), np.array([qd]), np.array([qdd])
+        )[0]
+        tau = inverse_dynamics_batch(model, np.zeros(1), np.array([qd]), np.array([qdd]))[0]
         extra = 0.3 * qd + 0.2 * np.tanh(qd / SMOOTH_SIGN_EPS) + 0.05 * qdd
         assert tau[0] - base[0] == pytest.approx(extra, abs=1e-12)
 
     def test_rejects_non_finite(self, pendulum_model):
         with pytest.raises(ValidationError):
-            JointState(np.array([np.nan]), np.zeros(1), np.zeros(1))
+            inverse_dynamics_batch(pendulum_model, np.array([np.nan]), np.zeros(1), np.zeros(1))
         with pytest.raises(ValidationError):
             inverse_dynamics_batch(
                 pendulum_model, np.array([[np.inf]]), np.zeros((1, 1)), np.zeros((1, 1))
@@ -112,7 +106,7 @@ class TestInverseDynamics:
             q = rng.uniform(-2.0, 2.0, 2)
             M = np.column_stack(
                 [
-                    inverse_dynamics(model, JointState(q, np.zeros(2), e))
+                    inverse_dynamics_batch(model, q, np.zeros(2), e)[0]
                     for e in np.eye(2)
                 ]
             )
@@ -132,14 +126,14 @@ class TestInverseDynamics:
             q = np.array([0.7 * np.sin(t), 0.5 * np.sin(1.3 * t + 0.4)])
             qd = np.array([0.7 * np.cos(t), 0.65 * np.cos(1.3 * t + 0.4)])
             qdd = np.array([-0.7 * np.sin(t), -0.845 * np.sin(1.3 * t + 0.4)])
-            return JointState(q, qd, qdd)
+            return q, qd, qdd
 
         dt = 1e-5
         for t0 in (0.3, 1.234, 2.9):
-            s = traj(t0)
-            power = float(inverse_dynamics(model, s) @ s.qd)
-            e_plus = sum(energy(model, traj(t0 + dt)))
-            e_minus = sum(energy(model, traj(t0 - dt)))
+            q, qd, qdd = traj(t0)
+            power = float(inverse_dynamics_batch(model, q, qd, qdd)[0] @ qd)
+            e_plus = sum(energy(model, *traj(t0 + dt)[:2]))
+            e_minus = sum(energy(model, *traj(t0 - dt)[:2]))
             d_energy = (e_plus - e_minus) / (2 * dt)
             assert power == pytest.approx(d_energy, abs=1e-6)
 
@@ -165,13 +159,13 @@ class TestRegressor:
 
     def test_zero_state_zero_gravity_is_zero_matrix(self, twolink_model):
         model = RobotModel(links=twolink_model.links, gravity=np.zeros(3))
-        W = regressor(model, JointState(np.zeros(2), np.zeros(2), np.zeros(2)))
+        W = regressor_batch(model, np.zeros(2), np.zeros(2), np.zeros(2))[0]
         np.testing.assert_array_equal(W, np.zeros((2, 26)))
 
     def test_friction_columns(self, twolink_model):
         rng = np.random.default_rng(1)
         q, qd, qdd = _random_states(twolink_model, rng, 1)
-        W = regressor(twolink_model, JointState(q[0], qd[0], qdd[0]))
+        W = regressor_batch(twolink_model, q[0], qd[0], qdd[0])[0]
         for i in range(2):
             viscous = np.zeros(2)
             viscous[i] = qd[0, i]
@@ -279,6 +273,20 @@ class TestStack:
             stack_regressor(twolink_model, q, qd, qdd, np.zeros((2, 2)))
         with pytest.raises(ValidationError):
             stack_regressor(twolink_model, q, qd, qdd, np.zeros((1, 3)))
+
+    def test_no_mask_stack_holds_no_regressor_copy(self):
+        # The robot identify path fixes nothing; its stack must reuse the
+        # regressor's memory rather than copy every column.
+        model = builtin_fixture("arm7").model
+        q, qd, qdd = _random_states(model, np.random.default_rng(13), 2000)
+        tau = np.zeros_like(q)
+        tracemalloc.start()
+        try:
+            stack = stack_regressor(model, q, qd, qdd, tau)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * stack.W.nbytes, f"peak {peak / stack.W.nbytes:.2f}x W"
 
     def test_embed_roundtrip(self, twolink_model):
         rng = np.random.default_rng(6)

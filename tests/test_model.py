@@ -1,5 +1,9 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from armid.model import (
     FeasibilityReport,
@@ -19,6 +23,7 @@ from armid.model import (
     params_from_com,
     parse_robot_description,
     pseudo_inertia,
+    rpy_matrix,
     solid_sphere_params,
     unpack_params,
 )
@@ -248,7 +253,49 @@ def _random_body(rng) -> LinkInertialParams:
     return params_from_com(mass, com, inertia_com)
 
 
+_TETRAHEDRON = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3)
+_ANGLE = st.floats(-np.pi, np.pi)
+_COORD = st.floats(-0.5, 0.5)
+
+
+@st.composite
+def _point_mass_body(draw):
+    """Positive point masses, four of them on a tetrahedron so none are coplanar."""
+    turn = rpy_matrix(*(draw(_ANGLE) for _ in range(3)))
+    center = np.array([draw(_COORD) for _ in range(3)])
+    size = draw(st.floats(0.01, 0.5))
+    points = [center + size * turn @ corner for corner in _TETRAHEDRON]
+    points += [np.array([draw(_COORD) for _ in range(3)]) for _ in range(draw(st.integers(0, 4)))]
+    masses = [draw(st.floats(0.01, 5.0)) for _ in points]
+    return LinkInertialParams(
+        sum(masses),
+        sum(m * p for m, p in zip(masses, points)),
+        sum(m * (p @ p * np.eye(3) - np.outer(p, p)) for m, p in zip(masses, points)),
+    )
+
+
 class TestFeasibility:
+    @given(body=_point_mass_body())
+    def test_point_mass_bodies_are_feasible(self, body):
+        assert is_physically_feasible(body).feasible
+
+    @given(
+        mass=st.floats(0.05, 5.0),
+        com=st.lists(_COORD, min_size=3, max_size=3),
+        angles=st.lists(_ANGLE, min_size=3, max_size=3),
+        others=st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=2),
+        excess=st.floats(1e-3, 1.0),
+        axis=st.integers(0, 2),
+    )
+    def test_triangle_inequality_violation_is_infeasible(
+        self, mass, com, angles, others, excess, axis
+    ):
+        # One principal moment about the CoM exceeds the sum of the other two.
+        moments = np.roll([others[0] + others[1] + excess, *others], axis)
+        turn = rpy_matrix(*angles)
+        body = params_from_com(mass, com, turn @ np.diag(moments) @ turn.T)
+        assert not is_physically_feasible(body).feasible
+
     def test_sphere_margin(self):
         p = solid_sphere_params(1.0, 1.0, [0.0, 0.0, 0.0])
         report = is_physically_feasible(p, tol=1e-9)
@@ -285,7 +332,7 @@ class TestFeasibility:
         p = solid_sphere_params(1.0, 0.5, [0.1, 0.0, 0.0])
         report = is_physically_feasible(p)
         assert isinstance(report, FeasibilityReport)
-        assert set(report.as_dict()) >= {"feasible", "margin", "binding_constraint"}
+        assert set(asdict(report)) >= {"feasible", "margin", "binding_constraint"}
 
 
 class TestInvariantsAndSerialization:
