@@ -85,13 +85,13 @@ def _load_dataset(data_dir: Path) -> tuple[dict, model_mod.RobotModel, signals.R
     """A dataset directory's manifest, its robot model, and its averaged trial."""
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.exists():
-        raise ValueError(f"no manifest.json in {data_dir}")
+        raise SignalError(f"no manifest.json in {data_dir}")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     robot = model_mod.model_from_dict(manifest["model"])
     paths = sorted(data_dir.glob("trial_*.csv"))
     if not paths:
-        raise ValueError(f"no trial_*.csv files in {data_dir}")
+        raise SignalError(f"no trial_*.csv files in {data_dir}")
     averaged = signals.average_trials([signals.trial_from_csv(p) for p in paths])
     return manifest, robot, averaged
 

@@ -745,7 +745,7 @@ def export_trajectory_csv(path, traj: FourierTrajectory, rate: float) -> None:
     t, q, qd, qdd = sample_trajectory(traj, rate, include_endpoint=True)
     n = traj.num_joints
     header = ["t"] + [f"{prefix}_{i + 1}" for prefix in ("q", "qd", "qdd") for i in range(n)]
-    _write_csv(path, header, np.column_stack([t, q, qd, qdd]).tolist())
+    _write_csv(path, header, np.column_stack([t, q, qd, qdd]))
 
 
 def problem_fingerprint(problem: DesignProblem, omega: float, harmonics: int) -> str:

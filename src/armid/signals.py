@@ -13,11 +13,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy import signal as _signal
 
 from . import identify
 from .dynamics import stack_regressor
@@ -33,6 +32,8 @@ from .model import (
 # Samples discarded at each boundary per differentiation pass (the five-point
 # stencil needs two neighbours on each side).
 EDGE_TRIM_PER_PASS = 2
+# Samples a processed trial drops at each end: two differentiation passes.
+_EDGE_TRIM = 2 * EDGE_TRIM_PER_PASS
 
 DEFAULT_CUTOFF_GRID: tuple[tuple[float, float], ...] = tuple(
     (p, t)
@@ -110,9 +111,13 @@ def lowpass_zero_phase(x: np.ndarray, cutoff: float, rate: float) -> np.ndarray:
         raise SignalError(
             f"cutoff {cutoff} Hz must lie in (0, {rate / 2.0}) for rate {rate} Hz"
         )
+    # Imported here, not at module level: scipy.signal takes over a second to
+    # import, and only the filtering stages need it.
+    from scipy import signal
+
     x = np.asarray(x, dtype=float)
-    sos = _signal.butter(2, cutoff, btype="low", fs=rate, output="sos")
-    return _signal.sosfiltfilt(sos, x, axis=0)
+    sos = signal.butter(2, cutoff, btype="low", fs=rate, output="sos")
+    return signal.sosfiltfilt(sos, x, axis=0)
 
 
 def _five_point_derivative(x: np.ndarray, dt: float) -> np.ndarray:
@@ -175,14 +180,11 @@ def process_trial(
     if position_cutoff is not None:
         qd = lowpass_zero_phase(qd, position_cutoff, rate)
         qdd = lowpass_zero_phase(qdd, position_cutoff, rate)
-    tau = trial.tau
-    if torque_cutoff is not None:
-        tau = lowpass_zero_phase(tau, torque_cutoff, rate)
+    tau = _filtered_torque(trial, torque_cutoff)
 
-    trim = 2 * EDGE_TRIM_PER_PASS
-    if trial.q.shape[0] <= 2 * trim:
+    if trial.q.shape[0] <= 2 * _EDGE_TRIM:
         raise SignalError("trial too short to trim differentiation boundaries")
-    sl = slice(trim, -trim)
+    sl = slice(_EDGE_TRIM, -_EDGE_TRIM)
     return ProcessedDataset(
         timestamps=trial.timestamps[sl].copy(),
         q=q[sl].copy(),
@@ -192,6 +194,17 @@ def process_trial(
         sample_rate=rate,
         cutoffs_used={"position": position_cutoff, "torque": torque_cutoff},
     )
+
+
+def _filtered_torque(trial: RawTrial, torque_cutoff: float | None) -> np.ndarray:
+    """The trial's torques, low-passed unless ``torque_cutoff`` is None; untrimmed."""
+    if torque_cutoff is None:
+        return trial.tau
+    return lowpass_zero_phase(trial.tau, torque_cutoff, trial.sample_rate)
+
+
+# Errors that fail one cutoff grid point but not the search.
+_POINT_ERRORS = (SignalError, ModelError, identify.IdentifyError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -211,29 +224,38 @@ def tune_filter_cutoffs(
     """Grid-search filter cutoffs by the consistent-identification residual.
 
     Every grid point processes the trial, runs the constrained identification,
-    and records its residual. A point that fails with a data, model or
-    identification error is skipped but kept in the table; any other
-    exception is a bug and propagates. Ties break toward the lower cutoffs.
-    Returns the best (position, torque) pair and the full search table.
+    and records its residual. The regressor depends only on the position
+    cutoff, so each distinct position cutoff builds one stack, and each of
+    its points only filters the torques again. A point that fails with a
+    data, model or identification error is skipped but kept in the table; any
+    other exception is a bug and propagates. Ties break toward the lower
+    cutoffs. Returns the best (position, torque) pair and the full search
+    table, in grid order.
     """
     if not grid:
         raise SignalError("cutoff grid is empty")
     if prior is None:
         prior = identification_prior(pack_params(model), model.num_joints)
 
-    table: list[CutoffSearchEntry] = []
-    for pos_cut, torque_cut in grid:
+    by_position: dict = {}
+    for index, (pos_cut, _) in enumerate(grid):
+        by_position.setdefault(pos_cut, []).append(index)
+    table: list = [None] * len(grid)
+    for pos_cut, indices in by_position.items():
         try:
-            ds = process_trial(trial, pos_cut, torque_cut)
+            ds = process_trial(trial, pos_cut, None)
             stack = stack_regressor(model, ds.q, ds.qd, ds.qdd, ds.tau)
-            result = identify.consistent_identify(stack, prior)
-            table.append(
-                CutoffSearchEntry(pos_cut, torque_cut, float(result.residual))
-            )
-        except (
-            SignalError, ModelError, identify.IdentifyError, np.linalg.LinAlgError
-        ) as exc:  # recorded, not raised: one bad point must not kill the sweep
-            table.append(CutoffSearchEntry(pos_cut, torque_cut, None, error=str(exc)))
+        except _POINT_ERRORS as exc:  # every point at this position cutoff fails alike
+            for index in indices:
+                table[index] = CutoffSearchEntry(*grid[index], None, error=str(exc))
+            continue
+        for index in indices:
+            try:
+                tau = _filtered_torque(trial, grid[index][1])[_EDGE_TRIM:-_EDGE_TRIM]
+                result = identify.consistent_identify(replace(stack, T=tau.reshape(-1)), prior)
+                table[index] = CutoffSearchEntry(*grid[index], float(result.residual))
+            except _POINT_ERRORS as exc:  # recorded: one bad point must not kill the sweep
+                table[index] = CutoffSearchEntry(*grid[index], None, error=str(exc))
 
     valid = [e for e in table if e.residual is not None]
     if not valid:
@@ -280,16 +302,22 @@ def identification_prior(candidate: np.ndarray | None, num_links: int) -> np.nda
 
 
 def _write_csv(path, header: Sequence[str], rows) -> None:
-    """Write ``header`` then ``rows``; every float table armid writes uses this.
+    """Write ``header`` then ``rows``; every CSV table armid writes uses this.
 
-    ``csv`` writes a float cell as its ``repr``, the shortest decimal that
-    reads back to the same 64-bit value, and None as an empty cell. Pass a
-    float table as ``table.tolist()``.
+    A float table comes as a 2-D array. Each value is written as the ``repr``
+    of a Python float, the shortest decimal that reads back to the same 64-bit
+    value, and each line ends in ``\\r\\n``: the bytes ``csv`` writes, made
+    without its per-cell work. Any other ``rows`` go through ``csv``, which
+    writes None as an empty cell and quotes text where needed.
     """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        if isinstance(rows, np.ndarray):
+            # tolist() first: under numpy 2, repr(np.float64(x)) is 'np.float64(x)'.
+            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in rows.tolist()))
+        else:
+            writer.writerows(rows)
 
 
 def _write_json(path, payload: dict) -> None:
@@ -309,37 +337,60 @@ def trial_to_csv(trial: RawTrial, path) -> None:
     """Write ``t,q_1..q_N,tau_1..tau_N`` rows in 64-bit decimal text."""
     n = trial.num_joints
     header = ["t"] + [f"q_{i + 1}" for i in range(n)] + [f"tau_{i + 1}" for i in range(n)]
-    table = np.column_stack([trial.timestamps, trial.q, trial.tau])
-    _write_csv(path, header, table.tolist())
+    _write_csv(path, header, np.column_stack([trial.timestamps, trial.q, trial.tau]))
 
 
 def trial_from_csv(path) -> RawTrial:
-    """Read a trial written by :func:`trial_to_csv`; errors name the bad row."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SignalError(f"{path}: empty file") from None
-        if not header or header[0] != "t" or (len(header) - 1) % 2 != 0:
-            raise SignalError(f"{path}: unexpected header {header!r}")
-        n = (len(header) - 1) // 2
-        times, qs, taus = [], [], []
-        for row_index, row in enumerate(reader, start=2):
-            if len(row) != 1 + 2 * n:
-                raise SignalError(
-                    f"{path}: row {row_index} has {len(row)} fields, expected {1 + 2 * n}"
-                )
-            try:
-                values = [float(v) for v in row]
-            except ValueError:
-                raise SignalError(f"{path}: row {row_index} contains a non-numeric field") from None
-            times.append(values[0])
-            qs.append(values[1 : 1 + n])
-            taus.append(values[1 + n :])
+    """Read a trial written by :func:`trial_to_csv`.
+
+    Lines may end in ``\\n`` or ``\\r\\n``. Every data line must hold one
+    number per header field: blank lines and comments are errors. Errors name
+    the file and the bad line, counting the header as row 1.
+    """
     try:
-        return RawTrial(
-            timestamps=np.asarray(times), q=np.asarray(qs), tau=np.asarray(taus)
+        with open(path) as fh:
+            header = fh.readline()
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise SignalError(f"{path}: not a text file ({exc.reason})") from None
+    if not header:
+        raise SignalError(f"{path}: empty file")
+    header = header.rstrip("\n").split(",")
+    if header[0] != "t" or (len(header) - 1) % 2 != 0:
+        raise SignalError(f"{path}: unexpected header {header!r}")
+    if lines[-1] == "":
+        lines.pop()  # the newline that ends the last row
+    width = len(header)
+    try:
+        table = (
+            np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+            if lines
+            else np.empty((0, width))
         )
+    except ValueError:
+        table = None
+    # loadtxt skips blank lines and numbers rows its own way, so any failure
+    # is located here, line by line.
+    if table is None or table.shape != (len(lines), width):
+        raise SignalError(f"{path}: {_bad_row(lines, width)}")
+    n = (width - 1) // 2
+    try:
+        return RawTrial(timestamps=table[:, 0], q=table[:, 1 : 1 + n], tau=table[:, 1 + n :])
     except SignalError as exc:
         raise SignalError(f"{path}: {exc}") from exc
+
+
+def _bad_row(lines: list[str], width: int) -> str:
+    """What is wrong with the first data line that does not parse to ``width``
+    numbers; ``lines`` start at file row 2."""
+    for row, line in enumerate(lines, start=2):
+        if not line.strip():
+            return f"row {row} is blank"
+        fields = line.count(",") + 1
+        if fields != width:
+            return f"row {row} has {fields} fields, expected {width}"
+        try:
+            np.loadtxt([line], delimiter=",", comments=None)
+        except ValueError:
+            return f"row {row} contains a non-numeric field"
+    return "data rows do not parse"

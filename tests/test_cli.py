@@ -1,12 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import armid
 from armid import identify
-from armid.cli import EXIT_ERROR, EXIT_OK, EXIT_WARNINGS, main
+from armid.cli import EXIT_ERROR, EXIT_OK, EXIT_WARNINGS, _load_dataset, main
 from armid.excite import (
     DesignProblem,
     evaluate_constraints,
@@ -14,6 +19,7 @@ from armid.excite import (
     random_feasible_trajectory,
     save_trajectory,
 )
+from armid.signals import SignalError
 from armid.simulate import builtin_fixture
 
 PENDULUM_URDF = """
@@ -35,6 +41,29 @@ PENDULUM_URDF = """
   </joint>
 </robot>
 """
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports this checkout's armid."""
+    src = str(Path(armid.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+def test_start_up_does_not_import_scipy():
+    # scipy.signal costs over a second to import; only the filtering stages need it.
+    proc = _python(
+        "-c",
+        "import sys, armid.cli; armid.cli.build_parser(); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def _write_trajectory(tmp_path, fixture_name, seed=4, omega=2 * math.pi * 0.1, L=3):
@@ -251,6 +280,41 @@ class TestSimulateIdentifyPipeline:
         )
         assert code == EXIT_ERROR
         assert "row 11" in capsys.readouterr().err
+
+    def test_corrupt_trial_exits_1_naming_file_and_line(self, tmp_path):
+        traj_path = _write_trajectory(tmp_path, "planar2")
+        data_dir = tmp_path / "data"
+        main(
+            [
+                "simulate", "--fixture", "planar2", "--traj", str(traj_path),
+                "--trials", "3", "--rate", "50", "--out", str(data_dir),
+            ]
+        )
+        trial = data_dir / "trial_001.csv"
+        lines = trial.read_text().splitlines()
+        lines[6] = lines[6].replace(",", ",x", 1)
+        trial.write_text("\n".join(lines) + "\n")
+        proc = _python(
+            "-m", "armid.cli", "identify", "--data", str(data_dir), "--out", str(tmp_path / "o")
+        )
+        assert proc.returncode == EXIT_ERROR
+        # The whole of stderr: no traceback, no numpy wording.
+        assert proc.stderr == f"error: {trial}: row 7 contains a non-numeric field\n"
+
+    def test_missing_dataset_files_are_signal_errors(self, tmp_path):
+        with pytest.raises(SignalError, match="no manifest.json"):
+            _load_dataset(tmp_path)
+        traj_path = _write_trajectory(tmp_path, "planar2")
+        data_dir = tmp_path / "data"
+        main(
+            [
+                "simulate", "--fixture", "planar2", "--traj", str(traj_path),
+                "--trials", "1", "--rate", "50", "--out", str(data_dir),
+            ]
+        )
+        (data_dir / "trial_000.csv").unlink()
+        with pytest.raises(SignalError, match=r"no trial_\*\.csv"):
+            _load_dataset(data_dir)
 
 
 class TestTuneAndReport:

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from armid import identify
+from armid import identify, signals
 from armid.model import pack_params
 from armid.signals import (
     DEFAULT_CUTOFF_GRID,
@@ -254,6 +254,26 @@ class TestTuneCutoffs:
         with pytest.raises(SignalError):
             tune_filter_cutoffs(trial, model, [])
 
+    def test_one_stack_per_position_cutoff(self, monkeypatch):
+        # Any sequence of pairs, not only a product: the table keeps grid order,
+        # and each point's residual is the one it gets when searched alone.
+        model, trial = self._noiseless_setup()
+        grid = [(4.0, 8.0), (2000.0, 4.0), (8.0, 4.0), (4.0, 4.0), (8.0, 2000.0), (2000.0, 8.0)]
+        # (4, 4) keeps a search of one failing point from failing as a whole.
+        alone = [tune_filter_cutoffs(trial, model, [p, (4.0, 4.0)])[1][0] for p in grid]
+        built = []
+        real = signals.stack_regressor
+
+        def counted(*args, **kwargs):
+            built.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(signals, "stack_regressor", counted)
+        _, table = tune_filter_cutoffs(trial, model, grid)
+        assert len(built) == 2  # 4 Hz and 8 Hz; the 2000 Hz points fail before the stack
+        assert table == alone
+        assert [e.error is None for e in table] == [True, False, True, True, False, False]
+
     def test_default_grid_size(self):
         assert len(DEFAULT_CUTOFF_GRID) == 49
 
@@ -319,6 +339,91 @@ class TestCsv:
             "1.5,0.0,0.0",
         ]
         assert path.read_bytes() == "".join(r + "\r\n" for r in rows).encode()
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_either_line_ending_reads_back(self, tmp_path, newline):
+        trial = _make_trial(fn=np.sin, n=2, noise=0.1)
+        path = tmp_path / "trial.csv"
+        trial_to_csv(trial, path)
+        lines = path.read_text().splitlines()
+        path.write_bytes((newline.join(lines) + newline).encode())
+        back = trial_from_csv(path)
+        np.testing.assert_array_equal(back.timestamps, trial.timestamps)
+        np.testing.assert_array_equal(back.q, trial.q)
+        np.testing.assert_array_equal(back.tau, trial.tau)
+
+    @staticmethod
+    def _edited(tmp_path, edit):
+        """A two-joint trial file (5 fields a row) after ``edit`` of its lines."""
+        path = tmp_path / "trial.csv"
+        trial_to_csv(_make_trial(fn=np.sin, n=2), path)
+        lines = path.read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @staticmethod
+    def _assert_read_error(path, message):
+        # The whole message: the file, its 1-based line, and no numpy wording.
+        with pytest.raises(SignalError) as info:
+            trial_from_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "empty file"), ("t,q_1,tau_1\r\n", "trial too short: 0 samples < 16")],
+    )
+    def test_no_data(self, tmp_path, text, message):
+        path = tmp_path / "trial.csv"
+        path.write_text(text)
+        self._assert_read_error(path, message)
+
+    def test_undecodable_bytes(self, tmp_path):
+        path = tmp_path / "trial.csv"
+        path.write_bytes(b"t,q_1,tau_1\r\n\xff,0.0,0.0\r\n")
+        self._assert_read_error(path, "not a text file (invalid start byte)")
+
+    @pytest.mark.parametrize("header", ["time,q_1,q_2,tau_1,tau_2", "t,q_1,q_2,tau_1"])
+    def test_bad_header(self, tmp_path, header):
+        def edit(lines):
+            lines[0] = header
+
+        path = self._edited(tmp_path, edit)
+        self._assert_read_error(path, f"unexpected header {header.split(',')!r}")
+
+    @pytest.mark.parametrize(
+        "row, fields", [(4, "0.1,0.2"), (9, "0.1,0.2,0.3,0.4,0.5,0.6")]
+    )
+    def test_short_or_long_row(self, tmp_path, row, fields):
+        def edit(lines):
+            lines[row - 1] = fields
+
+        path = self._edited(tmp_path, edit)
+        count = fields.count(",") + 1
+        self._assert_read_error(path, f"row {row} has {count} fields, expected 5")
+
+    @pytest.mark.parametrize("blank", ["", "  "])
+    def test_blank_line(self, tmp_path, blank):
+        # The blank line is the error, not the bad field below it that a parser
+        # skipping blank lines would report first.
+        def edit(lines):
+            lines.insert(5, blank)
+            lines[11] = "x,1,2,3,4"
+
+        path = self._edited(tmp_path, edit)
+        self._assert_read_error(path, "row 6 is blank")
+
+    def test_blank_last_line(self, tmp_path):
+        path = self._edited(tmp_path, lambda lines: lines.append(""))
+        self._assert_read_error(path, "row 202 is blank")
+
+    def test_hash_in_a_field(self, tmp_path):
+        # A '#' starts no comment: the field holding it is not a number.
+        def edit(lines):
+            lines[7] += "#note"
+
+        path = self._edited(tmp_path, edit)
+        self._assert_read_error(path, "row 8 contains a non-numeric field")
 
     def test_corrupt_row_named(self, tmp_path):
         trial = _make_trial(fn=np.sin)
