@@ -294,8 +294,9 @@ def cmd_identify(args) -> int:
     if args.mode == "robot":
         stack = stack_regressor(robot, dataset.q, dataset.qd, dataset.qdd, dataset.tau)
         prior = signals.identification_prior(truth, robot.num_joints)
-        result_ols = identify.ols_identify(stack, prior=prior)
-        result_cons = identify.consistent_identify(stack, prior, reg_weight=args.reg_weight)
+        system = identify.least_squares(stack)
+        result_ols = identify.ols_identify(system, prior=prior)
+        result_cons = identify.consistent_identify(system, prior, reg_weight=args.reg_weight)
         payload = {
             **stamp,
             "cutoffs": {"position": pos_cut, "torque": torque_cut},
@@ -322,7 +323,8 @@ def cmd_identify(args) -> int:
         robot, dataset.q, dataset.qd, dataset.qdd, dataset.tau,
         fixed_mask=mask, fixed_values=base,
     )
-    result = identify.payload_identify(stack, base, reg_weight=args.reg_weight)
+    system = identify.least_squares(stack)
+    result = identify.payload_identify(system, base, reg_weight=args.reg_weight)
     payload = {
         **stamp,
         "cutoffs": {"position": pos_cut, "torque": torque_cut},

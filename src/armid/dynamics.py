@@ -251,7 +251,6 @@ class RegressorStack:
     W: np.ndarray
     w0: np.ndarray
     T: np.ndarray
-    sample_count: int
     free_mask: np.ndarray | None = None
     fixed_values: np.ndarray | None = None
 
@@ -277,24 +276,6 @@ class RegressorStack:
             if fixed.shape != mask.shape:
                 raise ValidationError("fixed_values length does not match free_mask")
             object.__setattr__(self, "fixed_values", fixed)
-
-    @property
-    def num_links(self) -> int:
-        if self.free_mask is None:
-            raise ValidationError("synthetic stack has no link structure")
-        return self.free_mask.size // PARAMS_PER_LINK
-
-    def embed(self, alpha_free: np.ndarray) -> np.ndarray:
-        """Expand a free-parameter vector to the full 13N layout."""
-        if self.free_mask is None:
-            return np.asarray(alpha_free, dtype=float)
-        full = self.fixed_values.copy()
-        full[self.free_mask] = alpha_free
-        return full
-
-    def residual_norm_sq(self, alpha_free: np.ndarray) -> float:
-        r = self.W @ alpha_free + self.w0 - self.T
-        return float(r @ r)
 
 
 def stack_regressor(
@@ -348,7 +329,6 @@ def stack_regressor(
         W=W,
         w0=w0,
         T=tau.reshape(-1),
-        sample_count=S,
         free_mask=free,
         fixed_values=fixed,
     )

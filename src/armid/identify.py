@@ -1,6 +1,8 @@
 """Parameter estimation from stacked regressor data.
 
-Three estimators share the measurement model ``T = W alpha + w0``:
+Three estimators share the measurement model ``T = W alpha + w0`` and one
+factorization of it: :func:`least_squares` compresses a stack to a
+:class:`LeastSquares` system, and every estimator reads that system.
 
 * :func:`ols_identify` - unconstrained least squares restricted to the
   identifiable subspace, unidentifiable directions filled from a prior.
@@ -57,6 +59,7 @@ class SubspaceReport:
     unidentifiable_basis: np.ndarray
     singular_values: np.ndarray
     threshold: float
+    left_vectors: np.ndarray  # U of the SVD, one column per singular value
 
     def as_dict(self) -> dict:
         return {
@@ -117,87 +120,123 @@ class PayloadResult:
         }
 
 
-def _factorize(W: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, SubspaceReport]:
-    """One SVD of ``W``: its factors ``(u, s, vt)`` and the subspace split.
-
-    Tall ``W`` (S >= d) gets the thin SVD, so ``u`` is S x d and no S x S
-    matrix is formed; ``vt`` is d x d either way, so the unidentifiable
-    complement is complete. Only wide ``W`` needs the full form, where
-    ``u`` is S x S and small.
-    """
-    W = np.asarray(W, dtype=float)
-    if W.size == 0:
-        raise IdentifyError("empty regressor matrix")
-    u, s, vt = np.linalg.svd(W, full_matrices=W.shape[0] < W.shape[1])
-    d = W.shape[1]
-    sigma_max = s[0] if s.size else 0.0
-    rank = int(np.sum(s > DEFAULT_SVD_THRESHOLD * sigma_max)) if sigma_max > 0 else 0
-    singular = np.zeros(d)
-    singular[: s.size] = s
-    report = SubspaceReport(
-        rank=rank,
-        identifiable_basis=vt[:rank].T.copy(),
-        unidentifiable_basis=vt[rank:].T.copy(),
-        singular_values=singular,
-        threshold=DEFAULT_SVD_THRESHOLD,
-    )
-    return u, s, vt, report
-
-
 def identifiable_subspace(W: np.ndarray) -> SubspaceReport:
     """Split parameter directions by whether they influence the data.
 
     Directions whose singular value exceeds ``DEFAULT_SVD_THRESHOLD *
     sigma_max`` span the identifiable subspace; the orthogonal complement is
-    unidentifiable for this data matrix.
+    unidentifiable for this data matrix. Only wide ``W`` gets the full SVD,
+    so that the complement is complete.
     """
-    return _factorize(W)[3]
+    u, s, vt = np.linalg.svd(W, full_matrices=W.shape[0] < W.shape[1])
+    sigma_max = s[0] if s.size else 0.0
+    rank = int(np.sum(s > DEFAULT_SVD_THRESHOLD * sigma_max)) if sigma_max > 0 else 0
+    singular = np.zeros(W.shape[1])
+    singular[: s.size] = s
+    return SubspaceReport(
+        rank=rank,
+        identifiable_basis=vt[:rank].T.copy(),
+        unidentifiable_basis=vt[rank:].T.copy(),
+        singular_values=singular,
+        threshold=DEFAULT_SVD_THRESHOLD,
+        left_vectors=u,
+    )
 
 
-def _link_feasibility(stack: RegressorStack, alpha_free: np.ndarray):
-    full = stack.embed(alpha_free)
-    reports = []
-    for i in range(stack.num_links):
-        p = LinkInertialParams.from_vector(
-            full[i * PARAMS_PER_LINK : (i + 1) * PARAMS_PER_LINK]
-        )
-        reports.append(is_physically_feasible(p, tol=0.0))
-    return tuple(reports)
+@dataclass(frozen=True)
+class LeastSquares:
+    """The misfit ``||W x + w0 - T||^2`` of one stack, held as d-sized data.
+
+    With ``[W | T - w0] = Q [R11 r; 0 rho]`` and ``R11 = U diag(sigma) V^T``,
+    the misfit is exactly ``||G x - c||^2 + rho_sq`` for ``G = diag(sigma) V^T``
+    and ``c = U^T r``; ``rho_sq`` is the squared residual orthogonal to the
+    range of ``W``, read from the triangle. ``free_mask`` and ``fixed_values``
+    carry the stack's parameter layout.
+    """
+
+    G: np.ndarray
+    c: np.ndarray
+    rho_sq: float
+    subspace: SubspaceReport
+    free_mask: np.ndarray | None
+    fixed_values: np.ndarray | None
+
+    @property
+    def num_links(self) -> int:
+        return self.free_mask.size // PARAMS_PER_LINK
+
+    def embed(self, alpha_free: np.ndarray) -> np.ndarray:
+        """Expand a free-parameter vector to the full 13N layout."""
+        if self.free_mask is None:
+            return np.asarray(alpha_free, dtype=float)
+        full = self.fixed_values.copy()
+        full[self.free_mask] = alpha_free
+        return full
+
+    def misfit(self, alpha_free: np.ndarray) -> float:
+        r = self.G @ alpha_free - self.c
+        return float(r @ r) + self.rho_sq
 
 
-def ols_identify(stack: RegressorStack, prior: np.ndarray | None = None) -> IdentificationResult:
+def least_squares(stack: RegressorStack) -> LeastSquares:
+    """Factor a stack once into the system every estimator reads.
+
+    One R-only QR of ``[W | T - w0]``, then the SVD of its small triangle
+    (R-SVD: Chan, ACM TOMS 8(1), 1982). No S x d factor outlives the call.
+    """
+    S, d = stack.W.shape
+    if S == 0 or d == 0:
+        raise IdentifyError("no free parameters to identify" if d == 0 else "empty regressor")
+    R = np.linalg.qr(np.column_stack([stack.W, stack.T - stack.w0]), mode="r")
+    m = min(S, d)
+    sub = identifiable_subspace(R[:m, :d])
+    V = np.hstack([sub.identifiable_basis, sub.unidentifiable_basis])
+    return LeastSquares(
+        G=sub.singular_values[:m, None] * V[:, :m].T,
+        c=sub.left_vectors.T @ R[:m, d],
+        rho_sq=float(R[m:, d] @ R[m:, d]),
+        subspace=sub,
+        free_mask=stack.free_mask,
+        fixed_values=stack.fixed_values,
+    )
+
+
+def _link_feasibility(system: LeastSquares, alpha_free: np.ndarray):
+    links = system.embed(alpha_free).reshape(-1, PARAMS_PER_LINK)
+    return tuple(is_physically_feasible(LinkInertialParams.from_vector(p), tol=0.0) for p in links)
+
+
+def ols_identify(system: LeastSquares, prior: np.ndarray | None = None) -> IdentificationResult:
     """Minimum-norm least squares on the identifiable subspace.
 
     Unidentifiable directions are filled from the prior (zeros by default),
     so the solution is deterministic even for rank-deficient stacks.
     """
-    A = stack.W
-    b = stack.T - stack.w0
-    u, s, vt, sub = _factorize(A)
+    sub = system.subspace
     r = sub.rank
-    alpha = vt[:r].T @ ((u[:, :r].T @ b) / s[:r])
-    prior_free = _prior_free(stack, prior)
+    alpha = sub.identifiable_basis @ (system.c[:r] / sub.singular_values[:r])
+    prior_free = _prior_free(system, prior)
     if sub.unidentifiable_basis.shape[1]:
         bun = sub.unidentifiable_basis
         alpha = alpha + bun @ (bun.T @ prior_free)
-    full = stack.embed(alpha)
-    feas = _link_feasibility(stack, alpha) if stack.free_mask is not None else ()
+    full = system.embed(alpha)
+    feas = _link_feasibility(system, alpha) if system.free_mask is not None else ()
     return IdentificationResult(
         alpha_hat=full,
-        residual=stack.residual_norm_sq(alpha),
+        residual=system.misfit(alpha),
         link_feasibility=feas,
         subspace=sub,
         method="ols",
     )
 
 
-def _prior_free(stack: RegressorStack, prior: np.ndarray | None) -> np.ndarray:
-    d = stack.W.shape[1]
+def _prior_free(system: LeastSquares, prior: np.ndarray | None) -> np.ndarray:
+    d = system.G.shape[1]
     if prior is None:
         return np.zeros(d)
     prior = np.asarray(prior, dtype=float)
-    if stack.free_mask is not None and prior.size == stack.free_mask.size:
-        return prior[stack.free_mask]
+    if system.free_mask is not None and prior.size == system.free_mask.size:
+        return prior[system.free_mask]
     if prior.size == d:
         return prior.copy()
     raise IdentifyError(f"prior has {prior.size} entries, expected {d} or full 13N")
@@ -216,27 +255,13 @@ class _LmiTerm:
         return self.constant + np.einsum("k,kij->ij", x[self.indices], self.bases)
 
 
-def _pseudo_inertia_bases() -> np.ndarray:
-    """d(pseudo-inertia)/d(param) for the 10 inertial parameters."""
-    bases = np.zeros((INERTIAL_PARAMS_PER_LINK, 4, 4))
-    bases[0, 3, 3] = 1.0  # mass
-    for j in range(3):  # first moment
-        bases[1 + j, j, 3] = 1.0
-        bases[1 + j, 3, j] = 1.0
-    pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
-    for k, (r, c) in enumerate(pairs):
-        E = np.zeros((3, 3))
-        E[r, c] = 1.0
-        E[c, r] = 1.0
-        bases[4 + k, :3, :3] = 0.5 * np.trace(E) * np.eye(3) - E
-    return bases
-
-
-_PI_BASES = _pseudo_inertia_bases()
-
-
-def _pseudo_inertia_from_10(v: np.ndarray) -> np.ndarray:
-    return np.einsum("k,kij->ij", v, _PI_BASES)
+# d(pseudo-inertia)/d(param) for the 10 inertial parameters: the map is linear.
+_PI_BASES = np.array(
+    [
+        pseudo_inertia(LinkInertialParams.from_vector(unit))
+        for unit in np.eye(INERTIAL_PARAMS_PER_LINK, PARAMS_PER_LINK)
+    ]
+)
 
 
 def _log_barrier(x, lmis, log_indices) -> float | None:
@@ -268,21 +293,27 @@ _NEWTON_MAX_ITER = 60
 
 
 def _barrier_minimize(
-    quad_hess: np.ndarray,
-    quad_grad,
-    f_quad,
+    A: np.ndarray,
+    y: np.ndarray,
+    rho_sq: float,
     lmis: Sequence[_LmiTerm],
     log_indices: np.ndarray,
     x0: np.ndarray,
 ) -> tuple[np.ndarray, BarrierTrace]:
-    """Path-following minimization of a convex quadratic under LMI and
+    """Path-following minimization of ``||A x - y||^2 + rho_sq`` under LMI and
     positivity constraints.
 
-    ``quad_hess`` is the constant Hessian of the quadratic objective,
-    ``quad_grad(x)`` its gradient, and ``f_quad(x)`` its value. Each barrier
-    stage runs damped Newton until the Newton decrement is negligible, then
-    shrinks mu geometrically by ``_MU_SHRINK`` down to ``_MU_FINAL``.
+    ``A`` has d columns and at most 2d rows, so every objective, gradient and
+    Hessian costs d-sized work. Each barrier stage runs damped Newton until
+    the Newton decrement is negligible, then shrinks mu geometrically by
+    ``_MU_SHRINK`` down to ``_MU_FINAL``.
     """
+    AtA, Aty = A.T @ A, A.T @ y
+
+    def f_quad(x):
+        r = A @ x - y
+        return float(r @ r) + rho_sq
+
     x = x0.copy()
     log_x = _log_barrier(x, lmis, log_indices)
     if log_x is None:
@@ -296,8 +327,8 @@ def _barrier_minimize(
     while True:
         iterations = 0
         for _ in range(_NEWTON_MAX_ITER):
-            grad = quad_grad(x).copy()
-            hess = quad_hess.copy()
+            grad = 2.0 * (AtA @ x - Aty)
+            hess = 2.0 * AtA
             for term in lmis:
                 J = term.value(x)
                 try:
@@ -358,39 +389,23 @@ def _barrier_minimize(
 _REGULARIZATION_FLOOR = 1e-14
 
 
-def _regularized_least_squares(A, b, target, reg_weight):
-    """``||A x - b||^2 + reg * ||P_un (x - target)||^2`` as its value and
-    gradient functions and constant Hessian, plus the subspace split of ``A``.
+def _regularized_pair(system: LeastSquares, c, target, reg_weight):
+    """``(A, y)`` with ``||A x - y||^2 = ||G x - c||^2 + reg * ||P_un (x - target)||^2``.
 
-    ``P_un`` projects onto the unidentifiable subspace of ``A``, so the
-    regularizer leaves identifiable directions unbiased. ``reg`` defaults to
+    ``P_un`` projects onto the unidentifiable subspace, so the regularizer
+    leaves identifiable directions unbiased. ``reg`` defaults to
     ``1e-3 * sigma_max^2`` and never drops below the regularization floor.
     """
-    sub = identifiable_subspace(A)
-    sigma_max = sub.singular_values[0]
+    sigma_max = system.subspace.singular_values[0]
     if reg_weight is None:
         reg_weight = 1e-3 * sigma_max**2
     reg_eff = max(reg_weight, _REGULARIZATION_FLOOR * max(sigma_max**2, 1.0))
-    bun = sub.unidentifiable_basis
-    d = A.shape[1]
-    proj_un = bun @ bun.T if bun.shape[1] else np.zeros((d, d))
-
-    AtA = A.T @ A
-    Atb = A.T @ b
-
-    def f_quad(x):
-        r = A @ x - b
-        du = proj_un @ (x - target)
-        return float(r @ r) + reg_eff * float(du @ du)
-
-    def quad_grad(x):
-        return 2.0 * (AtA @ x - Atb) + 2.0 * reg_eff * (proj_un @ (x - target))
-
-    return f_quad, quad_grad, 2.0 * (AtA + reg_eff * proj_un), sub
+    root = np.sqrt(reg_eff) * system.subspace.unidentifiable_basis.T
+    return np.vstack([system.G, root]), np.concatenate([c, root @ target])
 
 
 def consistent_identify(
-    stack: RegressorStack, prior: np.ndarray, reg_weight: float | None = None
+    system: LeastSquares, prior: np.ndarray, reg_weight: float | None = None
 ) -> IdentificationResult:
     """Physically consistent estimation: least squares under realizability.
 
@@ -403,49 +418,45 @@ def consistent_identify(
     The prior doubles as the barrier's strictly feasible starting point and
     must satisfy the constraints strictly.
     """
-    if stack.free_mask is None:
+    if system.free_mask is None:
         raise IdentifyError("consistent_identify needs a stack with link structure")
-    if stack.W.shape[1] == 0:
-        raise IdentifyError("no free parameters to identify")
     if reg_weight is not None and reg_weight < 0:
         raise IdentifyError("reg_weight must be >= 0")
-    prior_free = _prior_free(stack, prior)
-    f_quad, quad_grad, quad_hess, sub = _regularized_least_squares(
-        stack.W, stack.T - stack.w0, prior_free, reg_weight
-    )
+    prior_free = _prior_free(system, prior)
+    A, y = _regularized_pair(system, system.c, prior_free, reg_weight)
 
-    lmis, log_indices = _build_link_constraints(stack)
+    lmis, log_indices = _build_link_constraints(system)
     x0 = prior_free.copy()
     if _log_barrier(x0, lmis, log_indices) is None:
         raise InfeasiblePriorError(
             "prior is not strictly feasible (pseudo-inertia PD and frictions > 0 required)"
         )
-    x, trace = _barrier_minimize(quad_hess, quad_grad, f_quad, lmis, log_indices, x0)
+    x, trace = _barrier_minimize(A, y, system.rho_sq, lmis, log_indices, x0)
 
     return IdentificationResult(
-        alpha_hat=stack.embed(x),
-        residual=stack.residual_norm_sq(x),
-        link_feasibility=_link_feasibility(stack, x),
-        subspace=sub,
+        alpha_hat=system.embed(x),
+        residual=system.misfit(x),
+        link_feasibility=_link_feasibility(system, x),
+        subspace=system.subspace,
         method="consistent",
         trace=trace,
     )
 
 
-def _build_link_constraints(stack: RegressorStack):
+def _build_link_constraints(system: LeastSquares):
     """Per-link LMIs and positivity indices in free-parameter coordinates."""
-    mask = stack.free_mask
-    fixed = stack.fixed_values
+    mask = system.free_mask
+    fixed = system.fixed_values
     free_index_of = np.cumsum(mask) - 1  # full index -> free index (valid where mask)
     lmis = []
     log_indices = []
-    for link in range(stack.num_links):
+    for link in range(system.num_links):
         base = link * PARAMS_PER_LINK
         inertial = np.arange(base, base + INERTIAL_PARAMS_PER_LINK)
         free_here = mask[inertial]
         if free_here.any():
             fixed_part = np.where(free_here, 0.0, fixed[inertial])
-            constant = _pseudo_inertia_from_10(fixed_part)
+            constant = np.einsum("k,kij->ij", fixed_part, _PI_BASES)
             idx = free_index_of[inertial[free_here]]
             bases = _PI_BASES[free_here]
             lmis.append(_LmiTerm(constant=constant, indices=idx, bases=bases))
@@ -478,28 +489,27 @@ def default_payload_start() -> np.ndarray:
 
 
 def payload_identify(
-    stack_with_object: RegressorStack,
+    system: LeastSquares,
     base_params: np.ndarray,
     reg_weight: float | None = None,
 ) -> PayloadResult:
     """Estimate grasped-object parameters as a last-link difference.
 
-    The stack must have been built with every parameter fixed to
+    The system's stack must have been built with every parameter fixed to
     ``base_params`` except the last link's 10 inertial entries. The decision
     variable is the difference ``p`` between the composite and base link;
     both ``J(p)`` and the composite ``J(base + p)`` are constrained positive
     definite, since the difference must be a real body and so must the
     loaded link.
     """
-    stack = stack_with_object
-    if stack.free_mask is None:
+    if system.free_mask is None:
         raise IdentifyError("payload_identify needs a stack with link structure")
-    n = stack.num_links
+    n = system.num_links
     start = (n - 1) * PARAMS_PER_LINK
     last_inertial = slice(start, start + INERTIAL_PARAMS_PER_LINK)
     expected = np.zeros(n * PARAMS_PER_LINK, dtype=bool)
     expected[last_inertial] = True
-    if not np.array_equal(stack.free_mask, expected):
+    if not np.array_equal(system.free_mask, expected):
         raise IdentifyError(
             "stack must leave exactly the last link's 10 inertial parameters free"
         )
@@ -509,16 +519,14 @@ def payload_identify(
     base10 = base[last_inertial]
 
     p0 = default_payload_start()
-    f_quad, quad_grad, quad_hess, _ = _regularized_least_squares(
-        stack.W, stack.T - stack.w0 - stack.W @ base10, p0.copy(), reg_weight
-    )
+    A, y = _regularized_pair(system, system.c - system.G @ base10, p0.copy(), reg_weight)
 
     indices = np.arange(INERTIAL_PARAMS_PER_LINK)
     lmi_difference = _LmiTerm(
         constant=np.zeros((4, 4)), indices=indices, bases=_PI_BASES
     )
     lmi_composite = _LmiTerm(
-        constant=_pseudo_inertia_from_10(base10), indices=indices, bases=_PI_BASES
+        constant=np.einsum("k,kij->ij", base10, _PI_BASES), indices=indices, bases=_PI_BASES
     )
     lmis = [lmi_difference, lmi_composite]
     log_indices = np.asarray([], dtype=int)
@@ -531,7 +539,7 @@ def payload_identify(
     else:
         raise InfeasiblePriorError("could not find a strictly feasible payload start")
 
-    p, trace = _barrier_minimize(quad_hess, quad_grad, f_quad, lmis, log_indices, p0)
+    p, trace = _barrier_minimize(A, y, system.rho_sq, lmis, log_indices, p0)
 
     diff = np.zeros(PARAMS_PER_LINK)
     diff[:INERTIAL_PARAMS_PER_LINK] = p
@@ -547,7 +555,7 @@ def payload_identify(
         params=params,
         pseudo_inertia_min_eig=min_eig,
         composite_min_eig=composite_eig,
-        residual=stack.residual_norm_sq(base10 + p),
+        residual=system.misfit(base10 + p),
         boundary_warning=warning,
         object_frame_note=_OBJECT_FRAME_NOTE,
         trace=trace,

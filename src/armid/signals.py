@@ -226,7 +226,7 @@ def tune_filter_cutoffs(
     Every grid point processes the trial, runs the constrained identification,
     and records its residual. The regressor depends only on the position
     cutoff, so each distinct position cutoff builds one stack, and each of
-    its points only filters the torques again. A point that fails with a
+    its points only filters the torques again and factors that system. A point that fails with a
     data, model or identification error is skipped but kept in the table; any
     other exception is a bug and propagates. Ties break toward the lower
     cutoffs. Returns the best (position, torque) pair and the full search
@@ -252,7 +252,8 @@ def tune_filter_cutoffs(
         for index in indices:
             try:
                 tau = _filtered_torque(trial, grid[index][1])[_EDGE_TRIM:-_EDGE_TRIM]
-                result = identify.consistent_identify(replace(stack, T=tau.reshape(-1)), prior)
+                system = identify.least_squares(replace(stack, T=tau.reshape(-1)))
+                result = identify.consistent_identify(system, prior)
                 table[index] = CutoffSearchEntry(*grid[index], float(result.residual))
             except _POINT_ERRORS as exc:  # recorded: one bad point must not kill the sweep
                 table[index] = CutoffSearchEntry(*grid[index], None, error=str(exc))

@@ -26,6 +26,7 @@ from armid.excite import (
 from armid.identify import (
     consistent_identify,
     identifiable_subspace,
+    least_squares,
     ols_identify,
     payload_identify,
 )
@@ -93,8 +94,9 @@ def test_criterion_2_noiseless_roundtrip():
 
     sub = identifiable_subspace(stack.W)
     basis = sub.identifiable_basis
-    r_ols = ols_identify(stack, prior=truth)
-    r_cons = consistent_identify(stack, truth)
+    system = least_squares(stack)
+    r_ols = ols_identify(system, prior=truth)
+    r_cons = consistent_identify(system, truth)
 
     err_cons = _project_error(r_cons.alpha_hat, truth, basis)
     assert err_cons < 1e-6, f"projected parameter error {err_cons:.2e}"
@@ -142,7 +144,7 @@ def test_criterion_3_noisy_payload_anchor():
         model, dataset.q, dataset.qd, dataset.qdd, dataset.tau,
         fixed_mask=mask, fixed_values=truth,
     )
-    result = payload_identify(stack, truth)
+    result = payload_identify(least_squares(stack), truth)
 
     mass_err = abs(result.params.mass - payload.mass) / payload.mass
     com_est = result.params.first_moment / result.params.mass
@@ -231,7 +233,7 @@ def test_criterion_5_feasibility_guarantee():
         tau = tau * (1.0 + 0.01 * rng.standard_normal(tau.shape))
         tau = tau + 0.05 * rng.standard_normal(tau.shape)
         stack = stack_regressor(model, q, qd, qdd, tau)
-        result = consistent_identify(stack, prior)
+        result = consistent_identify(least_squares(stack), prior)
         if all(f.feasible for f in result.link_feasibility):
             feasible_count += 1
     assert feasible_count == runs, f"{feasible_count}/{runs} feasible"
@@ -256,9 +258,10 @@ def test_criterion_5_feasibility_guarantee():
     for seed in range(payload_runs):
         tau = tau_clean + 0.05 * np.random.default_rng(seed).standard_normal(tau_clean.shape)
         stack = stack_regressor(rigged, q, qd, qdd, tau, fixed_mask=mask, fixed_values=vec)
-        if ols_identify(stack).alpha_hat[26] < 0:
+        system = least_squares(stack)
+        if ols_identify(system).alpha_hat[26] < 0:
             ols_negative += 1
-        result = payload_identify(stack, vec)
+        result = payload_identify(system, vec)
         if result.params.mass < 0:
             payload_negative += 1
     assert ols_negative > 0, "contrast fixture should drive OLS mass negative"
@@ -346,8 +349,9 @@ def test_criterion_7_convexity_and_ordering():
         stack = stack_regressor(model, q, qd, qdd, tau)
 
         prior = default_identification_prior(3)
-        r_ols = ols_identify(stack, prior=prior)
-        r_cons = consistent_identify(stack, prior)
+        system = least_squares(stack)
+        r_ols = ols_identify(system, prior=prior)
+        r_cons = consistent_identify(system, prior)
         slack = 1e-9 * (1.0 + r_ols.residual)
         assert r_ols.residual <= r_cons.residual + slack
         path = np.asarray(r_cons.trace.objective_path)

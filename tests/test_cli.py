@@ -77,6 +77,19 @@ def _write_trajectory(tmp_path, fixture_name, seed=4, omega=2 * math.pi * 0.1, L
     return path
 
 
+def _planar2_data(tmp_path):
+    traj_path = _write_trajectory(tmp_path, "planar2")
+    data_dir = tmp_path / "data"
+    code = main(
+        [
+            "simulate", "--fixture", "planar2", "--traj", str(traj_path),
+            "--trials", "1", "--rate", "50", "--out", str(data_dir),
+        ]
+    )
+    assert code == EXIT_OK
+    return data_dir
+
+
 class TestDesignCommand:
     def test_design_pendulum_feasible(self, tmp_path):
         out = tmp_path / "run"
@@ -146,6 +159,24 @@ class TestSimulateIdentifyPipeline:
         consistent_rows = [r for r in rows if r["method"] == "consistent"]
         assert len(consistent_rows) == 3
         assert all(float(r["mass_pct"]) < 1e-4 for r in consistent_rows)
+
+    def test_robot_mode_factors_the_stack_once(self, tmp_path, monkeypatch):
+        # OLS and consistent estimates share one QR and one SVD of the stack.
+        data_dir = _planar2_data(tmp_path)
+        calls = []
+        for name in ("qr", "svd"):
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        code = main(
+            ["identify", "--mode", "robot", "--data", str(data_dir), "--out", str(tmp_path / "id")]
+        )
+        assert code == EXIT_OK
+        assert sorted(calls) == ["qr", "svd"]
 
     def test_payload_mode_needs_base_params(self, tmp_path):
         traj_path = _write_trajectory(tmp_path, "chain3")
@@ -368,20 +399,8 @@ class TestTuneAndReport:
 class TestGoldenCsv:
     """Exact bytes of the CLI's CSV artifacts, with the estimates pinned."""
 
-    def _planar2_data(self, tmp_path):
-        traj_path = _write_trajectory(tmp_path, "planar2")
-        data_dir = tmp_path / "data"
-        code = main(
-            [
-                "simulate", "--fixture", "planar2", "--traj", str(traj_path),
-                "--trials", "1", "--rate", "50", "--out", str(data_dir),
-            ]
-        )
-        assert code == EXIT_OK
-        return data_dir
-
     def test_metrics_rows(self, tmp_path, monkeypatch):
-        data_dir = self._planar2_data(tmp_path)
+        data_dir = _planar2_data(tmp_path)
         monkeypatch.setattr(
             identify, "error_metrics", lambda est, truth, length: (0.1, 1e-05, 1 / 3)
         )
@@ -399,9 +418,9 @@ class TestGoldenCsv:
         assert (out_dir / "metrics.csv").read_bytes() == expected.encode()
 
     def test_cutoff_search_rows(self, tmp_path, monkeypatch):
-        data_dir = self._planar2_data(tmp_path)
+        data_dir = _planar2_data(tmp_path)
         monkeypatch.setattr(
-            identify, "consistent_identify", lambda stack, prior: SimpleNamespace(residual=1 / 3)
+            identify, "consistent_identify", lambda system, prior: SimpleNamespace(residual=1 / 3)
         )
         out_dir = tmp_path / "tuned"
         code = main(

@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from armid.identify import (
     consistent_identify,
     error_metrics,
     identifiable_subspace,
+    least_squares,
     nearest_base_params,
     ols_identify,
     payload_identify,
@@ -124,11 +127,8 @@ class TestSubspace:
 
 class TestOls:
     def test_normal_equations_scalar(self):
-        stack = RegressorStack(
-            W=np.array([[1.0], [1.0]]), w0=np.zeros(2), T=np.array([1.0, 3.0]),
-            sample_count=2,
-        )
-        result = ols_identify(stack)
+        stack = RegressorStack(W=np.array([[1.0], [1.0]]), w0=np.zeros(2), T=np.array([1.0, 3.0]))
+        result = ols_identify(least_squares(stack))
         np.testing.assert_allclose(result.alpha_hat, [2.0])
         assert result.residual == pytest.approx(2.0)
 
@@ -137,7 +137,7 @@ class TestOls:
         truth = pack_params(model)
         rng = np.random.default_rng(3)
         stack = _noiseless_stack(model, rng)
-        result = ols_identify(stack, prior=truth)
+        result = ols_identify(least_squares(stack), prior=truth)
         B = result.subspace.identifiable_basis
         err = np.linalg.norm(B.T @ (result.alpha_hat - truth))
         assert err / np.linalg.norm(B.T @ truth) < 1e-8
@@ -147,24 +147,34 @@ class TestOls:
         truth = pack_params(model)
         rng = np.random.default_rng(4)
         stack = _noiseless_stack(model, rng)
-        result = ols_identify(stack, prior=truth)
+        result = ols_identify(least_squares(stack), prior=truth)
         Bun = result.subspace.unidentifiable_basis
         np.testing.assert_allclose(
             Bun.T @ result.alpha_hat, Bun.T @ truth, atol=1e-8
         )
 
     def test_empty_stack_rejected(self):
-        stack = RegressorStack(
-            W=np.zeros((0, 0)), w0=np.zeros(0), T=np.zeros(0), sample_count=0
-        )
+        stack = RegressorStack(W=np.zeros((0, 0)), w0=np.zeros(0), T=np.zeros(0))
         with pytest.raises(IdentifyError):
-            ols_identify(stack)
+            least_squares(stack)
+
+    def test_no_free_columns_rejected(self):
+        model = builtin_fixture("planar2").model
+        q, qd, qdd = _random_states(model, np.random.default_rng(14), 20)
+        tau = inverse_dynamics_batch(model, q, qd, qdd)
+        truth = pack_params(model)
+        stack = stack_regressor(
+            model, q, qd, qdd, tau, fixed_mask=np.ones(truth.size, dtype=bool),
+            fixed_values=truth,
+        )
+        with pytest.raises(IdentifyError, match="no free parameters"):
+            least_squares(stack)
 
     def test_wide_stack_minimum_norm(self):
         W = np.random.default_rng(7).standard_normal((5, 12))
         T = np.random.default_rng(8).standard_normal(5)
-        stack = RegressorStack(W=W, w0=np.zeros(5), T=T, sample_count=5)
-        result = ols_identify(stack)
+        stack = RegressorStack(W=W, w0=np.zeros(5), T=T)
+        result = ols_identify(least_squares(stack))
         np.testing.assert_allclose(result.alpha_hat, np.linalg.pinv(W) @ T, atol=1e-12)
 
 
@@ -178,15 +188,15 @@ class TestMemory:
         W = rng.standard_normal((20_000, truth.size))
         T = W @ truth + 1e-2 * rng.standard_normal(W.shape[0])
         stack = RegressorStack(
-            W=W, w0=np.zeros(W.shape[0]), T=T, sample_count=W.shape[0] // 7,
+            W=W, w0=np.zeros(W.shape[0]), T=T,
             free_mask=np.ones(truth.size, dtype=bool),
         )
         tracemalloc.start()
         try:
             if estimator == "ols":
-                ols_identify(stack, prior=truth)
+                ols_identify(least_squares(stack), prior=truth)
             else:
-                consistent_identify(stack, truth)
+                consistent_identify(least_squares(stack), truth)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -198,10 +208,10 @@ class TestConsistent:
         model = builtin_fixture("chain3").model
         truth = pack_params(model)
         rng = np.random.default_rng(5)
-        stack = _noiseless_stack(model, rng)
-        r_ols = ols_identify(stack, prior=truth)
+        system = least_squares(_noiseless_stack(model, rng))
+        r_ols = ols_identify(system, prior=truth)
         assert all(f.feasible for f in r_ols.link_feasibility)
-        r_cons = consistent_identify(stack, truth)
+        r_cons = consistent_identify(system, truth)
         rel = np.linalg.norm(r_cons.alpha_hat - r_ols.alpha_hat)
         assert rel / np.linalg.norm(r_ols.alpha_hat) < 1e-6
 
@@ -222,9 +232,10 @@ class TestConsistent:
         mask[26:36] = False
         stack = stack_regressor(rigged, q, qd, qdd, tau, fixed_mask=mask, fixed_values=vec)
 
-        r_ols = ols_identify(stack)
+        system = least_squares(stack)
+        r_ols = ols_identify(system)
         assert r_ols.alpha_hat[26] < 0  # frozen seed: OLS mass is negative
-        r_cons = consistent_identify(stack, vec)
+        r_cons = consistent_identify(system, vec)
         assert r_cons.alpha_hat[26] > 0
         assert all(f.feasible for f in r_cons.link_feasibility)
         assert r_cons.residual >= r_ols.residual
@@ -233,10 +244,10 @@ class TestConsistent:
         model = builtin_fixture("chain3").model
         truth = pack_params(model)
         rng = np.random.default_rng(6)
-        stack = _noiseless_stack(model, rng, noise=0.05, noise_seed=7)
-        r_ols = ols_identify(stack, prior=truth)
-        r_cons = consistent_identify(stack, truth)
-        r_reg = consistent_identify(stack, truth, reg_weight=1.0)
+        system = least_squares(_noiseless_stack(model, rng, noise=0.05, noise_seed=7))
+        r_ols = ols_identify(system, prior=truth)
+        r_cons = consistent_identify(system, truth)
+        r_reg = consistent_identify(system, truth, reg_weight=1.0)
         slack = 1e-9 * (1.0 + r_ols.residual)
         assert r_ols.residual <= r_cons.residual + slack
         assert r_cons.residual <= r_reg.residual + slack
@@ -246,7 +257,7 @@ class TestConsistent:
         truth = pack_params(model)
         rng = np.random.default_rng(8)
         stack = _noiseless_stack(model, rng, noise=0.02, noise_seed=9)
-        result = consistent_identify(stack, truth)
+        result = consistent_identify(least_squares(stack), truth)
         path = np.asarray(result.trace.objective_path)
         assert np.all(np.diff(path) <= 1e-8 * (1.0 + np.abs(path[:-1])))
 
@@ -255,7 +266,7 @@ class TestConsistent:
         rng = np.random.default_rng(10)
         stack = _noiseless_stack(model, rng, count=200)
         with pytest.raises(InfeasiblePriorError):
-            consistent_identify(stack, np.zeros(39))
+            consistent_identify(least_squares(stack), np.zeros(39))
 
     def test_active_constraint_matches_schur_bound(self):
         # one free mass pulled negative by the data: the optimum must sit on
@@ -268,29 +279,63 @@ class TestConsistent:
         free_mask[0] = True
         A = np.ones((40, 1))
         stack = RegressorStack(
-            W=A, w0=np.zeros(40), T=A[:, 0] * (-0.5), sample_count=40,
+            W=A, w0=np.zeros(40), T=A[:, 0] * (-0.5),
             free_mask=free_mask, fixed_values=fixed,
         )
-        result = consistent_identify(stack, fixed, reg_weight=0.0)
+        result = consistent_identify(least_squares(stack), fixed, reg_weight=0.0)
         sigma = 0.5 * np.trace(base.rotational_inertia) * np.eye(3) - base.rotational_inertia
         bound = float(base.first_moment @ np.linalg.solve(sigma, base.first_moment))
         assert result.alpha_hat[0] == pytest.approx(bound, abs=1e-6)
         assert result.link_feasibility[0].feasible
 
     def test_objective_convexity_midpoint(self):
-        # the data misfit is a convex quadratic in the parameters
+        # The compressed misfit equals the direct one on every kind of stack,
+        # down to the noiseless optimum, and is a convex quadratic.
         model = builtin_fixture("chain3").model
+        truth = pack_params(model)
         rng = np.random.default_rng(11)
-        stack = _noiseless_stack(model, rng, count=100)
+        dead = rng.standard_normal((30, 8))
+        dead[:, 5] = dead[:, 2]
+        stacks = {
+            "noiseless": _noiseless_stack(model, rng, count=100),
+            "tall": _noiseless_stack(model, rng, count=100, noise=0.05, noise_seed=3),
+            "wide": RegressorStack(
+                W=rng.standard_normal((5, 12)), w0=rng.standard_normal(5),
+                T=rng.standard_normal(5),
+            ),
+            "rank_deficient": RegressorStack(W=dead, w0=np.zeros(30), T=rng.standard_normal(30)),
+        }
+        for name, stack in stacks.items():
+            system = least_squares(stack)
+            b = stack.T - stack.w0
+            d = stack.W.shape[1]
+            points = [rng.standard_normal(d) for _ in range(4)]
+            points.append(ols_identify(system).alpha_hat)
+            if name == "noiseless":
+                points.append(truth)
+            for alpha in points:
+                r = stack.W @ alpha - b
+                direct = float(r @ r)
+                assert abs(system.misfit(alpha) - direct) <= 1e-12 * direct + 1e-24 * (b @ b), name
+            for _ in range(10):
+                a1 = rng.standard_normal(d)
+                a2 = rng.standard_normal(d)
+                mid = system.misfit(0.5 * (a1 + a2))
+                assert mid <= 0.5 * (system.misfit(a1) + system.misfit(a2)) + 1e-9
 
-        def objective(alpha):
-            return stack.residual_norm_sq(alpha)
-
-        for _ in range(10):
-            a1 = rng.standard_normal(39)
-            a2 = rng.standard_normal(39)
-            mid = objective(0.5 * (a1 + a2))
-            assert mid <= 0.5 * (objective(a1) + objective(a2)) + 1e-9
+    def test_memory_layout_does_not_change_estimates(self):
+        # The same stack stored row-major and column-major gives the same bytes.
+        model = builtin_fixture("chain3").model
+        truth = pack_params(model)
+        stack = _noiseless_stack(model, np.random.default_rng(2), noise=0.05, noise_seed=2)
+        results = []
+        for order in ("C", "F"):
+            system = least_squares(replace(stack, W=np.asarray(stack.W, order=order)))
+            results.append(
+                json.dumps([ols_identify(system, prior=truth).as_dict(),
+                            consistent_identify(system, truth).as_dict()])
+            )
+        assert results[0] == results[1]
 
 
 class TestPayload:
@@ -316,7 +361,7 @@ class TestPayload:
     def test_noiseless_sphere_recovery(self):
         payload = solid_sphere_params(0.5, 0.05, [0.0, 0.0, 0.10])
         stack, truth = self._stack_with_payload(payload)
-        result = payload_identify(stack, truth)
+        result = payload_identify(least_squares(stack), truth)
         assert abs(result.params.mass - 0.5) / 0.5 < 1e-6
         np.testing.assert_allclose(
             result.params.first_moment, payload.first_moment, atol=1e-6
@@ -330,7 +375,7 @@ class TestPayload:
             stack, truth = self._stack_with_payload(
                 zero, noise=0.05, noise_seed=seed, count=200
             )
-            result = payload_identify(stack, truth)
+            result = payload_identify(least_squares(stack), truth)
             assert result.params.mass >= 0.0
             assert result.pseudo_inertia_min_eig > 0.0
 
@@ -339,7 +384,7 @@ class TestPayload:
         # and the re-identified composite link
         payload = solid_sphere_params(0.3, 0.04, [0.02, 0.01, 0.08])
         stack, truth = self._stack_with_payload(payload)
-        result = payload_identify(stack, truth)
+        result = payload_identify(least_squares(stack), truth)
         base_last = LinkInertialParams.from_vector(
             np.concatenate([truth[26:36], np.zeros(3)])
         )
@@ -358,7 +403,7 @@ class TestPayload:
         b2 = solid_sphere_params(0.25, 0.03, [0.03, 0.0, 0.10])
         both = combine_inertial(b1, b2)
         stack, truth = self._stack_with_payload(both)
-        result = payload_identify(stack, truth)
+        result = payload_identify(least_squares(stack), truth)
         recovered_b2 = LinkInertialParams(
             result.params.mass - b1.mass,
             result.params.first_moment - b1.first_moment,
@@ -373,7 +418,7 @@ class TestPayload:
         rng = np.random.default_rng(13)
         stack = _noiseless_stack(model, rng, count=50)
         with pytest.raises(IdentifyError, match="last link"):
-            payload_identify(stack, truth)
+            payload_identify(least_squares(stack), truth)
 
 
 class TestErrorMetrics:

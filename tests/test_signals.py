@@ -224,7 +224,7 @@ class TestTuneCutoffs:
     def test_programming_error_propagates(self, monkeypatch):
         model, trial = self._noiseless_setup()
 
-        def broken(stack, prior):
+        def broken(system, prior):
             raise RuntimeError("bug in the estimator")
 
         monkeypatch.setattr(identify, "consistent_identify", broken)
@@ -236,11 +236,11 @@ class TestTuneCutoffs:
         real = identify.consistent_identify
         calls = []
 
-        def fails_first(stack, prior):
+        def fails_first(system, prior):
             calls.append(None)
             if len(calls) == 1:
                 raise identify.IdentifyError("barrier gave up")
-            return real(stack, prior)
+            return real(system, prior)
 
         monkeypatch.setattr(identify, "consistent_identify", fails_first)
         best, table = tune_filter_cutoffs(trial, model, [(4.0, 4.0), (8.0, 8.0)])
