@@ -34,7 +34,6 @@ from .model import (
     RobotModel,
     ValidationError,
     num_params,
-    pack_params,
 )
 
 # Width of the Coulomb friction smoothing, rad/s. The same smooth sign is used
@@ -389,12 +388,3 @@ def energy(model: RobotModel, q, qd) -> tuple[float, float]:
         potential -= float(model.gravity @ com_world)
     return kinetic, potential
 
-
-def verify_regressor_identity(model: RobotModel, q, qd, qdd, tol: float = 1e-9) -> float:
-    """Max |W alpha - tau| over the given states; raises if above tol."""
-    W = regressor_batch(model, q, qd, qdd)
-    tau = inverse_dynamics_batch(model, q, qd, qdd)
-    worst = float(np.max(np.abs(W @ pack_params(model) - tau)))
-    if worst > tol:
-        raise ValidationError(f"regressor identity violated: {worst:.3e} > {tol:.1e}")
-    return worst

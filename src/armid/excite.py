@@ -10,6 +10,11 @@ The eigenvalue objective is noisy terrain for gradient methods, so the
 constrained program is solved by an augmented Lagrangian outer loop whose
 subproblems are minimized by a derivative-free direct search (Nelder-Mead
 with seeded random restarts). Everything is deterministic for a fixed seed.
+
+A design builds the sin/cos grid of one closed period once. Each candidate is
+then sampled once from that grid: the objective reads rows [0, S) and the
+constraints read all S + 1 rows, whose first and last are t = 0 and
+t = duration.
 """
 
 from __future__ import annotations
@@ -79,19 +84,26 @@ def fourier_eval(traj: FourierTrajectory, t) -> tuple[np.ndarray, np.ndarray, np
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr < -1e-12) or np.any(t_arr > traj.duration + 1e-12):
         raise ExciteError(f"time outside [0, {traj.duration}]")
-    w = traj.base_frequency
-    ls = np.arange(1, traj.harmonics + 1)
-    wl = w * ls
-    phase = np.outer(t_arr, wl)
-    s = np.sin(phase)
-    c = np.cos(phase)
+    q, qd, qdd = _fourier_rows(traj, *_fourier_grid(traj.base_frequency, traj.harmonics, t_arr))
+    if np.isscalar(t) or np.ndim(t) == 0:
+        return q[0], qd[0], qdd[0]
+    return q, qd, qdd
+
+
+def _fourier_grid(omega: float, harmonics: int, t: np.ndarray):
+    """sin(w l t) and cos(w l t), each (T, L), and the harmonic frequencies w l."""
+    wl = omega * np.arange(1, harmonics + 1)
+    phase = np.outer(t, wl)
+    return np.sin(phase), np.cos(phase), wl
+
+
+def _fourier_rows(traj: FourierTrajectory, s: np.ndarray, c: np.ndarray, wl: np.ndarray):
+    """(T, N) positions, velocities, accelerations on a :func:`_fourier_grid`."""
     a = traj.sine_coeffs
     b = traj.cosine_coeffs
     q = traj.offsets + s @ (a / wl).T - c @ (b / wl).T
     qd = c @ a.T + s @ b.T
     qdd = -s @ (a * wl).T + c @ (b * wl).T
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return q[0], qd[0], qdd[0]
     return q, qd, qdd
 
 
@@ -106,15 +118,23 @@ def sample_trajectory(
     traj: FourierTrajectory, rate: float, include_endpoint: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Uniform samples over one period: (t, q, qd, qdd)."""
+    t = _sample_times(traj.duration, rate, include_endpoint)
+    q, qd, qdd = fourier_eval(traj, t)
+    return t, q, qd, qdd
+
+
+def _sample_times(duration: float, rate: float, include_endpoint: bool) -> np.ndarray:
+    """``round(duration * rate)`` times k / rate, plus t = ``duration`` exactly
+    if ``include_endpoint``."""
     if rate <= 0:
         raise ExciteError("sample rate must be > 0")
-    count = int(round(traj.duration * rate))
+    count = int(round(duration * rate))
     if count < 2:
         raise ExciteError("sample rate too low for the trajectory duration")
     t = np.arange(count + (1 if include_endpoint else 0)) / rate
-    t = np.minimum(t, traj.duration)
-    q, qd, qdd = fourier_eval(traj, t)
-    return t, q, qd, qdd
+    if include_endpoint:
+        t[-1] = duration
+    return t
 
 
 @dataclass(frozen=True)
@@ -170,16 +190,18 @@ RANK_DEFICIENCY_RATIO = 1e-12
 def information_objective(W: np.ndarray, gamma: float) -> InformationObjective:
     """Condition-number plus weighted E-optimality criterion on W^T W.
 
-    Eigenvalues come from the singular values of W (lambda = sigma^2).
+    Eigenvalues come from ``eigvalsh`` of the r x r Gram matrix W^T W, so no
+    factorization touches the rows of W. Each is accurate to about machine
+    epsilon times lambda_max, far below ``RANK_DEFICIENCY_RATIO``.
     Rank-deficient matrices report an infinite value rather than raising, so
     a direct search ranks them worst and keeps moving.
     """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] < W.shape[1]:
         raise ExciteError(f"W must have at least as many rows as columns, got {W.shape}")
-    sv = np.linalg.svd(W, compute_uv=False)
-    lam_max = float(sv[0] ** 2)
-    lam_min = float(sv[-1] ** 2)
+    lam = np.linalg.eigvalsh(W.T @ W)
+    lam_max = float(lam[-1])
+    lam_min = max(float(lam[0]), 0.0)  # W^T W is PSD; a negative lambda is rounding
     f_e = -lam_min
     if lam_min <= RANK_DEFICIENCY_RATIO * lam_max:
         return InformationObjective(math.inf, math.inf, f_e, lam_min, lam_max)
@@ -187,11 +209,14 @@ def information_objective(W: np.ndarray, gamma: float) -> InformationObjective:
     return InformationObjective(f_c + gamma * f_e, f_c, f_e, lam_min, lam_max)
 
 
-def smooth_max(values: np.ndarray, beta: float) -> float:
-    """Log-sum-exp upper bound on max(values); tight for large beta."""
-    values = np.asarray(values, dtype=float)
-    m = float(np.max(values))
-    return m + float(np.log(np.sum(np.exp(beta * (values - m))))) / beta
+def smooth_max(values: np.ndarray, beta: float) -> np.ndarray:
+    """Log-sum-exp upper bound on the max of each column of ``values``; tight
+    for large beta."""
+    # One contiguous row per column: numpy loops over a few-wide last axis
+    # cost more than the arithmetic.
+    rows = np.ascontiguousarray(np.asarray(values, dtype=float).T)
+    m = np.max(rows, axis=1)
+    return m + np.log(np.sum(np.exp(beta * (rows - m[:, None])), axis=1)) / beta
 
 
 @dataclass(frozen=True)
@@ -216,50 +241,51 @@ class ConstraintRecord:
         return worst
 
 
-def evaluate_constraints(traj: FourierTrajectory, problem: DesignProblem) -> ConstraintRecord:
-    """Limit, boundary, and collision constraints for one trajectory.
+def evaluate_constraints(
+    problem: DesignProblem, q: np.ndarray, qd: np.ndarray, qdd: np.ndarray
+) -> ConstraintRecord:
+    """Limit, boundary, and collision constraints for one sampled trajectory.
 
-    Limit margins are aggregated over the sampled period with a log-sum-exp
-    smooth maximum (slightly conservative). Boundary equalities are evaluated
-    exactly at t = 0 and t = duration. Collision inequalities take the hard
-    minimum distance over samples for every (link sphere, obstacle) pair.
+    ``q``, ``qd`` and ``qdd`` are (S + 1, N) samples of one closed period, as
+    ``sample_trajectory(..., include_endpoint=True)`` returns them. Limit
+    margins are aggregated over the rows with a log-sum-exp smooth maximum
+    per joint (slightly conservative). Boundary equalities are read from the
+    first and last rows, t = 0 and t = duration. Collision inequalities take
+    the hard minimum distance over samples for every (link sphere, obstacle)
+    pair.
     """
     model = problem.model
-    if traj.num_joints != model.num_joints:
+    if q.shape[1] != model.num_joints:
         raise ExciteError("trajectory and model joint counts differ")
-    t, q, qd, qdd = sample_trajectory(traj, problem.sample_rate, include_endpoint=True)
-
-    inequalities: dict[str, float] = {}
-    for i, joint in enumerate(model.joint_specs):
-        lo, hi = joint.position_limits
-        inequalities[f"pos_upper_{joint.name}"] = smooth_max(q[:, i] - hi, _LSE_BETA)
-        inequalities[f"pos_lower_{joint.name}"] = smooth_max(lo - q[:, i], _LSE_BETA)
-        inequalities[f"vel_{joint.name}"] = smooth_max(
-            np.concatenate([qd[:, i], -qd[:, i]]) - joint.velocity_limit, _LSE_BETA
-        )
-        inequalities[f"acc_{joint.name}"] = smooth_max(
-            np.concatenate([qdd[:, i], -qdd[:, i]]) - joint.acceleration_limit, _LSE_BETA
-        )
-
-    _, qd0, qdd0 = fourier_eval(traj, 0.0)
-    _, qdT, qddT = fourier_eval(traj, traj.duration)
+    lo, hi, vmax, amax = _joint_limits(model)
+    margins = {
+        "pos_upper": smooth_max(q - hi, _LSE_BETA),
+        "pos_lower": smooth_max(lo - q, _LSE_BETA),
+        "vel": smooth_max(np.concatenate([qd, -qd]) - vmax, _LSE_BETA),
+        "acc": smooth_max(np.concatenate([qdd, -qdd]) - amax, _LSE_BETA),
+    }
+    names = [joint.name for joint in model.joint_specs]
+    inequalities: dict[str, float] = {
+        f"{kind}_{name}": float(margin[i])
+        for i, name in enumerate(names)
+        for kind, margin in margins.items()
+    }
     equalities: dict[str, float] = {}
-    for i, joint in enumerate(model.joint_specs):
-        equalities[f"qd_start_{joint.name}"] = float(qd0[i])
-        equalities[f"qd_end_{joint.name}"] = float(qdT[i])
-        equalities[f"qdd_start_{joint.name}"] = float(qdd0[i])
-        equalities[f"qdd_end_{joint.name}"] = float(qddT[i])
+    for i, name in enumerate(names):
+        equalities[f"qd_start_{name}"] = float(qd[0, i])
+        equalities[f"qd_end_{name}"] = float(qd[-1, i])
+        equalities[f"qdd_start_{name}"] = float(qdd[0, i])
+        equalities[f"qdd_end_{name}"] = float(qdd[-1, i])
 
     if problem.obstacles and problem.link_collision_spheres:
         R, p = forward_kinematics(model, q)
         for li, spheres in enumerate(problem.link_collision_spheres):
-            joint_name = model.joint_specs[li].name
             for si, sphere in enumerate(spheres):
                 centers = p[:, li] + np.einsum("sij,j->si", R[:, li], sphere.center)
                 for oi, obstacle in enumerate(problem.obstacles):
                     dist = np.linalg.norm(centers - obstacle.center, axis=1)
                     clearance = float(np.min(dist)) - sphere.radius - obstacle.radius
-                    inequalities[f"collision_{joint_name}_s{si}_o{oi}"] = (
+                    inequalities[f"collision_{names[li]}_s{si}_o{oi}"] = (
                         _COLLISION_MARGIN - clearance
                     )
 
@@ -367,8 +393,7 @@ def _nelder_mead(func, x0: np.ndarray, step: np.ndarray, max_evals: int):
 
 
 def augmented_lagrangian_minimize(
-    objective: Callable[[np.ndarray], float],
-    constraints: Callable[[np.ndarray], ConstraintRecord],
+    evaluate: Callable[[np.ndarray], tuple[float, ConstraintRecord]],
     x0: np.ndarray,
     opts: ALOptions,
     step: np.ndarray | float | None = None,
@@ -376,6 +401,8 @@ def augmented_lagrangian_minimize(
 ) -> ALResult:
     """Minimize a black-box objective under black-box constraints.
 
+    ``evaluate(x)`` returns the objective and the constraint record at x
+    together, so a caller can score each candidate from one sample of it.
     Outer loop: classic augmented Lagrangian with quadratic equality terms and
     squared-positive-part inequality terms; multipliers are first-order
     updated and clamped, and the penalty grows whenever the infeasibility
@@ -396,7 +423,7 @@ def augmented_lagrangian_minimize(
     step_vec[step_vec == 0] = _INITIAL_STEP
     rng = np.random.default_rng(opts.seed)
 
-    rec0 = constraints(x0)
+    f0, rec0 = evaluate(x0)
     eq_names = list(rec0.equalities.keys())
     ineq_names = list(rec0.inequalities.keys())
     lam = np.zeros(len(eq_names))
@@ -431,8 +458,7 @@ def augmented_lagrangian_minimize(
 
     def lagrangian(x):
         nonlocal evaluations
-        f = objective(x)
-        record = constraints(x)
+        f, record = evaluate(x)
         evaluations += 1
         consider(x, f, record)
         if not np.isfinite(f):
@@ -446,7 +472,7 @@ def augmented_lagrangian_minimize(
             value += float(np.sum(shifted**2 - mu**2)) / (2.0 * rho)
         return value
 
-    consider(x0, objective(x0), rec0)
+    consider(x0, f0, rec0)
     evaluations += 1
 
     history: list[dict] = []
@@ -471,7 +497,7 @@ def augmented_lagrangian_minimize(
                 x_sub, f_sub = cand, f_cand
         x = x_sub
 
-        record = constraints(x)
+        f, record = evaluate(x)
         g, h = as_vectors(record)
         infeas = record.max_violation()
         lam = np.clip(lam + rho * g, -_MULTIPLIER_BOUND, _MULTIPLIER_BOUND)
@@ -480,7 +506,7 @@ def augmented_lagrangian_minimize(
             {
                 "outer": outer,
                 "rho": rho,
-                "objective": objective(x),
+                "objective": f,
                 "infeasibility": infeas,
                 "evaluations": evaluations,
             }
@@ -615,17 +641,6 @@ def design_trajectory(
             cosine_coeffs=b,
         )
 
-    def information(x: np.ndarray) -> InformationObjective:
-        _, q, qd, qdd = sample_trajectory(build(x), problem.sample_rate)
-        W = regressor_batch(model, q, qd, qdd).reshape(-1, 13 * n)
-        return information_objective(W @ basis, problem.gamma)
-
-    def objective(x: np.ndarray) -> float:
-        return information(x).value
-
-    def constraints(x: np.ndarray) -> ConstraintRecord:
-        return evaluate_constraints(build(x), problem)
-
     x0 = np.concatenate([(lo + hi) / 2.0, np.zeros(2 * n * L)])
     step = np.concatenate(
         [
@@ -634,18 +649,32 @@ def design_trajectory(
             np.repeat(0.5 * vmax / L, L),
         ]
     )
+    # One sin/cos grid per design, over the closed period at S + 1 times.
+    grid = _fourier_grid(omega, L, _sample_times(build(x0).duration, problem.sample_rate, True))
+
+    def sample(x: np.ndarray):
+        return _fourier_rows(build(x), *grid)
+
+    def information(q, qd, qdd) -> InformationObjective:
+        # The objective reads rows [0, S); row S repeats t = 0 of the period.
+        W = regressor_batch(model, q[:-1], qd[:-1], qdd[:-1]).reshape(-1, 13 * n)
+        return information_objective(W @ basis, problem.gamma)
+
+    def evaluate(x: np.ndarray) -> tuple[float, ConstraintRecord]:
+        rows = sample(x)
+        return information(*rows).value, evaluate_constraints(problem, *rows)
 
     def restart_sampler(rng: np.random.Generator) -> np.ndarray:
         # Random exciting start; build() projects it onto rest-to-rest anyway.
         q0, a, b = _random_coefficients(rng, model, L)
         return np.concatenate([q0, a.ravel(), b.ravel()])
 
-    initial_info = information(x0)
+    initial_info = information(*sample(x0))
     result = augmented_lagrangian_minimize(
-        objective, constraints, x0, opts, step=step, restart_sampler=restart_sampler
+        evaluate, x0, opts, step=step, restart_sampler=restart_sampler
     )
     traj = build(result.x)
-    final_info = information(result.x)
+    final_info = information(*sample(result.x))
 
     boundary_ok = all(
         abs(value) <= (_BOUNDARY_VEL_TOL if name.startswith("qd_") else _BOUNDARY_ACC_TOL)
@@ -695,7 +724,8 @@ def random_feasible_trajectory(
                 sine_coeffs=scale * a,
                 cosine_coeffs=scale * b,
             )
-            record = evaluate_constraints(traj, problem)
+            _, q, qd, qdd = sample_trajectory(traj, problem.sample_rate, include_endpoint=True)
+            record = evaluate_constraints(problem, q, qd, qdd)
             ineq = record.inequality_vector()
             if ineq.size == 0 or np.max(ineq) <= 0.0:
                 if np.any(scale * np.abs(a) > 1e-9):

@@ -182,7 +182,8 @@ def test_criterion_4_design_efficacy():
     )
     traj, report = design_trajectory(problem, omega, harmonics, opts)
     assert report.feasible
-    record = evaluate_constraints(traj, problem)
+    _, q, qd, qdd = sample_trajectory(traj, problem.sample_rate, include_endpoint=True)
+    record = evaluate_constraints(problem, q, qd, qdd)
     assert record.max_violation() <= 1e-3
 
     from armid.excite import _design_basis
@@ -283,8 +284,7 @@ def test_criterion_6_al_solver_benchmark():
         opts = ALOptions(seed=7, subproblem_budget=400, outer_iterations=8,
                          constraint_tolerance=1e-4)
         return augmented_lagrangian_minimize(
-            lambda x: float(x[0] ** 2),
-            lambda x: ConstraintRecord({}, {"xmin": 1.0 - float(x[0])}),
+            lambda x: (float(x[0] ** 2), ConstraintRecord({}, {"xmin": 1.0 - float(x[0])})),
             np.array([3.0]),
             opts,
         )
@@ -293,8 +293,10 @@ def test_criterion_6_al_solver_benchmark():
         opts = ALOptions(seed=7, subproblem_budget=600, outer_iterations=10,
                          constraint_tolerance=1e-4)
         return augmented_lagrangian_minimize(
-            lambda x: float((x[0] - 2.0) ** 2 + (x[1] - 1.0) ** 2),
-            lambda x: ConstraintRecord({"sum": float(x[0] + x[1] - 1.0)}, {}),
+            lambda x: (
+                float((x[0] - 2.0) ** 2 + (x[1] - 1.0) ** 2),
+                ConstraintRecord({"sum": float(x[0] + x[1] - 1.0)}, {}),
+            ),
             np.zeros(2),
             opts,
         )

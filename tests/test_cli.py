@@ -17,6 +17,7 @@ from armid.excite import (
     evaluate_constraints,
     load_trajectory,
     random_feasible_trajectory,
+    sample_trajectory,
     save_trajectory,
 )
 from armid.signals import SignalError
@@ -107,7 +108,8 @@ class TestDesignCommand:
         problem = DesignProblem(
             model=builtin_fixture("pendulum1").model, sample_rate=20.0
         )
-        record = evaluate_constraints(traj, problem)
+        _, q, qd, qdd = sample_trajectory(traj, problem.sample_rate, include_endpoint=True)
+        record = evaluate_constraints(problem, q, qd, qdd)
         assert record.max_violation() <= 1e-3
         report = json.loads((out / "design_report.json").read_text())
         assert report["report"]["feasible"] is True

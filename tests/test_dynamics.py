@@ -148,16 +148,6 @@ class TestRegressor:
         alpha = pack_params(twolink_model)
         assert np.max(np.abs(W @ alpha - tau)) < 1e-9
 
-    def test_verify_helper_passes_and_raises(self, twolink_model):
-        from armid.dynamics import verify_regressor_identity
-
-        rng = np.random.default_rng(9)
-        q, qd, qdd = _random_states(twolink_model, rng, 50)
-        worst = verify_regressor_identity(twolink_model, q, qd, qdd)
-        assert worst < 1e-9
-        with pytest.raises(ValidationError):
-            verify_regressor_identity(twolink_model, q, qd, qdd, tol=0.0)
-
     def test_zero_state_zero_gravity_is_zero_matrix(self, twolink_model):
         model = RobotModel(links=twolink_model.links, gravity=np.zeros(3))
         W = regressor_batch(model, np.zeros(2), np.zeros(2), np.zeros(2))[0]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from armid import excite
 from armid.dynamics import regressor_batch
 from armid.excite import (
     ALOptions,
@@ -11,6 +12,7 @@ from armid.excite import (
     ExciteError,
     FourierTrajectory,
     Sphere,
+    _design_basis,
     augmented_lagrangian_minimize,
     design_trajectory,
     evaluate_constraints,
@@ -23,7 +25,7 @@ from armid.excite import (
     trajectory_from_dict,
     trajectory_to_dict,
 )
-from armid.simulate import builtin_fixture
+from armid.simulate import FIXTURE_NAMES, builtin_fixture
 
 
 def _traj(n=2, L=3, omega=2 * math.pi * 0.1, seed=0, scale=0.3):
@@ -35,6 +37,11 @@ def _traj(n=2, L=3, omega=2 * math.pi * 0.1, seed=0, scale=0.3):
         sine_coeffs=scale * rng.standard_normal((n, L)),
         cosine_coeffs=scale * rng.standard_normal((n, L)),
     )
+
+
+def _constraints(traj, problem):
+    _, q, qd, qdd = sample_trajectory(traj, problem.sample_rate, include_endpoint=True)
+    return evaluate_constraints(problem, q, qd, qdd)
 
 
 class TestFourier:
@@ -87,6 +94,20 @@ class TestFourier:
         assert t.size == round(traj.duration * 10.0)
         assert q.shape == (t.size, 2)
 
+    def test_endpoint_grid_ends_at_duration(self):
+        # 0.06 Hz at 20 Hz: duration * rate = 333.3 rounds down to 333 steps.
+        traj = _traj(omega=2 * math.pi * 0.06, seed=4)
+        problem = DesignProblem(model=builtin_fixture("planar2").model, sample_rate=20.0)
+        t, *_ = sample_trajectory(traj, problem.sample_rate, include_endpoint=True)
+        assert t.size == 334
+        assert t[-1] == traj.duration
+        record = _constraints(traj, problem)
+        for when, at in (("start", 0.0), ("end", traj.duration)):
+            _, qd, qdd = fourier_eval(traj, at)
+            for i, name in enumerate(("shoulder", "elbow")):
+                assert record.equalities[f"qd_{when}_{name}"] == pytest.approx(qd[i], abs=1e-12)
+                assert record.equalities[f"qdd_{when}_{name}"] == pytest.approx(qdd[i], abs=1e-12)
+
 
 class TestInformationObjective:
     def test_identity_matrix(self):
@@ -129,6 +150,20 @@ class TestInformationObjective:
         shuffled = information_objective(W[perm], gamma=0.1)
         assert shuffled.value == pytest.approx(base.value, rel=1e-9)
 
+    @pytest.mark.parametrize("fixture", FIXTURE_NAMES)
+    def test_gram_eigenvalues_match_svd(self, fixture):
+        model = builtin_fixture(fixture).model
+        problem = DesignProblem(model=model, sample_rate=20.0)
+        traj = random_feasible_trajectory(problem, 2 * math.pi * 0.1, 3, np.random.default_rng(5))
+        _, q, qd, qdd = sample_trajectory(traj, problem.sample_rate)
+        basis, _ = _design_basis(problem, seed=5)
+        G = regressor_batch(model, q, qd, qdd).reshape(-1, 13 * model.num_joints) @ basis
+        sv = np.linalg.svd(G, compute_uv=False)
+        info = information_objective(G, gamma=0.1)
+        assert info.lambda_min == pytest.approx(sv[-1] ** 2, rel=1e-6)
+        assert info.lambda_max == pytest.approx(sv[0] ** 2, rel=1e-6)
+        assert info.f_c == pytest.approx(sv[0] / sv[-1], rel=1e-6)
+
     def test_rank_deficiency_reports_infinite(self):
         W = np.hstack([np.ones((5, 1)), np.ones((5, 1))])
         info = information_objective(W, gamma=0.1)
@@ -150,7 +185,7 @@ class TestConstraints:
         traj = FourierTrajectory(
             2 * math.pi * 0.1, 3, np.zeros(2), np.zeros((2, 3)), np.zeros((2, 3))
         )
-        record = evaluate_constraints(traj, problem)
+        record = _constraints(traj, problem)
         assert all(v <= 0 for v in record.inequalities.values())
         assert all(v == 0 for v in record.equalities.values())
 
@@ -160,13 +195,36 @@ class TestConstraints:
         traj = FourierTrajectory(
             2 * math.pi * 0.1, 3, np.array([2.5, 0.0]), np.zeros((2, 3)), np.zeros((2, 3))
         )
-        record = evaluate_constraints(traj, problem)
+        record = _constraints(traj, problem)
         assert record.inequalities["pos_upper_shoulder"] > 0
+
+    def test_limit_margins_match_per_joint_reference(self):
+        problem = self._problem()
+        traj = _traj(seed=12, scale=1.5)
+        _, q, qd, qdd = sample_trajectory(traj, problem.sample_rate, include_endpoint=True)
+        record = evaluate_constraints(problem, q, qd, qdd)
+
+        def lse(v, beta=excite._LSE_BETA):
+            m = np.max(v)
+            return m + np.log(np.sum(np.exp(beta * (v - m)))) / beta
+
+        for i, joint in enumerate(problem.model.joint_specs):
+            lo, hi = joint.position_limits
+            reference = {
+                "pos_upper": lse(q[:, i] - hi),
+                "pos_lower": lse(lo - q[:, i]),
+                "vel": lse(np.concatenate([qd[:, i], -qd[:, i]]) - joint.velocity_limit),
+                "acc": lse(np.concatenate([qdd[:, i], -qdd[:, i]]) - joint.acceleration_limit),
+            }
+            for kind, value in reference.items():
+                assert record.inequalities[f"{kind}_{joint.name}"] == pytest.approx(
+                    value, rel=1e-12, abs=1e-12
+                )
 
     def test_boundary_residuals_match_direct_evaluation(self):
         problem = self._problem()
         traj = _traj(seed=11)
-        record = evaluate_constraints(traj, problem)
+        record = _constraints(traj, problem)
         _, qd0, qdd0 = fourier_eval(traj, 0.0)
         _, qdT, qddT = fourier_eval(traj, traj.duration)
         assert record.equalities["qd_start_shoulder"] == pytest.approx(qd0[0], abs=1e-12)
@@ -192,8 +250,8 @@ class TestConstraints:
         traj = FourierTrajectory(
             2 * math.pi * 0.1, 3, np.zeros(2), np.zeros((2, 3)), np.zeros((2, 3))
         )
-        rec_clear = evaluate_constraints(traj, clear)
-        rec_blocked = evaluate_constraints(traj, blocked)
+        rec_clear = _constraints(traj, clear)
+        rec_blocked = _constraints(traj, blocked)
         collision_keys = [k for k in rec_clear.inequalities if k.startswith("collision")]
         assert collision_keys
         assert all(rec_clear.inequalities[k] < 0 for k in collision_keys)
@@ -203,29 +261,26 @@ class TestConstraints:
 class TestAugmentedLagrangian:
     def test_scalar_inequality_problem(self):
         # min x^2 s.t. x >= 1 has its optimum at exactly 1
-        def objective(x):
-            return float(x[0] ** 2)
-
-        def constraints(x):
-            return ConstraintRecord({}, {"xmin": 1.0 - float(x[0])})
+        def evaluate(x):
+            return float(x[0] ** 2), ConstraintRecord({}, {"xmin": 1.0 - float(x[0])})
 
         opts = ALOptions(seed=7, subproblem_budget=400, outer_iterations=8,
                          constraint_tolerance=1e-4)
-        result = augmented_lagrangian_minimize(objective, constraints, np.array([3.0]), opts)
+        result = augmented_lagrangian_minimize(evaluate, np.array([3.0]), opts)
         assert result.feasible
         assert result.x[0] == pytest.approx(1.0, abs=1e-3)
 
     def test_equality_problem_lagrange_solution(self):
         # min (x-2)^2 + (y-1)^2 s.t. x + y = 1; stationarity gives (1, 0)
-        def objective(x):
-            return float((x[0] - 2.0) ** 2 + (x[1] - 1.0) ** 2)
-
-        def constraints(x):
-            return ConstraintRecord({"sum": float(x[0] + x[1] - 1.0)}, {})
+        def evaluate(x):
+            return (
+                float((x[0] - 2.0) ** 2 + (x[1] - 1.0) ** 2),
+                ConstraintRecord({"sum": float(x[0] + x[1] - 1.0)}, {}),
+            )
 
         opts = ALOptions(seed=7, subproblem_budget=600, outer_iterations=10,
                          constraint_tolerance=1e-4)
-        result = augmented_lagrangian_minimize(objective, constraints, np.zeros(2), opts)
+        result = augmented_lagrangian_minimize(evaluate, np.zeros(2), opts)
         assert result.feasible
         np.testing.assert_allclose(result.x, [1.0, 0.0], atol=1e-3)
 
@@ -233,42 +288,35 @@ class TestAugmentedLagrangian:
         target = np.array([1.0, -2.0, 0.5, 3.0, -1.0])
         Q = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
 
-        def objective(x):
+        def evaluate(x):
             d = x - target
-            return float(d @ Q @ d)
-
-        def constraints(x):
-            return ConstraintRecord({}, {})
+            return float(d @ Q @ d), ConstraintRecord({}, {})
 
         opts = ALOptions(seed=3, subproblem_budget=1200, outer_iterations=4)
-        result = augmented_lagrangian_minimize(objective, constraints, np.zeros(5), opts)
+        result = augmented_lagrangian_minimize(evaluate, np.zeros(5), opts)
         assert result.evaluations < 5000
         np.testing.assert_allclose(result.x, target, atol=1e-4)
 
     def test_deterministic_given_seed(self):
-        def objective(x):
-            return float(np.sum(x**2))
-
-        def constraints(x):
-            return ConstraintRecord({"plane": float(x.sum() - 1.0)}, {})
+        def evaluate(x):
+            return float(np.sum(x**2)), ConstraintRecord({"plane": float(x.sum() - 1.0)}, {})
 
         opts = ALOptions(seed=42, subproblem_budget=300, outer_iterations=4)
-        a = augmented_lagrangian_minimize(objective, constraints, np.zeros(3), opts)
-        b = augmented_lagrangian_minimize(objective, constraints, np.zeros(3), opts)
+        a = augmented_lagrangian_minimize(evaluate, np.zeros(3), opts)
+        b = augmented_lagrangian_minimize(evaluate, np.zeros(3), opts)
         assert np.array_equal(a.x, b.x)
         assert a.objective == b.objective
         assert a.evaluations == b.evaluations
 
     def test_infeasible_problem_flagged(self):
-        def objective(x):
-            return float(x[0] ** 2)
-
-        def constraints(x):
+        def evaluate(x):
             # x <= -1 and x >= 1 simultaneously: empty feasible set
-            return ConstraintRecord({}, {"a": float(x[0] + 1.0), "b": float(1.0 - x[0])})
+            return float(x[0] ** 2), ConstraintRecord(
+                {}, {"a": float(x[0] + 1.0), "b": float(1.0 - x[0])}
+            )
 
         opts = ALOptions(seed=1, subproblem_budget=200, outer_iterations=3)
-        result = augmented_lagrangian_minimize(objective, constraints, np.zeros(1), opts)
+        result = augmented_lagrangian_minimize(evaluate, np.zeros(1), opts)
         assert result.flagged
         assert not result.feasible
 
@@ -282,9 +330,42 @@ class TestDesign:
         traj, report = design_trajectory(problem, 2 * math.pi * 0.1, 3, opts)
         assert report.final.value <= report.initial.value
         assert report.feasible
-        record = evaluate_constraints(traj, problem)
+        record = _constraints(traj, problem)
         assert record.max_violation() <= opts.constraint_tolerance
         assert math.isfinite(report.final.f_c)
+
+    def test_one_sample_per_design_evaluation(self, monkeypatch):
+        calls = {"svd": 0, "fourier_eval": 0, "information_objective": 0,
+                 "evaluate_constraints": 0, "regressor_batch": 0}
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(np.linalg, "svd")
+        for name in ("fourier_eval", "information_objective", "evaluate_constraints",
+                     "regressor_batch"):
+            counted(excite, name)
+        problem = DesignProblem(model=builtin_fixture("planar2").model, sample_rate=20.0)
+        opts = ALOptions(seed=4, subproblem_budget=60, outer_iterations=2, restarts=1)
+        _, report = design_trajectory(problem, 2 * math.pi * 0.1, 3, opts)
+        # Each evaluate(x) samples once and scores once: one per AL evaluation
+        # plus the constraint check that ends each outer iteration. The
+        # initial and final reports add one objective each, and the design
+        # basis one regressor and the only SVD.
+        evaluations = report.evaluations + opts.outer_iterations
+        assert calls == {
+            "svd": 1,
+            "fourier_eval": 0,
+            "information_objective": evaluations + 2,
+            "evaluate_constraints": evaluations,
+            "regressor_batch": evaluations + 3,
+        }
 
     def test_design_rejects_undersampling(self):
         model = builtin_fixture("pendulum1").model
@@ -297,7 +378,7 @@ class TestDesign:
         rng = np.random.default_rng(1)
         traj = random_feasible_trajectory(problem, 2 * math.pi * 0.1, 5, rng)
         assert traj is not None
-        record = evaluate_constraints(traj, problem)
+        record = _constraints(traj, problem)
         assert record.max_violation() <= 1e-9
         assert np.any(traj.sine_coeffs != 0)
 
