@@ -19,7 +19,8 @@ factorization of it: :func:`least_squares` compresses a stack to a
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Mapping
 
 import numpy as np
 
@@ -181,13 +182,21 @@ class LeastSquares:
 def least_squares(stack: RegressorStack) -> LeastSquares:
     """Factor a stack once into the system every estimator reads.
 
-    One R-only QR of ``[W | T - w0]``, then the SVD of its small triangle
-    (R-SVD: Chan, ACM TOMS 8(1), 1982). No S x d factor outlives the call.
+    One QR of ``[W | T - w0]``, then the SVD of its small triangle (R-SVD:
+    Chan, ACM TOMS 8(1), 1982). ``[W | T - w0]`` is filled once into a
+    Fortran-order buffer that LAPACK factors in place, so the call's peak is
+    about one copy of ``W``; no S x d factor outlives it.
     """
+    # Imported here, not at module level: importing armid.cli loads no scipy.
+    from scipy.linalg import qr
+
     S, d = stack.W.shape
     if S == 0 or d == 0:
         raise IdentifyError("no free parameters to identify" if d == 0 else "empty regressor")
-    R = np.linalg.qr(np.column_stack([stack.W, stack.T - stack.w0]), mode="r")
+    buf = np.empty((S, d + 1), order="F")
+    buf[:, :d] = stack.W
+    np.subtract(stack.T, stack.w0, out=buf[:, d])
+    R = qr(buf, mode="raw", overwrite_a=True, check_finite=False)[1]
     m = min(S, d)
     sub = identifiable_subspace(R[:m, :d])
     V = np.hstack([sub.identifiable_basis, sub.unidentifiable_basis])
@@ -245,16 +254,6 @@ def _prior_free(system: LeastSquares, prior: np.ndarray | None) -> np.ndarray:
 # --- log-det barrier machinery ---------------------------------------------------
 
 
-@dataclass
-class _LmiTerm:
-    constant: np.ndarray
-    indices: np.ndarray
-    bases: np.ndarray  # (k, 4, 4) aligned with indices
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        return self.constant + np.einsum("k,kij->ij", x[self.indices], self.bases)
-
-
 # d(pseudo-inertia)/d(param) for the 10 inertial parameters: the map is linear.
 _PI_BASES = np.array(
     [
@@ -264,11 +263,54 @@ _PI_BASES = np.array(
 )
 
 
-def _log_barrier(x, lmis, log_indices) -> float | None:
+@dataclass(frozen=True)
+class _Lmis:
+    """K pseudo-inertia LMIs ``J_k(x) = constant[k] + sum_s x[index[k, s]] bases[k, s] > 0``.
+
+    Every LMI has one slot per inertial parameter. A slot whose parameter is
+    fixed (its value folded into ``constant``) holds a zero basis and the
+    dummy index ``size``, the number of free parameters: it reads a zero
+    appended to ``x``, and its derivatives land in an entry that is dropped.
+    """
+
+    constant: np.ndarray  # (K, 4, 4)
+    bases: np.ndarray  # (K, 10, 4, 4)
+    index: np.ndarray  # (K, 10), entries in [0, size]
+    size: int
+
+    @cached_property
+    def _hess_slots(self) -> np.ndarray:
+        """Flat targets of the (K, 10, 10) Hessian blocks in a (size + 1)^2 array."""
+        d1 = self.size + 1
+        return (self.index[:, :, None] * d1 + self.index[:, None, :]).ravel()
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        return self.constant + np.einsum(
+            "ks,ksij->kij", np.append(x, 0.0)[self.index], self.bases
+        )
+
+    def add_derivatives(self, x, mu: float, grad: np.ndarray, hess: np.ndarray) -> None:
+        """Add the gradient and Hessian of ``-mu * sum_k log det J_k(x)`` in place.
+
+        ``grad`` and ``hess`` have ``size + 1`` entries per axis, the last for
+        the dummy slots. ufunc.at adds in LMI order and sums entries that share
+        an index, as the payload's two LMIs do.
+        """
+        try:
+            J_inv = np.linalg.inv(self.value(x))
+        except np.linalg.LinAlgError as exc:
+            raise BarrierError("singular pseudo-inertia inside barrier") from exc
+        M = np.einsum("kij,ksjl->ksil", J_inv, self.bases)
+        np.subtract.at(grad, self.index.ravel(), mu * np.trace(M, axis1=2, axis2=3).ravel())
+        block = np.einsum("ksij,ktji->kst", M, M)
+        np.add.at(hess.reshape(-1), self._hess_slots, mu * block.ravel())
+
+
+def _log_barrier(x, lmis: _Lmis, log_indices) -> float | None:
     """Sum of the LMI log-dets and the logs of the positive entries at ``x``.
 
-    None when ``x`` is not strictly feasible. One Cholesky per LMI gives both
-    the verdict and the log-det, ``2 * sum(log(diag(L)))``.
+    None when ``x`` is not strictly feasible. One batched Cholesky gives both
+    the verdict and the log-dets, ``2 * sum(log(diag(L)))``.
     """
     total = 0.0
     if log_indices.size:
@@ -276,13 +318,11 @@ def _log_barrier(x, lmis, log_indices) -> float | None:
         if np.any(xi <= 0):
             return None
         total = float(np.sum(np.log(xi)))
-    for term in lmis:
-        try:
-            chol = np.linalg.cholesky(term.value(x))
-        except np.linalg.LinAlgError:
-            return None
-        total += 2.0 * float(np.sum(np.log(np.diagonal(chol))))
-    return total
+    try:
+        chol = np.linalg.cholesky(lmis.value(x))
+    except np.linalg.LinAlgError:
+        return None
+    return total + 2.0 * float(np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2))))
 
 
 # Barrier path: mu shrinks by _MU_SHRINK per stage until it reaches _MU_FINAL;
@@ -296,7 +336,7 @@ def _barrier_minimize(
     A: np.ndarray,
     y: np.ndarray,
     rho_sq: float,
-    lmis: Sequence[_LmiTerm],
+    lmis: _Lmis,
     log_indices: np.ndarray,
     x0: np.ndarray,
 ) -> tuple[np.ndarray, BarrierTrace]:
@@ -304,11 +344,15 @@ def _barrier_minimize(
     positivity constraints.
 
     ``A`` has d columns and at most 2d rows, so every objective, gradient and
-    Hessian costs d-sized work. Each barrier stage runs damped Newton until
-    the Newton decrement is negligible, then shrinks mu geometrically by
-    ``_MU_SHRINK`` down to ``_MU_FINAL``.
+    Hessian costs d-sized work, and the LMIs take one batched ``inv`` per
+    Newton step and one batched ``cholesky`` per candidate. Each barrier stage
+    runs damped Newton until the Newton decrement is negligible, then shrinks
+    mu geometrically by ``_MU_SHRINK`` down to ``_MU_FINAL``.
     """
     AtA, Aty = A.T @ A, A.T @ y
+    # Gradient and Hessian with one more entry per axis for the LMIs' dummy slots.
+    grad_pad, hess_pad = np.zeros(x0.size + 1), np.zeros((x0.size + 1, x0.size + 1))
+    grad, hess = grad_pad[:-1], hess_pad[:-1, :-1]
 
     def f_quad(x):
         r = A @ x - y
@@ -320,25 +364,16 @@ def _barrier_minimize(
         raise InfeasiblePriorError("barrier start point is not strictly interior")
     f_x = f_quad(x)
 
-    n_terms = max(1, len(lmis) * 4 + log_indices.size)
+    n_terms = max(1, lmis.index.shape[0] * 4 + log_indices.size)
     mu = max(1e-6, (abs(f_x) + 1.0) / n_terms)
     mu_values, objective_values, newton_counts = [], [], []
 
     while True:
         iterations = 0
         for _ in range(_NEWTON_MAX_ITER):
-            grad = 2.0 * (AtA @ x - Aty)
-            hess = 2.0 * AtA
-            for term in lmis:
-                J = term.value(x)
-                try:
-                    J_inv = np.linalg.inv(J)
-                except np.linalg.LinAlgError as exc:
-                    raise BarrierError("singular pseudo-inertia inside barrier") from exc
-                M = np.einsum("ij,kjl->kil", J_inv, term.bases)
-                grad[term.indices] -= mu * np.trace(M, axis1=1, axis2=2)
-                block = mu * np.einsum("kij,lji->kl", M, M)
-                hess[np.ix_(term.indices, term.indices)] += block
+            grad[:] = 2.0 * (AtA @ x - Aty)
+            hess[:] = 2.0 * AtA
+            lmis.add_derivatives(x, mu, grad_pad, hess_pad)
             if log_indices.size:
                 xi = x[log_indices]
                 grad[log_indices] -= mu / xi
@@ -444,27 +479,35 @@ def consistent_identify(
 
 
 def _build_link_constraints(system: LeastSquares):
-    """Per-link LMIs and positivity indices in free-parameter coordinates."""
+    """Link LMIs and positivity indices in free-parameter coordinates.
+
+    One LMI per link with at least one free inertial parameter.
+    """
     mask = system.free_mask
-    fixed = system.fixed_values
     free_index_of = np.cumsum(mask) - 1  # full index -> free index (valid where mask)
-    lmis = []
-    log_indices = []
-    for link in range(system.num_links):
-        base = link * PARAMS_PER_LINK
-        inertial = np.arange(base, base + INERTIAL_PARAMS_PER_LINK)
-        free_here = mask[inertial]
-        if free_here.any():
-            fixed_part = np.where(free_here, 0.0, fixed[inertial])
-            constant = np.einsum("k,kij->ij", fixed_part, _PI_BASES)
-            idx = free_index_of[inertial[free_here]]
-            bases = _PI_BASES[free_here]
-            lmis.append(_LmiTerm(constant=constant, indices=idx, bases=bases))
-        for slot in (10, 11, 12):
-            k = base + slot
-            if mask[k]:
-                log_indices.append(free_index_of[k])
-    return lmis, np.asarray(log_indices, dtype=int)
+    links = np.arange(mask.size).reshape(-1, PARAMS_PER_LINK)
+    inertial = links[:, :INERTIAL_PARAMS_PER_LINK]
+    inertial = inertial[mask[inertial].any(axis=1)]
+    free = mask[inertial]
+    fixed_part = np.where(free, 0.0, system.fixed_values[inertial])
+    lmis = _Lmis(
+        constant=np.einsum("ks,sij->kij", fixed_part, _PI_BASES),
+        bases=free[:, :, None, None] * _PI_BASES,
+        index=np.where(free, free_index_of[inertial], mask.sum()),
+        size=int(mask.sum()),
+    )
+    positive = links[:, INERTIAL_PARAMS_PER_LINK:].ravel()
+    return lmis, free_index_of[positive[mask[positive]]]
+
+
+def _payload_constraints(base10: np.ndarray) -> _Lmis:
+    """J(p) and the composite J(base10 + p): two LMIs on the same ten parameters."""
+    return _Lmis(
+        constant=np.stack([np.zeros((4, 4)), np.einsum("s,sij->ij", base10, _PI_BASES)]),
+        bases=np.stack([_PI_BASES, _PI_BASES]),
+        index=np.tile(np.arange(INERTIAL_PARAMS_PER_LINK), (2, 1)),
+        size=INERTIAL_PARAMS_PER_LINK,
+    )
 
 
 _OBJECT_FRAME_NOTE = (
@@ -521,14 +564,7 @@ def payload_identify(
     p0 = default_payload_start()
     A, y = _regularized_pair(system, system.c - system.G @ base10, p0.copy(), reg_weight)
 
-    indices = np.arange(INERTIAL_PARAMS_PER_LINK)
-    lmi_difference = _LmiTerm(
-        constant=np.zeros((4, 4)), indices=indices, bases=_PI_BASES
-    )
-    lmi_composite = _LmiTerm(
-        constant=np.einsum("k,kij->ij", base10, _PI_BASES), indices=indices, bases=_PI_BASES
-    )
-    lmis = [lmi_difference, lmi_composite]
+    lmis = _payload_constraints(base10)
     log_indices = np.asarray([], dtype=int)
 
     # Shrink the generic start until both LMIs hold strictly.

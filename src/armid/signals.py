@@ -302,21 +302,32 @@ def identification_prior(candidate: np.ndarray | None, num_links: int) -> np.nda
 # --- artifact formats ------------------------------------------------------------
 
 
+def _float_rows(table: np.ndarray) -> list[str]:
+    """Each row of a 2-D float array as its comma-joined values.
+
+    Each value is the ``repr`` of a Python float, the shortest decimal that
+    reads back to the same 64-bit value.
+    """
+    # tolist() first: under numpy 2, repr(np.float64(x)) is 'np.float64(x)'.
+    return [",".join(map(repr, row)) for row in table.tolist()]
+
+
 def _write_csv(path, header: Sequence[str], rows) -> None:
     """Write ``header`` then ``rows``; every CSV table armid writes uses this.
 
-    A float table comes as a 2-D array. Each value is written as the ``repr``
-    of a Python float, the shortest decimal that reads back to the same 64-bit
-    value, and each line ends in ``\\r\\n``: the bytes ``csv`` writes, made
-    without its per-cell work. Any other ``rows`` go through ``csv``, which
-    writes None as an empty cell and quotes text where needed.
+    A float table comes as a 2-D array, or as its rows already formatted by
+    :func:`_float_rows` (a list of str). Those lines end in ``\\r\\n``: the
+    bytes ``csv`` writes, made without its per-cell work. Any other ``rows``
+    go through ``csv``, which writes None as an empty cell and quotes text
+    where needed.
     """
+    if isinstance(rows, np.ndarray):
+        rows = _float_rows(rows)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        if isinstance(rows, np.ndarray):
-            # tolist() first: under numpy 2, repr(np.float64(x)) is 'np.float64(x)'.
-            fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in rows.tolist()))
+        if rows and isinstance(rows[0], str):
+            fh.write("".join(line + "\r\n" for line in rows))
         else:
             writer.writerows(rows)
 
@@ -334,11 +345,25 @@ def _json_hash(payload: dict) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-def trial_to_csv(trial: RawTrial, path) -> None:
-    """Write ``t,q_1..q_N,tau_1..tau_N`` rows in 64-bit decimal text."""
+def trial_to_csv(trial: RawTrial, path, shared_text: dict | None = None) -> None:
+    """Write ``t,q_1..q_N,tau_1..tau_N`` rows in 64-bit decimal text.
+
+    ``shared_text`` lets the trials of one dataset share the text of their
+    ``[t | q]`` block: pass the same dict to every call, and a block whose
+    bytes equal the previous call's is not formatted again. The key is the
+    block's exact bytes, not its values, because ``-0.0`` and ``0.0`` print
+    differently. The dict keeps one block; the bytes written never depend on it.
+    """
     n = trial.num_joints
     header = ["t"] + [f"q_{i + 1}" for i in range(n)] + [f"tau_{i + 1}" for i in range(n)]
-    _write_csv(path, header, np.column_stack([trial.timestamps, trial.q, trial.tau]))
+    t_q = np.column_stack([trial.timestamps, trial.q])
+    key = (t_q.shape, t_q.tobytes())
+    cache = {} if shared_text is None else shared_text
+    if key not in cache:
+        cache.clear()
+        cache[key] = _float_rows(t_q)
+    rows = [a + "," + b for a, b in zip(cache[key], _float_rows(trial.tau))]
+    _write_csv(path, header, rows)
 
 
 def trial_from_csv(path) -> RawTrial:

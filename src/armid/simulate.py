@@ -267,9 +267,10 @@ def write_dataset(
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = generate_dataset(fixture, traj, rate, trials, noise)
     paths = []
+    shared_text: dict = {}  # trials without position noise share their t, q text
     for k, trial in enumerate(dataset):
         path = out_dir / f"trial_{k:03d}.csv"
-        trial_to_csv(trial, path)
+        trial_to_csv(trial, path, shared_text)
         paths.append(path)
     manifest = {
         "fixture": fixture.name,

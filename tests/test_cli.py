@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import armid
 from armid import identify
@@ -166,14 +167,14 @@ class TestSimulateIdentifyPipeline:
         # OLS and consistent estimates share one QR and one SVD of the stack.
         data_dir = _planar2_data(tmp_path)
         calls = []
-        for name in ("qr", "svd"):
-            real = getattr(np.linalg, name)
+        for owner, name in ((scipy.linalg, "qr"), (np.linalg, "svd")):
+            real = getattr(owner, name)
 
             def counted(*args, _name=name, _real=real, **kwargs):
                 calls.append(_name)
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(np.linalg, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         code = main(
             ["identify", "--mode", "robot", "--data", str(data_dir), "--out", str(tmp_path / "id")]
         )

@@ -327,8 +327,19 @@ class TestDesign:
         problem = DesignProblem(model=model, sample_rate=20.0, gamma=0.1)
         opts = ALOptions(seed=2, subproblem_budget=900, outer_iterations=3, restarts=2,
                          initial_penalty=100.0)
-        traj, report = design_trajectory(problem, 2 * math.pi * 0.1, 3, opts)
-        assert report.final.value <= report.initial.value
+        omega = 2 * math.pi * 0.1
+        traj, report = design_trajectory(problem, omega, 3, opts)
+        # The start point has zero Fourier coefficients: every sample is the
+        # same state, so its projected regressor is rank-deficient.
+        assert math.isinf(report.initial.f_c)
+        basis, _ = _design_basis(problem, opts.seed)
+        random_values = []
+        for seed in range(10):
+            draw = random_feasible_trajectory(problem, omega, 3, np.random.default_rng(seed))
+            _, q, qd, qdd = sample_trajectory(draw, problem.sample_rate)
+            W = regressor_batch(model, q, qd, qdd).reshape(-1, 13)
+            random_values.append(information_objective(W @ basis, problem.gamma).value)
+        assert report.final.value < min(random_values)
         assert report.feasible
         record = _constraints(traj, problem)
         assert record.max_violation() <= opts.constraint_tolerance

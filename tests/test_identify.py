@@ -1,16 +1,19 @@
 import json
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from armid import identify
 from armid.dynamics import RegressorStack, inverse_dynamics_batch, stack_regressor
 from armid.identify import (
     BarrierTrace,
     IdentifyError,
     InfeasiblePriorError,
     consistent_identify,
+    default_payload_start,
     error_metrics,
     identifiable_subspace,
     least_squares,
@@ -22,9 +25,11 @@ from armid.model import (
     LinkInertialParams,
     combine_inertial,
     pack_params,
+    pseudo_inertia,
     solid_sphere_params,
     unpack_params,
 )
+from armid.signals import identification_prior
 from armid.simulate import builtin_fixture
 
 
@@ -200,7 +205,101 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * W.nbytes
+        assert peak <= 1.5 * W.nbytes
+
+
+def _per_link_derivatives(bodies, slots, d):
+    """Reference gradient and Hessian of ``-sum log det J``, one LMI at a time.
+
+    ``bodies`` holds each LMI's ten inertial parameters; ``slots`` maps each
+    LMI's free inertial slots to free-parameter indices.
+    """
+    unit = [pseudo_inertia(LinkInertialParams.from_vector(e)) for e in np.eye(10, 13)]
+    grad, hess = np.zeros(d), np.zeros((d, d))
+    for body, link_slots in zip(bodies, slots):
+        J_inv = np.linalg.inv(pseudo_inertia(LinkInertialParams.from_vector(np.r_[body, 0, 0, 0])))
+        for s, i in link_slots.items():
+            grad[i] -= np.trace(J_inv @ unit[s])
+            for t, j in link_slots.items():
+                hess[i, j] += np.trace(J_inv @ unit[s] @ J_inv @ unit[t])
+    return grad, hess
+
+
+def _batched_derivatives(lmis, x):
+    grad, hess = np.zeros(x.size + 1), np.zeros((x.size + 1, x.size + 1))
+    lmis.add_derivatives(x, 1.0, grad, hess)
+    # The dummy slots' entries are dropped, and must hold nothing.
+    assert grad[-1] == 0 and not hess[-1].any() and not hess[:, -1].any()
+    return grad[:-1], hess[:-1, :-1]
+
+
+class TestBatchedLmis:
+    """All LMIs of a barrier are held and differentiated as one batch."""
+
+    def test_partly_fixed_link_matches_per_link_reference(self):
+        model = builtin_fixture("chain3").model
+        truth = pack_params(model)
+        fixed = np.zeros(truth.size, dtype=bool)
+        fixed[[13 + 1, 13 + 4, 13 + 8, 13 + 10]] = True  # link 1: h_x, I_xx, I_yz, friction
+        q, qd, qdd = _random_states(model, np.random.default_rng(5), 60)
+        tau = inverse_dynamics_batch(model, q, qd, qdd)
+        system = least_squares(
+            stack_regressor(model, q, qd, qdd, tau, fixed_mask=fixed, fixed_values=truth)
+        )
+        lmis, _ = identify._build_link_constraints(system)
+        assert lmis.index.shape == (3, 10)
+        assert np.sum(lmis.index == system.G.shape[1]) == 3  # link 1's padded slots
+        x = truth[~fixed] * np.linspace(0.9, 1.1, np.sum(~fixed))
+        free_index = np.cumsum(~fixed) - 1
+        slots = [
+            {s: free_index[13 * link + s] for s in range(10) if not fixed[13 * link + s]}
+            for link in range(3)
+        ]
+        bodies = system.embed(x).reshape(3, 13)[:, :10]
+        grad_ref, hess_ref = _per_link_derivatives(bodies, slots, x.size)
+        grad, hess = _batched_derivatives(lmis, x)
+        np.testing.assert_allclose(grad, grad_ref, rtol=1e-12, atol=1e-12 * np.abs(grad_ref).max())
+        np.testing.assert_allclose(hess, hess_ref, rtol=1e-12, atol=1e-12 * np.abs(hess_ref).max())
+
+    def test_payload_lmis_sum_their_shared_entries(self):
+        base10 = pack_params(builtin_fixture("chain3").model)[26:36]
+        p = default_payload_start() * np.linspace(1.0, 2.0, 10)
+        slots = [dict(enumerate(range(10)))] * 2
+        grad_ref, hess_ref = _per_link_derivatives([p, base10 + p], slots, 10)
+        grad, hess = _batched_derivatives(identify._payload_constraints(base10), p)
+        np.testing.assert_allclose(grad, grad_ref, rtol=1e-12, atol=1e-12 * np.abs(grad_ref).max())
+        np.testing.assert_allclose(hess, hess_ref, rtol=1e-12, atol=1e-12 * np.abs(hess_ref).max())
+
+    @pytest.mark.parametrize("name", ["planar2", "arm7"])
+    def test_linalg_calls_per_step_do_not_grow_with_links(self, name, monkeypatch):
+        model = builtin_fixture(name).model
+        system = least_squares(_noiseless_stack(model, np.random.default_rng(6), noise=1e-2))
+        prior = identification_prior(pack_params(model), model.num_joints)
+        calls = Counter()
+        for attr in ("cholesky", "inv", "solve"):
+            real = getattr(np.linalg, attr)
+
+            def counted(*args, _attr=attr, _real=real, **kwargs):
+                calls[_attr] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, attr, counted)
+        real_barrier = identify._log_barrier
+
+        def counted_barrier(x, lmis, log_indices):
+            # A point that fails the positivity terms never reaches the LMIs.
+            calls["lmi_checks"] += bool(np.all(x[log_indices] > 0))
+            return real_barrier(x, lmis, log_indices)
+
+        monkeypatch.setattr(identify, "_log_barrier", counted_barrier)
+        result = consistent_identify(system, prior)
+        steps = sum(result.trace.newton_iterations)
+        # One batched Cholesky per LMI check and one batched inverse per
+        # Newton step (the solve beside it), whatever the link count. A stage
+        # may end on a step it computes but does not take.
+        assert calls["cholesky"] == calls["lmi_checks"] > steps > 0
+        assert calls["inv"] == calls["solve"]
+        assert steps <= calls["inv"] <= steps + len(result.trace.mu_path)
 
 
 class TestConsistent:

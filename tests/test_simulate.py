@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from armid import signals
 from armid.dynamics import inverse_dynamics_batch
 from armid.excite import DesignProblem, FourierTrajectory, random_feasible_trajectory, sample_trajectory
 from armid.model import (
@@ -12,6 +13,7 @@ from armid.model import (
     solid_sphere_params,
     unpack_params,
 )
+from armid.signals import RawTrial, trial_to_csv
 from armid.simulate import (
     FIXTURE_NAMES,
     NoiseSpec,
@@ -167,3 +169,43 @@ class TestWriteDataset:
         assert manifest["fixture"] == "planar2"
         assert len(manifest["truth_parameters"]) == 26
         assert manifest["noise"]["seed"] == 1
+
+    @pytest.mark.parametrize("position_std", [0.0, 1e-3])
+    def test_shared_text_writes_the_bytes_of_lone_writes(self, tmp_path, position_std):
+        fixture = builtin_fixture("planar2")
+        traj = _test_trajectory(2, seed=4)
+        noise = NoiseSpec(torque_rel_std=0.01, position_std=position_std, seed=7)
+        paths = write_dataset(tmp_path / "shared", fixture, traj, 50.0, 3, noise)
+        lone = tmp_path / "lone.csv"
+        for path, trial in zip(paths, generate_dataset(fixture, traj, 50.0, 3, noise)):
+            trial_to_csv(trial, lone)
+            assert path.read_bytes() == lone.read_bytes()
+
+    def test_shared_text_tells_the_sign_of_zero(self, tmp_path):
+        t = np.arange(16) / 50.0
+        q = np.zeros((16, 2))
+        tau = np.ones((16, 2))
+        trials = [RawTrial(t, q, tau), RawTrial(t, -q, tau), RawTrial(t, q, 2.0 * tau)]
+        shared_text: dict = {}
+        lone = tmp_path / "lone.csv"
+        for k, trial in enumerate(trials):
+            path = tmp_path / f"trial_{k}.csv"
+            trial_to_csv(trial, path, shared_text)
+            trial_to_csv(trial, lone)
+            assert path.read_bytes() == lone.read_bytes()
+        assert b",-0.0," in (tmp_path / "trial_1.csv").read_bytes()
+
+    def test_trials_without_position_noise_format_t_q_once(self, tmp_path, monkeypatch):
+        fixture = builtin_fixture("planar2")
+        widths = []
+        real = signals._float_rows
+
+        def counted(table):
+            widths.append(table.shape[1])
+            return real(table)
+
+        monkeypatch.setattr(signals, "_float_rows", counted)
+        noise = NoiseSpec(torque_rel_std=0.01, seed=3)
+        write_dataset(tmp_path, fixture, _test_trajectory(2, seed=4), 50.0, 10, noise)
+        # One [t | q] block (1 + 2 columns) for all ten trials, one tau block each.
+        assert sorted(widths) == [2] * 10 + [3]
