@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -183,6 +183,10 @@ class InformationObjective(NamedTuple):
     lambda_min: float
     lambda_max: float
 
+    def __float__(self) -> float:
+        """The criterion value: what the excitation design minimizes."""
+        return self.value
+
 
 RANK_DEFICIENCY_RATIO = 1e-12
 
@@ -324,6 +328,9 @@ class ALOptions:
 class ALResult:
     x: np.ndarray
     objective: float
+    # What evaluate returned as the objective at x0 and at x.
+    initial: Any
+    final: Any
     record: ConstraintRecord
     infeasibility: float
     feasible: bool
@@ -333,7 +340,13 @@ class ALResult:
 
 
 def _nelder_mead(func, x0: np.ndarray, step: np.ndarray, max_evals: int):
-    """Plain Nelder-Mead with an evaluation budget; returns (x_best, f_best, used)."""
+    """Plain Nelder-Mead with an evaluation budget.
+
+    ``func(x)`` returns ``(value, payload)``; the search minimizes the value
+    and keeps each vertex's payload. The n + 1 starting vertices are always
+    evaluated, so ``max_evals`` should exceed n. Returns (x_best, f_best,
+    payload_best, used).
+    """
     n = x0.size
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
     pts = [x0.copy()]
@@ -341,55 +354,54 @@ def _nelder_mead(func, x0: np.ndarray, step: np.ndarray, max_evals: int):
         v = x0.copy()
         v[i] += step[i]
         pts.append(v)
-    used = 0
-    vals = []
-    for p in pts:
-        vals.append(func(p) if used < max_evals else math.inf)
-        used += 1
+    evaluated = [func(p) for p in pts]
+    used = len(pts)
     pts = np.asarray(pts)
-    vals = np.asarray(vals, dtype=float)
+    vals = np.array([value for value, _ in evaluated], dtype=float)
+    payloads = [payload for _, payload in evaluated]
 
     while used < max_evals:
         order = np.argsort(vals, kind="stable")
         pts = pts[order]
         vals = vals[order]
+        payloads = [payloads[i] for i in order]
         if np.isfinite(vals[0]) and np.isfinite(vals[-1]):
             if vals[-1] - vals[0] < 1e-14 * (1.0 + abs(vals[0])):
                 break
         centroid = pts[:-1].mean(axis=0)
         reflected = centroid + alpha * (centroid - pts[-1])
-        f_r = func(reflected)
+        f_r, p_r = func(reflected)
         used += 1
         if f_r < vals[0]:
             if used < max_evals:
                 expanded = centroid + gamma * (reflected - centroid)
-                f_e = func(expanded)
+                f_e, p_e = func(expanded)
                 used += 1
                 if f_e < f_r:
-                    pts[-1], vals[-1] = expanded, f_e
+                    pts[-1], vals[-1], payloads[-1] = expanded, f_e, p_e
                     continue
-            pts[-1], vals[-1] = reflected, f_r
+            pts[-1], vals[-1], payloads[-1] = reflected, f_r, p_r
             continue
         if f_r < vals[-2]:
-            pts[-1], vals[-1] = reflected, f_r
+            pts[-1], vals[-1], payloads[-1] = reflected, f_r, p_r
             continue
         contracted = centroid + rho * (pts[-1] - centroid)
         if used < max_evals:
-            f_c = func(contracted)
+            f_c, p_c = func(contracted)
             used += 1
             if f_c < vals[-1]:
-                pts[-1], vals[-1] = contracted, f_c
+                pts[-1], vals[-1], payloads[-1] = contracted, f_c, p_c
                 continue
         # shrink toward the best vertex
         for i in range(1, n + 1):
             if used >= max_evals:
                 break
             pts[i] = pts[0] + sigma * (pts[i] - pts[0])
-            vals[i] = func(pts[i])
+            vals[i], payloads[i] = func(pts[i])
             used += 1
 
     best = int(np.argmin(vals))
-    return pts[best].copy(), float(vals[best]), used
+    return pts[best].copy(), float(vals[best]), payloads[best], used
 
 
 def augmented_lagrangian_minimize(
@@ -402,7 +414,10 @@ def augmented_lagrangian_minimize(
     """Minimize a black-box objective under black-box constraints.
 
     ``evaluate(x)`` returns the objective and the constraint record at x
-    together, so a caller can score each candidate from one sample of it.
+    together, so a caller can score each candidate from one sample of it. The
+    objective is anything ``float()`` accepts; the result hands back the
+    objects returned at x0 and at the result, so a caller that returns a
+    richer score need not evaluate either point again.
     Outer loop: classic augmented Lagrangian with quadratic equality terms and
     squared-positive-part inequality terms; multipliers are first-order
     updated and clamped, and the penalty grows whenever the infeasibility
@@ -444,7 +459,8 @@ def augmented_lagrangian_minimize(
         h = np.array([record.inequalities[k] for k in ineq_names])
         return g, h
 
-    def consider(x, f, record):
+    def consider(x, score, record):
+        f = float(score)
         infeas = record.max_violation()
         violation = max(infeas - tol, 0.0)
         current = (best["violation"], best["objective"])
@@ -455,22 +471,25 @@ def augmented_lagrangian_minimize(
             best["violation"] = violation
             best["record"] = record
             best["infeasibility"] = infeas
+            best["score"] = score
 
     def lagrangian(x):
+        """The augmented Lagrangian at x, with evaluate's (objective, record)."""
         nonlocal evaluations
-        f, record = evaluate(x)
+        evaluated = evaluate(x)
+        score, record = evaluated
         evaluations += 1
-        consider(x, f, record)
-        if not np.isfinite(f):
-            return math.inf
+        consider(x, score, record)
+        value = float(score)
+        if not np.isfinite(value):
+            return math.inf, evaluated
         g, h = as_vectors(record)
-        value = f
         if g.size:
             value += float(lam @ g) + 0.5 * rho * float(g @ g)
         if h.size:
             shifted = np.clip(mu + rho * h, 0.0, None)
             value += float(np.sum(shifted**2 - mu**2)) / (2.0 * rho)
-        return value
+        return value, evaluated
 
     consider(x0, f0, rec0)
     evaluations += 1
@@ -482,22 +501,23 @@ def augmented_lagrangian_minimize(
         budget = opts.subproblem_budget
         scale = max(opts.step_decay**outer, 0.05)
         chunk = max(n + 2, opts.subproblem_budget // (opts.restarts + 1))
-        x_sub, f_sub, used = _nelder_mead(lagrangian, x, scale * step_vec, chunk)
+        x_sub, f_sub, at_sub, used = _nelder_mead(lagrangian, x, scale * step_vec, chunk)
         budget -= used
         while budget > n + 2:
             if restart_sampler is not None:
                 start = restart_sampler(rng)
             else:
                 start = x_sub + step_vec * rng.standard_normal(n)
-            cand, f_cand, used = _nelder_mead(
+            cand, f_cand, at_cand, used = _nelder_mead(
                 lagrangian, start, scale * step_vec, min(chunk, budget)
             )
             budget -= used
             if f_cand < f_sub:
-                x_sub, f_sub = cand, f_cand
+                x_sub, f_sub, at_sub = cand, f_cand, at_cand
         x = x_sub
 
-        f, record = evaluate(x)
+        # Nelder-Mead returns an evaluated vertex, so x is not evaluated again.
+        score, record = at_sub
         g, h = as_vectors(record)
         infeas = record.max_violation()
         lam = np.clip(lam + rho * g, -_MULTIPLIER_BOUND, _MULTIPLIER_BOUND)
@@ -506,7 +526,7 @@ def augmented_lagrangian_minimize(
             {
                 "outer": outer,
                 "rho": rho,
-                "objective": f,
+                "objective": float(score),
                 "infeasibility": infeas,
                 "evaluations": evaluations,
             }
@@ -522,6 +542,8 @@ def augmented_lagrangian_minimize(
     return ALResult(
         x=x_best,
         objective=best["objective"],
+        initial=f0,
+        final=best["score"],
         record=record,
         infeasibility=infeas,
         feasible=feasible,
@@ -660,21 +682,19 @@ def design_trajectory(
         W = regressor_batch(model, q[:-1], qd[:-1], qdd[:-1]).reshape(-1, 13 * n)
         return information_objective(W @ basis, problem.gamma)
 
-    def evaluate(x: np.ndarray) -> tuple[float, ConstraintRecord]:
+    def evaluate(x: np.ndarray) -> tuple[InformationObjective, ConstraintRecord]:
         rows = sample(x)
-        return information(*rows).value, evaluate_constraints(problem, *rows)
+        return information(*rows), evaluate_constraints(problem, *rows)
 
     def restart_sampler(rng: np.random.Generator) -> np.ndarray:
         # Random exciting start; build() projects it onto rest-to-rest anyway.
         q0, a, b = _random_coefficients(rng, model, L)
         return np.concatenate([q0, a.ravel(), b.ravel()])
 
-    initial_info = information(*sample(x0))
     result = augmented_lagrangian_minimize(
         evaluate, x0, opts, step=step, restart_sampler=restart_sampler
     )
     traj = build(result.x)
-    final_info = information(*sample(result.x))
 
     boundary_ok = all(
         abs(value) <= (_BOUNDARY_VEL_TOL if name.startswith("qd_") else _BOUNDARY_ACC_TOL)
@@ -682,8 +702,8 @@ def design_trajectory(
     )
 
     report = DesignReport(
-        initial=initial_info,
-        final=final_info,
+        initial=result.initial,
+        final=result.final,
         record=result.record,
         feasible=result.feasible,
         flagged=result.flagged,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -34,6 +35,9 @@ from .model import (
 EDGE_TRIM_PER_PASS = 2
 # Samples a processed trial drops at each end: two differentiation passes.
 _EDGE_TRIM = 2 * EDGE_TRIM_PER_PASS
+# Samples of odd extension the zero-phase filter adds at each end; scipy's
+# sosfiltfilt pads a single second-order section by the same amount.
+_FILTER_PAD = 9
 
 DEFAULT_CUTOFF_GRID: tuple[tuple[float, float], ...] = tuple(
     (p, t)
@@ -106,18 +110,71 @@ class ProcessedDataset:
 
 
 def lowpass_zero_phase(x: np.ndarray, cutoff: float, rate: float) -> np.ndarray:
-    """Forward-backward second-order Butterworth low-pass (zero phase, DC gain 1)."""
+    """Forward-backward second-order Butterworth low-pass (zero phase, DC gain 1).
+
+    Filters along axis 0, each column on its own; ``x`` needs at least 10
+    samples. The filter is scipy's
+    ``sosfiltfilt(butter(2, cutoff, fs=rate, output="sos"), x, axis=0)``,
+    equal to it within rounding:
+
+    - Coefficients by the bilinear transform with prewarping, K = tan(pi
+      cutoff / rate): b = (K^2, 2 K^2, K^2) / D and a = (1, 2 (K^2 - 1) / D,
+      (1 - sqrt(2) K + K^2) / D), with D = 1 + sqrt(2) K + K^2.
+    - Edges: each end is extended by the odd reflection of its next
+      ``_FILTER_PAD`` samples, 2 x[0] - x[i], and trimmed off again after both
+      passes.
+    - Each pass starts from the steady state of a constant input u[0]
+      (Gustafsson, IEEE TSP 1996): z1 = (1 - b0) u[0] and z2 = (b2 - a2) u[0].
+
+    A pass is the recursion y[n] + a1 y[n-1] + a2 y[n-2] = b0 u[n] + b1 u[n-1]
+    + b2 u[n-2], with the initial state added to the first two right-hand
+    sides: one banded lower-triangular solve over all columns at once.
+    """
     if not 0.0 < cutoff < rate / 2.0:
         raise SignalError(
             f"cutoff {cutoff} Hz must lie in (0, {rate / 2.0}) for rate {rate} Hz"
         )
-    # Imported here, not at module level: scipy.signal takes over a second to
-    # import, and only the filtering stages need it.
-    from scipy import signal
-
     x = np.asarray(x, dtype=float)
-    sos = signal.butter(2, cutoff, btype="low", fs=rate, output="sos")
-    return signal.sosfiltfilt(sos, x, axis=0)
+    if x.shape[0] <= _FILTER_PAD:
+        raise SignalError(
+            f"filtering needs at least {_FILTER_PAD + 1} samples, got {x.shape[0]}"
+        )
+    # Imported here, not at module level: importing armid.cli loads no scipy.
+    from scipy.linalg.lapack import dtbtrs
+
+    k = math.tan(math.pi * cutoff / rate)
+    d = 1.0 + math.sqrt(2.0) * k + k * k
+    b0 = b2 = k * k / d
+    b1 = 2.0 * b0
+    a1 = 2.0 * (k * k - 1.0) / d
+    a2 = (1.0 - math.sqrt(2.0) * k + k * k) / d
+    cols = x.reshape(x.shape[0], -1)
+    padded = np.concatenate(
+        [
+            2.0 * cols[0] - cols[_FILTER_PAD:0:-1],
+            cols,
+            2.0 * cols[-1] - cols[-2 : -_FILTER_PAD - 2 : -1],
+        ]
+    )
+    # Lower band storage: the unit diagonal, then a1 and a2 below it.
+    band = np.empty((3, padded.shape[0]))
+    band[0] = 1.0
+    band[1] = a1
+    band[2] = a2
+
+    def one_pass(u: np.ndarray) -> np.ndarray:
+        rhs = b0 * u
+        rhs[1:] += b1 * u[:-1]
+        rhs[2:] += b2 * u[:-2]
+        rhs[0] += (1.0 - b0) * u[0]
+        rhs[1] += (b2 - a2) * u[0]
+        y, info = dtbtrs(band, rhs, uplo="L", overwrite_b=1)
+        if info != 0:
+            raise RuntimeError(f"dtbtrs failed with info {info}")
+        return y
+
+    y = one_pass(one_pass(padded)[::-1])[::-1]
+    return np.ascontiguousarray(y[_FILTER_PAD:-_FILTER_PAD]).reshape(x.shape)
 
 
 def _five_point_derivative(x: np.ndarray, dt: float) -> np.ndarray:
@@ -178,8 +235,8 @@ def process_trial(
         q = lowpass_zero_phase(q, position_cutoff, rate)
     qd, qdd = differentiate_twice(q, rate)
     if position_cutoff is not None:
-        qd = lowpass_zero_phase(qd, position_cutoff, rate)
-        qdd = lowpass_zero_phase(qdd, position_cutoff, rate)
+        # One call for both: every column is filtered on its own.
+        qd, qdd = np.hsplit(lowpass_zero_phase(np.hstack([qd, qdd]), position_cutoff, rate), 2)
     tau = _filtered_torque(trial, torque_cutoff)
 
     if trial.q.shape[0] <= 2 * _EDGE_TRIM:
@@ -226,7 +283,8 @@ def tune_filter_cutoffs(
     Every grid point processes the trial, runs the constrained identification,
     and records its residual. The regressor depends only on the position
     cutoff, so each distinct position cutoff builds one stack, and each of
-    its points only filters the torques again and factors that system. A point that fails with a
+    its points only swaps in the torques of its torque cutoff, filtered once
+    per distinct torque cutoff, and factors that system. A point that fails with a
     data, model or identification error is skipped but kept in the table; any
     other exception is a bug and propagates. Ties break toward the lower
     cutoffs. Returns the best (position, torque) pair and the full search
@@ -241,6 +299,7 @@ def tune_filter_cutoffs(
     for index, (pos_cut, _) in enumerate(grid):
         by_position.setdefault(pos_cut, []).append(index)
     table: list = [None] * len(grid)
+    torques: dict = {}  # torque cutoff -> trimmed, flattened torques
     for pos_cut, indices in by_position.items():
         try:
             ds = process_trial(trial, pos_cut, None)
@@ -250,9 +309,12 @@ def tune_filter_cutoffs(
                 table[index] = CutoffSearchEntry(*grid[index], None, error=str(exc))
             continue
         for index in indices:
+            tor_cut = grid[index][1]
             try:
-                tau = _filtered_torque(trial, grid[index][1])[_EDGE_TRIM:-_EDGE_TRIM]
-                system = identify.least_squares(replace(stack, T=tau.reshape(-1)))
+                if tor_cut not in torques:
+                    tau = _filtered_torque(trial, tor_cut)[_EDGE_TRIM:-_EDGE_TRIM]
+                    torques[tor_cut] = tau.reshape(-1)
+                system = identify.least_squares(replace(stack, T=torques[tor_cut]))
                 result = identify.consistent_identify(system, prior)
                 table[index] = CutoffSearchEntry(*grid[index], float(result.residual))
             except _POINT_ERRORS as exc:  # recorded: one bad point must not kill the sweep

@@ -58,7 +58,7 @@ def _python(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_start_up_does_not_import_scipy():
-    # scipy.signal costs over a second to import; only the filtering stages need it.
+    # Only the filtering and identification stages need scipy (scipy.linalg).
     proc = _python(
         "-c",
         "import sys, armid.cli; armid.cli.build_parser(); "
@@ -66,6 +66,21 @@ def test_start_up_does_not_import_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_tune_filters_does_not_import_scipy_signal(tmp_path):
+    # The zero-phase filter is a LAPACK banded solve, so no stage needs the
+    # large scipy.signal import.
+    data_dir = _planar2_data(tmp_path)
+    proc = _python(
+        "-c",
+        "import sys, armid.cli; "
+        f"code = armid.cli.main(['tune-filters', '--data', {str(data_dir)!r}, "
+        f"'--grid', '4,8:4,8', '--out', {str(tmp_path / 'tuned')!r}]); "
+        "print(code, sorted(m for m in sys.modules if m.startswith('scipy.signal')))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} []"
 
 
 def _write_trajectory(tmp_path, fixture_name, seed=4, omega=2 * math.pi * 0.1, L=3):

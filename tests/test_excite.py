@@ -365,17 +365,17 @@ class TestDesign:
         problem = DesignProblem(model=builtin_fixture("planar2").model, sample_rate=20.0)
         opts = ALOptions(seed=4, subproblem_budget=60, outer_iterations=2, restarts=1)
         _, report = design_trajectory(problem, 2 * math.pi * 0.1, 3, opts)
-        # Each evaluate(x) samples once and scores once: one per AL evaluation
-        # plus the constraint check that ends each outer iteration. The
-        # initial and final reports add one objective each, and the design
-        # basis one regressor and the only SVD.
-        evaluations = report.evaluations + opts.outer_iterations
+        # Each evaluate(x) samples once and scores once, one per AL evaluation.
+        # Nothing is evaluated twice: not the subproblem result that ends each
+        # outer iteration, nor x0 and the result for the report. The design
+        # basis adds one regressor and the only SVD.
+        evaluations = report.evaluations
         assert calls == {
             "svd": 1,
             "fourier_eval": 0,
-            "information_objective": evaluations + 2,
+            "information_objective": evaluations,
             "evaluate_constraints": evaluations,
-            "regressor_batch": evaluations + 3,
+            "regressor_batch": evaluations + 1,
         }
 
     def test_design_rejects_undersampling(self):

@@ -78,6 +78,44 @@ class TestLowpass:
         with pytest.raises(SignalError):
             lowpass_zero_phase(np.zeros(100), 0.0, 100.0)
 
+    def test_too_short(self):
+        # scipy's sosfiltfilt raises a bare ValueError here (the 9-sample pad).
+        with pytest.raises(SignalError, match="at least 10 samples"):
+            lowpass_zero_phase(np.zeros((9, 2)), 5.0, 100.0)
+        assert lowpass_zero_phase(np.zeros(10), 5.0, 100.0).shape == (10,)
+
+    def test_matches_scipy_sosfiltfilt(self):
+        rng = np.random.default_rng(11)
+        for samples in (10, 11, 37, 500, 5000):
+            for shape in ((samples,), (samples, 3)):
+                x = rng.standard_normal(shape).cumsum(axis=0)
+                for ratio in (0.0025, 0.01, 0.1, 0.3, 0.45, 0.49):
+                    y = lowpass_zero_phase(x, ratio * 100.0, 100.0)
+                    assert y.shape == x.shape
+                    diff = np.max(np.abs(y - _sosfiltfilt(x, ratio * 100.0, 100.0)))
+                    assert diff <= 1e-10 * np.max(np.abs(x)), (shape, ratio)
+
+    def test_matches_scipy_on_default_cutoff_grid(self):
+        x = np.random.default_rng(3).standard_normal((2000, 4)).cumsum(axis=0)
+        for cutoff in sorted({c for pair in DEFAULT_CUTOFF_GRID for c in pair}):
+            diff = np.max(np.abs(lowpass_zero_phase(x, cutoff, 100.0) - _sosfiltfilt(x, cutoff, 100.0)))
+            assert diff <= 1e-12 * np.max(np.abs(x)), cutoff
+
+    def test_columns_filtered_independently(self):
+        # process_trial filters qd and qdd in one call; each column's bytes
+        # must equal those of filtering it alone.
+        x = np.random.default_rng(5).standard_normal((300, 4))
+        alone = np.column_stack([lowpass_zero_phase(x[:, i], 7.0, 100.0) for i in range(4)])
+        np.testing.assert_array_equal(lowpass_zero_phase(x, 7.0, 100.0), alone)
+
+
+def _sosfiltfilt(x, cutoff, rate):
+    """The reference filter: scipy's zero-phase second-order Butterworth."""
+    from scipy import signal
+
+    sos = signal.butter(2, cutoff, btype="low", fs=rate, output="sos")
+    return signal.sosfiltfilt(sos, x, axis=0)
+
 
 class TestDifferentiate:
     def test_quadratic_exact(self):
@@ -273,6 +311,21 @@ class TestTuneCutoffs:
         assert len(built) == 2  # 4 Hz and 8 Hz; the 2000 Hz points fail before the stack
         assert table == alone
         assert [e.error is None for e in table] == [True, False, True, True, False, False]
+
+    def test_torques_filtered_once_per_cutoff(self, monkeypatch):
+        model, trial = self._noiseless_setup()
+        calls = []
+        real = signals.lowpass_zero_phase
+
+        def counted(x, cutoff, rate):
+            calls.append(cutoff)
+            return real(x, cutoff, rate)
+
+        monkeypatch.setattr(signals, "lowpass_zero_phase", counted)
+        tune_filter_cutoffs(trial, model, [(4.0, 4.0), (4.0, 8.0), (8.0, 4.0), (8.0, 8.0)])
+        # Each position cutoff filters q, then qd and qdd together; each
+        # torque cutoff filters the torques once.
+        assert sorted(calls) == [4.0, 4.0, 4.0, 8.0, 8.0, 8.0]
 
     def test_default_grid_size(self):
         assert len(DEFAULT_CUTOFF_GRID) == 49
