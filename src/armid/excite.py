@@ -237,12 +237,10 @@ class ConstraintRecord:
         return np.array(list(self.inequalities.values()), dtype=float)
 
     def max_violation(self) -> float:
-        worst = 0.0
-        if self.equalities:
-            worst = float(np.max(np.abs(self.equality_vector())))
-        if self.inequalities:
-            worst = max(worst, float(np.max(self.inequality_vector())), 0.0)
-        return worst
+        """The largest |equality| or positive inequality; NaN if any value is NaN,
+        so a NaN never passes for satisfied."""
+        values = [[0.0], np.abs(self.equality_vector()), self.inequality_vector()]
+        return float(np.max(np.concatenate(values)))
 
 
 def evaluate_constraints(
@@ -446,11 +444,15 @@ def augmented_lagrangian_minimize(
     rho = float(opts.initial_penalty)
     tol = opts.constraint_tolerance
 
+    # The start point is the incumbent to beat; any evaluation with a number
+    # for its violation beats it, so a run that never gets one returns x0, flagged.
     best = {
-        "x": None,
+        "x": x0.copy(),
         "objective": math.inf,
         "violation": math.inf,
         "record": rec0,
+        "infeasibility": rec0.max_violation(),
+        "score": f0,
     }
     evaluations = 0
 
@@ -535,16 +537,14 @@ def augmented_lagrangian_minimize(
             rho = min(rho * _PENALTY_GROWTH, _MAX_PENALTY)
         prev_infeas = infeas
 
-    x_best = best["x"] if best["x"] is not None else x
-    record = best["record"]
     infeas = best["infeasibility"]
     feasible = infeas <= tol
     return ALResult(
-        x=x_best,
+        x=best["x"],
         objective=best["objective"],
         initial=f0,
         final=best["score"],
-        record=record,
+        record=best["record"],
         infeasibility=infeas,
         feasible=feasible,
         flagged=not feasible,

@@ -179,35 +179,72 @@ class LeastSquares:
         return float(r @ r) + self.rho_sq
 
 
+# Rows of the stack folded into the triangle per QR step. np.linalg.qr copies
+# its input twice, so a step's peak is a few blocks, far below one copy of W.
+_QR_BLOCK_ROWS = 2048
+
+
 def least_squares(stack: RegressorStack) -> LeastSquares:
     """Factor a stack once into the system every estimator reads.
 
-    One QR of ``[W | T - w0]``, then the SVD of its small triangle (R-SVD:
-    Chan, ACM TOMS 8(1), 1982). ``[W | T - w0]`` is filled once into a
-    Fortran-order buffer that LAPACK factors in place, so the call's peak is
-    about one copy of ``W``; no S x d factor outlives it.
+    :func:`least_squares_many` with the stack's own torques as the one
+    right-hand side.
     """
-    # Imported here, not at module level: importing armid.cli loads no scipy.
-    from scipy.linalg import qr
+    return least_squares_many(stack, stack.T[:, None])[0]
 
+
+def least_squares_many(stack: RegressorStack, torques: np.ndarray) -> list[LeastSquares]:
+    """One system per column of ``torques`` (S, k), from one factorization of W.
+
+    A sequential tall-skinny QR (Demmel, Grigori, Hoemmen & Langou, SIAM J.
+    Sci. Comput. 34(1), 2012) folds ``_QR_BLOCK_ROWS`` rows of W at a time
+    into its d x d triangle R, so memory follows the block, not S. Each step's
+    Householder reflectors are applied to every right-hand side ``torques_j -
+    w0`` on its own: the rows they leave in the range of W are carried to the
+    next step, and the squares of the rest add up to rho_j^2. A column's
+    system therefore has the same bits whatever other columns come with it.
+    One SVD of R follows (R-SVD: Chan, ACM TOMS 8(1), 1982), and c_j = U^T
+    times the carried rows.
+    """
     S, d = stack.W.shape
     if S == 0 or d == 0:
         raise IdentifyError("no free parameters to identify" if d == 0 else "empty regressor")
-    buf = np.empty((S, d + 1), order="F")
-    buf[:, :d] = stack.W
-    np.subtract(stack.T, stack.w0, out=buf[:, d])
-    R = qr(buf, mode="raw", overwrite_a=True, check_finite=False)[1]
-    m = min(S, d)
-    sub = identifiable_subspace(R[:m, :d])
+    k = torques.shape[1]
+    # Fortran order: np.linalg.qr then copies it straight, and hands the
+    # reflectors back as contiguous rows of h.
+    buf = np.empty((_QR_BLOCK_ROWS + d, d), order="F")
+    rhs = np.empty((k, _QR_BLOCK_ROWS + d))  # row j: right-hand side j, contiguous
+    rho_sq = np.zeros(k)
+    top = 0
+    for start in range(0, S, _QR_BLOCK_ROWS):
+        stop = min(start + _QR_BLOCK_ROWS, S)
+        rows = top + stop - start
+        buf[top:rows] = stack.W[start:stop]
+        np.subtract(torques[start:stop].T, stack.w0[start:stop], out=rhs[:, top:rows])
+        h, tau = np.linalg.qr(buf[:rows], mode="raw")  # row i of h: reflector i
+        for i, t in enumerate(tau):
+            v = h[i, i + 1 :]
+            for s in rhs[:, i:rows]:  # H_i = I - t [1; v] [1; v]^T, column by column
+                w = t * (s[0] + s[1:] @ v)
+                s[0] -= w
+                s[1:] -= w * v
+        top = tau.size
+        buf[:top] = np.triu(h[:, :top].T)
+        rho_sq += (rhs[:, top:rows] ** 2).sum(axis=1)
+    sub = identifiable_subspace(buf[:top])
     V = np.hstack([sub.identifiable_basis, sub.unidentifiable_basis])
-    return LeastSquares(
-        G=sub.singular_values[:m, None] * V[:, :m].T,
-        c=sub.left_vectors.T @ R[:m, d],
-        rho_sq=float(R[m:, d] @ R[m:, d]),
-        subspace=sub,
-        free_mask=stack.free_mask,
-        fixed_values=stack.fixed_values,
-    )
+    G = sub.singular_values[:top, None] * V[:, :top].T
+    return [
+        LeastSquares(
+            G=G,
+            c=sub.left_vectors.T @ rhs[j, :top],
+            rho_sq=float(rho_sq[j]),
+            subspace=sub,
+            free_mask=stack.free_mask,
+            fixed_values=stack.fixed_values,
+        )
+        for j in range(k)
+    ]
 
 
 def _link_feasibility(system: LeastSquares, alpha_free: np.ndarray):

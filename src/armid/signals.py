@@ -14,7 +14,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -128,7 +128,7 @@ def lowpass_zero_phase(x: np.ndarray, cutoff: float, rate: float) -> np.ndarray:
 
     A pass is the recursion y[n] + a1 y[n-1] + a2 y[n-2] = b0 u[n] + b1 u[n-1]
     + b2 u[n-2], with the initial state added to the first two right-hand
-    sides: one banded lower-triangular solve over all columns at once.
+    sides, solved by :func:`_recursion_blocked`.
     """
     if not 0.0 < cutoff < rate / 2.0:
         raise SignalError(
@@ -139,9 +139,6 @@ def lowpass_zero_phase(x: np.ndarray, cutoff: float, rate: float) -> np.ndarray:
         raise SignalError(
             f"filtering needs at least {_FILTER_PAD + 1} samples, got {x.shape[0]}"
         )
-    # Imported here, not at module level: importing armid.cli loads no scipy.
-    from scipy.linalg.lapack import dtbtrs
-
     k = math.tan(math.pi * cutoff / rate)
     d = 1.0 + math.sqrt(2.0) * k + k * k
     b0 = b2 = k * k / d
@@ -156,11 +153,6 @@ def lowpass_zero_phase(x: np.ndarray, cutoff: float, rate: float) -> np.ndarray:
             2.0 * cols[-1] - cols[-2 : -_FILTER_PAD - 2 : -1],
         ]
     )
-    # Lower band storage: the unit diagonal, then a1 and a2 below it.
-    band = np.empty((3, padded.shape[0]))
-    band[0] = 1.0
-    band[1] = a1
-    band[2] = a2
 
     def one_pass(u: np.ndarray) -> np.ndarray:
         rhs = b0 * u
@@ -168,13 +160,63 @@ def lowpass_zero_phase(x: np.ndarray, cutoff: float, rate: float) -> np.ndarray:
         rhs[2:] += b2 * u[:-2]
         rhs[0] += (1.0 - b0) * u[0]
         rhs[1] += (b2 - a2) * u[0]
-        y, info = dtbtrs(band, rhs, uplo="L", overwrite_b=1)
-        if info != 0:
-            raise RuntimeError(f"dtbtrs failed with info {info}")
-        return y
+        return _recursion_blocked(rhs, a1, a2)
 
     y = one_pass(one_pass(padded)[::-1])[::-1]
     return np.ascontiguousarray(y[_FILTER_PAD:-_FILTER_PAD]).reshape(x.shape)
+
+
+# Samples per block of the blocked recursion: each pass takes this many
+# vectorized steps plus one small step per block.
+_RECURSION_BLOCK = 64
+
+
+def _recursion_blocked(rhs: np.ndarray, a1: float, a2: float) -> np.ndarray:
+    """Solve y[n] + a1 y[n-1] + a2 y[n-2] = rhs[n] from y[-1] = y[-2] = 0.
+
+    ``rhs`` is (P, C); each column is solved on its own. Every block of
+    ``_RECURSION_BLOCK`` samples is first solved from a zero state, all blocks
+    and columns in one vectorized step per sample. A block's solution then
+    gains the homogeneous responses h1 and h2 (the zero-input response to a
+    unit y[-1] or y[-2]), weighted by the last two values of the block before,
+    which are carried forward block by block. Only elementwise arithmetic is
+    used, so a column's result never depends on the other columns.
+    """
+    P, C = rhs.shape
+    L = _RECURSION_BLOCK
+    blocks = -(-P // L)
+    z = np.zeros((blocks * L, C))
+    z[:P] = rhs
+    # Sample-major layout: z[i] holds sample i of every block, contiguous.
+    z = np.ascontiguousarray(z.reshape(blocks, L, C).transpose(1, 0, 2))
+    tmp = np.empty((blocks, C))
+    np.multiply(z[0], a1, out=tmp)
+    z[1] -= tmp
+    for i in range(2, L):
+        np.multiply(z[i - 1], a1, out=tmp)
+        z[i] -= tmp
+        np.multiply(z[i - 2], a2, out=tmp)
+        z[i] -= tmp
+    # h[i] = (h1[i], h2[i]); Python floats, since 64 tiny steps cost more as arrays.
+    h = [(0.0, 1.0), (1.0, 0.0)]  # y[-2], y[-1]
+    for i in range(2, L + 2):
+        (u1, u2), (v1, v2) = h[i - 1], h[i - 2]
+        h.append((-a1 * u1 - a2 * v1, -a1 * u2 - a2 * v2))
+    h = np.array(h[2:])
+    # carry[k]: y at the last and second-last sample of block k. It starts as
+    # the zero-state values and gains the carry of block k - 1.
+    carry = np.stack((z[-1], z[-2]), axis=1)
+    h1_end = h[[-1, -2], 0, None]  # h1 at the last and second-last sample
+    h2_end = h[[-1, -2], 1, None]
+    term = np.empty((2, C))
+    for k in range(1, blocks):
+        np.multiply(h1_end, carry[k - 1, 0], out=term)
+        carry[k] += term
+        np.multiply(h2_end, carry[k - 1, 1], out=term)
+        carry[k] += term
+    z[:, 1:] += h[:, 0, None, None] * carry[:-1, 0]
+    z[:, 1:] += h[:, 1, None, None] * carry[:-1, 1]
+    return z.transpose(1, 0, 2).reshape(blocks * L, C)[:P]
 
 
 def _five_point_derivative(x: np.ndarray, dt: float) -> np.ndarray:
@@ -264,6 +306,20 @@ def _filtered_torque(trial: RawTrial, torque_cutoff: float | None) -> np.ndarray
 _POINT_ERRORS = (SignalError, ModelError, identify.IdentifyError, np.linalg.LinAlgError)
 
 
+def _or_error(fn, *args):
+    """``fn(*args)``, or the data, model or identification error it raised:
+    such an error fails one cutoff grid point, not the search."""
+    try:
+        return fn(*args)
+    except _POINT_ERRORS as exc:
+        return exc
+
+
+def _trimmed_torques(trial: RawTrial, torque_cutoff: float | None) -> np.ndarray:
+    """The filtered torques of a processed trial, flattened as a stack's T."""
+    return _filtered_torque(trial, torque_cutoff)[_EDGE_TRIM:-_EDGE_TRIM].reshape(-1)
+
+
 @dataclass(frozen=True)
 class CutoffSearchEntry:
     position_cutoff: float | None
@@ -282,9 +338,9 @@ def tune_filter_cutoffs(
 
     Every grid point processes the trial, runs the constrained identification,
     and records its residual. The regressor depends only on the position
-    cutoff, so each distinct position cutoff builds one stack, and each of
-    its points only swaps in the torques of its torque cutoff, filtered once
-    per distinct torque cutoff, and factors that system. A point that fails with a
+    cutoff, so each distinct position cutoff builds one stack and factors it
+    once, with one right-hand side per distinct torque cutoff of its points;
+    each torque cutoff's torques are filtered once. A point that fails with a
     data, model or identification error is skipped but kept in the table; any
     other exception is a bug and propagates. Ties break toward the lower
     cutoffs. Returns the best (position, torque) pair and the full search
@@ -298,27 +354,41 @@ def tune_filter_cutoffs(
     by_position: dict = {}
     for index, (pos_cut, _) in enumerate(grid):
         by_position.setdefault(pos_cut, []).append(index)
-    table: list = [None] * len(grid)
-    torques: dict = {}  # torque cutoff -> trimmed, flattened torques
+    outcome: list = [None] * len(grid)  # per point: its estimate, or the error that stopped it
+    torques: dict = {}  # torque cutoff -> trimmed, flattened torques, or the filter's error
     for pos_cut, indices in by_position.items():
         try:
             ds = process_trial(trial, pos_cut, None)
             stack = stack_regressor(model, ds.q, ds.qd, ds.qdd, ds.tau)
         except _POINT_ERRORS as exc:  # every point at this position cutoff fails alike
             for index in indices:
-                table[index] = CutoffSearchEntry(*grid[index], None, error=str(exc))
+                outcome[index] = exc
             continue
+        cuts = list(dict.fromkeys(grid[index][1] for index in indices))
+        for tor_cut in cuts:
+            if tor_cut not in torques:
+                torques[tor_cut] = _or_error(_trimmed_torques, trial, tor_cut)
+        # One right-hand side per torque cutoff whose filter worked.
+        filtered = [c for c in cuts if not isinstance(torques[c], Exception)]
+        systems = []
+        if filtered:
+            rhs = np.column_stack([torques[c] for c in filtered])
+            systems = _or_error(identify.least_squares_many, stack, rhs)
         for index in indices:
             tor_cut = grid[index][1]
-            try:
-                if tor_cut not in torques:
-                    tau = _filtered_torque(trial, tor_cut)[_EDGE_TRIM:-_EDGE_TRIM]
-                    torques[tor_cut] = tau.reshape(-1)
-                system = identify.least_squares(replace(stack, T=torques[tor_cut]))
-                result = identify.consistent_identify(system, prior)
-                table[index] = CutoffSearchEntry(*grid[index], float(result.residual))
-            except _POINT_ERRORS as exc:  # recorded: one bad point must not kill the sweep
-                table[index] = CutoffSearchEntry(*grid[index], None, error=str(exc))
+            if isinstance(torques[tor_cut], Exception):
+                outcome[index] = torques[tor_cut]
+            elif isinstance(systems, Exception):
+                outcome[index] = systems
+            else:
+                system = systems[filtered.index(tor_cut)]
+                outcome[index] = _or_error(identify.consistent_identify, system, prior)
+    table = [
+        CutoffSearchEntry(*point, None, error=str(result))
+        if isinstance(result, Exception)
+        else CutoffSearchEntry(*point, float(result.residual))
+        for point, result in zip(grid, outcome)
+    ]
 
     valid = [e for e in table if e.residual is not None]
     if not valid:

@@ -257,6 +257,22 @@ class TestConstraints:
         assert all(rec_clear.inequalities[k] < 0 for k in collision_keys)
         assert any(rec_blocked.inequalities[k] > 0 for k in rec_blocked.inequalities)
 
+    def test_max_violation_counts_nan_as_violated(self):
+        # Python's max drops a NaN that is not its first argument; a NaN
+        # margin must not read as satisfied, wherever it sits.
+        for record in (
+            ConstraintRecord({}, {"a": math.nan}),
+            ConstraintRecord({"e": 0.0}, {"a": -1.0, "b": math.nan}),
+            ConstraintRecord({"e": math.nan}, {"a": -1.0}),
+        ):
+            assert not record.max_violation() <= 1e-3
+
+    def test_max_violation_is_worst_of_both_kinds(self):
+        assert ConstraintRecord({"e": -0.2}, {"a": 0.1, "b": -3.0}).max_violation() == 0.2
+        assert ConstraintRecord({"e": 0.05}, {"a": 0.1}).max_violation() == 0.1
+        assert ConstraintRecord({}, {"a": -1.0}).max_violation() == 0.0
+        assert ConstraintRecord({}, {}).max_violation() == 0.0
+
 
 class TestAugmentedLagrangian:
     def test_scalar_inequality_problem(self):
@@ -319,6 +335,22 @@ class TestAugmentedLagrangian:
         result = augmented_lagrangian_minimize(evaluate, np.zeros(1), opts)
         assert result.flagged
         assert not result.feasible
+
+    def test_nan_everywhere_returns_flagged_start(self):
+        # No evaluation ever has a number for its violation, so nothing beats
+        # the start point: it comes back, flagged, instead of an exception.
+        def evaluate(x):
+            return float(x @ x), ConstraintRecord({"e": math.nan}, {})
+
+        x0 = np.array([0.5, -0.5])
+        opts = ALOptions(seed=0, subproblem_budget=20, outer_iterations=2)
+        result = augmented_lagrangian_minimize(evaluate, x0, opts)
+        assert result.flagged
+        assert not result.feasible
+        assert math.isnan(result.infeasibility)
+        np.testing.assert_array_equal(result.x, x0)
+        assert result.final == 0.5
+        assert result.evaluations > 1
 
 
 class TestDesign:

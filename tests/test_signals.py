@@ -86,7 +86,10 @@ class TestLowpass:
 
     def test_matches_scipy_sosfiltfilt(self):
         rng = np.random.default_rng(11)
-        for samples in (10, 11, 37, 500, 5000):
+        # Lengths on both sides of the recursion's 64-sample block edges, of
+        # the input and of the input padded by 9 samples at each end.
+        edges = (46, 47, 63, 64, 65, 110, 111, 128, 129)
+        for samples in (10, 11, 37, *edges, 500, 5000):
             for shape in ((samples,), (samples, 3)):
                 x = rng.standard_normal(shape).cumsum(axis=0)
                 for ratio in (0.0025, 0.01, 0.1, 0.3, 0.45, 0.49):
@@ -301,14 +304,24 @@ class TestTuneCutoffs:
         alone = [tune_filter_cutoffs(trial, model, [p, (4.0, 4.0)])[1][0] for p in grid]
         built = []
         real = signals.stack_regressor
+        factored = []
+        real_factor = identify.least_squares_many
 
         def counted(*args, **kwargs):
             built.append(None)
             return real(*args, **kwargs)
 
+        def counted_factor(stack, torques):
+            factored.append(torques.shape[1])
+            return real_factor(stack, torques)
+
         monkeypatch.setattr(signals, "stack_regressor", counted)
+        monkeypatch.setattr(identify, "least_squares_many", counted_factor)
         _, table = tune_filter_cutoffs(trial, model, grid)
         assert len(built) == 2  # 4 Hz and 8 Hz; the 2000 Hz points fail before the stack
+        # One factorization per stack, one right-hand side per torque cutoff
+        # that filters: (4, 8) and (4, 4) share one, 2000 Hz torques fail.
+        assert factored == [2, 1]
         assert table == alone
         assert [e.error is None for e in table] == [True, False, True, True, False, False]
 
