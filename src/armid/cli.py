@@ -81,6 +81,14 @@ def _parse_cutoff(raw: str | None):
     return float(raw)
 
 
+def _required(spec, key: str, path):
+    """``spec[key]`` from the JSON file at ``path``; a missing key is an error
+    that names the file and the key."""
+    if not isinstance(spec, dict) or key not in spec:
+        raise ValueError(f"{path}: no {key!r} entry")
+    return spec[key]
+
+
 def _load_dataset(data_dir: Path) -> tuple[dict, model_mod.RobotModel, signals.RawTrial]:
     """A dataset directory's manifest, its robot model, and its averaged trial."""
     manifest_path = data_dir / "manifest.json"
@@ -88,12 +96,18 @@ def _load_dataset(data_dir: Path) -> tuple[dict, model_mod.RobotModel, signals.R
         raise SignalError(f"no manifest.json in {data_dir}")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    robot = model_mod.model_from_dict(manifest["model"])
+    robot = model_mod.model_from_dict(_required(manifest, "model", manifest_path))
     paths = sorted(data_dir.glob("trial_*.csv"))
     if not paths:
         raise SignalError(f"no trial_*.csv files in {data_dir}")
-    averaged = signals.average_trials([signals.trial_from_csv(p) for p in paths])
-    return manifest, robot, averaged
+    trials = [signals.trial_from_csv(p) for p in paths]
+    for path, trial in zip(paths, trials):
+        if trial.num_joints != robot.num_joints:
+            raise SignalError(
+                f"{path}: {trial.num_joints} joints, but the manifest's model has "
+                f"{robot.num_joints}"
+            )
+    return manifest, robot, signals.average_trials(trials)
 
 
 _METRICS_HEADER = ["method", "link", "mass_pct", "com_pct", "inertia_pct"]
@@ -177,7 +191,7 @@ def _payload_from_spec(path: str) -> model_mod.LinkInertialParams:
     if "first_moment" in spec:
         return model_mod.rigid_body_from_dict(spec)
     return model_mod.solid_sphere_params(
-        spec["mass"], spec.get("radius", 0.05), spec.get("com", [0.0, 0.0, 0.0])
+        _required(spec, "mass", path), spec.get("radius", 0.05), spec.get("com", [0.0, 0.0, 0.0])
     )
 
 

@@ -1,8 +1,9 @@
 """Parameter estimation from stacked regressor data.
 
 Three estimators share the measurement model ``T = W alpha + w0`` and one
-factorization of it: :func:`least_squares` compresses a stack to a
-:class:`LeastSquares` system, and every estimator reads that system.
+factorization of it: :func:`least_squares` folds ``[W | T - w0]`` into one
+triangle, a block of rows at a time, and compresses it to a
+:class:`LeastSquares` system of d-sized data that every estimator reads.
 
 * :func:`ols_identify` - unconstrained least squares restricted to the
   identifiable subspace, unidentifiable directions filled from a prior.
@@ -187,64 +188,37 @@ _QR_BLOCK_ROWS = 2048
 def least_squares(stack: RegressorStack) -> LeastSquares:
     """Factor a stack once into the system every estimator reads.
 
-    :func:`least_squares_many` with the stack's own torques as the one
-    right-hand side.
-    """
-    return least_squares_many(stack, stack.T[:, None])[0]
-
-
-def least_squares_many(stack: RegressorStack, torques: np.ndarray) -> list[LeastSquares]:
-    """One system per column of ``torques`` (S, k), from one factorization of W.
-
     A sequential tall-skinny QR (Demmel, Grigori, Hoemmen & Langou, SIAM J.
-    Sci. Comput. 34(1), 2012) folds ``_QR_BLOCK_ROWS`` rows of W at a time
-    into its d x d triangle R, so memory follows the block, not S. Each step's
-    Householder reflectors are applied to every right-hand side ``torques_j -
-    w0`` on its own: the rows they leave in the range of W are carried to the
-    next step, and the squares of the rest add up to rho_j^2. A column's
-    system therefore has the same bits whatever other columns come with it.
-    One SVD of R follows (R-SVD: Chan, ACM TOMS 8(1), 1982), and c_j = U^T
-    times the carried rows.
+    Sci. Comput. 34(1), 2012) of ``[W | T - w0]``: each step stacks the
+    triangle so far on the next ``_QR_BLOCK_ROWS`` rows and keeps only the new
+    (d + 1)-wide triangle, so memory follows the block, not S. One SVD of its
+    top-left R11 follows (R-SVD: Chan, ACM TOMS 8(1), 1982), c = U^T r, and
+    rho^2 is its last diagonal entry squared, or 0 when it has at most d rows.
     """
     S, d = stack.W.shape
     if S == 0 or d == 0:
         raise IdentifyError("no free parameters to identify" if d == 0 else "empty regressor")
-    k = torques.shape[1]
-    # Fortran order: np.linalg.qr then copies it straight, and hands the
-    # reflectors back as contiguous rows of h.
-    buf = np.empty((_QR_BLOCK_ROWS + d, d), order="F")
-    rhs = np.empty((k, _QR_BLOCK_ROWS + d))  # row j: right-hand side j, contiguous
-    rho_sq = np.zeros(k)
+    buf = np.empty((_QR_BLOCK_ROWS + d + 1, d + 1), order="F")
     top = 0
     for start in range(0, S, _QR_BLOCK_ROWS):
         stop = min(start + _QR_BLOCK_ROWS, S)
         rows = top + stop - start
-        buf[top:rows] = stack.W[start:stop]
-        np.subtract(torques[start:stop].T, stack.w0[start:stop], out=rhs[:, top:rows])
-        h, tau = np.linalg.qr(buf[:rows], mode="raw")  # row i of h: reflector i
-        for i, t in enumerate(tau):
-            v = h[i, i + 1 :]
-            for s in rhs[:, i:rows]:  # H_i = I - t [1; v] [1; v]^T, column by column
-                w = t * (s[0] + s[1:] @ v)
-                s[0] -= w
-                s[1:] -= w * v
-        top = tau.size
-        buf[:top] = np.triu(h[:, :top].T)
-        rho_sq += (rhs[:, top:rows] ** 2).sum(axis=1)
-    sub = identifiable_subspace(buf[:top])
+        buf[top:rows, :d] = stack.W[start:stop]
+        np.subtract(stack.T[start:stop], stack.w0[start:stop], out=buf[top:rows, d])
+        R = np.linalg.qr(buf[:rows], mode="r")
+        top = R.shape[0]
+        buf[:top] = R
+    k = min(top, d)
+    sub = identifiable_subspace(buf[:k, :d])
     V = np.hstack([sub.identifiable_basis, sub.unidentifiable_basis])
-    G = sub.singular_values[:top, None] * V[:, :top].T
-    return [
-        LeastSquares(
-            G=G,
-            c=sub.left_vectors.T @ rhs[j, :top],
-            rho_sq=float(rho_sq[j]),
-            subspace=sub,
-            free_mask=stack.free_mask,
-            fixed_values=stack.fixed_values,
-        )
-        for j in range(k)
-    ]
+    return LeastSquares(
+        G=sub.singular_values[:k, None] * V[:, :k].T,
+        c=sub.left_vectors.T @ buf[:k, d],
+        rho_sq=float(buf[d, d] ** 2) if top > d else 0.0,
+        subspace=sub,
+        free_mask=stack.free_mask,
+        fixed_values=stack.fixed_values,
+    )
 
 
 def _link_feasibility(system: LeastSquares, alpha_free: np.ndarray):
@@ -465,12 +439,15 @@ def _regularized_pair(system: LeastSquares, c, target, reg_weight):
     """``(A, y)`` with ``||A x - y||^2 = ||G x - c||^2 + reg * ||P_un (x - target)||^2``.
 
     ``P_un`` projects onto the unidentifiable subspace, so the regularizer
-    leaves identifiable directions unbiased. ``reg`` defaults to
-    ``1e-3 * sigma_max^2`` and never drops below the regularization floor.
+    leaves identifiable directions unbiased. ``reg`` must be finite and >= 0;
+    it defaults to ``1e-3 * sigma_max^2`` and never drops below the
+    regularization floor.
     """
     sigma_max = system.subspace.singular_values[0]
     if reg_weight is None:
         reg_weight = 1e-3 * sigma_max**2
+    elif not 0.0 <= reg_weight < np.inf:  # NaN fails too
+        raise IdentifyError(f"reg_weight must be finite and >= 0, got {reg_weight}")
     reg_eff = max(reg_weight, _REGULARIZATION_FLOOR * max(sigma_max**2, 1.0))
     root = np.sqrt(reg_eff) * system.subspace.unidentifiable_basis.T
     return np.vstack([system.G, root]), np.concatenate([c, root @ target])
@@ -492,8 +469,6 @@ def consistent_identify(
     """
     if system.free_mask is None:
         raise IdentifyError("consistent_identify needs a stack with link structure")
-    if reg_weight is not None and reg_weight < 0:
-        raise IdentifyError("reg_weight must be >= 0")
     prior_free = _prior_free(system, prior)
     A, y = _regularized_pair(system, system.c, prior_free, reg_weight)
 

@@ -11,10 +11,11 @@ phase lag between positions and torques biases identification.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -280,9 +281,6 @@ def process_trial(
         # One call for both: every column is filtered on its own.
         qd, qdd = np.hsplit(lowpass_zero_phase(np.hstack([qd, qdd]), position_cutoff, rate), 2)
     tau = _filtered_torque(trial, torque_cutoff)
-
-    if trial.q.shape[0] <= 2 * _EDGE_TRIM:
-        raise SignalError("trial too short to trim differentiation boundaries")
     sl = slice(_EDGE_TRIM, -_EDGE_TRIM)
     return ProcessedDataset(
         timestamps=trial.timestamps[sl].copy(),
@@ -306,20 +304,6 @@ def _filtered_torque(trial: RawTrial, torque_cutoff: float | None) -> np.ndarray
 _POINT_ERRORS = (SignalError, ModelError, identify.IdentifyError, np.linalg.LinAlgError)
 
 
-def _or_error(fn, *args):
-    """``fn(*args)``, or the data, model or identification error it raised:
-    such an error fails one cutoff grid point, not the search."""
-    try:
-        return fn(*args)
-    except _POINT_ERRORS as exc:
-        return exc
-
-
-def _trimmed_torques(trial: RawTrial, torque_cutoff: float | None) -> np.ndarray:
-    """The filtered torques of a processed trial, flattened as a stack's T."""
-    return _filtered_torque(trial, torque_cutoff)[_EDGE_TRIM:-_EDGE_TRIM].reshape(-1)
-
-
 @dataclass(frozen=True)
 class CutoffSearchEntry:
     position_cutoff: float | None
@@ -338,51 +322,37 @@ def tune_filter_cutoffs(
 
     Every grid point processes the trial, runs the constrained identification,
     and records its residual. The regressor depends only on the position
-    cutoff, so each distinct position cutoff builds one stack and factors it
-    once, with one right-hand side per distinct torque cutoff of its points;
-    each torque cutoff's torques are filtered once. A point that fails with a
-    data, model or identification error is skipped but kept in the table; any
-    other exception is a bug and propagates. Ties break toward the lower
-    cutoffs. Returns the best (position, torque) pair and the full search
-    table, in grid order.
+    cutoff, so each distinct position cutoff builds one stack, and each torque
+    cutoff's torques are filtered once; every point then factors its own
+    ``[W | T - w0]``, so its residual has the bits it gets when searched
+    alone. A point that fails with a data, model or identification error is
+    skipped but kept in the table (a failed stack or filter is not cached, so
+    each of its points retries it); any other exception is a bug and
+    propagates. Ties break toward the lower cutoffs. Returns the best
+    (position, torque) pair and the full search table, in grid order.
     """
     if not grid:
         raise SignalError("cutoff grid is empty")
     if prior is None:
         prior = identification_prior(pack_params(model), model.num_joints)
 
-    by_position: dict = {}
-    for index, (pos_cut, _) in enumerate(grid):
-        by_position.setdefault(pos_cut, []).append(index)
-    outcome: list = [None] * len(grid)  # per point: its estimate, or the error that stopped it
-    torques: dict = {}  # torque cutoff -> trimmed, flattened torques, or the filter's error
-    for pos_cut, indices in by_position.items():
+    @functools.cache
+    def stack_at(pos_cut):  # T holds unfiltered torques, which each point replaces
+        ds = process_trial(trial, pos_cut, None)
+        return stack_regressor(model, ds.q, ds.qd, ds.qdd, ds.tau)
+
+    @functools.cache
+    def torques_at(tor_cut):  # trimmed and flattened as a stack's T
+        return _filtered_torque(trial, tor_cut)[_EDGE_TRIM:-_EDGE_TRIM].reshape(-1)
+
+    def search_point(pos_cut, tor_cut):  # its estimate, or the error that stopped it
         try:
-            ds = process_trial(trial, pos_cut, None)
-            stack = stack_regressor(model, ds.q, ds.qd, ds.qdd, ds.tau)
-        except _POINT_ERRORS as exc:  # every point at this position cutoff fails alike
-            for index in indices:
-                outcome[index] = exc
-            continue
-        cuts = list(dict.fromkeys(grid[index][1] for index in indices))
-        for tor_cut in cuts:
-            if tor_cut not in torques:
-                torques[tor_cut] = _or_error(_trimmed_torques, trial, tor_cut)
-        # One right-hand side per torque cutoff whose filter worked.
-        filtered = [c for c in cuts if not isinstance(torques[c], Exception)]
-        systems = []
-        if filtered:
-            rhs = np.column_stack([torques[c] for c in filtered])
-            systems = _or_error(identify.least_squares_many, stack, rhs)
-        for index in indices:
-            tor_cut = grid[index][1]
-            if isinstance(torques[tor_cut], Exception):
-                outcome[index] = torques[tor_cut]
-            elif isinstance(systems, Exception):
-                outcome[index] = systems
-            else:
-                system = systems[filtered.index(tor_cut)]
-                outcome[index] = _or_error(identify.consistent_identify, system, prior)
+            stack = replace(stack_at(pos_cut), T=torques_at(tor_cut))
+            return identify.consistent_identify(identify.least_squares(stack), prior)
+        except _POINT_ERRORS as exc:
+            return exc
+
+    outcome = [search_point(*point) for point in grid]
     table = [
         CutoffSearchEntry(*point, None, error=str(result))
         if isinstance(result, Exception)
@@ -514,7 +484,7 @@ def trial_from_csv(path) -> RawTrial:
     if not header:
         raise SignalError(f"{path}: empty file")
     header = header.rstrip("\n").split(",")
-    if header[0] != "t" or (len(header) - 1) % 2 != 0:
+    if header[0] != "t" or len(header) < 3 or (len(header) - 1) % 2 != 0:
         raise SignalError(f"{path}: unexpected header {header!r}")
     if lines[-1] == "":
         lines.pop()  # the newline that ends the last row

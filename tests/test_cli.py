@@ -20,6 +20,7 @@ from armid.excite import (
     sample_trajectory,
     save_trajectory,
 )
+from armid.model import model_to_dict
 from armid.signals import SignalError
 from armid.simulate import builtin_fixture
 
@@ -387,6 +388,57 @@ class TestSimulateIdentifyPipeline:
         (data_dir / "trial_000.csv").unlink()
         with pytest.raises(SignalError, match=r"no trial_\*\.csv"):
             _load_dataset(data_dir)
+
+    def test_trial_joint_count_must_match_the_model(self, tmp_path, capsys):
+        data_dir = _planar2_data(tmp_path)
+        manifest_path = data_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["model"] = model_to_dict(builtin_fixture("chain3").model)
+        manifest_path.write_text(json.dumps(manifest))
+        code = main(["identify", "--data", str(data_dir), "--out", str(tmp_path / "o")])
+        assert code == EXIT_ERROR
+        trial = data_dir / "trial_000.csv"
+        assert capsys.readouterr().err == (
+            f"error: {trial}: 2 joints, but the manifest's model has 3\n"
+        )
+
+    def test_manifest_without_model_names_file_and_key(self, tmp_path, capsys):
+        data_dir = _planar2_data(tmp_path)
+        manifest_path = data_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["model"]
+        manifest_path.write_text(json.dumps(manifest))
+        code = main(["tune-filters", "--data", str(data_dir), "--out", str(tmp_path / "o")])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {manifest_path}: no 'model' entry\n"
+
+    def test_payload_spec_without_mass_names_file_and_key(self, tmp_path, capsys):
+        traj_path = _write_trajectory(tmp_path, "chain3")
+        spec = tmp_path / "payload.json"
+        spec.write_text(json.dumps({"radius": 0.05}))
+        code = main(
+            [
+                "simulate", "--fixture", "chain3", "--traj", str(traj_path), "--trials", "1",
+                "--payload", str(spec), "--out", str(tmp_path / "data"),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {spec}: no 'mass' entry\n"
+
+    @pytest.mark.parametrize("mode, weight", [("payload", "-1"), ("robot", "nan")])
+    def test_reg_weight_must_be_finite_and_nonnegative(self, tmp_path, capsys, mode, weight):
+        data_dir = _planar2_data(tmp_path)
+        base_path = tmp_path / "base.json"
+        truth = json.loads((data_dir / "manifest.json").read_text())["truth_parameters"]
+        base_path.write_text(json.dumps({"alpha": truth}))
+        code = main(
+            [
+                "identify", "--mode", mode, "--data", str(data_dir), "--base-params",
+                str(base_path), "--reg-weight", weight, "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert "reg_weight must be finite and >= 0" in capsys.readouterr().err
 
 
 class TestTuneAndReport:

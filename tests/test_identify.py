@@ -387,11 +387,20 @@ class TestConsistent:
         assert result.alpha_hat[0] == pytest.approx(bound, abs=1e-6)
         assert result.link_feasibility[0].feasible
 
+    @pytest.mark.parametrize("weight", [-1.0, np.nan, np.inf])
+    def test_reg_weight_must_be_finite_and_nonnegative(self, weight):
+        model = builtin_fixture("chain3").model
+        truth = pack_params(model)
+        system = least_squares(_noiseless_stack(model, np.random.default_rng(6), count=50))
+        with pytest.raises(IdentifyError, match="reg_weight must be finite and >= 0"):
+            consistent_identify(system, truth, reg_weight=weight)
+
     def test_objective_convexity_midpoint(self, monkeypatch):
         # The compressed misfit equals the direct one on every kind of stack,
         # down to the noiseless optimum, and is a convex quadratic; with
-        # 64-row blocks the 300-row stacks fold through five QR steps.
-        for block_rows in (identify._QR_BLOCK_ROWS, 64):
+        # 64-row blocks the 300-row stacks fold through five QR steps, and
+        # 16-row blocks, narrower than d = 39, start from a wide triangle.
+        for block_rows in (identify._QR_BLOCK_ROWS, 64, 16):
             monkeypatch.setattr(identify, "_QR_BLOCK_ROWS", block_rows)
             self._check_misfit_and_convexity()
 
@@ -442,24 +451,6 @@ class TestConsistent:
                             consistent_identify(system, truth).as_dict()])
             )
         assert results[0] == results[1]
-
-
-class TestLeastSquaresMany:
-    @pytest.mark.parametrize("block_rows", [identify._QR_BLOCK_ROWS, 64])
-    def test_each_column_matches_its_lone_system(self, block_rows, monkeypatch):
-        # One factorization serves k right-hand sides; each system has the
-        # bits of the one its column gets alone, in any position.
-        monkeypatch.setattr(identify, "_QR_BLOCK_ROWS", block_rows)
-        stack = _noiseless_stack(builtin_fixture("chain3").model, np.random.default_rng(4))
-        rng = np.random.default_rng(5)
-        torques = stack.T[:, None] + 0.1 * rng.standard_normal((stack.T.size, 3))
-        systems = identify.least_squares_many(stack, torques)
-        for j, system in enumerate(systems):
-            alone = least_squares(replace(stack, T=torques[:, j]))
-            assert np.array_equal(system.c, alone.c)
-            assert system.rho_sq == alone.rho_sq
-            assert np.array_equal(system.G, alone.G)
-            assert system.G is systems[0].G  # one SVD for all
 
 
 class TestPayload:

@@ -305,23 +305,23 @@ class TestTuneCutoffs:
         built = []
         real = signals.stack_regressor
         factored = []
-        real_factor = identify.least_squares_many
+        real_factor = identify.least_squares
 
         def counted(*args, **kwargs):
             built.append(None)
             return real(*args, **kwargs)
 
-        def counted_factor(stack, torques):
-            factored.append(torques.shape[1])
-            return real_factor(stack, torques)
+        def counted_factor(stack):
+            factored.append(None)
+            return real_factor(stack)
 
         monkeypatch.setattr(signals, "stack_regressor", counted)
-        monkeypatch.setattr(identify, "least_squares_many", counted_factor)
+        monkeypatch.setattr(identify, "least_squares", counted_factor)
         _, table = tune_filter_cutoffs(trial, model, grid)
         assert len(built) == 2  # 4 Hz and 8 Hz; the 2000 Hz points fail before the stack
-        # One factorization per stack, one right-hand side per torque cutoff
-        # that filters: (4, 8) and (4, 4) share one, 2000 Hz torques fail.
-        assert factored == [2, 1]
+        # One factorization per point whose filters work: (4, 8), (8, 4) and
+        # (4, 4); 2000 Hz torques fail.
+        assert len(factored) == 3
         assert table == alone
         assert [e.error is None for e in table] == [True, False, True, True, False, False]
 
@@ -449,7 +449,8 @@ class TestCsv:
         path.write_bytes(b"t,q_1,tau_1\r\n\xff,0.0,0.0\r\n")
         self._assert_read_error(path, "not a text file (invalid start byte)")
 
-    @pytest.mark.parametrize("header", ["time,q_1,q_2,tau_1,tau_2", "t,q_1,q_2,tau_1"])
+    # "t" alone has no joints: it is not read as an (S, 0) trial.
+    @pytest.mark.parametrize("header", ["time,q_1,q_2,tau_1,tau_2", "t,q_1,q_2,tau_1", "t"])
     def test_bad_header(self, tmp_path, header):
         def edit(lines):
             lines[0] = header
