@@ -14,7 +14,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -44,23 +43,10 @@ _USER_ERRORS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation of one pipeline stage.
-
-    Serialized in full (with its hash) into every artifact the stage writes,
-    so a run directory is replayable from its manifests alone.
-    """
-
-    command: str
-    paths: dict = field(default_factory=dict)
-    parameters: dict = field(default_factory=dict)
-    seed: int | None = None
-
-
-def _stamp(run: RunConfig) -> dict:
-    """The ``config`` and ``config_hash`` entries every artifact carries."""
-    config = asdict(run)
+def _stamp(command: str, paths: dict, parameters: dict, seed: int | None = None) -> dict:
+    """The ``config`` and ``config_hash`` entries every artifact carries: the
+    stage's resolved invocation, so a run directory replays from its manifests."""
+    config = {"command": command, "paths": paths, "parameters": parameters, "seed": seed}
     return {"config": config, "config_hash": _json_hash(config)}
 
 
@@ -73,12 +59,19 @@ def _load_model(args) -> model_mod.RobotModel:
     return model_mod.parse_robot_description(text)
 
 
-def _parse_cutoff(raw: str | None):
-    if raw is None or raw.lower() in ("none", "off"):
+def _parse_cutoff(raw: str):
+    """``--pos-cutoff``/``--torque-cutoff``: None, "auto", or a frequency > 0."""
+    if raw.lower() in ("none", "off"):
         return None
     if raw.lower() == "auto":
         return "auto"
-    return float(raw)
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected Hz > 0, 'none' or 'auto', got {raw!r}")
+    return value
 
 
 def _required(spec, key: str, path):
@@ -87,6 +80,14 @@ def _required(spec, key: str, path):
     if not isinstance(spec, dict) or key not in spec:
         raise ValueError(f"{path}: no {key!r} entry")
     return spec[key]
+
+
+def _rigid_body(spec, where) -> model_mod.LinkInertialParams:
+    """A body from a spec's ``mass``, ``first_moment`` and ``rotational_inertia``;
+    a missing entry is an error that names ``where`` and the key."""
+    for key in ("mass", "first_moment", "rotational_inertia"):
+        _required(spec, key, where)
+    return model_mod.rigid_body_from_dict(spec)
 
 
 def _load_dataset(data_dir: Path) -> tuple[dict, model_mod.RobotModel, signals.RawTrial]:
@@ -101,12 +102,18 @@ def _load_dataset(data_dir: Path) -> tuple[dict, model_mod.RobotModel, signals.R
     if not paths:
         raise SignalError(f"no trial_*.csv files in {data_dir}")
     trials = [signals.trial_from_csv(p) for p in paths]
+    first = trials[0].timestamps
     for path, trial in zip(paths, trials):
         if trial.num_joints != robot.num_joints:
             raise SignalError(
                 f"{path}: {trial.num_joints} joints, but the manifest's model has "
                 f"{robot.num_joints}"
             )
+        if trial.timestamps.size != first.size:
+            size = trial.timestamps.size
+            raise SignalError(f"{path}: {size} samples, but {paths[0]} has {first.size}")
+        if np.max(np.abs(trial.timestamps - first)) > 1e-9:
+            raise SignalError(f"{path}: time grid differs from {paths[0]}")
     return manifest, robot, signals.average_trials(trials)
 
 
@@ -146,15 +153,14 @@ def cmd_design(args) -> int:
         subproblem_budget=args.budget,
         outer_iterations=args.outer,
         restarts=args.restarts,
-        initial_penalty=100.0,
         constraint_tolerance=args.tolerance,
     )
     traj, report = excite.design_trajectory(problem, omega, args.harmonics, opts)
 
-    config = RunConfig(
-        command="design",
-        paths={"model": args.model or f"fixture:{args.fixture}", "out": str(args.out)},
-        parameters={
+    stamp = _stamp(
+        "design",
+        {"model": args.model or f"fixture:{args.fixture}", "out": str(args.out)},
+        {
             "gamma": args.gamma,
             "harmonics": args.harmonics,
             "base_freq": args.base_freq,
@@ -164,9 +170,8 @@ def cmd_design(args) -> int:
             "restarts": args.restarts,
             "tolerance": args.tolerance,
         },
-        seed=args.seed,
+        args.seed,
     )
-    stamp = _stamp(config)
     provenance = {
         **stamp,
         "problem_hash": excite.problem_fingerprint(problem, omega, args.harmonics),
@@ -176,7 +181,7 @@ def cmd_design(args) -> int:
     excite.save_trajectory(out_dir / "trajectory.json", traj, provenance)
     excite.export_trajectory_csv(out_dir / "trajectory.csv", traj, args.sample_rate)
     _write_json(out_dir / "design_report.json", {"report": report.as_dict(), **stamp})
-    if report.flagged:
+    if not report.feasible:
         print("design completed with infeasibility flag", file=sys.stderr)
         return EXIT_WARNINGS
     return EXIT_OK
@@ -189,7 +194,7 @@ def _payload_from_spec(path: str) -> model_mod.LinkInertialParams:
     with open(path) as fh:
         spec = json.load(fh)
     if "first_moment" in spec:
-        return model_mod.rigid_body_from_dict(spec)
+        return _rigid_body(spec, path)
     return model_mod.solid_sphere_params(
         _required(spec, "mass", path), spec.get("radius", 0.05), spec.get("com", [0.0, 0.0, 0.0])
     )
@@ -210,22 +215,22 @@ def cmd_simulate(args) -> int:
         position_std=args.noise_pos,
         seed=args.seed,
     )
-    config = RunConfig(
-        command="simulate",
-        paths={
+    stamp = _stamp(
+        "simulate",
+        {
             "model": args.model or f"fixture:{args.fixture}",
             "traj": str(args.traj),
             "payload": args.payload,
             "out": str(args.out),
         },
-        parameters={
+        {
             "trials": args.trials,
             "rate": args.rate,
             "noise_abs": args.noise_abs,
             "noise_rel": args.noise_rel,
             "noise_pos": args.noise_pos,
         },
-        seed=args.seed,
+        args.seed,
     )
     simulate.write_dataset(
         Path(args.out),
@@ -234,7 +239,7 @@ def cmd_simulate(args) -> int:
         args.rate,
         args.trials,
         noise,
-        extra_manifest=_stamp(config),
+        extra_manifest=stamp,
     )
     return EXIT_OK
 
@@ -243,8 +248,7 @@ def cmd_simulate(args) -> int:
 
 
 def _resolve_cutoffs(args, manifest) -> tuple[float | None, float | None]:
-    pos = _parse_cutoff(args.pos_cutoff)
-    torque = _parse_cutoff(args.torque_cutoff)
+    pos, torque = args.pos_cutoff, args.torque_cutoff
     noise = manifest.get("noise", {})
     noisy = any(
         noise.get(k, 0.0) > 0.0
@@ -260,18 +264,33 @@ def _resolve_cutoffs(args, manifest) -> tuple[float | None, float | None]:
 
 
 def _load_base_params(args, n: int) -> np.ndarray:
-    with open(args.base_params) as fh:
+    """The file's ``alpha``, or its ``labeled_sets`` entry labeled nearest
+    ``--configuration``. Errors name the file and the key."""
+    path = args.base_params
+    with open(path) as fh:
         data = json.load(fh)
+
+    def numeric(key: str, value) -> np.ndarray:
+        try:
+            return np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: {key} is not numeric") from None
+
     if "labeled_sets" in data:
-        labeled = {float(k): np.asarray(v, dtype=float) for k, v in data["labeled_sets"].items()}
-        label, alpha = identify.nearest_base_params(labeled, args.configuration)
-        print(f"using base parameter set labeled {label}", file=sys.stderr)
+        keys, sets = {}, {}
+        for k, v in data["labeled_sets"].items():
+            label = float(numeric(f"labeled_sets key {k!r}", k))
+            keys[label], sets[label] = f"labeled_sets[{k!r}]", numeric(f"labeled_sets[{k!r}]", v)
+        chosen, alpha = identify.nearest_base_params(sets, args.configuration)
+        print(f"using base parameter set labeled {chosen}", file=sys.stderr)
+        key = keys[chosen]
     elif "alpha" in data:
-        alpha = np.asarray(data["alpha"], dtype=float)
+        key = "'alpha'"
+        alpha = numeric(key, data["alpha"])
     else:
-        raise ValueError("base parameter file needs 'alpha' or 'labeled_sets'")
+        raise ValueError(f"{path}: needs 'alpha' or 'labeled_sets'")
     if alpha.shape != (13 * n,):
-        raise ValueError(f"base parameters have {alpha.size} entries, expected {13 * n}")
+        raise ValueError(f"{path}: {key} has {alpha.size} entries, expected {13 * n}")
     return alpha
 
 
@@ -288,14 +307,10 @@ def cmd_identify(args) -> int:
         else None
     )
     char_length = manifest.get("char_length", 0.3)
-    config = RunConfig(
-        command="identify",
-        paths={
-            "data": str(args.data),
-            "base_params": args.base_params,
-            "out": str(args.out),
-        },
-        parameters={
+    stamp = _stamp(
+        "identify",
+        {"data": str(args.data), "base_params": args.base_params, "out": str(args.out)},
+        {
             "mode": args.mode,
             "pos_cutoff": pos_cut,
             "torque_cutoff": torque_cut,
@@ -303,11 +318,10 @@ def cmd_identify(args) -> int:
             "configuration": args.configuration,
         },
     )
-    stamp = _stamp(config)
 
     if args.mode == "robot":
         stack = stack_regressor(robot, dataset.q, dataset.qd, dataset.qdd, dataset.tau)
-        prior = signals.identification_prior(truth, robot.num_joints)
+        prior = signals.identification_prior(robot)
         system = identify.least_squares(stack)
         result_ols = identify.ols_identify(system, prior=prior)
         result_cons = identify.consistent_identify(system, prior, reg_weight=args.reg_weight)
@@ -329,13 +343,9 @@ def cmd_identify(args) -> int:
     if not args.base_params:
         raise ValueError("payload mode requires --base-params")
     base = _load_base_params(args, robot.num_joints)
-    total = 13 * robot.num_joints
-    mask = np.ones(total, dtype=bool)
-    last = robot.num_joints - 1
-    mask[13 * last : 13 * last + 10] = False
     stack = stack_regressor(
         robot, dataset.q, dataset.qd, dataset.qdd, dataset.tau,
-        fixed_mask=mask, fixed_values=base,
+        fixed_mask=identify.payload_fixed_mask(robot.num_joints), fixed_values=base,
     )
     system = identify.least_squares(stack)
     result = identify.payload_identify(system, base, reg_weight=args.reg_weight)
@@ -346,9 +356,10 @@ def cmd_identify(args) -> int:
     }
     _write_json(out_dir / "payload.json", payload)
     if manifest.get("payload"):
-        truth_payload = model_mod.rigid_body_from_dict(manifest["payload"])
+        where = f"{Path(args.data) / 'manifest.json'} 'payload'"
+        truth_payload = _rigid_body(manifest["payload"], where)
         row = _metrics_row(
-            "payload", robot.joint_specs[last].name, result.params, truth_payload, char_length
+            "payload", robot.joint_specs[-1].name, result.params, truth_payload, char_length
         )
         _write_csv(out_dir / "metrics.csv", _METRICS_HEADER, [row])
     if result.boundary_warning:
@@ -381,11 +392,6 @@ def cmd_tune_filters(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = RunConfig(
-        command="tune-filters",
-        paths={"data": str(args.data), "out": str(args.out)},
-        parameters={"grid": args.grid},
-    )
     _write_csv(
         out_dir / "cutoff_search.csv",
         ["position_cutoff", "torque_cutoff", "residual", "error"],
@@ -394,7 +400,8 @@ def cmd_tune_filters(args) -> int:
     _write_json(
         out_dir / "best_cutoffs.json",
         {
-            **_stamp(config),
+            **_stamp("tune-filters", {"data": str(args.data), "out": str(args.out)},
+                     {"grid": args.grid}),
             "position_cutoff": best[0],
             "torque_cutoff": best[1],
         },
@@ -479,8 +486,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-params", help="robot identification JSON (payload mode)")
     p.add_argument("--configuration", type=float, default=0.0,
                    help="configuration label for selecting among labeled base sets")
-    p.add_argument("--pos-cutoff", default="auto", help="Hz, 'none', or 'auto'")
-    p.add_argument("--torque-cutoff", default="auto", help="Hz, 'none', or 'auto'")
+    p.add_argument("--pos-cutoff", type=_parse_cutoff, default="auto",
+                   help="Hz, 'none', or 'auto'")
+    p.add_argument("--torque-cutoff", type=_parse_cutoff, default="auto",
+                   help="Hz, 'none', or 'auto'")
     p.add_argument("--reg-weight", type=float, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_identify)

@@ -383,8 +383,8 @@ def energy(model: RobotModel, q, qd) -> tuple[float, float]:
     R, p = forward_kinematics(model, q)
     potential = 0.0
     for i, (_, params) in enumerate(model.links):
-        com_world = p[0, i] + R[0, i] @ params.first_moment
-        # first_moment = m * com, so this is m * g . com without dividing by m
-        potential -= float(model.gravity @ com_world)
+        # m * com in world coordinates: m p + R h, as first_moment h = m * com
+        mass_com = params.mass * p[0, i] + R[0, i] @ params.first_moment
+        potential -= float(model.gravity @ mass_com)
     return kinetic, potential
 

@@ -29,7 +29,7 @@ import numpy as np
 from .dynamics import forward_kinematics, regressor_batch
 from .identify import identifiable_subspace
 from .model import RobotModel, model_to_dict
-from .signals import _json_hash, _write_csv, _write_json
+from .signals import _float_rows, _json_hash, _write_csv, _write_json
 
 
 class ExciteError(Exception):
@@ -52,7 +52,6 @@ class FourierTrajectory:
     offsets: np.ndarray
     sine_coeffs: np.ndarray
     cosine_coeffs: np.ndarray
-    duration: float | None = None
 
     def __post_init__(self):
         if not self.base_frequency > 0:
@@ -71,8 +70,11 @@ class FourierTrajectory:
         object.__setattr__(self, "offsets", q0)
         object.__setattr__(self, "sine_coeffs", a)
         object.__setattr__(self, "cosine_coeffs", b)
-        if self.duration is None:
-            object.__setattr__(self, "duration", 2.0 * math.pi / self.base_frequency)
+
+    @property
+    def duration(self) -> float:
+        """One period, 2 pi / ``base_frequency``."""
+        return 2.0 * math.pi / self.base_frequency
 
     @property
     def num_joints(self) -> int:
@@ -297,9 +299,10 @@ def evaluate_constraints(
 # --- augmented Lagrangian solver --------------------------------------------------
 
 
-# Penalty update: rho grows by _PENALTY_GROWTH, up to _MAX_PENALTY, whenever
-# an outer iteration fails to shrink the infeasibility by 4x. Multipliers stay
-# within +-_MULTIPLIER_BOUND.
+# Penalty update: rho starts at _INITIAL_PENALTY and grows by _PENALTY_GROWTH,
+# up to _MAX_PENALTY, whenever an outer iteration fails to shrink the
+# infeasibility by 4x. Multipliers stay within +-_MULTIPLIER_BOUND.
+_INITIAL_PENALTY = 100.0
 _PENALTY_GROWTH = 5.0
 _MAX_PENALTY = 1e10
 _MULTIPLIER_BOUND = 1e6
@@ -309,7 +312,6 @@ _INITIAL_STEP = 0.25
 
 @dataclass(frozen=True)
 class ALOptions:
-    initial_penalty: float = 10.0
     outer_iterations: int = 8
     subproblem_budget: int = 2000
     constraint_tolerance: float = 1e-3
@@ -332,7 +334,6 @@ class ALResult:
     record: ConstraintRecord
     infeasibility: float
     feasible: bool
-    flagged: bool
     evaluations: int
     history: list[dict]
 
@@ -441,7 +442,7 @@ def augmented_lagrangian_minimize(
     ineq_names = list(rec0.inequalities.keys())
     lam = np.zeros(len(eq_names))
     mu = np.zeros(len(ineq_names))
-    rho = float(opts.initial_penalty)
+    rho = _INITIAL_PENALTY
     tol = opts.constraint_tolerance
 
     # The start point is the incumbent to beat; any evaluation with a number
@@ -538,7 +539,6 @@ def augmented_lagrangian_minimize(
         prev_infeas = infeas
 
     infeas = best["infeasibility"]
-    feasible = infeas <= tol
     return ALResult(
         x=best["x"],
         objective=best["objective"],
@@ -546,8 +546,7 @@ def augmented_lagrangian_minimize(
         final=best["score"],
         record=best["record"],
         infeasibility=infeas,
-        feasible=feasible,
-        flagged=not feasible,
+        feasible=infeas <= tol,
         evaluations=evaluations,
         history=history,
     )
@@ -562,7 +561,6 @@ class DesignReport:
     final: InformationObjective
     record: ConstraintRecord
     feasible: bool
-    flagged: bool
     boundary_within_tolerance: bool
     evaluations: int
     subspace_rank: int
@@ -575,7 +573,7 @@ class DesignReport:
             "final": dict(self.final._asdict()),
             "constraints": asdict(self.record),
             "feasible": self.feasible,
-            "flagged": self.flagged,
+            "flagged": not self.feasible,
             "boundary_within_tolerance": self.boundary_within_tolerance,
             "evaluations": self.evaluations,
             "subspace_rank": self.subspace_rank,
@@ -706,7 +704,6 @@ def design_trajectory(
         final=result.final,
         record=result.record,
         feasible=result.feasible,
-        flagged=result.flagged,
         boundary_within_tolerance=boundary_ok,
         evaluations=result.evaluations,
         subspace_rank=rank,
@@ -770,14 +767,19 @@ def trajectory_to_dict(traj: FourierTrajectory) -> dict:
 
 
 def trajectory_from_dict(data: dict) -> FourierTrajectory:
-    return FourierTrajectory(
+    """Inverse of :func:`trajectory_to_dict`. A stored ``duration`` must be
+    the period 2 pi / ``base_frequency`` to within rounding."""
+    traj = FourierTrajectory(
         base_frequency=data["base_frequency"],
         harmonics=data["harmonics"],
         offsets=np.asarray(data["offsets"], dtype=float),
         sine_coeffs=np.asarray(data["sine_coeffs"], dtype=float),
         cosine_coeffs=np.asarray(data["cosine_coeffs"], dtype=float),
-        duration=data.get("duration"),
     )
+    stored = data.get("duration", traj.duration)
+    if not math.isclose(float(stored), traj.duration, rel_tol=1e-12):
+        raise ExciteError(f"duration {stored} s is not 2 pi / base_frequency = {traj.duration} s")
+    return traj
 
 
 def save_trajectory(path, traj: FourierTrajectory, provenance: dict | None = None) -> None:
@@ -795,7 +797,7 @@ def export_trajectory_csv(path, traj: FourierTrajectory, rate: float) -> None:
     t, q, qd, qdd = sample_trajectory(traj, rate, include_endpoint=True)
     n = traj.num_joints
     header = ["t"] + [f"{prefix}_{i + 1}" for prefix in ("q", "qd", "qdd") for i in range(n)]
-    _write_csv(path, header, np.column_stack([t, q, qd, qdd]))
+    _write_csv(path, header, _float_rows(np.column_stack([t, q, qd, qdd])))
 
 
 def problem_fingerprint(problem: DesignProblem, omega: float, harmonics: int) -> str:

@@ -48,10 +48,6 @@ class InfeasiblePriorError(IdentifyError):
     """The barrier starting point is not strictly feasible."""
 
 
-class BarrierError(IdentifyError):
-    """Newton iteration on the barrier subproblem failed."""
-
-
 @dataclass(frozen=True)
 class SubspaceReport:
     """Rank-revealing split of parameter space for a given regressor."""
@@ -60,14 +56,13 @@ class SubspaceReport:
     identifiable_basis: np.ndarray
     unidentifiable_basis: np.ndarray
     singular_values: np.ndarray
-    threshold: float
     left_vectors: np.ndarray  # U of the SVD, one column per singular value
 
     def as_dict(self) -> dict:
         return {
             "rank": self.rank,
             "singular_values": self.singular_values.tolist(),
-            "threshold": self.threshold,
+            "threshold": DEFAULT_SVD_THRESHOLD,
         }
 
 
@@ -100,6 +95,12 @@ class IdentificationResult:
         }
 
 
+_OBJECT_FRAME_NOTE = (
+    "parameters are expressed in the last link frame; re-express in an object "
+    "frame by applying a rigid transform to (m, h, I)"
+)
+
+
 @dataclass(frozen=True)
 class PayloadResult:
     params: LinkInertialParams
@@ -107,7 +108,6 @@ class PayloadResult:
     composite_min_eig: float
     residual: float
     boundary_warning: bool
-    object_frame_note: str
     trace: BarrierTrace
 
     def as_dict(self) -> dict:
@@ -117,7 +117,7 @@ class PayloadResult:
             "composite_min_eig": self.composite_min_eig,
             "residual": self.residual,
             "boundary_warning": self.boundary_warning,
-            "object_frame_note": self.object_frame_note,
+            "object_frame_note": _OBJECT_FRAME_NOTE,
             "trace": asdict(self.trace),
         }
 
@@ -140,7 +140,6 @@ def identifiable_subspace(W: np.ndarray) -> SubspaceReport:
         identifiable_basis=vt[:rank].T.copy(),
         unidentifiable_basis=vt[rank:].T.copy(),
         singular_values=singular,
-        threshold=DEFAULT_SVD_THRESHOLD,
         left_vectors=u,
     )
 
@@ -310,7 +309,7 @@ class _Lmis:
         try:
             J_inv = np.linalg.inv(self.value(x))
         except np.linalg.LinAlgError as exc:
-            raise BarrierError("singular pseudo-inertia inside barrier") from exc
+            raise IdentifyError("singular pseudo-inertia inside barrier") from exc
         M = np.einsum("kij,ksjl->ksil", J_inv, self.bases)
         np.subtract.at(grad, self.index.ravel(), mu * np.trace(M, axis1=2, axis2=3).ravel())
         block = np.einsum("ksij,ktji->kst", M, M)
@@ -522,12 +521,6 @@ def _payload_constraints(base10: np.ndarray) -> _Lmis:
     )
 
 
-_OBJECT_FRAME_NOTE = (
-    "parameters are expressed in the last link frame; re-express in an object "
-    "frame by applying a rigid transform to (m, h, I)"
-)
-
-
 # Mass of the payload barrier start, kg: a 5 cm solid sphere at the link origin.
 _PAYLOAD_START_MASS = 1e-3
 
@@ -543,6 +536,15 @@ def default_payload_start() -> np.ndarray:
     return body
 
 
+def payload_fixed_mask(num_links: int) -> np.ndarray:
+    """The ``fixed_mask`` of a payload stack: every parameter is held at the
+    base values except the last link's 10 inertial entries."""
+    mask = np.ones(num_links * PARAMS_PER_LINK, dtype=bool)
+    start = (num_links - 1) * PARAMS_PER_LINK
+    mask[start : start + INERTIAL_PARAMS_PER_LINK] = False
+    return mask
+
+
 def payload_identify(
     system: LeastSquares,
     base_params: np.ndarray,
@@ -550,8 +552,8 @@ def payload_identify(
 ) -> PayloadResult:
     """Estimate grasped-object parameters as a last-link difference.
 
-    The system's stack must have been built with every parameter fixed to
-    ``base_params`` except the last link's 10 inertial entries. The decision
+    The system's stack must have been built with ``fixed_mask =
+    payload_fixed_mask(N)`` and ``fixed_values = base_params``. The decision
     variable is the difference ``p`` between the composite and base link;
     both ``J(p)`` and the composite ``J(base + p)`` are constrained positive
     definite, since the difference must be a real body and so must the
@@ -560,18 +562,15 @@ def payload_identify(
     if system.free_mask is None:
         raise IdentifyError("payload_identify needs a stack with link structure")
     n = system.num_links
-    start = (n - 1) * PARAMS_PER_LINK
-    last_inertial = slice(start, start + INERTIAL_PARAMS_PER_LINK)
-    expected = np.zeros(n * PARAMS_PER_LINK, dtype=bool)
-    expected[last_inertial] = True
-    if not np.array_equal(system.free_mask, expected):
+    free = ~payload_fixed_mask(n)
+    if not np.array_equal(system.free_mask, free):
         raise IdentifyError(
             "stack must leave exactly the last link's 10 inertial parameters free"
         )
     base = np.asarray(base_params, dtype=float)
     if base.shape != (n * PARAMS_PER_LINK,):
         raise IdentifyError(f"base_params must have {n * PARAMS_PER_LINK} entries")
-    base10 = base[last_inertial]
+    base10 = base[free]
 
     p0 = default_payload_start()
     A, y = _regularized_pair(system, system.c - system.G @ base10, p0.copy(), reg_weight)
@@ -605,7 +604,6 @@ def payload_identify(
         composite_min_eig=composite_eig,
         residual=system.misfit(base10 + p),
         boundary_warning=warning,
-        object_frame_note=_OBJECT_FRAME_NOTE,
         trace=trace,
     )
 

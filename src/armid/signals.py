@@ -22,14 +22,7 @@ import numpy as np
 
 from . import identify
 from .dynamics import stack_regressor
-from .model import (
-    PARAMS_PER_LINK,
-    LinkInertialParams,
-    ModelError,
-    RobotModel,
-    is_physically_feasible,
-    pack_params,
-)
+from .model import ModelError, RobotModel, is_physically_feasible, pack_params
 
 # Samples discarded at each boundary per differentiation pass (the five-point
 # stencil needs two neighbours on each side).
@@ -100,7 +93,6 @@ class ProcessedDataset:
     qdd: np.ndarray
     tau: np.ndarray
     sample_rate: float
-    cutoffs_used: dict
 
     def __post_init__(self):
         for name in ("timestamps", "q", "qd", "qdd", "tau"):
@@ -289,7 +281,6 @@ def process_trial(
         qdd=qdd[sl].copy(),
         tau=tau[sl].copy(),
         sample_rate=rate,
-        cutoffs_used={"position": position_cutoff, "torque": torque_cutoff},
     )
 
 
@@ -316,25 +307,24 @@ def tune_filter_cutoffs(
     trial: RawTrial,
     model: RobotModel,
     grid: Sequence[tuple[float | None, float | None]] = DEFAULT_CUTOFF_GRID,
-    prior: np.ndarray | None = None,
 ) -> tuple[tuple[float | None, float | None], list[CutoffSearchEntry]]:
     """Grid-search filter cutoffs by the consistent-identification residual.
 
-    Every grid point processes the trial, runs the constrained identification,
-    and records its residual. The regressor depends only on the position
-    cutoff, so each distinct position cutoff builds one stack, and each torque
-    cutoff's torques are filtered once; every point then factors its own
-    ``[W | T - w0]``, so its residual has the bits it gets when searched
-    alone. A point that fails with a data, model or identification error is
-    skipped but kept in the table (a failed stack or filter is not cached, so
-    each of its points retries it); any other exception is a bug and
-    propagates. Ties break toward the lower cutoffs. Returns the best
-    (position, torque) pair and the full search table, in grid order.
+    Every grid point processes the trial, runs the constrained identification
+    from :func:`identification_prior`, and records its residual. The
+    regressor depends only on the position cutoff, so each distinct position
+    cutoff builds one stack, and each torque cutoff's torques are filtered
+    once; every point then factors its own ``[W | T - w0]``, so its residual
+    has the bits it gets when searched alone. A point that fails with a data,
+    model or identification error is skipped but kept in the table (a failed
+    stack or filter is not cached, so each of its points retries it); any
+    other exception is a bug and propagates. Ties break toward the lower
+    cutoffs. Returns the best (position, torque) pair and the full search
+    table, in grid order.
     """
     if not grid:
         raise SignalError("cutoff grid is empty")
-    if prior is None:
-        prior = identification_prior(pack_params(model), model.num_joints)
+    prior = identification_prior(model)
 
     @functools.cache
     def stack_at(pos_cut):  # T holds unfiltered torques, which each point replaces
@@ -381,24 +371,20 @@ def default_identification_prior(num_links: int) -> np.ndarray:
     return np.tile(per_link, num_links)
 
 
-def identification_prior(candidate: np.ndarray | None, num_links: int) -> np.ndarray:
-    """``candidate`` if it can start the barrier, else the default prior.
+def identification_prior(model: RobotModel) -> np.ndarray:
+    """The barrier's start: the model's parameters if they can start it, else
+    the default prior.
 
     A usable start is strictly feasible on every link: positive definite
     pseudo-inertia and strictly positive friction and rotor terms.
     """
-    if candidate is not None:
-        links = (
-            LinkInertialParams.from_vector(candidate[k : k + PARAMS_PER_LINK])
-            for k in range(0, num_links * PARAMS_PER_LINK, PARAMS_PER_LINK)
-        )
-        if all(
-            is_physically_feasible(p, tol=0.0).feasible
-            and min(p.viscous_friction, p.coulomb_friction, p.rotor_inertia) > 0
-            for p in links
-        ):
-            return candidate
-    return default_identification_prior(num_links)
+    if all(
+        is_physically_feasible(p, tol=0.0).feasible
+        and min(p.viscous_friction, p.coulomb_friction, p.rotor_inertia) > 0
+        for _, p in model.links
+    ):
+        return pack_params(model)
+    return default_identification_prior(model.num_joints)
 
 
 # --- artifact formats ------------------------------------------------------------
@@ -417,14 +403,11 @@ def _float_rows(table: np.ndarray) -> list[str]:
 def _write_csv(path, header: Sequence[str], rows) -> None:
     """Write ``header`` then ``rows``; every CSV table armid writes uses this.
 
-    A float table comes as a 2-D array, or as its rows already formatted by
-    :func:`_float_rows` (a list of str). Those lines end in ``\\r\\n``: the
-    bytes ``csv`` writes, made without its per-cell work. Any other ``rows``
-    go through ``csv``, which writes None as an empty cell and quotes text
-    where needed.
+    A float table comes as its rows formatted by :func:`_float_rows` (a list
+    of str). Those lines end in ``\\r\\n``: the bytes ``csv`` writes, made
+    without its per-cell work. Any other ``rows`` go through ``csv``, which
+    writes None as an empty cell and quotes text where needed.
     """
-    if isinstance(rows, np.ndarray):
-        rows = _float_rows(rows)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

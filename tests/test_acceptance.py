@@ -80,10 +80,7 @@ def test_criterion_2_noiseless_roundtrip():
     truth = pack_params(model)
 
     problem = DesignProblem(model=model, sample_rate=20.0, gamma=0.1)
-    opts = ALOptions(
-        seed=11, subproblem_budget=4000, outer_iterations=4, restarts=3,
-        initial_penalty=100.0,
-    )
+    opts = ALOptions(seed=11, subproblem_budget=4000, outer_iterations=4, restarts=3)
     omega = 2 * math.pi * 0.05
     traj, report = design_trajectory(problem, omega, 5, opts)
     assert report.feasible, "designed trajectory must satisfy constraints"
@@ -178,7 +175,7 @@ def test_criterion_4_design_efficacy():
 
     opts = ALOptions(
         seed=11, subproblem_budget=6000, outer_iterations=4, restarts=3,
-        step_decay=1.0, initial_penalty=100.0,
+        step_decay=1.0,
     )
     traj, report = design_trajectory(problem, omega, harmonics, opts)
     assert report.feasible

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import armid
-from armid import identify
+from armid import identify, signals
 from armid.cli import EXIT_ERROR, EXIT_OK, EXIT_WARNINGS, _load_dataset, main
 from armid.excite import (
     DesignProblem,
@@ -21,7 +21,7 @@ from armid.excite import (
     save_trajectory,
 )
 from armid.model import model_to_dict
-from armid.signals import SignalError
+from armid.signals import RawTrial, SignalError, trial_from_csv, trial_to_csv
 from armid.simulate import builtin_fixture
 
 PENDULUM_URDF = """
@@ -113,13 +113,13 @@ def _write_trajectory(tmp_path, fixture_name, seed=4, omega=2 * math.pi * 0.1, L
     return path
 
 
-def _planar2_data(tmp_path):
+def _planar2_data(tmp_path, trials=1):
     traj_path = _write_trajectory(tmp_path, "planar2")
     data_dir = tmp_path / "data"
     code = main(
         [
             "simulate", "--fixture", "planar2", "--traj", str(traj_path),
-            "--trials", "1", "--rate", "50", "--out", str(data_dir),
+            "--trials", str(trials), "--rate", "50", "--out", str(data_dir),
         ]
     )
     assert code == EXIT_OK
@@ -146,8 +146,9 @@ class TestDesignCommand:
         _, q, qd, qdd = sample_trajectory(traj, problem.sample_rate, include_endpoint=True)
         record = evaluate_constraints(problem, q, qd, qdd)
         assert record.max_violation() <= 1e-3
-        report = json.loads((out / "design_report.json").read_text())
-        assert report["report"]["feasible"] is True
+        report = json.loads((out / "design_report.json").read_text())["report"]
+        assert report["feasible"] is True
+        assert report["flagged"] is False
         assert (out / "trajectory.csv").exists()
 
     def test_missing_model_path(self, tmp_path):
@@ -167,6 +168,9 @@ class TestDesignCommand:
             ]
         )
         assert code == EXIT_WARNINGS
+        report = json.loads((tmp_path / "run" / "design_report.json").read_text())["report"]
+        assert report["feasible"] is False
+        assert report["flagged"] is True
 
     def test_usage_error(self):
         assert main(["design"]) == EXIT_ERROR  # no --out
@@ -424,6 +428,99 @@ class TestSimulateIdentifyPipeline:
         )
         assert code == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {spec}: no 'mass' entry\n"
+
+    @pytest.mark.parametrize("change", ["shorter", "shifted"])
+    def test_trials_must_share_the_time_grid(self, tmp_path, capsys, change):
+        data_dir = _planar2_data(tmp_path, trials=2)
+        first, second = data_dir / "trial_000.csv", data_dir / "trial_001.csv"
+        trial = trial_from_csv(second)
+        t, q, tau = trial.timestamps, trial.q, trial.tau
+        if change == "shorter":
+            trial_to_csv(RawTrial(t[:-5], q[:-5], tau[:-5]), second)
+            expected = f"{second}: {t.size - 5} samples, but {first} has {t.size}"
+        else:
+            trial_to_csv(RawTrial(t + 0.001, q, tau), second)
+            expected = f"{second}: time grid differs from {first}"
+        code = main(["identify", "--data", str(data_dir), "--out", str(tmp_path / "o")])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
+    @pytest.mark.parametrize(
+        "content, problem",
+        [
+            ({"labeled_sets": {"open": [0.0] * 26}}, "labeled_sets key 'open' is not numeric"),
+            ({"labeled_sets": {"0.5": [1.0] * 5}},
+             "labeled_sets['0.5'] has 5 entries, expected 26"),
+            ({"alpha": [1.0] * 5}, "'alpha' has 5 entries, expected 26"),
+            ({"alpha": "abc"}, "'alpha' is not numeric"),
+        ],
+    )
+    def test_base_params_errors_name_file_and_key(self, tmp_path, capsys, content, problem):
+        data_dir = _planar2_data(tmp_path)
+        base_path = tmp_path / "base.json"
+        base_path.write_text(json.dumps(content))
+        code = main(
+            [
+                "identify", "--mode", "payload", "--data", str(data_dir),
+                "--base-params", str(base_path), "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {base_path}: {problem}"
+
+    def test_manifest_payload_without_first_moment_names_file_and_key(self, tmp_path, capsys):
+        data_dir, truth = self._payload_dataset(tmp_path)
+        manifest_path = data_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["payload"]["first_moment"]
+        manifest_path.write_text(json.dumps(manifest))
+        base_path = tmp_path / "base.json"
+        base_path.write_text(json.dumps({"alpha": truth}))
+        code = main(
+            [
+                "identify", "--mode", "payload", "--data", str(data_dir),
+                "--base-params", str(base_path), "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {manifest_path} 'payload': no 'first_moment' entry"
+        )
+
+    @pytest.mark.parametrize("flag, value", [("--pos-cutoff", "abc"), ("--torque-cutoff", "-2")])
+    def test_bad_cutoff_fails_before_reading_trials(
+        self, tmp_path, capsys, monkeypatch, flag, value
+    ):
+        data_dir = _planar2_data(tmp_path)
+        reads = []
+        monkeypatch.setattr(signals, "trial_from_csv", lambda path: reads.append(path))
+        out = str(tmp_path / "o")
+        code = main(["identify", "--data", str(data_dir), flag, value, "--out", out])
+        assert code == EXIT_ERROR
+        assert reads == []
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"armid identify: error: argument {flag}: "
+            f"expected Hz > 0, 'none' or 'auto', got {value!r}"
+        )
+
+    def test_robot_prior_comes_from_the_model(self, tmp_path):
+        # Without truth_parameters in the manifest, the barrier and the OLS
+        # fill-in start from the same prior: the manifest's model.
+        data_dir = _planar2_data(tmp_path)
+        args = ["identify", "--data", str(data_dir), "--pos-cutoff", "none",
+                "--torque-cutoff", "none"]
+        assert main([*args, "--out", str(tmp_path / "with")]) == EXIT_OK
+        manifest_path = data_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["truth_parameters"]
+        manifest_path.write_text(json.dumps(manifest))
+        assert main([*args, "--out", str(tmp_path / "without")]) == EXIT_OK
+        with_truth, without = (
+            json.loads((tmp_path / name / "identification.json").read_text())
+            for name in ("with", "without")
+        )
+        for key in ("ols", "consistent", "alpha"):
+            assert with_truth[key] == without[key]
 
     @pytest.mark.parametrize("mode, weight", [("payload", "-1"), ("robot", "nan")])
     def test_reg_weight_must_be_finite_and_nonnegative(self, tmp_path, capsys, mode, weight):

@@ -222,6 +222,36 @@ class TestRandomChains:
         assert np.max(np.abs(W @ pack_params(model) - tau)) <= 1e-9 * scale
         _assert_columns_pinned(model, q[:3], qd[:3], qdd[:3])
 
+    @given(model=_random_chain(), seed=st.integers(0, 2**32 - 1))
+    def test_energy_balance(self, model, seed):
+        # d(KE + PE)/dt = qd . (tau - viscous qd - coulomb sign(qd) - rotor qdd)
+        # along a smooth trajectory; energy comes from the kinematics, so this
+        # checks the torque recursion end to end on any chain.
+        rng = np.random.default_rng(seed)
+        n = model.num_joints
+        amp, freq, phase = rng.uniform(0.2, 1.0, n), rng.uniform(0.5, 2.0, n), rng.uniform(0, 6, n)
+
+        def state(t):
+            arg = freq * t + phase
+            return amp * np.sin(arg), amp * freq * np.cos(arg), -amp * freq**2 * np.sin(arg)
+
+        t0, dt = rng.uniform(0.0, 3.0), 1e-3
+        q, qd, qdd = state(t0)
+        joint_side = np.array(
+            [
+                p.viscous_friction * qd[i]
+                + p.coulomb_friction * smooth_sign(qd[i])
+                + p.rotor_inertia * qdd[i]
+                for i, (_, p) in enumerate(model.links)
+            ]
+        )
+        tau = inverse_dynamics_batch(model, q, qd, qdd)[0]
+        power = float(qd @ (tau - joint_side))
+        e = [sum(energy(model, *state(t0 + k * dt)[:2])) for k in (-2, -1, 1, 2)]
+        d_energy = (e[0] - 8 * e[1] + 8 * e[2] - e[3]) / (12 * dt)  # five-point stencil
+        scale = 1.0 + float(np.abs(qd * tau).sum())
+        assert power == pytest.approx(d_energy, abs=1e-9 * scale)
+
 
 class TestStack:
     def test_shapes_and_zero_offset(self, twolink_model):

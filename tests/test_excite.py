@@ -333,7 +333,6 @@ class TestAugmentedLagrangian:
 
         opts = ALOptions(seed=1, subproblem_budget=200, outer_iterations=3)
         result = augmented_lagrangian_minimize(evaluate, np.zeros(1), opts)
-        assert result.flagged
         assert not result.feasible
 
     def test_nan_everywhere_returns_flagged_start(self):
@@ -345,7 +344,6 @@ class TestAugmentedLagrangian:
         x0 = np.array([0.5, -0.5])
         opts = ALOptions(seed=0, subproblem_budget=20, outer_iterations=2)
         result = augmented_lagrangian_minimize(evaluate, x0, opts)
-        assert result.flagged
         assert not result.feasible
         assert math.isnan(result.infeasibility)
         np.testing.assert_array_equal(result.x, x0)
@@ -357,8 +355,7 @@ class TestDesign:
     def test_design_smoke_improves_and_replays(self):
         model = builtin_fixture("pendulum1").model
         problem = DesignProblem(model=model, sample_rate=20.0, gamma=0.1)
-        opts = ALOptions(seed=2, subproblem_budget=900, outer_iterations=3, restarts=2,
-                         initial_penalty=100.0)
+        opts = ALOptions(seed=2, subproblem_budget=900, outer_iterations=3, restarts=2)
         omega = 2 * math.pi * 0.1
         traj, report = design_trajectory(problem, omega, 3, opts)
         # The start point has zero Fourier coefficients: every sample is the
@@ -433,6 +430,14 @@ class TestSerialization:
         np.testing.assert_array_equal(back.offsets, traj.offsets)
         np.testing.assert_array_equal(back.sine_coeffs, traj.sine_coeffs)
         assert back.duration == traj.duration
+
+    def test_stored_duration_must_be_the_period(self):
+        # The period follows from the base frequency; a file that says
+        # otherwise would change the sampled span, so it is rejected.
+        data = trajectory_to_dict(_traj(seed=24))
+        data["duration"] *= 2
+        with pytest.raises(ExciteError, match="is not 2 pi / base_frequency"):
+            trajectory_from_dict(data)
 
     def test_file_roundtrip_with_provenance(self, tmp_path):
         traj = _traj(seed=22)

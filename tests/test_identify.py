@@ -9,6 +9,7 @@ import pytest
 from armid import identify
 from armid.dynamics import RegressorStack, inverse_dynamics_batch, stack_regressor
 from armid.identify import (
+    DEFAULT_SVD_THRESHOLD,
     BarrierTrace,
     IdentifyError,
     InfeasiblePriorError,
@@ -96,7 +97,7 @@ class TestSubspace:
         sigma_max = report.singular_values[0]
         for k in range(report.unidentifiable_basis.shape[1]):
             v = report.unidentifiable_basis[:, k]
-            assert np.linalg.norm(stack.W @ v) <= report.threshold * sigma_max * 1.01
+            assert np.linalg.norm(stack.W @ v) <= DEFAULT_SVD_THRESHOLD * sigma_max * 1.01
 
     @pytest.mark.parametrize("fixture, count", [("chain3", 200), ("arm7", 100)])
     def test_thin_split_matches_full_svd(self, fixture, count):
@@ -106,7 +107,7 @@ class TestSubspace:
         assert W.shape[0] > W.shape[1]
         report = identifiable_subspace(W)
         _, s_ref, vt_ref = np.linalg.svd(W, full_matrices=True)
-        rank_ref = int(np.sum(s_ref > report.threshold * s_ref[0]))
+        rank_ref = int(np.sum(s_ref > DEFAULT_SVD_THRESHOLD * s_ref[0]))
         assert report.rank == rank_ref
         np.testing.assert_allclose(
             report.singular_values, s_ref, rtol=1e-12, atol=1e-12 * s_ref[0]
@@ -274,7 +275,7 @@ class TestBatchedLmis:
     def test_linalg_calls_per_step_do_not_grow_with_links(self, name, monkeypatch):
         model = builtin_fixture(name).model
         system = least_squares(_noiseless_stack(model, np.random.default_rng(6), noise=1e-2))
-        prior = identification_prior(pack_params(model), model.num_joints)
+        prior = identification_prior(model)
         calls = Counter()
         for attr in ("cholesky", "inv", "solve"):
             real = getattr(np.linalg, attr)

@@ -209,7 +209,6 @@ class TestProcess:
         assert np.all(np.isfinite(ds.q))
         assert np.all(np.isfinite(ds.qdd))
         assert ds.q.shape[0] == trial.q.shape[0] - 8
-        assert ds.cutoffs_used == {"position": 10.0, "torque": 10.0}
 
     def test_none_cutoffs_skip_filtering(self):
         trial = _make_trial(fn=np.sin)
