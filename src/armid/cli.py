@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -43,20 +44,37 @@ _USER_ERRORS = (
 )
 
 
-def _stamp(command: str, paths: dict, parameters: dict, seed: int | None = None) -> dict:
-    """The ``config`` and ``config_hash`` entries every artifact carries: the
-    stage's resolved invocation, so a run directory replays from its manifests."""
-    config = {"command": command, "paths": paths, "parameters": parameters, "seed": seed}
+_UNRECORDED = ("command", "func")  # argparse's own attributes, not flags of the run
+_PATH_FLAGS = ("model", "traj", "payload", "data", "base_params", "out")
+
+
+def _stamp(args, **resolved) -> dict:
+    """The ``config`` and ``config_hash`` every artifact carries: every parsed flag,
+    with the values the stage resolved, so a run directory replays from its artifacts."""
+    flags = {k: v for k, v in vars(args).items() if k not in _UNRECORDED}
+    flags.update(resolved)
+    if "fixture" in flags:
+        fixture = flags.pop("fixture")
+        flags["model"] = flags["model"] or f"fixture:{fixture}"
+    seed = flags.pop("seed", None)
+    paths = {k: flags.pop(k) for k in _PATH_FLAGS if k in flags}
+    config = {"command": args.command, "paths": paths, "parameters": flags, "seed": seed}
     return {"config": config, "config_hash": _json_hash(config)}
 
 
-def _load_model(args) -> model_mod.RobotModel:
-    if getattr(args, "fixture", None):
-        return simulate.builtin_fixture(args.fixture).model
-    if not args.model:
+def _load_fixture(args) -> simulate.Fixture:
+    """The robot of ``--fixture`` or ``--model`` (length scale 0.3); ``--char-length``,
+    where the command has it and it is given, replaces the length scale."""
+    if args.fixture:
+        fixture = simulate.builtin_fixture(args.fixture)
+    elif args.model:
+        robot = model_mod.parse_robot_description(Path(args.model).read_text())
+        fixture = simulate.Fixture(name=robot.name, model=robot)
+    else:
         raise ValueError("either --model or --fixture is required")
-    text = Path(args.model).read_text()
-    return model_mod.parse_robot_description(text)
+    if getattr(args, "char_length", None) is not None:
+        fixture = dataclasses.replace(fixture, char_length=args.char_length)
+    return fixture
 
 
 def _parse_cutoff(raw: str):
@@ -141,7 +159,7 @@ def _metrics_rows(model, alpha_hat, truth, char_length, method):
 
 
 def cmd_design(args) -> int:
-    robot = _load_model(args)
+    robot = _load_fixture(args).model
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     omega = 2.0 * math.pi * args.base_freq
@@ -157,21 +175,7 @@ def cmd_design(args) -> int:
     )
     traj, report = excite.design_trajectory(problem, omega, args.harmonics, opts)
 
-    stamp = _stamp(
-        "design",
-        {"model": args.model or f"fixture:{args.fixture}", "out": str(args.out)},
-        {
-            "gamma": args.gamma,
-            "harmonics": args.harmonics,
-            "base_freq": args.base_freq,
-            "sample_rate": args.sample_rate,
-            "budget": args.budget,
-            "outer": args.outer,
-            "restarts": args.restarts,
-            "tolerance": args.tolerance,
-        },
-        args.seed,
-    )
+    stamp = _stamp(args)
     provenance = {
         **stamp,
         "problem_hash": excite.problem_fingerprint(problem, omega, args.harmonics),
@@ -201,11 +205,7 @@ def _payload_from_spec(path: str) -> model_mod.LinkInertialParams:
 
 
 def cmd_simulate(args) -> int:
-    if args.fixture:
-        fixture = simulate.builtin_fixture(args.fixture)
-    else:
-        robot = _load_model(args)
-        fixture = simulate.Fixture(name=robot.name, model=robot, char_length=args.char_length)
+    fixture = _load_fixture(args)
     if args.payload:
         fixture = fixture.with_payload(_payload_from_spec(args.payload))
     traj, _ = excite.load_trajectory(args.traj)
@@ -215,23 +215,6 @@ def cmd_simulate(args) -> int:
         position_std=args.noise_pos,
         seed=args.seed,
     )
-    stamp = _stamp(
-        "simulate",
-        {
-            "model": args.model or f"fixture:{args.fixture}",
-            "traj": str(args.traj),
-            "payload": args.payload,
-            "out": str(args.out),
-        },
-        {
-            "trials": args.trials,
-            "rate": args.rate,
-            "noise_abs": args.noise_abs,
-            "noise_rel": args.noise_rel,
-            "noise_pos": args.noise_pos,
-        },
-        args.seed,
-    )
     simulate.write_dataset(
         Path(args.out),
         fixture,
@@ -239,7 +222,7 @@ def cmd_simulate(args) -> int:
         args.rate,
         args.trials,
         noise,
-        extra_manifest=stamp,
+        extra_manifest=_stamp(args),
     )
     return EXIT_OK
 
@@ -269,6 +252,8 @@ def _load_base_params(args, n: int) -> np.ndarray:
     path = args.base_params
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: not a JSON object")
 
     def numeric(key: str, value) -> np.ndarray:
         try:
@@ -277,6 +262,8 @@ def _load_base_params(args, n: int) -> np.ndarray:
             raise ValueError(f"{path}: {key} is not numeric") from None
 
     if "labeled_sets" in data:
+        if not isinstance(data["labeled_sets"], dict):
+            raise ValueError(f"{path}: 'labeled_sets' is not a JSON object")
         keys, sets = {}, {}
         for k, v in data["labeled_sets"].items():
             label = float(numeric(f"labeled_sets key {k!r}", k))
@@ -307,17 +294,7 @@ def cmd_identify(args) -> int:
         else None
     )
     char_length = manifest.get("char_length", 0.3)
-    stamp = _stamp(
-        "identify",
-        {"data": str(args.data), "base_params": args.base_params, "out": str(args.out)},
-        {
-            "mode": args.mode,
-            "pos_cutoff": pos_cut,
-            "torque_cutoff": torque_cut,
-            "reg_weight": args.reg_weight,
-            "configuration": args.configuration,
-        },
-    )
+    stamp = _stamp(args, pos_cutoff=pos_cut, torque_cutoff=torque_cut)
 
     if args.mode == "robot":
         stack = stack_regressor(robot, dataset.q, dataset.qd, dataset.qdd, dataset.tau)
@@ -394,14 +371,13 @@ def cmd_tune_filters(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out_dir / "cutoff_search.csv",
-        ["position_cutoff", "torque_cutoff", "residual", "error"],
-        [(e.position_cutoff, e.torque_cutoff, e.residual, e.error) for e in table],
+        [field.name for field in dataclasses.fields(signals.CutoffSearchEntry)],
+        [dataclasses.astuple(e) for e in table],
     )
     _write_json(
         out_dir / "best_cutoffs.json",
         {
-            **_stamp("tune-filters", {"data": str(args.data), "out": str(args.out)},
-                     {"grid": args.grid}),
+            **_stamp(args),
             "position_cutoff": best[0],
             "torque_cutoff": best[1],
         },
@@ -426,7 +402,7 @@ def cmd_report(args) -> int:
                 rows.append(row)
     if not rows:
         raise ValueError("no metrics found in the given run directories")
-    fieldnames = ["run", "method", "link", "mass_pct", "com_pct", "inertia_pct"]
+    fieldnames = ["run", *_METRICS_HEADER]
     out_fh = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.DictWriter(out_fh, fieldnames=fieldnames, extrasaction="ignore")
@@ -475,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-abs", type=float, default=0.0)
     p.add_argument("--noise-pos", type=float, default=0.0)
     p.add_argument("--payload", help="payload spec JSON (mass/com/radius or full params)")
-    p.add_argument("--char-length", type=float, default=0.3)
+    p.add_argument("--char-length", type=float, help="m; default: the fixture's, 0.3 for --model")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)

@@ -322,6 +322,8 @@ class ALOptions:
     def __post_init__(self):
         if self.subproblem_budget <= 0 or self.outer_iterations <= 0:
             raise ExciteError("budgets must be positive")
+        if self.restarts < 0:
+            raise ExciteError("restarts must be >= 0")
 
 
 @dataclass

@@ -11,7 +11,7 @@ import pytest
 
 import armid
 from armid import identify, signals
-from armid.cli import EXIT_ERROR, EXIT_OK, EXIT_WARNINGS, _load_dataset, main
+from armid.cli import EXIT_ERROR, EXIT_OK, EXIT_WARNINGS, _load_dataset, build_parser, main
 from armid.excite import (
     DesignProblem,
     evaluate_constraints,
@@ -174,6 +174,13 @@ class TestDesignCommand:
 
     def test_usage_error(self):
         assert main(["design"]) == EXIT_ERROR  # no --out
+
+    def test_negative_restarts_is_a_usage_error(self, tmp_path, capsys):
+        code = main(
+            ["design", "--fixture", "pendulum1", "--restarts", "-1", "--out", str(tmp_path)]
+        )
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: restarts must be >= 0\n"
 
 
 class TestSimulateIdentifyPipeline:
@@ -453,6 +460,8 @@ class TestSimulateIdentifyPipeline:
              "labeled_sets['0.5'] has 5 entries, expected 26"),
             ({"alpha": [1.0] * 5}, "'alpha' has 5 entries, expected 26"),
             ({"alpha": "abc"}, "'alpha' is not numeric"),
+            ({"labeled_sets": [[1.0]]}, "'labeled_sets' is not a JSON object"),
+            (5, "not a JSON object"),
         ],
     )
     def test_base_params_errors_name_file_and_key(self, tmp_path, capsys, content, problem):
@@ -584,6 +593,94 @@ class TestTuneAndReport:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main(["report", "--runs", str(empty)]) == EXIT_ERROR
+
+
+def _replay_argv(config: dict) -> list[str]:
+    """The argv a run's ``config`` records: each path, parameter and the seed as its flag."""
+    argv = [config["command"]]
+    for key, value in {**config["paths"], **config["parameters"], "seed": config["seed"]}.items():
+        if key == "model" and value.startswith("fixture:"):
+            key, value = "fixture", value.removeprefix("fixture:")
+        if value is None:
+            if key not in ("pos_cutoff", "torque_cutoff"):  # the cutoffs default to "auto"
+                continue
+            value = "none"
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    return argv
+
+
+class TestConfig:
+    """Every artifact's ``config`` is the run's parsed command line."""
+
+    def _assert_replays(self, argv, artifact, **resolved):
+        config = json.loads(Path(artifact).read_text())
+        config = config.get("provenance", config)["config"]
+        expected = build_parser().parse_args(argv)
+        vars(expected).update(resolved)
+        assert build_parser().parse_args(_replay_argv(config)) == expected
+
+    def test_config_replays_its_command(self, tmp_path):
+        runs = []
+
+        def run(*argv):
+            assert main(list(argv)) in (EXIT_OK, EXIT_WARNINGS)
+            runs.append(list(argv))
+            return runs[-1]
+
+        design = run(
+            "design", "--fixture", "pendulum1", "--harmonics", "2", "--sample-rate", "20",
+            "--budget", "100", "--outer", "1", "--restarts", "0", "--seed", "4",
+            "--out", str(tmp_path / "design"),
+        )
+        self._assert_replays(design, tmp_path / "design" / "trajectory.json")
+        self._assert_replays(design, tmp_path / "design" / "design_report.json")
+
+        traj_path = _write_trajectory(tmp_path, "planar2")
+        payload_spec = tmp_path / "payload.json"
+        payload_spec.write_text(json.dumps({"mass": 0.4, "radius": 0.05}))
+        data_dir = tmp_path / "data"
+        simulate = run(
+            "simulate", "--fixture", "planar2", "--traj", str(traj_path), "--trials", "1",
+            "--rate", "50", "--noise-rel", "0.005", "--payload", str(payload_spec),
+            "--char-length", "0.7", "--seed", "3", "--out", str(data_dir),
+        )
+        self._assert_replays(simulate, data_dir / "manifest.json")
+
+        robot = run("identify", "--data", str(data_dir), "--out", str(tmp_path / "robot"))
+        # Noisy data at 50 Hz: "auto" resolves to min(10, rate / 4) Hz.
+        self._assert_replays(
+            robot, tmp_path / "robot" / "identification.json",
+            pos_cutoff=10.0, torque_cutoff=10.0,
+        )
+        payload = run(
+            "identify", "--mode", "payload", "--data", str(data_dir),
+            "--base-params", str(tmp_path / "robot" / "identification.json"),
+            "--pos-cutoff", "none", "--torque-cutoff", "8", "--reg-weight", "0.01",
+            "--out", str(tmp_path / "payload"),
+        )
+        self._assert_replays(payload, tmp_path / "payload" / "payload.json")
+
+        tune = run(
+            "tune-filters", "--data", str(data_dir), "--grid", "6,12:6",
+            "--out", str(tmp_path / "tuned"),
+        )
+        self._assert_replays(tune, tmp_path / "tuned" / "best_cutoffs.json")
+
+    @pytest.mark.parametrize("source, default", [("model", 0.3), ("fixture", 0.4)])
+    def test_char_length_reaches_the_manifest_and_the_hash(self, tmp_path, source, default):
+        if source == "model":
+            robot = tmp_path / "pendulum.urdf"
+            robot.write_text(PENDULUM_URDF.format(lo="-3", hi="3"))
+            traj_path = _write_trajectory(tmp_path, "pendulum1")
+        else:
+            robot, traj_path = "chain3", _write_trajectory(tmp_path, "chain3")
+        args = ["simulate", f"--{source}", str(robot), "--traj", str(traj_path), "--trials", "1"]
+        manifests = []
+        for flags in ([], ["--char-length", "0.9"]):
+            assert main([*args, *flags, "--out", str(tmp_path / "data")]) == EXIT_OK
+            manifests.append(json.loads((tmp_path / "data" / "manifest.json").read_text()))
+        assert [m["char_length"] for m in manifests] == [default, 0.9]
+        assert manifests[0]["config_hash"] != manifests[1]["config_hash"]
 
 
 class TestGoldenCsv:
