@@ -100,12 +100,28 @@ def _required(spec, key: str, path):
     return spec[key]
 
 
+def _numeric(value, where, key: str, shape: tuple | None = None) -> np.ndarray:
+    """``value`` as a finite float array, of ``shape`` if one is given; anything
+    else (null reads as NaN) is an error that names ``where`` and ``key``."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        array = None
+    if array is None or not np.all(np.isfinite(array)):
+        raise ValueError(f"{where}: {key} is not numeric")
+    if shape is not None and array.shape != shape:
+        raise ValueError(f"{where}: {key} has shape {array.shape}, expected {shape}")
+    return array
+
+
 def _rigid_body(spec, where) -> model_mod.LinkInertialParams:
     """A body from a spec's ``mass``, ``first_moment`` and ``rotational_inertia``;
-    a missing entry is an error that names ``where`` and the key."""
-    for key in ("mass", "first_moment", "rotational_inertia"):
-        _required(spec, key, where)
-    return model_mod.rigid_body_from_dict(spec)
+    a missing or malformed entry is an error that names ``where`` and the key."""
+    shapes = {"mass": (), "first_moment": (3,), "rotational_inertia": (3, 3)}
+    return model_mod.rigid_body_from_dict(
+        {key: _numeric(_required(spec, key, where), where, repr(key), shape)
+         for key, shape in shapes.items()}
+    )
 
 
 def _load_dataset(data_dir: Path) -> tuple[dict, model_mod.RobotModel, signals.RawTrial]:
@@ -195,12 +211,18 @@ def cmd_design(args) -> int:
 
 
 def _payload_from_spec(path: str) -> model_mod.LinkInertialParams:
+    """The ``--payload`` body: a rigid body if the spec has ``first_moment``,
+    else a solid sphere from ``mass``, ``radius`` and ``com``."""
     with open(path) as fh:
         spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise ValueError(f"{path}: not a JSON object")
     if "first_moment" in spec:
         return _rigid_body(spec, path)
     return model_mod.solid_sphere_params(
-        _required(spec, "mass", path), spec.get("radius", 0.05), spec.get("com", [0.0, 0.0, 0.0])
+        float(_numeric(_required(spec, "mass", path), path, "'mass'", ())),
+        float(_numeric(spec.get("radius", 0.05), path, "'radius'", ())),
+        _numeric(spec.get("com", [0.0, 0.0, 0.0]), path, "'com'", (3,)),
     )
 
 
@@ -254,26 +276,20 @@ def _load_base_params(args, n: int) -> np.ndarray:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"{path}: not a JSON object")
-
-    def numeric(key: str, value) -> np.ndarray:
-        try:
-            return np.asarray(value, dtype=float)
-        except (TypeError, ValueError):
-            raise ValueError(f"{path}: {key} is not numeric") from None
-
     if "labeled_sets" in data:
         if not isinstance(data["labeled_sets"], dict):
             raise ValueError(f"{path}: 'labeled_sets' is not a JSON object")
         keys, sets = {}, {}
         for k, v in data["labeled_sets"].items():
-            label = float(numeric(f"labeled_sets key {k!r}", k))
-            keys[label], sets[label] = f"labeled_sets[{k!r}]", numeric(f"labeled_sets[{k!r}]", v)
+            label = float(_numeric(k, path, f"labeled_sets key {k!r}"))
+            keys[label] = f"labeled_sets[{k!r}]"
+            sets[label] = _numeric(v, path, keys[label])
         chosen, alpha = identify.nearest_base_params(sets, args.configuration)
         print(f"using base parameter set labeled {chosen}", file=sys.stderr)
         key = keys[chosen]
     elif "alpha" in data:
         key = "'alpha'"
-        alpha = numeric(key, data["alpha"])
+        alpha = _numeric(data["alpha"], path, key)
     else:
         raise ValueError(f"{path}: needs 'alpha' or 'labeled_sets'")
     if alpha.shape != (13 * n,):

@@ -238,7 +238,7 @@ def regressor_batch(model: RobotModel, q, qd, qdd) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RegressorStack:
-    """Stacked regressor rows over S samples.
+    """Stacked regressor rows over S samples, held as matrices.
 
     ``W`` holds columns for free parameters only; contributions of parameters
     held fixed are folded into the offset ``w0`` so that the measurement model
@@ -276,6 +276,66 @@ class RegressorStack:
                 raise ValidationError("fixed_values length does not match free_mask")
             object.__setattr__(self, "fixed_values", fixed)
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(rows, free parameters) of ``W``."""
+        return self.W.shape
+
+    def rows(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows [start, stop) of ``W`` and of ``T - w0``."""
+        return self.W[start:stop], self.T[start:stop] - self.w0[start:stop]
+
+    def materialize(self) -> RegressorStack:
+        """The stack itself: its rows are already held."""
+        return self
+
+
+@dataclass(frozen=True)
+class ModelStack:
+    """The stack of :func:`stack_regressor`, held as its samples, not its rows.
+
+    It answers :meth:`rows` as a :class:`RegressorStack` does, but evaluates
+    the regressor on the samples that cover the requested rows only, so a pass
+    over the stack a block at a time never holds more than one block.
+    :meth:`materialize` builds the whole matrix stack, for inspection.
+    """
+
+    model: RobotModel
+    q: np.ndarray
+    qd: np.ndarray
+    qdd: np.ndarray
+    T: np.ndarray
+    free_mask: np.ndarray
+    fixed_values: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.T.size, int(self.free_mask.sum())
+
+    def _rows(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows [start, stop) of ``W`` and ``w0``, from the samples that cover them."""
+        n = self.model.num_joints
+        # At least two samples: with one, numpy's 3 x 3 products become
+        # matrix-vector calls, which may round differently from a batch.
+        first = min(start // n, max(self.q.shape[0] - 2, 0))
+        samples = slice(first, max(-(-stop // n), first + 2))
+        W = regressor_batch(self.model, self.q[samples], self.qd[samples], self.qdd[samples])
+        W = W.reshape(-1, self.free_mask.size)[start - first * n : stop - first * n]
+        fixed = ~self.free_mask
+        w0 = W[:, fixed] @ self.fixed_values[fixed]
+        # Selecting all columns by mask would still copy every row.
+        return (W[:, self.free_mask] if fixed.any() else W), w0
+
+    def rows(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows [start, stop) of ``W`` and of ``T - w0``."""
+        W, w0 = self._rows(start, stop)
+        return W, self.T[start:stop] - w0
+
+    def materialize(self) -> RegressorStack:
+        """Every row at once, as a matrix stack with the same bits."""
+        W, w0 = self._rows(0, self.T.size)
+        return RegressorStack(W, w0, self.T, self.free_mask, self.fixed_values)
+
 
 def stack_regressor(
     model: RobotModel,
@@ -285,8 +345,11 @@ def stack_regressor(
     tau,
     fixed_mask: np.ndarray | None = None,
     fixed_values: np.ndarray | None = None,
-) -> RegressorStack:
+) -> ModelStack:
     """Stack measured samples into the linear system ``T = W alpha + w0``.
+
+    The regressor is not evaluated here: the stack keeps the samples, and
+    :meth:`ModelStack.rows` builds rows on demand.
 
     Args:
         q, qd, qdd: kinematic samples, each (S, N).
@@ -300,10 +363,8 @@ def stack_regressor(
         raise ValidationError("empty sample list")
     if tau.shape != np.shape(q):
         raise ValidationError(f"torque shape {tau.shape} does not match states {np.shape(q)}")
-    n = model.num_joints
+    q, qd, qdd = _check_batch(model, q, qd, qdd)
     total = num_params(model)
-    W_full = regressor_batch(model, q, qd, qdd).reshape(-1, total)
-    S = W_full.shape[0] // n
     if fixed_mask is None:
         mask = np.zeros(total, dtype=bool)
         fixed = np.zeros(total)
@@ -319,18 +380,7 @@ def stack_regressor(
         if not np.all(np.isfinite(fixed[mask])):
             raise ValidationError("fixed_values must be finite where masked")
     fixed[~mask] = 0.0
-
-    free = ~mask
-    # Selecting all columns by mask would still copy the whole regressor.
-    W = W_full if fixed_mask is None else W_full[:, free]
-    w0 = W_full[:, mask] @ fixed[mask] if mask.any() else np.zeros(S * n)
-    return RegressorStack(
-        W=W,
-        w0=w0,
-        T=tau.reshape(-1),
-        free_mask=free,
-        fixed_values=fixed,
-    )
+    return ModelStack(model, q, qd, qdd, T=tau.reshape(-1), free_mask=~mask, fixed_values=fixed)
 
 
 # --- kinematics helpers (used by collision checks and energy tests) -------------

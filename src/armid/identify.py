@@ -25,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .dynamics import RegressorStack
+from .dynamics import ModelStack, RegressorStack
 from .model import (
     FeasibilityReport,
     INERTIAL_PARAMS_PER_LINK,
@@ -180,21 +180,24 @@ class LeastSquares:
 
 
 # Rows of the stack folded into the triangle per QR step. np.linalg.qr copies
-# its input twice, so a step's peak is a few blocks, far below one copy of W.
+# its input twice, and a model-backed stack evaluates the block's regressor,
+# so a step's peak is a few blocks, far below one copy of W.
 _QR_BLOCK_ROWS = 2048
 
 
-def least_squares(stack: RegressorStack) -> LeastSquares:
+def least_squares(stack: RegressorStack | ModelStack) -> LeastSquares:
     """Factor a stack once into the system every estimator reads.
 
     A sequential tall-skinny QR (Demmel, Grigori, Hoemmen & Langou, SIAM J.
-    Sci. Comput. 34(1), 2012) of ``[W | T - w0]``: each step stacks the
-    triangle so far on the next ``_QR_BLOCK_ROWS`` rows and keeps only the new
-    (d + 1)-wide triangle, so memory follows the block, not S. One SVD of its
+    Sci. Comput. 34(1), 2012) of ``[W | T - w0]``: each step asks the stack
+    for its next ``_QR_BLOCK_ROWS`` rows, stacks the triangle so far on them
+    and keeps only the new (d + 1)-wide triangle. A stack from
+    :func:`~armid.dynamics.stack_regressor` builds each block from its
+    samples, so memory follows the block, not S. One SVD of its
     top-left R11 follows (R-SVD: Chan, ACM TOMS 8(1), 1982), c = U^T r, and
     rho^2 is its last diagonal entry squared, or 0 when it has at most d rows.
     """
-    S, d = stack.W.shape
+    S, d = stack.shape
     if S == 0 or d == 0:
         raise IdentifyError("no free parameters to identify" if d == 0 else "empty regressor")
     buf = np.empty((_QR_BLOCK_ROWS + d + 1, d + 1), order="F")
@@ -202,8 +205,8 @@ def least_squares(stack: RegressorStack) -> LeastSquares:
     for start in range(0, S, _QR_BLOCK_ROWS):
         stop = min(start + _QR_BLOCK_ROWS, S)
         rows = top + stop - start
-        buf[top:rows, :d] = stack.W[start:stop]
-        np.subtract(stack.T[start:stop], stack.w0[start:stop], out=buf[top:rows, d])
+        # Unpacked straight into buf, so no block outlives the copy.
+        buf[top:rows, :d], buf[top:rows, d] = stack.rows(start, stop)
         R = np.linalg.qr(buf[:rows], mode="r")
         top = R.shape[0]
         buf[:top] = R

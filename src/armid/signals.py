@@ -312,13 +312,14 @@ def tune_filter_cutoffs(
 
     Every grid point processes the trial, runs the constrained identification
     from :func:`identification_prior`, and records its residual. The
-    regressor depends only on the position cutoff, so each distinct position
-    cutoff builds one stack, and each torque cutoff's torques are filtered
-    once; every point then factors its own ``[W | T - w0]``, so its residual
-    has the bits it gets when searched alone. A point that fails with a data,
-    model or identification error is skipped but kept in the table (a failed
-    stack or filter is not cached, so each of its points retries it); any
-    other exception is a bug and propagates. Ties break toward the lower
+    regressor depends only on the position cutoff, so the points run grouped
+    by position cutoff, and each group materializes its regressor rows once;
+    only the current group's rows are held. Each torque cutoff's torques are
+    filtered once. Every point then factors its own ``[W | T - w0]``, so its
+    residual has the bits it gets when searched alone. A point that fails with
+    a data, model or identification error is skipped but kept in the table (a
+    failed stack or filter is not cached, so each of its points retries it);
+    any other exception is a bug and propagates. Ties break toward the lower
     cutoffs. Returns the best (position, torque) pair and the full search
     table, in grid order.
     """
@@ -326,10 +327,10 @@ def tune_filter_cutoffs(
         raise SignalError("cutoff grid is empty")
     prior = identification_prior(model)
 
-    @functools.cache
+    @functools.lru_cache(maxsize=1)
     def stack_at(pos_cut):  # T holds unfiltered torques, which each point replaces
         ds = process_trial(trial, pos_cut, None)
-        return stack_regressor(model, ds.q, ds.qd, ds.qdd, ds.tau)
+        return stack_regressor(model, ds.q, ds.qd, ds.qdd, ds.tau).materialize()
 
     @functools.cache
     def torques_at(tor_cut):  # trimmed and flattened as a stack's T
@@ -342,7 +343,12 @@ def tune_filter_cutoffs(
         except _POINT_ERRORS as exc:
             return exc
 
-    outcome = [search_point(*point) for point in grid]
+    # Points that share a position cutoff run one after another, so the one
+    # cached stack serves them all; the table keeps grid order.
+    positions = [pos_cut for pos_cut, _ in grid]
+    order = sorted(range(len(grid)), key=lambda i: positions.index(positions[i]))
+    results = {i: search_point(*grid[i]) for i in order}
+    outcome = [results[i] for i in range(len(grid))]
     table = [
         CutoffSearchEntry(*point, None, error=str(result))
         if isinstance(result, Exception)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -13,6 +15,22 @@ from armid.model import (
 # suite stays deterministic and writes no example database.
 settings.register_profile("armid", derandomize=True, max_examples=30, deadline=None, database=None)
 settings.load_profile("armid")
+
+
+def _peak_bytes(fn):
+    """``fn()`` and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def peak_bytes():
+    """The helper that runs ``fn()`` under tracemalloc: ``result, peak = peak_bytes(fn)``."""
+    return _peak_bytes
 
 
 @pytest.fixture

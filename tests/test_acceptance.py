@@ -89,7 +89,7 @@ def test_criterion_2_noiseless_roundtrip():
     dataset = process_trial(trials[0], None, None)
     stack = stack_regressor(model, dataset.q, dataset.qd, dataset.qdd, dataset.tau)
 
-    sub = identifiable_subspace(stack.W)
+    sub = identifiable_subspace(stack.materialize().W)
     basis = sub.identifiable_basis
     system = least_squares(stack)
     r_ols = ols_identify(system, prior=truth)

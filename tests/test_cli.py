@@ -436,6 +436,33 @@ class TestSimulateIdentifyPipeline:
         assert code == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {spec}: no 'mass' entry\n"
 
+    @pytest.mark.parametrize(
+        "content, problem",
+        [
+            (5, "not a JSON object"),
+            ({"mass": "x"}, "'mass' is not numeric"),
+            ({"mass": 0.4, "radius": [0.05]}, "'radius' has shape (1,), expected ()"),
+            ({"mass": 0.4, "com": [0.0, 0.1]}, "'com' has shape (2,), expected (3,)"),
+            ({"mass": 0.4, "com": ["a", 0.0, 0.0]}, "'com' is not numeric"),
+            ({"mass": None, "first_moment": [0.0] * 3, "rotational_inertia": [[0.0] * 3] * 3},
+             "'mass' is not numeric"),
+            ({"mass": 1.0, "first_moment": [0.0] * 2, "rotational_inertia": [[0.0] * 3] * 3},
+             "'first_moment' has shape (2,), expected (3,)"),
+        ],
+    )
+    def test_payload_spec_errors_name_file_and_key(self, tmp_path, capsys, content, problem):
+        traj_path = _write_trajectory(tmp_path, "chain3")
+        spec = tmp_path / "payload.json"
+        spec.write_text(json.dumps(content))
+        code = main(
+            [
+                "simulate", "--fixture", "chain3", "--traj", str(traj_path), "--trials", "1",
+                "--payload", str(spec), "--out", str(tmp_path / "data"),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {spec}: {problem}\n"
+
     @pytest.mark.parametrize("change", ["shorter", "shifted"])
     def test_trials_must_share_the_time_grid(self, tmp_path, capsys, change):
         data_dir = _planar2_data(tmp_path, trials=2)

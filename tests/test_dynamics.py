@@ -1,8 +1,6 @@
-import tracemalloc
-
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from armid.dynamics import (
@@ -15,7 +13,7 @@ from armid.dynamics import (
     smooth_sign,
     stack_regressor,
 )
-from armid.identify import least_squares
+from armid.identify import least_squares, payload_fixed_mask
 from armid.model import (
     PARAMS_PER_LINK,
     JointSpec,
@@ -174,17 +172,12 @@ class TestRegressor:
         q, qd, qdd = _random_states(model, np.random.default_rng(12), 40)
         _assert_columns_pinned(model, q, qd, qdd)
 
-    def test_peak_memory_is_small_multiple_of_output(self):
+    def test_peak_memory_is_small_multiple_of_output(self, peak_bytes):
         # Memory must stay linear in the sample count: no per-parameter or
         # per-descendant copies of the output.
         model = builtin_fixture("arm7").model
         q, qd, qdd = _random_states(model, np.random.default_rng(13), 2000)
-        tracemalloc.start()
-        try:
-            W = regressor_batch(model, q, qd, qdd)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        W, peak = peak_bytes(lambda: regressor_batch(model, q, qd, qdd))
         assert peak <= 2 * W.nbytes, f"peak {peak / W.nbytes:.2f}x the output"
 
 
@@ -211,7 +204,49 @@ def _random_chain(draw):
     return RobotModel(links=tuple(links))
 
 
+def _bits(x):
+    """Shape and bytes: equal only for arrays with the same bits."""
+    return np.shape(x), np.asarray(x).tobytes()
+
+
 class TestRandomChains:
+    @given(
+        model=_random_chain(),
+        seed=st.integers(0, 2**32 - 1),
+        payload=st.booleans(),
+        block=st.integers(1, 64),
+    )
+    @example(model=builtin_fixture("arm7").model, seed=0, payload=False, block=7)
+    @example(model=builtin_fixture("arm7").model, seed=0, payload=True, block=7)
+    def test_row_blocks_have_the_bits_of_the_full_regressor(self, model, seed, payload, block):
+        # 300 samples: on a 7-link chain least_squares' 2,048-row block ends
+        # inside sample 292. W's rows keep their bits in blocks of any size,
+        # checked over the first 40 samples. T - w0 is checked at 2,048 rows
+        # only: w0 is a BLAS matrix-vector product, which may round the last
+        # (rows mod 4) rows of a block differently.
+        rng = np.random.default_rng(seed)
+        q, qd, qdd = _random_states(model, rng, 300)
+        tau = rng.standard_normal(q.shape)
+        values = pack_params(model)
+        mask = payload_fixed_mask(model.num_joints) if payload else None
+        stack = stack_regressor(
+            model, q, qd, qdd, tau, fixed_mask=mask, fixed_values=values if payload else None
+        )
+        full = regressor_batch(model, q, qd, qdd).reshape(q.size, -1)
+        fixed = ~stack.free_mask
+        b = tau.reshape(-1) - full[:, fixed] @ values[fixed]
+        for size, rows in ((block, 40 * model.num_joints), (2048, q.size)):
+            for start in range(0, rows, size):
+                stop = min(start + size, rows)
+                W_block, b_block = stack.rows(start, stop)
+                assert _bits(W_block) == _bits(full[start:stop][:, stack.free_mask])
+                if size == 2048:
+                    assert _bits(b_block) == _bits(b[start:stop])
+        got, want = least_squares(stack), least_squares(stack.materialize())
+        assert _bits(got.G) == _bits(want.G)
+        assert _bits(got.c) == _bits(want.c)
+        assert _bits(got.rho_sq) == _bits(want.rho_sq)
+
     @given(model=_random_chain(), seed=st.integers(0, 2**32 - 1))
     def test_regressor_identity_and_columns(self, model, seed):
         rng = np.random.default_rng(seed)
@@ -265,15 +300,17 @@ class TestStack:
             twolink_model, q, qd, qdd, torques, fixed_mask=fixed,
             fixed_values=pack_params(twolink_model),
         )
-        assert stack.W.shape == (20, 5)
-        assert stack.w0.shape == (20,)
+        assert stack.shape == (20, 5)
+        full = stack.materialize()
+        assert full.W.shape == (20, 5)
+        assert full.w0.shape == (20,)
 
     def test_no_fixed_means_zero_w0(self, twolink_model):
         rng = np.random.default_rng(4)
         q, qd, qdd = _random_states(twolink_model, rng, 5)
         torques = inverse_dynamics_batch(twolink_model, q, qd, qdd)
         stack = stack_regressor(twolink_model, q, qd, qdd, torques)
-        np.testing.assert_array_equal(stack.w0, np.zeros(10))
+        np.testing.assert_array_equal(stack.materialize().w0, np.zeros(10))
 
     def test_all_fixed_at_truth_consumes_signal(self, twolink_model):
         rng = np.random.default_rng(5)
@@ -284,8 +321,9 @@ class TestStack:
             fixed_mask=np.ones(26, dtype=bool),
             fixed_values=pack_params(twolink_model),
         )
-        assert stack.W.shape == (100, 0)
-        assert np.max(np.abs(stack.T - stack.w0)) < 1e-9
+        full = stack.materialize()
+        assert full.W.shape == (100, 0)
+        assert np.max(np.abs(full.T - full.w0)) < 1e-9
 
     def test_dimension_mismatch(self, twolink_model):
         q = qd = qdd = np.zeros((1, 2))
@@ -294,19 +332,15 @@ class TestStack:
         with pytest.raises(ValidationError):
             stack_regressor(twolink_model, q, qd, qdd, np.zeros((1, 3)))
 
-    def test_no_mask_stack_holds_no_regressor_copy(self):
-        # The robot identify path fixes nothing; its stack must reuse the
-        # regressor's memory rather than copy every column.
+    def test_no_mask_stack_holds_no_regressor_copy(self, peak_bytes):
+        # A stack keeps its samples, not its rows: building one evaluates no
+        # regressor row at all.
         model = builtin_fixture("arm7").model
         q, qd, qdd = _random_states(model, np.random.default_rng(13), 2000)
         tau = np.zeros_like(q)
-        tracemalloc.start()
-        try:
-            stack = stack_regressor(model, q, qd, qdd, tau)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * stack.W.nbytes, f"peak {peak / stack.W.nbytes:.2f}x W"
+        _, peak = peak_bytes(lambda: stack_regressor(model, q, qd, qdd, tau))
+        samples = q.nbytes + qd.nbytes + qdd.nbytes + tau.nbytes
+        assert peak <= samples, f"peak {peak / samples:.2f}x the samples"
 
     def test_embed_roundtrip(self, twolink_model):
         rng = np.random.default_rng(6)

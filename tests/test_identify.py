@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -75,7 +74,7 @@ class TestSubspace:
         for seed in range(10):
             rng = np.random.default_rng(100 + seed)
             stack = _noiseless_stack(model, rng, count=200)
-            ranks.append(identifiable_subspace(stack.W).rank)
+            ranks.append(identifiable_subspace(stack.materialize().W).rank)
         assert len(set(ranks)) == 1
         # of 13: h_x, h_z, viscous, coulomb, and I_yy lumped with the rotor
         # inertia (indistinguishable for a single link, both multiply qdd)
@@ -92,18 +91,17 @@ class TestSubspace:
     def test_perturbation_along_unidentifiable_is_silent(self):
         model = builtin_fixture("chain3").model
         rng = np.random.default_rng(2)
-        stack = _noiseless_stack(model, rng, count=300)
-        report = identifiable_subspace(stack.W)
+        W = _noiseless_stack(model, rng, count=300).materialize().W
+        report = identifiable_subspace(W)
         sigma_max = report.singular_values[0]
         for k in range(report.unidentifiable_basis.shape[1]):
             v = report.unidentifiable_basis[:, k]
-            assert np.linalg.norm(stack.W @ v) <= DEFAULT_SVD_THRESHOLD * sigma_max * 1.01
+            assert np.linalg.norm(W @ v) <= DEFAULT_SVD_THRESHOLD * sigma_max * 1.01
 
     @pytest.mark.parametrize("fixture, count", [("chain3", 200), ("arm7", 100)])
     def test_thin_split_matches_full_svd(self, fixture, count):
         model = builtin_fixture(fixture).model
-        stack = _noiseless_stack(model, np.random.default_rng(5), count=count)
-        W = stack.W
+        W = _noiseless_stack(model, np.random.default_rng(5), count=count).materialize().W
         assert W.shape[0] > W.shape[1]
         report = identifiable_subspace(W)
         _, s_ref, vt_ref = np.linalg.svd(W, full_matrices=True)
@@ -188,7 +186,7 @@ class TestMemory:
     """Identification memory grows with the log length, never with its square."""
 
     @pytest.mark.parametrize("estimator", ["ols", "consistent"])
-    def test_long_stack_peak_is_small_multiple_of_W(self, estimator):
+    def test_long_stack_peak_is_small_multiple_of_W(self, estimator, peak_bytes):
         truth = pack_params(builtin_fixture("arm7").model)
         rng = np.random.default_rng(9)
         W = rng.standard_normal((20_000, truth.size))
@@ -197,16 +195,25 @@ class TestMemory:
             W=W, w0=np.zeros(W.shape[0]), T=T,
             free_mask=np.ones(truth.size, dtype=bool),
         )
-        tracemalloc.start()
-        try:
-            if estimator == "ols":
-                ols_identify(least_squares(stack), prior=truth)
-            else:
-                consistent_identify(least_squares(stack), truth)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        if estimator == "ols":
+            _, peak = peak_bytes(lambda: ols_identify(least_squares(stack), prior=truth))
+        else:
+            _, peak = peak_bytes(lambda: consistent_identify(least_squares(stack), truth))
         assert peak <= 1.5 * W.nbytes
+
+    def test_model_stack_peak_follows_the_block_not_the_log(self, peak_bytes):
+        # A stack_regressor stack is factored without its W ever existing:
+        # the peak is a few blocks of rows, so a log twice as long costs no more.
+        model = builtin_fixture("arm7").model
+        peaks = {}
+        for count in (20_000, 40_000):
+            rng = np.random.default_rng(9)
+            q, qd, qdd = _random_states(model, rng, count)
+            stack = stack_regressor(model, q, qd, qdd, rng.standard_normal(q.shape))
+            _, peaks[count] = peak_bytes(lambda: least_squares(stack))
+        W_bytes = 20_000 * model.num_joints * stack.free_mask.size * 8
+        assert peaks[20_000] < W_bytes / 4, f"peak {peaks[20_000] / W_bytes:.3f}x W"
+        assert peaks[40_000] <= 1.1 * peaks[20_000]
 
 
 def _per_link_derivatives(bodies, slots, d):
@@ -423,14 +430,15 @@ class TestConsistent:
         }
         for name, stack in stacks.items():
             system = least_squares(stack)
-            b = stack.T - stack.w0
-            d = stack.W.shape[1]
+            full = stack.materialize()
+            b = full.T - full.w0
+            d = full.W.shape[1]
             points = [rng.standard_normal(d) for _ in range(4)]
             points.append(ols_identify(system).alpha_hat)
             if name == "noiseless":
                 points.append(truth)
             for alpha in points:
-                r = stack.W @ alpha - b
+                r = full.W @ alpha - b
                 direct = float(r @ r)
                 assert abs(system.misfit(alpha) - direct) <= 1e-12 * direct + 1e-24 * (b @ b), name
             for _ in range(10):
@@ -444,6 +452,7 @@ class TestConsistent:
         model = builtin_fixture("chain3").model
         truth = pack_params(model)
         stack = _noiseless_stack(model, np.random.default_rng(2), noise=0.05, noise_seed=2)
+        stack = stack.materialize()
         results = []
         for order in ("C", "F"):
             system = least_squares(replace(stack, W=np.asarray(stack.W, order=order)))
