@@ -40,7 +40,6 @@ _USER_ERRORS = (
     OSError,
     json.JSONDecodeError,
     ValueError,
-    KeyError,
 )
 
 
@@ -92,14 +91,6 @@ def _parse_cutoff(raw: str):
     return value
 
 
-def _required(spec, key: str, path):
-    """``spec[key]`` from the JSON file at ``path``; a missing key is an error
-    that names the file and the key."""
-    if not isinstance(spec, dict) or key not in spec:
-        raise ValueError(f"{path}: no {key!r} entry")
-    return spec[key]
-
-
 def _numeric(value, where, key: str, shape: tuple | None = None) -> np.ndarray:
     """``value`` as a finite float array, of ``shape`` if one is given; anything
     else (null reads as NaN) is an error that names ``where`` and ``key``."""
@@ -119,7 +110,7 @@ def _rigid_body(spec, where) -> model_mod.LinkInertialParams:
     a missing or malformed entry is an error that names ``where`` and the key."""
     shapes = {"mass": (), "first_moment": (3,), "rotational_inertia": (3, 3)}
     return model_mod.rigid_body_from_dict(
-        {key: _numeric(_required(spec, key, where), where, repr(key), shape)
+        {key: _numeric(model_mod.json_entry(spec, key, where), where, repr(key), shape)
          for key, shape in shapes.items()}
     )
 
@@ -131,7 +122,9 @@ def _load_dataset(data_dir: Path) -> tuple[dict, model_mod.RobotModel, signals.R
         raise SignalError(f"no manifest.json in {data_dir}")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    robot = model_mod.model_from_dict(_required(manifest, "model", manifest_path))
+    robot = model_mod.model_from_dict(
+        model_mod.json_entry(manifest, "model", manifest_path), f"{manifest_path} model"
+    )
     paths = sorted(data_dir.glob("trial_*.csv"))
     if not paths:
         raise SignalError(f"no trial_*.csv files in {data_dir}")
@@ -220,7 +213,7 @@ def _payload_from_spec(path: str) -> model_mod.LinkInertialParams:
     if "first_moment" in spec:
         return _rigid_body(spec, path)
     return model_mod.solid_sphere_params(
-        float(_numeric(_required(spec, "mass", path), path, "'mass'", ())),
+        float(_numeric(model_mod.json_entry(spec, "mass", path), path, "'mass'", ())),
         float(_numeric(spec.get("radius", 0.05), path, "'radius'", ())),
         _numeric(spec.get("com", [0.0, 0.0, 0.0]), path, "'com'", (3,)),
     )

@@ -13,7 +13,10 @@ torques are the independent check on it.
 All core routines are batched over samples: ``q, qd, qdd`` have shape (S, N),
 and a single (N,) state counts as S = 1.
 Inside, vectors are (3, S) arrays and rotations (3, 3, S), so each numpy call
-works on whole rows of samples.
+works on whole rows of samples. Every product is elementwise arithmetic in a
+fixed order, never a BLAS or einsum reduction, whose rounding may depend on
+the batch's size and memory layout: a sample gets the same bits alone as in
+any batch.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .model import (
     RobotModel,
     ValidationError,
     num_params,
+    pack_params,
 )
 
 # Width of the Coulomb friction smoothing, rad/s. The same smooth sign is used
@@ -46,9 +50,7 @@ def smooth_sign(qd: np.ndarray) -> np.ndarray:
 
 
 def _check_batch(model: RobotModel, q, qd, qdd):
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    qd = np.atleast_2d(np.asarray(qd, dtype=float))
-    qdd = np.atleast_2d(np.asarray(qdd, dtype=float))
+    q, qd, qdd = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (q, qd, qdd))
     n = model.num_joints
     if q.shape[1] != n or q.shape != qd.shape or q.shape != qdd.shape:
         raise ValidationError(
@@ -62,54 +64,61 @@ def _check_batch(model: RobotModel, q, qd, qdd):
 
 def _cross(a, b):
     """a x b per component, for (3, ...) arrays that broadcast against each other."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    a = np.concatenate([a, a[:2]])  # a[1:4] is (a1, a2, a0), a[2:] is (a2, a0, a1)
+    b = np.concatenate([b, b[:2]])
+    return a[1:4] * b[2:] - a[2:] * b[1:4]
 
 
-def _skew(p):
-    """[p]x, so that [p]x b = p x b; shape (3, 3) for a 3-vector, (3, 3, S) for (3, S)."""
-    zero = np.zeros_like(p[0])
-    return np.array([[zero, -p[2], p[1]], [p[2], zero, -p[0]], [-p[1], p[0], zero]])
-
-
-def _inertia_map(x):
-    """L(x), shape (3, 6, S): L(x) (Ixx, Ixy, Ixz, Iyy, Iyz, Izz) = I x."""
+def _inertia_map_t(x, y):
+    """L(x)^T y, for L(x) (Ixx, Ixy, Ixz, Iyy, Iyz, Izz) = I x; shaped like y's components."""
     x0, x1, x2 = x
-    z = np.zeros_like(x0)
-    return np.array([[x0, x1, x2, z, z, z], [z, x0, z, x1, x2, z], [z, z, x0, z, x1, x2]])
-
-
-def _mul(M, x):
-    """M x per sample, for M of shape (m, c) or (m, c, S) and x of (c, S) or (c, J, S)."""
-    return np.einsum("ic...,c...->i...", M, x)
+    y0, y1, y2 = y
+    return np.array(
+        [x0 * y0, x1 * y0 + x0 * y1, x2 * y0 + x0 * y2, x1 * y1, x2 * y1 + x1 * y2, x2 * y2]
+    )
 
 
 def _mul_t(M, x):
-    """M^T x per sample, for M of shape (c, m) or (c, m, S) and x as in :func:`_mul`."""
-    return np.einsum("ci...,c...->i...", M, x)
+    """M^T x per sample, for M of shape (3, m, S) and x of (3, S) or (3, J, S)."""
+    terms = (M if x.ndim == 2 else M[:, :, None]) * x[:, None]
+    return terms[0] + terms[1] + terms[2]
 
 
-def _joint_rotations(model: RobotModel, q: np.ndarray) -> list[np.ndarray]:
-    """Per-link rotation child->parent, shape (3, 3, S) each.
+def _mul(M, x):
+    """M x per sample, for M of shape (m, 3, S) and x as in :func:`_mul_t`."""
+    return _mul_t(M.swapaxes(0, 1), x)
 
-    R0 Rodrigues(a, theta) = R0 a a^T + cos(theta) (R0 - R0 a a^T) + sin(theta) R0 [a]x.
+
+def _dot(a, b):
+    """a . b per sample, for (3, ...) arrays that broadcast against each other."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _joint_frames(model: RobotModel) -> tuple[np.ndarray, np.ndarray]:
+    """Every joint's axis and parent-frame offset, as (N, 3, 1) columns."""
+    joints = model.joint_specs
+    return (
+        np.array([j.axis for j in joints])[..., None],
+        np.array([j.parent_frame_pose.translation for j in joints])[..., None],
+    )
+
+
+def _joint_rotations(model: RobotModel, q: np.ndarray) -> np.ndarray:
+    """Rotation child->parent of every link, shape (N, 3, 3, S).
+
+    R0 Rodrigues(a, theta) = R0 a a^T + cos(theta) (R0 - R0 a a^T) + sin(theta) R0 [a]x,
+    with the three constant terms built for all links at once.
     """
-    cos = np.cos(q.T)
-    sin = np.sin(q.T)
-    rotations = []
-    for i, (joint, _) in enumerate(model.links):
-        r0 = joint.parent_frame_pose.rotation
-        along = r0 @ np.outer(joint.axis, joint.axis)
-        rotations.append(
-            along[..., None]
-            + (r0 - along)[..., None] * cos[i]
-            + (r0 @ _skew(joint.axis))[..., None] * sin[i]
-        )
-    return rotations
+    axes = np.array([j.axis for j in model.joint_specs])
+    r0 = np.array([j.parent_frame_pose.rotation for j in model.joint_specs])
+    along = r0 @ (axes[:, :, None] * axes[:, None, :])
+    turn = r0 @ _cross(axes.T[..., None], np.eye(3)[:, None]).swapaxes(0, 1)  # R0 [a]x
+    cos = np.cos(q.T)[:, None, None]
+    sin = np.sin(q.T)[:, None, None]
+    return along[..., None] + (r0 - along)[..., None] * cos + turn[..., None] * sin
 
 
-def _kinematic_pass(model: RobotModel, q, qd, qdd):
+def _kinematic_pass(model: RobotModel, frames, q, qd, qdd):
     """Propagate angular velocity/acceleration and origin acceleration per link.
 
     Quantities are expressed in each link's own frame as (3, S) arrays, and
@@ -119,72 +128,55 @@ def _kinematic_pass(model: RobotModel, q, qd, qdd):
     S = q.shape[0]
     rotations = _joint_rotations(model, q)
     qd_t, qdd_t = qd.T, qdd.T
-    omega = np.zeros((3, S))
-    alpha = np.zeros((3, S))
+    omega = alpha = np.zeros((3, S))
     acc = np.broadcast_to(-model.gravity[:, None], (3, S))
-    omegas, alphas, accs = [], [], []
-    for i, (joint, _) in enumerate(model.links):
-        R = rotations[i]
-        skew_p = _skew(joint.parent_frame_pose.translation)
-        a = joint.axis[:, None]
+    states = []
+    for i, (R, a, p) in enumerate(zip(rotations, *frames)):
         # acc + alpha x p + omega x (omega x p), then into the child frame
-        acc = _mul_t(R, acc - skew_p @ alpha - _cross(omega, skew_p @ omega))
+        acc = _mul_t(R, acc - _cross(p, alpha) - _cross(omega, _cross(p, omega)))
         omega_parent_local = _mul_t(R, omega)
-        alpha = (
-            _mul_t(R, alpha)
-            + qdd_t[i] * a
-            - qd_t[i] * (_skew(joint.axis) @ omega_parent_local)
-        )
+        alpha = _mul_t(R, alpha) + qdd_t[i] * a - qd_t[i] * _cross(a, omega_parent_local)
         omega = omega_parent_local + qd_t[i] * a
-        omegas.append(omega)
-        alphas.append(alpha)
-        accs.append(acc)
-    return rotations, omegas, alphas, accs
+        states.append((omega, alpha, acc))
+    return rotations, *zip(*states)
 
 
-def _link_wrench(mass, h, inertia, omega, alpha, acc):
+def _link_wrench(params, omega, alpha, acc):
     """Newton-Euler wrench about the link frame origin; linear in (m, h, I)."""
-    force = mass * acc + _cross(alpha, h) + _cross(omega, _cross(omega, h))
-    torque = inertia @ alpha + _cross(omega, inertia @ omega) + _cross(h, acc)
+    h, inertia = params.first_moment[:, None], params.rotational_inertia[..., None]
+    force = params.mass * acc + _cross(alpha, h) + _cross(omega, _cross(omega, h))
+    torque = _mul(inertia, alpha) + _cross(omega, _mul(inertia, omega)) + _cross(h, acc)
     return force, torque
 
 
-def _backward_pass(model, rotations, forces, torques):
+def _backward_pass(frames, rotations, forces, torques):
     """Accumulate child wrenches down the chain and project onto joint axes."""
-    n = model.num_joints
+    axes, offsets = frames
+    n = len(axes)
     tau = np.empty((forces[0].shape[1], n))
     f_total = forces[n - 1]
     n_total = torques[n - 1]
-    tau[:, n - 1] = model.links[n - 1][0].axis @ n_total
+    tau[:, n - 1] = _dot(axes[n - 1], n_total)
     for i in range(n - 2, -1, -1):
         f_from_child = _mul(rotations[i + 1], f_total)
-        skew_p = _skew(model.links[i + 1][0].parent_frame_pose.translation)
-        n_total = torques[i] + _mul(rotations[i + 1], n_total) + skew_p @ f_from_child
+        n_total = (
+            torques[i] + _mul(rotations[i + 1], n_total) + _cross(offsets[i + 1], f_from_child)
+        )
         f_total = forces[i] + f_from_child
-        tau[:, i] = model.links[i][0].axis @ n_total
+        tau[:, i] = _dot(axes[i], n_total)
     return tau
 
 
 def inverse_dynamics_batch(model: RobotModel, q, qd, qdd) -> np.ndarray:
     """Joint torques for a batch of states; shape (S, N)."""
     q, qd, qdd = _check_batch(model, q, qd, qdd)
-    rotations, omegas, alphas, accs = _kinematic_pass(model, q, qd, qdd)
-    forces, torques = [], []
-    for i, (_, params) in enumerate(model.links):
-        f, t = _link_wrench(
-            params.mass, params.first_moment, params.rotational_inertia,
-            omegas[i], alphas[i], accs[i],
-        )
-        forces.append(f)
-        torques.append(t)
-    tau = _backward_pass(model, rotations, forces, torques)
-    for i, (_, params) in enumerate(model.links):
-        tau[:, i] += (
-            params.viscous_friction * qd[:, i]
-            + params.coulomb_friction * smooth_sign(qd[:, i])
-            + params.rotor_inertia * qdd[:, i]
-        )
-    return tau
+    frames = _joint_frames(model)
+    rotations, omegas, alphas, accs = _kinematic_pass(model, frames, q, qd, qdd)
+    wrenches = [_link_wrench(p, *s) for p, *s in zip(model.inertial_params, omegas, alphas, accs)]
+    tau = _backward_pass(frames, rotations, *zip(*wrenches))
+    joint_side = pack_params(model).reshape(-1, PARAMS_PER_LINK)
+    viscous, coulomb, rotor = joint_side[:, [VISCOUS_INDEX, COULOMB_INDEX, ROTOR_INDEX]].T
+    return tau + (viscous * qd + coulomb * smooth_sign(qd) + rotor * qdd)
 
 
 def regressor_batch(model: RobotModel, q, qd, qdd) -> np.ndarray:
@@ -207,29 +199,26 @@ def regressor_batch(model: RobotModel, q, qd, qdd) -> np.ndarray:
     q, qd, qdd = _check_batch(model, q, qd, qdd)
     S = q.shape[0]
     n = model.num_joints
-    rotations, omegas, alphas, accs = _kinematic_pass(model, q, qd, qdd)
-    # Parameter-major memory, so the (S*N, 13N) stack that stack_regressor
-    # reshapes from it is a column-major view, not a copy. A masked column
-    # selection is column-major too, so both stack paths round alike in BLAS.
+    axes, offsets = frames = _joint_frames(model)
+    rotations, omegas, alphas, accs = _kinematic_pass(model, frames, q, qd, qdd)
+    # Parameter-major memory, so the (S*N, 13N) stack that ModelStack
+    # reshapes from it is a column-major view, not a copy.
     W = np.zeros((num_params(model), S, n)).transpose(1, 2, 0)
-    u = np.empty((3, 0, S))
-    v = np.empty((3, 0, S))
-    eye = np.eye(3)[..., None]
-    for k, (joint, _) in enumerate(model.links):
+    u = v = np.empty((3, 0, S))
+    for k in range(n):
         if k:
-            # u x p = -[p]x u
-            v = _mul_t(rotations[k], v - _mul(_skew(joint.parent_frame_pose.translation), u))
+            v = _mul_t(rotations[k], v - _cross(offsets[k][:, None], u))
             u = _mul_t(rotations[k], u)
-        u = np.concatenate([u, np.broadcast_to(joint.axis[:, None, None], (3, 1, S))], axis=1)
+        u = np.concatenate([u, np.broadcast_to(axes[k][..., None], (3, 1, S))], axis=1)
         v = np.concatenate([v, np.zeros((3, 1, S))], axis=1)
-        w, al, a = omegas[k], alphas[k], accs[k]
-        force_h = _skew(al) + w[:, None] * w - eye * (w * w).sum(axis=0)  # [al]x + [w]x^2
-        torque_inertia = _inertia_map(al) + _cross(w, _inertia_map(w))  # L(al) + [w]x L(w)
+        w, al, a = omegas[k][:, None], alphas[k][:, None], accs[k][:, None]  # (3, 1, S)
         col0 = k * PARAMS_PER_LINK
         block = W[:, : k + 1, col0 : col0 + INERTIAL_PARAMS_PER_LINK].T  # a view, (10, k + 1, S)
-        block[MASS_INDEX] = (v * a[:, None]).sum(axis=0)
-        block[FIRST_MOMENT_SLICE] = _mul_t(force_h, v) - _mul_t(_skew(a), u)
-        block[INERTIA_SLICE] = _mul_t(torque_inertia, u)
+        block[MASS_INDEX] = _dot(v, a)
+        # ([al]x + [w]x^2)^T v - [a]x^T u = v x al + w x (w x v) + a x u
+        block[FIRST_MOMENT_SLICE] = _cross(v, al) + _cross(w, _cross(w, v)) + _cross(a, u)
+        # (L(al) + [w]x L(w))^T u = L(al)^T u + L(w)^T (u x w)
+        block[INERTIA_SLICE] = _inertia_map_t(al, u) + _inertia_map_t(w, _cross(u, w))
         W[:, k, col0 + VISCOUS_INDEX] = qd[:, k]
         W[:, k, col0 + COULOMB_INDEX] = smooth_sign(qd[:, k])
         W[:, k, col0 + ROTOR_INDEX] = qdd[:, k]
@@ -267,11 +256,8 @@ class RegressorStack:
             if int(mask.sum()) != W.shape[1]:
                 raise ValidationError("free_mask does not match W column count")
             object.__setattr__(self, "free_mask", mask)
-            fixed = (
-                np.zeros(mask.size)
-                if self.fixed_values is None
-                else np.asarray(self.fixed_values, dtype=float)
-            )
+            fixed = np.zeros(mask.size) if self.fixed_values is None else self.fixed_values
+            fixed = np.asarray(fixed, dtype=float)
             if fixed.shape != mask.shape:
                 raise ValidationError("fixed_values length does not match free_mask")
             object.__setattr__(self, "fixed_values", fixed)
@@ -315,16 +301,15 @@ class ModelStack:
     def _rows(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows [start, stop) of ``W`` and ``w0``, from the samples that cover them."""
         n = self.model.num_joints
-        # At least two samples: with one, numpy's 3 x 3 products become
-        # matrix-vector calls, which may round differently from a batch.
-        first = min(start // n, max(self.q.shape[0] - 2, 0))
-        samples = slice(first, max(-(-stop // n), first + 2))
+        first = start // n
+        samples = slice(first, -(-stop // n))
         W = regressor_batch(self.model, self.q[samples], self.qd[samples], self.qdd[samples])
         W = W.reshape(-1, self.free_mask.size)[start - first * n : stop - first * n]
-        fixed = ~self.free_mask
-        w0 = W[:, fixed] @ self.fixed_values[fixed]
+        fixed = np.flatnonzero(~self.free_mask)
+        # One fixed column at a time, so a row's bits do not depend on its block.
+        w0 = sum((W[:, c] * self.fixed_values[c] for c in fixed), np.zeros(len(W)))
         # Selecting all columns by mask would still copy every row.
-        return (W[:, self.free_mask] if fixed.any() else W), w0
+        return (W[:, self.free_mask] if fixed.size else W), w0
 
     def rows(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """Rows [start, stop) of ``W`` and of ``T - w0``."""
@@ -392,21 +377,16 @@ def forward_kinematics(model: RobotModel, q) -> tuple[np.ndarray, np.ndarray]:
     Returns rotations (S, N, 3, 3) and origins (S, N, 3).
     """
     q = np.atleast_2d(np.asarray(q, dtype=float))
-    S = q.shape[0]
-    n = model.num_joints
-    rotations = [r.transpose(2, 0, 1) for r in _joint_rotations(model, q)]
-    R = np.empty((S, n, 3, 3))
-    p = np.empty((S, n, 3))
-    R_acc = np.broadcast_to(np.eye(3), (S, 3, 3))
-    p_acc = np.zeros((S, 3))
-    for i, (joint, _) in enumerate(model.links):
-        p_acc = p_acc + np.einsum(
-            "sij,j->si", R_acc, joint.parent_frame_pose.translation
-        )
-        R_acc = np.einsum("sij,sjk->sik", R_acc, rotations[i])
-        R[:, i] = R_acc
-        p[:, i] = p_acc
-    return R, p
+    rotations = _joint_rotations(model, q).transpose(0, 3, 1, 2)  # (N, S, 3, 3)
+    R_acc = np.broadcast_to(np.eye(3), (q.shape[0], 3, 3))
+    p_acc = np.zeros((q.shape[0], 3))
+    Rs, ps = [], []
+    for R_joint, p_joint in zip(rotations, _joint_frames(model)[1][..., 0]):
+        p_acc = p_acc + np.einsum("sij,j->si", R_acc, p_joint)
+        R_acc = np.einsum("sij,sjk->sik", R_acc, R_joint)
+        Rs.append(R_acc)
+        ps.append(p_acc)
+    return np.stack(Rs, axis=1), np.stack(ps, axis=1)
 
 
 def energy(model: RobotModel, q, qd) -> tuple[float, float]:

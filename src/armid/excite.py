@@ -22,13 +22,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .dynamics import forward_kinematics, regressor_batch
 from .identify import identifiable_subspace
-from .model import RobotModel, model_to_dict
+from .model import RobotModel, json_entry, model_to_dict
 from .signals import _float_rows, _json_hash, _write_csv, _write_json
 
 
@@ -768,19 +769,24 @@ def trajectory_to_dict(traj: FourierTrajectory) -> dict:
     }
 
 
-def trajectory_from_dict(data: dict) -> FourierTrajectory:
+def trajectory_from_dict(data: dict, where="trajectory") -> FourierTrajectory:
     """Inverse of :func:`trajectory_to_dict`. A stored ``duration`` must be
-    the period 2 pi / ``base_frequency`` to within rounding."""
+    the period 2 pi / ``base_frequency`` to within rounding; a missing or
+    malformed entry raises :class:`ExciteError` naming ``where`` and the key."""
+    entry = partial(json_entry, data, where=where, error=ExciteError)
+    floats = partial(np.asarray, dtype=float)
     traj = FourierTrajectory(
-        base_frequency=data["base_frequency"],
-        harmonics=data["harmonics"],
-        offsets=np.asarray(data["offsets"], dtype=float),
-        sine_coeffs=np.asarray(data["sine_coeffs"], dtype=float),
-        cosine_coeffs=np.asarray(data["cosine_coeffs"], dtype=float),
+        base_frequency=entry("base_frequency", kind=float),
+        harmonics=entry("harmonics", kind=int),
+        offsets=entry("offsets", kind=floats),
+        sine_coeffs=entry("sine_coeffs", kind=floats),
+        cosine_coeffs=entry("cosine_coeffs", kind=floats),
     )
-    stored = data.get("duration", traj.duration)
-    if not math.isclose(float(stored), traj.duration, rel_tol=1e-12):
-        raise ExciteError(f"duration {stored} s is not 2 pi / base_frequency = {traj.duration} s")
+    stored = entry("duration", kind=float) if "duration" in data else traj.duration
+    if not math.isclose(stored, traj.duration, rel_tol=1e-12):
+        raise ExciteError(
+            f"{where}: duration {stored} s is not 2 pi / base_frequency = {traj.duration} s"
+        )
     return traj
 
 
@@ -791,7 +797,8 @@ def save_trajectory(path, traj: FourierTrajectory, provenance: dict | None = Non
 def load_trajectory(path) -> tuple[FourierTrajectory, dict]:
     with open(path) as fh:
         payload = json.load(fh)
-    return trajectory_from_dict(payload["trajectory"]), payload.get("provenance", {})
+    spec = json_entry(payload, "trajectory", path, error=ExciteError)
+    return trajectory_from_dict(spec, f"{path} trajectory"), payload.get("provenance", {})
 
 
 def export_trajectory_csv(path, traj: FourierTrajectory, rate: float) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -560,27 +561,42 @@ def model_to_dict(model: RobotModel) -> dict:
     }
 
 
-def model_from_dict(data: dict) -> RobotModel:
+def json_entry(spec, key: str, where, kind=None, error=ModelError):
+    """``spec[key]`` of a JSON object read from ``where``, converted by ``kind``
+    if given; a missing or unconvertible entry raises ``error`` naming ``where``
+    and ``key``."""
+    if not isinstance(spec, dict) or key not in spec:
+        raise error(f"{where}: no {key!r} entry")
+    try:
+        return spec[key] if kind is None else kind(spec[key])
+    except (TypeError, ValueError):
+        raise error(f"{where}: {key!r} entry is malformed") from None
+
+
+def model_from_dict(data: dict, where="model") -> RobotModel:
+    """Inverse of :func:`model_to_dict`; a missing or malformed entry raises
+    :class:`ModelError` naming ``where`` and the key."""
+    floats = partial(np.asarray, dtype=float)
     links = []
-    for entry in data["links"]:
-        j = entry["joint"]
+    for i, entry in enumerate(json_entry(data, "links", where, list)):
+        at = f"{where} links[{i}]"
+        j, j_at = json_entry(entry, "joint", at), f"{at} joint"
         joint = JointSpec(
-            name=j["name"],
-            axis=np.asarray(j["axis"], dtype=float),
+            name=json_entry(j, "name", j_at),
+            axis=json_entry(j, "axis", j_at, floats),
             parent_frame_pose=Transform(
-                np.asarray(j["rotation"], dtype=float),
-                np.asarray(j["translation"], dtype=float),
+                json_entry(j, "rotation", j_at, floats), json_entry(j, "translation", j_at, floats)
             ),
-            position_limits=tuple(j["position_limits"]),
-            velocity_limit=j["velocity_limit"],
-            acceleration_limit=j["acceleration_limit"],
+            position_limits=json_entry(j, "position_limits", j_at, tuple),
+            velocity_limit=json_entry(j, "velocity_limit", j_at, float),
+            acceleration_limit=json_entry(j, "acceleration_limit", j_at, float),
         )
-        params = LinkInertialParams.from_vector(np.asarray(entry["params"], dtype=float))
-        links.append((joint, params))
+        params = json_entry(entry, "params", at, floats)
+        links.append((joint, LinkInertialParams.from_vector(params)))
     return RobotModel(
         links=tuple(links),
-        gravity=np.asarray(data["gravity"], dtype=float),
-        name=data["name"],
+        gravity=json_entry(data, "gravity", where, floats),
+        name=json_entry(data, "name", where),
     )
 
 

@@ -381,12 +381,13 @@ def identification_prior(model: RobotModel) -> np.ndarray:
     """The barrier's start: the model's parameters if they can start it, else
     the default prior.
 
-    A usable start is strictly feasible on every link: positive definite
-    pseudo-inertia and strictly positive friction and rotor terms.
+    A usable start is strictly feasible on every link, by a margin of 1e-12:
+    pseudo-inertia eigenvalues and friction and rotor terms above it. Nearer
+    the boundary, the barrier's curvature mu / x**2 overflows (at 1e-275, say).
     """
     if all(
-        is_physically_feasible(p, tol=0.0).feasible
-        and min(p.viscous_friction, p.coulomb_friction, p.rotor_inertia) > 0
+        is_physically_feasible(p, tol=1e-12).feasible
+        and min(p.viscous_friction, p.coulomb_friction, p.rotor_inertia) > 1e-12
         for _, p in model.links
     ):
         return pack_params(model)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import armid
-from armid import identify, signals
+from armid import identify, signals, simulate
 from armid.cli import EXIT_ERROR, EXIT_OK, EXIT_WARNINGS, _load_dataset, build_parser, main
 from armid.excite import (
     DesignProblem,
@@ -422,6 +422,64 @@ class TestSimulateIdentifyPipeline:
         code = main(["tune-filters", "--data", str(data_dir), "--out", str(tmp_path / "o")])
         assert code == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {manifest_path}: no 'model' entry\n"
+
+    @pytest.mark.parametrize(
+        "value, problem",
+        [(None, "no 'axis' entry"), ("up", "'axis' entry is malformed")],
+    )
+    def test_manifest_model_errors_name_file_and_key(self, tmp_path, capsys, value, problem):
+        data_dir = _planar2_data(tmp_path)
+        manifest_path = data_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        joint = manifest["model"]["links"][1]["joint"]
+        joint.pop("axis") if value is None else joint.update(axis=value)
+        manifest_path.write_text(json.dumps(manifest))
+        code = main(["identify", "--data", str(data_dir), "--out", str(tmp_path / "o")])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {manifest_path} model links[1] joint: {problem}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "edit, where, problem",
+        [
+            (lambda d: d["trajectory"].pop("harmonics"), " trajectory", "no 'harmonics' entry"),
+            (lambda d: d["trajectory"].update(offsets="x"), " trajectory",
+             "'offsets' entry is malformed"),
+            (lambda d: d.pop("trajectory"), "", "no 'trajectory' entry"),
+        ],
+        ids=["no-harmonics", "bad-offsets", "no-trajectory"],
+    )
+    def test_trajectory_errors_name_file_and_key(self, tmp_path, capsys, edit, where, problem):
+        traj_path = _write_trajectory(tmp_path, "chain3")
+        data = json.loads(traj_path.read_text())
+        edit(data)
+        traj_path.write_text(json.dumps(data))
+        code = main(
+            [
+                "simulate", "--fixture", "chain3", "--traj", str(traj_path), "--trials", "1",
+                "--out", str(tmp_path / "data"),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {traj_path}{where}: {problem}\n"
+
+    def test_an_internal_key_error_is_not_an_input_error(self, tmp_path, monkeypatch):
+        # Input errors exit 1 with a message; a KeyError from a bug must end
+        # in a traceback instead of passing for bad input.
+        traj_path = _write_trajectory(tmp_path, "chain3")
+
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(simulate, "write_dataset", broken)
+        with pytest.raises(KeyError, match="internal"):
+            main(
+                [
+                    "simulate", "--fixture", "chain3", "--traj", str(traj_path),
+                    "--trials", "1", "--out", str(tmp_path / "data"),
+                ]
+            )
 
     def test_payload_spec_without_mass_names_file_and_key(self, tmp_path, capsys):
         traj_path = _write_trajectory(tmp_path, "chain3")

@@ -220,10 +220,9 @@ class TestRandomChains:
     @example(model=builtin_fixture("arm7").model, seed=0, payload=True, block=7)
     def test_row_blocks_have_the_bits_of_the_full_regressor(self, model, seed, payload, block):
         # 300 samples: on a 7-link chain least_squares' 2,048-row block ends
-        # inside sample 292. W's rows keep their bits in blocks of any size,
-        # checked over the first 40 samples. T - w0 is checked at 2,048 rows
-        # only: w0 is a BLAS matrix-vector product, which may round the last
-        # (rows mod 4) rows of a block differently.
+        # inside sample 292. Blocks of W and of T - w0 keep the bits of the
+        # whole stack at the drawn size (over the first 40 samples) and at
+        # 2,048 rows (over all of them).
         rng = np.random.default_rng(seed)
         q, qd, qdd = _random_states(model, rng, 300)
         tau = rng.standard_normal(q.shape)
@@ -232,20 +231,34 @@ class TestRandomChains:
         stack = stack_regressor(
             model, q, qd, qdd, tau, fixed_mask=mask, fixed_values=values if payload else None
         )
+        whole = stack.materialize()
         full = regressor_batch(model, q, qd, qdd).reshape(q.size, -1)
         fixed = ~stack.free_mask
-        b = tau.reshape(-1) - full[:, fixed] @ values[fixed]
+        assert _bits(whole.W) == _bits(full[:, stack.free_mask])
+        w0_scale = np.abs(full[:, fixed]) @ np.abs(values[fixed])
+        assert np.all(np.abs(whole.w0 - full[:, fixed] @ values[fixed]) <= 1e-12 * w0_scale)
+        b = whole.T - whole.w0
         for size, rows in ((block, 40 * model.num_joints), (2048, q.size)):
             for start in range(0, rows, size):
                 stop = min(start + size, rows)
                 W_block, b_block = stack.rows(start, stop)
-                assert _bits(W_block) == _bits(full[start:stop][:, stack.free_mask])
-                if size == 2048:
-                    assert _bits(b_block) == _bits(b[start:stop])
-        got, want = least_squares(stack), least_squares(stack.materialize())
+                assert _bits(W_block) == _bits(whole.W[start:stop])
+                assert _bits(b_block) == _bits(b[start:stop])
+        got, want = least_squares(stack), least_squares(whole)
         assert _bits(got.G) == _bits(want.G)
         assert _bits(got.c) == _bits(want.c)
         assert _bits(got.rho_sq) == _bits(want.rho_sq)
+
+    @given(model=_random_chain(), seed=st.integers(0, 2**32 - 1))
+    def test_a_sample_has_the_same_bits_alone_and_in_any_batch(self, model, seed):
+        rng = np.random.default_rng(seed)
+        q, qd, qdd = _random_states(model, rng, 20)
+        W = regressor_batch(model, q, qd, qdd)
+        tau = inverse_dynamics_batch(model, q, qd, qdd)
+        for batch in [slice(s, s + 1) for s in range(20)] + [slice(3, 11), slice(11, 20)]:
+            state = q[batch], qd[batch], qdd[batch]
+            assert _bits(regressor_batch(model, *state)) == _bits(W[batch])
+            assert _bits(inverse_dynamics_batch(model, *state)) == _bits(tau[batch])
 
     @given(model=_random_chain(), seed=st.integers(0, 2**32 - 1))
     def test_regressor_identity_and_columns(self, model, seed):

@@ -4,6 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_dynamics import _random_chain
+from test_dynamics import _random_states as _chain_states
 
 from armid import identify
 from armid.dynamics import RegressorStack, inverse_dynamics_batch, stack_regressor
@@ -19,6 +23,7 @@ from armid.identify import (
     least_squares,
     nearest_base_params,
     ols_identify,
+    payload_fixed_mask,
     payload_identify,
 )
 from armid.model import (
@@ -29,7 +34,7 @@ from armid.model import (
     solid_sphere_params,
     unpack_params,
 )
-from armid.signals import identification_prior
+from armid.signals import default_identification_prior, identification_prior
 from armid.simulate import builtin_fixture
 
 
@@ -591,3 +596,54 @@ class TestBaseParamSelection:
     def test_empty_rejected(self):
         with pytest.raises(IdentifyError):
             nearest_base_params({}, 0.5)
+
+
+class TestRandomChains:
+    def test_a_start_next_to_the_boundary_is_not_used(self):
+        # A rotor inertia of 1e-275 is positive, but the barrier's curvature
+        # mu / x**2 overflows there, so the default prior starts instead.
+        model = builtin_fixture("planar2").model
+        edge = pack_params(model)
+        edge[12] = 1e-275
+        prior = identification_prior(unpack_params(edge, model))
+        np.testing.assert_array_equal(prior, default_identification_prior(2))
+
+    @given(
+        model=_random_chain(),
+        seed=st.integers(0, 2**32 - 1),
+        noise=st.floats(0.0, 1.0),
+    )
+    def test_consistent_estimate_is_feasible_on_every_link(self, model, seed, noise):
+        # Noise as large as the torques themselves pushes the least-squares
+        # optimum out of the feasible set, so the barrier's constraints bind.
+        rng = np.random.default_rng(seed)
+        q, qd, qdd = _chain_states(model, rng, 60)
+        tau = inverse_dynamics_batch(model, q, qd, qdd)
+        tau = tau + noise * np.std(tau) * rng.standard_normal(tau.shape)
+        system = least_squares(stack_regressor(model, q, qd, qdd, tau))
+        result = consistent_identify(system, identification_prior(model))
+        assert all(report.feasible for report in result.link_feasibility)
+
+    @given(
+        model=_random_chain(),
+        seed=st.integers(0, 2**32 - 1),
+        mass=st.floats(0.01, 2.0),
+        radius=st.floats(0.01, 0.2),
+        com=st.lists(st.floats(-0.3, 0.3), min_size=3, max_size=3),
+        noise=st.floats(0.0, 0.5),
+    )
+    def test_payload_mass_is_never_negative(self, model, seed, mass, radius, com, noise):
+        base = pack_params(model)
+        loaded = base.copy()
+        last = slice(len(base) - 13, len(base) - 3)
+        loaded[last] = combine_inertial(
+            model.inertial_params[-1], solid_sphere_params(mass, radius, com)
+        ).to_vector()[:10]
+        rng = np.random.default_rng(seed)
+        q, qd, qdd = _chain_states(model, rng, 60)
+        tau = inverse_dynamics_batch(unpack_params(loaded, model), q, qd, qdd)
+        tau = tau + noise * np.std(tau) * rng.standard_normal(tau.shape)
+        mask = payload_fixed_mask(model.num_joints)
+        stack = stack_regressor(model, q, qd, qdd, tau, fixed_mask=mask, fixed_values=base)
+        result = payload_identify(least_squares(stack), base)
+        assert result.params.mass >= 0.0
