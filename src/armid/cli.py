@@ -12,9 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
+import io
 import math
 import sys
+from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,24 +25,16 @@ from . import excite, identify, model as model_mod, signals, simulate
 from .dynamics import stack_regressor
 from .excite import ALOptions, DesignProblem
 from .identify import IdentifyError
-from .model import ModelError
+from .model import ArmidError, json_entry, read_json, read_text
 from .signals import SignalError, _json_hash, _write_csv, _write_json
-from .simulate import SimulateError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_WARNINGS = 2
 
-_USER_ERRORS = (
-    ModelError,
-    SignalError,
-    SimulateError,
-    IdentifyError,
-    excite.ExciteError,
-    OSError,
-    json.JSONDecodeError,
-    ValueError,
-)
+# armid's own errors name the file and the entry at fault; any other
+# exception is a bug and propagates.
+_USER_ERRORS = (ArmidError, OSError)
 
 
 _UNRECORDED = ("command", "func")  # argparse's own attributes, not flags of the run
@@ -67,10 +61,10 @@ def _load_fixture(args) -> simulate.Fixture:
     if args.fixture:
         fixture = simulate.builtin_fixture(args.fixture)
     elif args.model:
-        robot = model_mod.parse_robot_description(Path(args.model).read_text())
+        robot = model_mod.parse_robot_description(read_text(args.model), args.model)
         fixture = simulate.Fixture(name=robot.name, model=robot)
     else:
-        raise ValueError("either --model or --fixture is required")
+        raise ArmidError("either --model or --fixture is required")
     if getattr(args, "char_length", None) is not None:
         fixture = dataclasses.replace(fixture, char_length=args.char_length)
     return fixture
@@ -91,39 +85,14 @@ def _parse_cutoff(raw: str):
     return value
 
 
-def _numeric(value, where, key: str, shape: tuple | None = None) -> np.ndarray:
-    """``value`` as a finite float array, of ``shape`` if one is given; anything
-    else (null reads as NaN) is an error that names ``where`` and ``key``."""
-    try:
-        array = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        array = None
-    if array is None or not np.all(np.isfinite(array)):
-        raise ValueError(f"{where}: {key} is not numeric")
-    if shape is not None and array.shape != shape:
-        raise ValueError(f"{where}: {key} has shape {array.shape}, expected {shape}")
-    return array
-
-
-def _rigid_body(spec, where) -> model_mod.LinkInertialParams:
-    """A body from a spec's ``mass``, ``first_moment`` and ``rotational_inertia``;
-    a missing or malformed entry is an error that names ``where`` and the key."""
-    shapes = {"mass": (), "first_moment": (3,), "rotational_inertia": (3, 3)}
-    return model_mod.rigid_body_from_dict(
-        {key: _numeric(model_mod.json_entry(spec, key, where), where, repr(key), shape)
-         for key, shape in shapes.items()}
-    )
-
-
 def _load_dataset(data_dir: Path) -> tuple[dict, model_mod.RobotModel, signals.RawTrial]:
     """A dataset directory's manifest, its robot model, and its averaged trial."""
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.exists():
         raise SignalError(f"no manifest.json in {data_dir}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = read_json(manifest_path, SignalError)
     robot = model_mod.model_from_dict(
-        model_mod.json_entry(manifest, "model", manifest_path), f"{manifest_path} model"
+        json_entry(manifest, "model", manifest_path), f"{manifest_path} model"
     )
     paths = sorted(data_dir.glob("trial_*.csv"))
     if not paths:
@@ -152,15 +121,12 @@ def _metrics_row(method: str, link: str, estimate, truth, char_length) -> list:
 
 
 def _metrics_rows(model, alpha_hat, truth, char_length, method):
+    estimates, truths = (
+        model_mod.unpack_params(v, model).inertial_params for v in (alpha_hat, truth)
+    )
     return [
-        _metrics_row(
-            method,
-            model.joint_specs[i].name,
-            model_mod.LinkInertialParams.from_vector(alpha_hat[13 * i : 13 * i + 13]),
-            model_mod.LinkInertialParams.from_vector(truth[13 * i : 13 * i + 13]),
-            char_length,
-        )
-        for i in range(model.num_joints)
+        _metrics_row(method, joint.name, estimate, true, char_length)
+        for joint, estimate, true in zip(model.joint_specs, estimates, truths)
     ]
 
 
@@ -206,16 +172,13 @@ def cmd_design(args) -> int:
 def _payload_from_spec(path: str) -> model_mod.LinkInertialParams:
     """The ``--payload`` body: a rigid body if the spec has ``first_moment``,
     else a solid sphere from ``mass``, ``radius`` and ``com``."""
-    with open(path) as fh:
-        spec = json.load(fh)
-    if not isinstance(spec, dict):
-        raise ValueError(f"{path}: not a JSON object")
+    spec = read_json(path)
     if "first_moment" in spec:
-        return _rigid_body(spec, path)
+        return model_mod.rigid_body_from_dict(spec, path)
     return model_mod.solid_sphere_params(
-        float(_numeric(model_mod.json_entry(spec, "mass", path), path, "'mass'", ())),
-        float(_numeric(spec.get("radius", 0.05), path, "'radius'", ())),
-        _numeric(spec.get("com", [0.0, 0.0, 0.0]), path, "'com'", (3,)),
+        json_entry(spec, "mass", path, ()),
+        json_entry(spec, "radius", path, (), default=0.05),
+        json_entry(spec, "com", path, (3,), default=np.zeros(3)),
     )
 
 
@@ -245,15 +208,15 @@ def cmd_simulate(args) -> int:
 # --- identify ---------------------------------------------------------------------
 
 
-def _resolve_cutoffs(args, manifest) -> tuple[float | None, float | None]:
+def _resolve_cutoffs(args, manifest, where) -> tuple[float | None, float | None]:
     pos, torque = args.pos_cutoff, args.torque_cutoff
-    noise = manifest.get("noise", {})
-    noisy = any(
-        noise.get(k, 0.0) > 0.0
+    noise = json_entry(manifest, "noise", where, default={})
+    stds = [
+        json_entry(noise, k, f"{where} 'noise'", (), default=0.0)
         for k in ("torque_abs_std", "torque_rel_std", "position_std")
-    )
-    rate = float(manifest.get("rate", 100.0))
-    default = min(10.0, rate / 4.0) if noisy else None
+    ]
+    rate = json_entry(manifest, "rate", where, (), default=100.0)
+    default = min(10.0, rate / 4.0) if any(std > 0.0 for std in stds) else None
     if pos == "auto":
         pos = default
     if torque == "auto":
@@ -265,44 +228,47 @@ def _load_base_params(args, n: int) -> np.ndarray:
     """The file's ``alpha``, or its ``labeled_sets`` entry labeled nearest
     ``--configuration``. Errors name the file and the key."""
     path = args.base_params
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: not a JSON object")
+    data = read_json(path, IdentifyError)
+    entry = partial(json_entry, kind=(None,), error=IdentifyError)
     if "labeled_sets" in data:
         if not isinstance(data["labeled_sets"], dict):
-            raise ValueError(f"{path}: 'labeled_sets' is not a JSON object")
+            raise IdentifyError(f"{path}: 'labeled_sets' is not a JSON object")
         keys, sets = {}, {}
-        for k, v in data["labeled_sets"].items():
-            label = float(_numeric(k, path, f"labeled_sets key {k!r}"))
+        for k in data["labeled_sets"]:
+            try:
+                label = float(k)
+            except ValueError:
+                label = math.nan
+            if not math.isfinite(label):
+                raise IdentifyError(f"{path}: labeled_sets key {k!r} is not numeric")
             keys[label] = f"labeled_sets[{k!r}]"
-            sets[label] = _numeric(v, path, keys[label])
+            sets[label] = entry(data["labeled_sets"], k, f"{path} labeled_sets")
         chosen, alpha = identify.nearest_base_params(sets, args.configuration)
         print(f"using base parameter set labeled {chosen}", file=sys.stderr)
         key = keys[chosen]
     elif "alpha" in data:
-        key = "'alpha'"
-        alpha = _numeric(data["alpha"], path, key)
+        key, alpha = "'alpha'", entry(data, "alpha", path)
     else:
-        raise ValueError(f"{path}: needs 'alpha' or 'labeled_sets'")
+        raise IdentifyError(f"{path}: needs 'alpha' or 'labeled_sets'")
     if alpha.shape != (13 * n,):
-        raise ValueError(f"{path}: {key} has {alpha.size} entries, expected {13 * n}")
+        raise IdentifyError(f"{path}: {key} has {alpha.size} entries, expected {13 * n}")
     return alpha
 
 
 def cmd_identify(args) -> int:
     manifest, robot, averaged = _load_dataset(Path(args.data))
-    pos_cut, torque_cut = _resolve_cutoffs(args, manifest)
+    where = Path(args.data) / "manifest.json"
+    entry = partial(json_entry, manifest, where=where)
+    truth = entry("truth_parameters", kind=(13 * robot.num_joints,), default=None)
+    char_length = entry("char_length", kind=(), default=0.3)
+    truth_payload = entry("payload", default=None)
+    if truth_payload:
+        truth_payload = model_mod.rigid_body_from_dict(truth_payload, f"{where} 'payload'")
+    pos_cut, torque_cut = _resolve_cutoffs(args, manifest, where)
     dataset = signals.process_trial(averaged, pos_cut, torque_cut)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    truth = (
-        np.asarray(manifest["truth_parameters"], dtype=float)
-        if "truth_parameters" in manifest
-        else None
-    )
-    char_length = manifest.get("char_length", 0.3)
     stamp = _stamp(args, pos_cutoff=pos_cut, torque_cutoff=torque_cut)
 
     if args.mode == "robot":
@@ -327,23 +293,20 @@ def cmd_identify(args) -> int:
 
     # payload mode
     if not args.base_params:
-        raise ValueError("payload mode requires --base-params")
+        raise ArmidError("payload mode requires --base-params")
     base = _load_base_params(args, robot.num_joints)
     stack = stack_regressor(
         robot, dataset.q, dataset.qd, dataset.qdd, dataset.tau,
         fixed_mask=identify.payload_fixed_mask(robot.num_joints), fixed_values=base,
     )
-    system = identify.least_squares(stack)
-    result = identify.payload_identify(system, base, reg_weight=args.reg_weight)
+    result = identify.payload_identify(identify.least_squares(stack), reg_weight=args.reg_weight)
     payload = {
         **stamp,
         "cutoffs": {"position": pos_cut, "torque": torque_cut},
         "payload": result.as_dict(),
     }
     _write_json(out_dir / "payload.json", payload)
-    if manifest.get("payload"):
-        where = f"{Path(args.data) / 'manifest.json'} 'payload'"
-        truth_payload = _rigid_body(manifest["payload"], where)
+    if truth_payload:
         row = _metrics_row(
             "payload", robot.joint_specs[-1].name, result.params, truth_payload, char_length
         )
@@ -361,14 +324,10 @@ def _parse_grid(raw: str):
     if raw == "default":
         return signals.DEFAULT_CUTOFF_GRID
     try:
-        pos_part, torque_part = raw.split(":")
-        pos_values = [float(v) for v in pos_part.split(",") if v]
-        torque_values = [float(v) for v in torque_part.split(",") if v]
+        pos, torque = ([float(v) for v in part.split(",") if v] for part in raw.split(":"))
     except ValueError:
-        raise ValueError(
-            "grid must be 'default' or 'p1,p2,...:t1,t2,...' in Hz"
-        ) from None
-    return tuple((p, t) for p in pos_values for t in torque_values)
+        raise ArmidError("grid must be 'default' or 'p1,p2,...:t1,t2,...' in Hz") from None
+    return tuple((p, t) for p in pos for t in torque)
 
 
 def cmd_tune_filters(args) -> int:
@@ -404,22 +363,14 @@ def cmd_report(args) -> int:
         if not metrics_path.exists():
             print(f"skipping {run}: no metrics.csv", file=sys.stderr)
             continue
-        with open(metrics_path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                row["run"] = str(run)
-                rows.append(row)
+        text = read_text(metrics_path, ArmidError)
+        rows += ({**row, "run": str(run)} for row in csv.DictReader(io.StringIO(text)))
     if not rows:
-        raise ValueError("no metrics found in the given run directories")
-    fieldnames = ["run", *_METRICS_HEADER]
-    out_fh = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.DictWriter(out_fh, fieldnames=fieldnames, extrasaction="ignore")
+        raise ArmidError("no metrics found in the given run directories")
+    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as out_fh:
+        writer = csv.DictWriter(out_fh, ["run", *_METRICS_HEADER], extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
-    finally:
-        if args.out:
-            out_fh.close()
     return EXIT_OK
 
 

@@ -341,7 +341,8 @@ def stack_regressor(
         tau: measured joint torques aligned with them, (S, N).
         fixed_mask: 13N booleans; True marks parameters held at fixed_values,
             whose torque contribution moves into w0.
-        fixed_values: values for the masked parameters (ignored elsewhere).
+        fixed_values: 13N finite values, kept whole; only the masked ones
+            enter w0.
     """
     tau = np.asarray(tau, dtype=float)
     if tau.size == 0:
@@ -362,9 +363,8 @@ def stack_regressor(
         fixed = np.asarray(fixed_values, dtype=float).copy()
         if fixed.shape != (total,):
             raise ValidationError(f"fixed_values must have {total} entries")
-        if not np.all(np.isfinite(fixed[mask])):
-            raise ValidationError("fixed_values must be finite where masked")
-    fixed[~mask] = 0.0
+        if not np.all(np.isfinite(fixed)):
+            raise ValidationError("fixed_values must be finite")
     return ModelStack(model, q, qd, qdd, T=tau.reshape(-1), free_mask=~mask, fixed_values=fixed)
 
 

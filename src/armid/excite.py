@@ -19,7 +19,6 @@ t = duration.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -29,11 +28,11 @@ import numpy as np
 
 from .dynamics import forward_kinematics, regressor_batch
 from .identify import identifiable_subspace
-from .model import RobotModel, json_entry, model_to_dict
+from .model import ArmidError, RobotModel, json_entry, model_to_dict, read_json
 from .signals import _float_rows, _json_hash, _write_csv, _write_json
 
 
-class ExciteError(Exception):
+class ExciteError(ArmidError):
     """Raised for invalid trajectories or design setups."""
 
 
@@ -129,8 +128,8 @@ def sample_trajectory(
 def _sample_times(duration: float, rate: float, include_endpoint: bool) -> np.ndarray:
     """``round(duration * rate)`` times k / rate, plus t = ``duration`` exactly
     if ``include_endpoint``."""
-    if rate <= 0:
-        raise ExciteError("sample rate must be > 0")
+    if not 0 < rate < math.inf:
+        raise ExciteError("sample rate must be finite and > 0")
     count = int(round(duration * rate))
     if count < 2:
         raise ExciteError("sample rate too low for the trajectory duration")
@@ -173,8 +172,8 @@ class DesignProblem:
     def __post_init__(self):
         if self.gamma < 0:
             raise ExciteError("gamma must be >= 0")
-        if self.sample_rate <= 0:
-            raise ExciteError("sample rate must be > 0")
+        if not 0 < self.sample_rate < math.inf:
+            raise ExciteError("sample rate must be finite and > 0")
         if self.link_collision_spheres and len(self.link_collision_spheres) != self.model.num_joints:
             raise ExciteError("need one collision sphere list per link (or none)")
 
@@ -323,8 +322,9 @@ class ALOptions:
     def __post_init__(self):
         if self.subproblem_budget <= 0 or self.outer_iterations <= 0:
             raise ExciteError("budgets must be positive")
-        if self.restarts < 0:
-            raise ExciteError("restarts must be >= 0")
+        for name in ("restarts", "seed"):
+            if getattr(self, name) < 0:
+                raise ExciteError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -646,6 +646,8 @@ def design_trajectory(
     model = problem.model
     n = model.num_joints
     L = harmonics
+    if L < 1:
+        raise ExciteError("need at least one harmonic")
     _check_sample_rate(problem.sample_rate, omega, L, ExciteError)
 
     basis, rank = _design_basis(problem, opts.seed)
@@ -772,17 +774,19 @@ def trajectory_to_dict(traj: FourierTrajectory) -> dict:
 def trajectory_from_dict(data: dict, where="trajectory") -> FourierTrajectory:
     """Inverse of :func:`trajectory_to_dict`. A stored ``duration`` must be
     the period 2 pi / ``base_frequency`` to within rounding; a missing or
-    malformed entry raises :class:`ExciteError` naming ``where`` and the key."""
+    malformed entry, or one the trajectory rejects, raises :class:`ExciteError`
+    naming ``where``."""
     entry = partial(json_entry, data, where=where, error=ExciteError)
-    floats = partial(np.asarray, dtype=float)
-    traj = FourierTrajectory(
-        base_frequency=entry("base_frequency", kind=float),
-        harmonics=entry("harmonics", kind=int),
-        offsets=entry("offsets", kind=floats),
-        sine_coeffs=entry("sine_coeffs", kind=floats),
-        cosine_coeffs=entry("cosine_coeffs", kind=floats),
+    fields = (
+        entry("base_frequency", kind=()), entry("harmonics", kind=int),
+        entry("offsets", kind=(None,)), entry("sine_coeffs", kind=(None, None)),
+        entry("cosine_coeffs", kind=(None, None)),
     )
-    stored = entry("duration", kind=float) if "duration" in data else traj.duration
+    try:
+        traj = FourierTrajectory(*fields)
+    except ExciteError as exc:
+        raise ExciteError(f"{where}: {exc}") from None
+    stored = entry("duration", kind=(), default=traj.duration)
     if not math.isclose(stored, traj.duration, rel_tol=1e-12):
         raise ExciteError(
             f"{where}: duration {stored} s is not 2 pi / base_frequency = {traj.duration} s"
@@ -795,8 +799,7 @@ def save_trajectory(path, traj: FourierTrajectory, provenance: dict | None = Non
 
 
 def load_trajectory(path) -> tuple[FourierTrajectory, dict]:
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = read_json(path, ExciteError)
     spec = json_entry(payload, "trajectory", path, error=ExciteError)
     return trajectory_from_dict(spec, f"{path} trajectory"), payload.get("provenance", {})
 

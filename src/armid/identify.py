@@ -27,6 +27,7 @@ import numpy as np
 
 from .dynamics import ModelStack, RegressorStack
 from .model import (
+    ArmidError,
     FeasibilityReport,
     INERTIAL_PARAMS_PER_LINK,
     LinkInertialParams,
@@ -40,7 +41,7 @@ from .model import (
 DEFAULT_SVD_THRESHOLD = 1e-8
 
 
-class IdentifyError(Exception):
+class IdentifyError(ArmidError):
     """Base error for identification failures."""
 
 
@@ -548,16 +549,13 @@ def payload_fixed_mask(num_links: int) -> np.ndarray:
     return mask
 
 
-def payload_identify(
-    system: LeastSquares,
-    base_params: np.ndarray,
-    reg_weight: float | None = None,
-) -> PayloadResult:
+def payload_identify(system: LeastSquares, reg_weight: float | None = None) -> PayloadResult:
     """Estimate grasped-object parameters as a last-link difference.
 
     The system's stack must have been built with ``fixed_mask =
-    payload_fixed_mask(N)`` and ``fixed_values = base_params``. The decision
-    variable is the difference ``p`` between the composite and base link;
+    payload_fixed_mask(N)``; its ``fixed_values`` are the base parameters,
+    the last link's included. The decision variable is the difference ``p``
+    between the composite and base link;
     both ``J(p)`` and the composite ``J(base + p)`` are constrained positive
     definite, since the difference must be a real body and so must the
     loaded link.
@@ -570,10 +568,7 @@ def payload_identify(
         raise IdentifyError(
             "stack must leave exactly the last link's 10 inertial parameters free"
         )
-    base = np.asarray(base_params, dtype=float)
-    if base.shape != (n * PARAMS_PER_LINK,):
-        raise IdentifyError(f"base_params must have {n * PARAMS_PER_LINK} entries")
-    base10 = base[free]
+    base10 = system.fixed_values[free]
 
     p0 = default_payload_start()
     A, y = _regularized_pair(system, system.c - system.G @ base10, p0.copy(), reg_weight)

@@ -14,10 +14,12 @@ center of mass). Friction is viscous (``mu_v``) plus Coulomb (``mu_c``), and
 
 from __future__ import annotations
 
+import json
 import math
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -34,7 +36,12 @@ ROTOR_INDEX = 12
 INERTIAL_PARAMS_PER_LINK = 10
 
 
-class ModelError(Exception):
+class ArmidError(Exception):
+    """Base of every error armid raises: bad input or an unusable result. Any
+    other exception out of armid is a bug."""
+
+
+class ModelError(ArmidError):
     """Base error for robot model construction and parsing."""
 
 
@@ -358,78 +365,74 @@ def solid_sphere_params(mass: float, radius: float, center: Sequence[float]) -> 
 # --- robot description parsing -------------------------------------------------
 
 _SUPPORTED_JOINT_TYPES = ("revolute",)
-_DEFAULT_ACCELERATION_LIMIT = 10.0
 
 
-def _parse_floats(text: str, count: int, context: str) -> list[float]:
-    parts = text.split()
-    if len(parts) != count:
-        raise RobotDescriptionError(f"{context}: expected {count} numbers, got {text!r}")
+def _numbers(element, name: str, context: str, default: str | None = None, count: int = 1):
+    """Attribute ``name`` of ``element`` as ``count`` finite numbers, or as one
+    float when ``count`` is 1. ``default`` is the text a missing attribute, or
+    a missing (None) element, reads as; without one, a missing attribute is an
+    error. Errors name ``context``, the element and the attribute."""
+    raw = default if element is None else element.get(name, default)
+    if raw is None:
+        raise RobotDescriptionError(f"{context} <{element.tag}>: {name!r} is missing")
     try:
-        return [float(p) for p in parts]
-    except ValueError as exc:
-        raise RobotDescriptionError(f"{context}: bad number in {text!r}") from exc
+        values = [float(part) for part in raw.split()]
+    except ValueError:
+        values = []
+    if len(values) != count or not all(map(math.isfinite, values)):
+        what = "a finite number" if count == 1 else f"{count} finite numbers"
+        raise RobotDescriptionError(f"{context} <{element.tag}>: {name!r} is not {what}: {raw!r}")
+    return values[0] if count == 1 else values
 
 
 def _origin_transform(element, context: str) -> Transform:
     origin = element.find("origin")
     if origin is None:
         return Transform.identity()
-    xyz = _parse_floats(origin.get("xyz", "0 0 0"), 3, context)
-    rpy = _parse_floats(origin.get("rpy", "0 0 0"), 3, context)
+    xyz = _numbers(origin, "xyz", context, "0 0 0", 3)
+    rpy = _numbers(origin, "rpy", context, "0 0 0", 3)
     return Transform.from_xyz_rpy(xyz, rpy)
 
 
 def _parse_inertial(link_el, link_name: str) -> LinkInertialParams:
+    context = f"link '{link_name}'"
     inertial = link_el.find("inertial")
     if inertial is None:
-        raise ValidationError(f"link '{link_name}' has no <inertial> block")
+        raise ValidationError(f"{context} has no <inertial> block")
     mass_el = inertial.find("mass")
     inertia_el = inertial.find("inertia")
     if mass_el is None or inertia_el is None:
-        raise ValidationError(f"link '{link_name}': <inertial> needs <mass> and <inertia>")
-    mass = float(mass_el.get("value"))
-    pose = _origin_transform(inertial, f"link '{link_name}' inertial origin")
-    try:
-        entries = {k: float(inertia_el.get(k)) for k in ("ixx", "ixy", "ixz", "iyy", "iyz", "izz")}
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"link '{link_name}': incomplete <inertia> attributes") from exc
-    inertia_local = np.array(
-        [
-            [entries["ixx"], entries["ixy"], entries["ixz"]],
-            [entries["ixy"], entries["iyy"], entries["iyz"]],
-            [entries["ixz"], entries["iyz"], entries["izz"]],
-        ]
+        raise ValidationError(f"{context}: <inertial> needs <mass> and <inertia>")
+    mass = _numbers(mass_el, "value", context)
+    ixx, ixy, ixz, iyy, iyz, izz = (
+        _numbers(inertia_el, k, context) for k in ("ixx", "ixy", "ixz", "iyy", "iyz", "izz")
     )
+    inertia_local = np.array([[ixx, ixy, ixz], [ixy, iyy, iyz], [ixz, iyz, izz]])
     # The file stores inertia about the CoM in the inertial frame; rotate into
     # link axes, then shift to the link origin.
+    pose = _origin_transform(inertial, f"{context} <inertial>")
     inertia_com = pose.rotation @ inertia_local @ pose.rotation.T
     return params_from_com(mass, pose.translation, inertia_com)
 
 
-def _parse_limits(joint_el, joint_name: str) -> tuple[tuple[float, float], float, float]:
-    limit = joint_el.find("limit")
-    if limit is None:
-        raise ValidationError(f"joint '{joint_name}' has no <limit> element")
-    values = {}
-    for attr in ("lower", "upper", "velocity"):
-        raw = limit.get(attr)
-        if raw is None:
-            raise ValidationError(f"joint '{joint_name}': <limit> missing '{attr}'")
-        values[attr] = float(raw)
-    acceleration = float(limit.get("acceleration", _DEFAULT_ACCELERATION_LIMIT))
-    return (values["lower"], values["upper"]), values["velocity"], acceleration
-
-
-def parse_robot_description(text: str) -> RobotModel:
+def parse_robot_description(text: str, where="robot description") -> RobotModel:
     """Parse a URDF-subset document into a RobotModel.
 
     Supported subset: a single fixed-base serial chain of revolute joints,
     with required ``<limit>`` on every joint and ``<inertial>`` on every moving
     link. Optional extensions: ``acceleration`` attribute on ``<limit>``
     (default 10 rad/s^2), ``rotor_inertia`` on ``<dynamics>``, and a top-level
-    ``<gravity xyz="..."/>`` element overriding (0, 0, -9.81).
+    ``<gravity xyz="..."/>`` element overriding (0, 0, -9.81). Every number
+    must be finite. Each error is a :class:`ModelError` whose message starts
+    with ``where``, the file the text came from.
     """
+    try:
+        return _robot_from_xml(text)
+    except ModelError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+
+
+def _robot_from_xml(text: str) -> RobotModel:
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
@@ -496,41 +499,38 @@ def parse_robot_description(text: str) -> RobotModel:
 
     model_links = []
     for jname, child, el in chain:
-        axis_el = el.find("axis")
-        axis = np.array([1.0, 0.0, 0.0])
-        if axis_el is not None:
-            axis = np.asarray(_parse_floats(axis_el.get("xyz", "1 0 0"), 3, f"joint '{jname}' axis"))
+        context = f"joint '{jname}'"
+        axis = np.array(_numbers(el.find("axis"), "xyz", context, "1 0 0", 3))
         norm = np.linalg.norm(axis)
         if norm == 0:
-            raise ValidationError(f"joint '{jname}': zero axis")
+            raise ValidationError(f"{context}: zero axis")
         axis = axis / norm
-        pose = _origin_transform(el, f"joint '{jname}' origin")
-        position_limits, velocity_limit, acceleration_limit = _parse_limits(el, jname)
+        limit = el.find("limit")
+        if limit is None:
+            raise ValidationError(f"{context} has no <limit> element")
+        lower, upper, velocity = (
+            _numbers(limit, k, context) for k in ("lower", "upper", "velocity")
+        )
         joint = JointSpec(
             name=jname,
             axis=axis,
-            parent_frame_pose=pose,
-            position_limits=position_limits,
-            velocity_limit=velocity_limit,
-            acceleration_limit=acceleration_limit,
+            parent_frame_pose=_origin_transform(el, context),
+            position_limits=(lower, upper),
+            velocity_limit=velocity,
+            acceleration_limit=_numbers(limit, "acceleration", context, "10"),
         )
         params = _parse_inertial(links[child], child)
         dynamics = el.find("dynamics")
         if dynamics is not None:
-            params = LinkInertialParams(
-                mass=params.mass,
-                first_moment=params.first_moment,
-                rotational_inertia=params.rotational_inertia,
-                viscous_friction=float(dynamics.get("damping", 0.0)),
-                coulomb_friction=float(dynamics.get("friction", 0.0)),
-                rotor_inertia=float(dynamics.get("rotor_inertia", 0.0)),
+            params = replace(
+                params,
+                viscous_friction=_numbers(dynamics, "damping", context, "0"),
+                coulomb_friction=_numbers(dynamics, "friction", context, "0"),
+                rotor_inertia=_numbers(dynamics, "rotor_inertia", context, "0"),
             )
         model_links.append((joint, params))
 
-    gravity = np.array([0.0, 0.0, -9.81])
-    gravity_el = root.find("gravity")
-    if gravity_el is not None:
-        gravity = np.asarray(_parse_floats(gravity_el.get("xyz", "0 0 -9.81"), 3, "gravity"))
+    gravity = np.array(_numbers(root.find("gravity"), "xyz", f"robot '{name}'", "0 0 -9.81", 3))
 
     return RobotModel(links=tuple(model_links), gravity=gravity, name=name)
 
@@ -561,43 +561,85 @@ def model_to_dict(model: RobotModel) -> dict:
     }
 
 
-def json_entry(spec, key: str, where, kind=None, error=ModelError):
-    """``spec[key]`` of a JSON object read from ``where``, converted by ``kind``
-    if given; a missing or unconvertible entry raises ``error`` naming ``where``
-    and ``key``."""
-    if not isinstance(spec, dict) or key not in spec:
-        raise error(f"{where}: no {key!r} entry")
+def read_text(path, error=ModelError) -> str:
+    """The text of the file ``path``; a file that is not text raises ``error`` naming it."""
     try:
-        return spec[key] if kind is None else kind(spec[key])
-    except (TypeError, ValueError):
-        raise error(f"{where}: {key!r} entry is malformed") from None
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not a text file ({exc.reason})") from None
+
+
+def read_json(path, error=ModelError) -> dict:
+    """The JSON object in the file ``path``; anything else raises ``error`` naming it."""
+    try:
+        data = json.loads(read_text(path, error))
+    except ValueError as exc:  # a JSONDecodeError, or a number too long to read
+        raise error(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(data, dict):
+        raise error(f"{path}: not a JSON object")
+    return data
+
+
+_REQUIRED = object()
+
+
+def json_entry(spec, key: str, where, kind=None, error=ModelError, default=_REQUIRED):
+    """``spec[key]`` of a JSON object read from ``where``. A ``kind`` that is a
+    shape tuple (None leaves a length open) makes it a finite float array of
+    that shape, or a float for ``()``; any other ``kind`` converts it. A
+    missing entry reads as ``default`` if one is given. Otherwise a missing or
+    unconvertible entry, or a ``spec`` that is not a JSON object, raises
+    ``error`` naming ``where`` and ``key``."""
+    if not isinstance(spec, dict):
+        raise error(f"{where}: not a JSON object")
+    if key not in spec:
+        if default is _REQUIRED:
+            raise error(f"{where}: no {key!r} entry")
+        return default
+    if not isinstance(kind, tuple):
+        try:
+            return spec[key] if kind is None else kind(spec[key])
+        except (TypeError, ValueError, OverflowError):
+            raise error(f"{where}: {key!r} entry is malformed") from None
+    try:
+        array = np.asarray(spec[key], dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        array = np.array(np.nan)
+    if not np.all(np.isfinite(array)):
+        raise error(f"{where}: {key!r} is not numeric")
+    if array.ndim != len(kind) or any(k not in (None, s) for k, s in zip(kind, array.shape)):
+        raise error(f"{where}: {key!r} has shape {array.shape}, expected {kind}")
+    return float(array) if kind == () else array
 
 
 def model_from_dict(data: dict, where="model") -> RobotModel:
-    """Inverse of :func:`model_to_dict`; a missing or malformed entry raises
-    :class:`ModelError` naming ``where`` and the key."""
-    floats = partial(np.asarray, dtype=float)
+    """Inverse of :func:`model_to_dict`; a missing or malformed entry, or one
+    the model rejects, raises :class:`ModelError` naming ``where``."""
     links = []
-    for i, entry in enumerate(json_entry(data, "links", where, list)):
-        at = f"{where} links[{i}]"
-        j, j_at = json_entry(entry, "joint", at), f"{at} joint"
-        joint = JointSpec(
-            name=json_entry(j, "name", j_at),
-            axis=json_entry(j, "axis", j_at, floats),
-            parent_frame_pose=Transform(
-                json_entry(j, "rotation", j_at, floats), json_entry(j, "translation", j_at, floats)
-            ),
-            position_limits=json_entry(j, "position_limits", j_at, tuple),
-            velocity_limit=json_entry(j, "velocity_limit", j_at, float),
-            acceleration_limit=json_entry(j, "acceleration_limit", j_at, float),
+    try:
+        for i, entry in enumerate(json_entry(data, "links", where, list)):
+            at = f"{where} links[{i}]"
+            j, j_at = json_entry(entry, "joint", at), f"{at} joint"
+            joint = JointSpec(
+                name=json_entry(j, "name", j_at),
+                axis=json_entry(j, "axis", j_at, (3,)),
+                parent_frame_pose=Transform(
+                    json_entry(j, "rotation", j_at, (3, 3)),
+                    json_entry(j, "translation", j_at, (3,)),
+                ),
+                position_limits=json_entry(j, "position_limits", j_at, (2,)),
+                velocity_limit=json_entry(j, "velocity_limit", j_at, ()),
+                acceleration_limit=json_entry(j, "acceleration_limit", j_at, ()),
+            )
+            params = json_entry(entry, "params", at, (PARAMS_PER_LINK,))
+            links.append((joint, LinkInertialParams.from_vector(params)))
+        return RobotModel(
+            links=tuple(links),
+            gravity=json_entry(data, "gravity", where, (3,)),
+            name=json_entry(data, "name", where),
         )
-        params = json_entry(entry, "params", at, floats)
-        links.append((joint, LinkInertialParams.from_vector(params)))
-    return RobotModel(
-        links=tuple(links),
-        gravity=json_entry(data, "gravity", where, floats),
-        name=json_entry(data, "name", where),
-    )
+    except ValidationError as exc:  # json_entry's own errors already name where
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def rigid_body_to_dict(p: LinkInertialParams) -> dict:
@@ -609,6 +651,12 @@ def rigid_body_to_dict(p: LinkInertialParams) -> dict:
     }
 
 
-def rigid_body_from_dict(data: dict) -> LinkInertialParams:
-    """Inverse of :func:`rigid_body_to_dict`; joint-side terms are zero."""
-    return LinkInertialParams(data["mass"], data["first_moment"], data["rotational_inertia"])
+def rigid_body_from_dict(data: dict, where="rigid body") -> LinkInertialParams:
+    """Inverse of :func:`rigid_body_to_dict`; joint-side terms are zero. A
+    missing or malformed entry raises :class:`ModelError` naming ``where``
+    and the key."""
+    entry = partial(json_entry, data, where=where)
+    return LinkInertialParams(
+        entry("mass", kind=()), entry("first_moment", kind=(3,)),
+        entry("rotational_inertia", kind=(3, 3)),
+    )

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import identify
 from .dynamics import stack_regressor
-from .model import ModelError, RobotModel, is_physically_feasible, pack_params
+from .model import ArmidError, RobotModel, is_physically_feasible, pack_params, read_text
 
 # Samples discarded at each boundary per differentiation pass (the five-point
 # stencil needs two neighbours on each side).
@@ -40,7 +40,7 @@ DEFAULT_CUTOFF_GRID: tuple[tuple[float, float], ...] = tuple(
 )
 
 
-class SignalError(Exception):
+class SignalError(ArmidError):
     """Raised for malformed trials or invalid processing parameters."""
 
 
@@ -292,7 +292,7 @@ def _filtered_torque(trial: RawTrial, torque_cutoff: float | None) -> np.ndarray
 
 
 # Errors that fail one cutoff grid point but not the search.
-_POINT_ERRORS = (SignalError, ModelError, identify.IdentifyError, np.linalg.LinAlgError)
+_POINT_ERRORS = (ArmidError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -465,18 +465,14 @@ def trial_from_csv(path) -> RawTrial:
     number per header field: blank lines and comments are errors. Errors name
     the file and the bad line, counting the header as row 1.
     """
-    try:
-        with open(path) as fh:
-            header = fh.readline()
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError as exc:
-        raise SignalError(f"{path}: not a text file ({exc.reason})") from None
-    if not header:
+    text = read_text(path, SignalError)
+    if not text:
         raise SignalError(f"{path}: empty file")
-    header = header.rstrip("\n").split(",")
+    header, *lines = text.split("\n")
+    header = header.split(",")
     if header[0] != "t" or len(header) < 3 or (len(header) - 1) % 2 != 0:
         raise SignalError(f"{path}: unexpected header {header!r}")
-    if lines[-1] == "":
+    if lines[-1:] == [""]:
         lines.pop()  # the newline that ends the last row
     width = len(header)
     try:

@@ -17,6 +17,7 @@ import numpy as np
 from .dynamics import inverse_dynamics_batch
 from .excite import FourierTrajectory, _check_sample_rate, sample_trajectory, trajectory_to_dict
 from .model import (
+    ArmidError,
     JointSpec,
     LinkInertialParams,
     RobotModel,
@@ -31,7 +32,7 @@ from .model import (
 from .signals import RawTrial, _write_json, trial_to_csv
 
 
-class SimulateError(Exception):
+class SimulateError(ArmidError):
     """Raised for invalid generation setups (unknown fixture, aliasing, ...)."""
 
 
@@ -46,7 +47,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("torque_abs_std", "torque_rel_std", "position_std"):
+        for name in ("torque_abs_std", "torque_rel_std", "position_std", "seed"):
             if getattr(self, name) < 0:
                 raise SimulateError(f"{name} must be >= 0")
 

@@ -141,7 +141,7 @@ def test_criterion_3_noisy_payload_anchor():
         model, dataset.q, dataset.qd, dataset.qdd, dataset.tau,
         fixed_mask=mask, fixed_values=truth,
     )
-    result = payload_identify(least_squares(stack), truth)
+    result = payload_identify(least_squares(stack))
 
     mass_err = abs(result.params.mass - payload.mass) / payload.mass
     com_est = result.params.first_moment / result.params.mass
@@ -259,7 +259,7 @@ def test_criterion_5_feasibility_guarantee():
         system = least_squares(stack)
         if ols_identify(system).alpha_hat[26] < 0:
             ols_negative += 1
-        result = payload_identify(system, vec)
+        result = payload_identify(system)
         if result.params.mass < 0:
             payload_negative += 1
     assert ols_negative > 0, "contrast fixture should drive OLS mass negative"

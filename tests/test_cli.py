@@ -425,7 +425,7 @@ class TestSimulateIdentifyPipeline:
 
     @pytest.mark.parametrize(
         "value, problem",
-        [(None, "no 'axis' entry"), ("up", "'axis' entry is malformed")],
+        [(None, "no 'axis' entry"), ("up", "'axis' is not numeric")],
     )
     def test_manifest_model_errors_name_file_and_key(self, tmp_path, capsys, value, problem):
         data_dir = _planar2_data(tmp_path)
@@ -445,7 +445,7 @@ class TestSimulateIdentifyPipeline:
         [
             (lambda d: d["trajectory"].pop("harmonics"), " trajectory", "no 'harmonics' entry"),
             (lambda d: d["trajectory"].update(offsets="x"), " trajectory",
-             "'offsets' entry is malformed"),
+             "'offsets' is not numeric"),
             (lambda d: d.pop("trajectory"), "", "no 'trajectory' entry"),
         ],
         ids=["no-harmonics", "bad-offsets", "no-trajectory"],

@@ -338,6 +338,18 @@ class TestStack:
         assert full.W.shape == (100, 0)
         assert np.max(np.abs(full.T - full.w0)) < 1e-9
 
+    def test_fixed_values_are_kept_whole_and_must_be_finite(self, twolink_model):
+        # The free entries are kept too: payload_identify reads the base link
+        # from them.
+        q = qd = qdd = tau = np.zeros((3, 2))
+        mask, values = np.ones(26, dtype=bool), pack_params(twolink_model)
+        mask[13:23] = False
+        stack = stack_regressor(twolink_model, q, qd, qdd, tau, mask, values)
+        np.testing.assert_array_equal(stack.fixed_values, values)
+        values[20] = np.nan
+        with pytest.raises(ValidationError, match="fixed_values must be finite"):
+            stack_regressor(twolink_model, q, qd, qdd, tau, mask, values)
+
     def test_dimension_mismatch(self, twolink_model):
         q = qd = qdd = np.zeros((1, 2))
         with pytest.raises(ValidationError):

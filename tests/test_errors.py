@@ -1,0 +1,278 @@
+"""armid's errors: every input error is an ``ArmidError`` that names the file
+and the entry at fault, and the CLI maps exactly those (and ``OSError``) to
+exit 1. Any other exception is a bug and propagates out of ``main``."""
+
+import ast
+import copy
+import importlib
+import inspect
+import json
+import pkgutil
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import armid
+from armid import simulate
+from armid.cli import EXIT_ERROR, EXIT_OK, EXIT_WARNINGS, main
+from armid.model import ArmidError
+
+from test_cli import PENDULUM_URDF, _planar2_data, _write_trajectory
+
+SRC = Path(armid.__file__).resolve().parent
+MODULES = [importlib.import_module(f"armid.{m.name}") for m in pkgutil.iter_modules([str(SRC)])]
+
+
+def test_armid_raises_no_builtin_value_type_or_key_error():
+    builtin = {"ValueError", "TypeError", "KeyError"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in builtin:
+                    found.append(f"{path.name}:{node.lineno} raises {exc.id}")
+    assert found == []
+
+
+def test_every_armid_exception_class_derives_from_armid_error():
+    classes = [
+        obj
+        for module in MODULES
+        for _, obj in inspect.getmembers(module, inspect.isclass)
+        if obj.__module__ == module.__name__ and issubclass(obj, BaseException)
+    ]
+    assert len(classes) >= 8
+    assert [c.__name__ for c in classes if not issubclass(c, ArmidError)] == []
+
+
+def test_an_internal_value_error_is_not_an_input_error(tmp_path, monkeypatch):
+    # A ValueError from a bug must end in a traceback, not pass for bad input.
+    traj_path = _write_trajectory(tmp_path, "chain3")
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(simulate, "write_dataset", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(
+            [
+                "simulate", "--fixture", "chain3", "--traj", str(traj_path),
+                "--trials", "1", "--out", str(tmp_path / "data"),
+            ]
+        )
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, problem",
+    [
+        ("design", "--seed", "-1", "seed must be >= 0"),
+        ("design", "--harmonics", "-1", "need at least one harmonic"),
+        ("design", "--sample-rate", "nan", "sample rate must be finite and > 0"),
+        ("design", "--sample-rate", "inf", "sample rate must be finite and > 0"),
+        ("simulate", "--seed", "-1", "seed must be >= 0"),
+        ("simulate", "--rate", "nan", "sample rate must be finite and > 0"),
+        ("simulate", "--rate", "inf", "sample rate must be finite and > 0"),
+    ],
+)
+def test_out_of_range_flags_are_armid_errors(tmp_path, capsys, command, flag, value, problem):
+    # numpy would reject these with a ValueError, which is no longer an input error.
+    args = ["--fixture", "planar2", flag, value, "--out", str(tmp_path / "o")]
+    if command == "simulate":
+        args += ["--traj", str(_write_trajectory(tmp_path, "planar2"))]
+    assert main([command, *args]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {problem}\n"
+
+
+def _design_urdf(tmp_path, capsys, text):
+    urdf = tmp_path / "robot.urdf"
+    urdf.write_bytes(text) if isinstance(text, bytes) else urdf.write_text(text)
+    code = main(["design", "--model", str(urdf), "--out", str(tmp_path / "run")])
+    return code, capsys.readouterr().err, urdf
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (lambda t: t.replace("<robot", "<robot<"), "malformed XML at line 2, column 6"),
+        (lambda t: t.replace('<mass value="1.0"/>', '<mass value="abc"/>'),
+         "link 'bob' <mass>: 'value' is not a finite number: 'abc'"),
+        (lambda t: t.replace('<mass value="1.0"/>', "<mass/>"),
+         "link 'bob' <mass>: 'value' is missing"),
+        (lambda t: t.replace('velocity="2.5"', 'velocity="inf"'),
+         "joint 'swing' <limit>: 'velocity' is not a finite number: 'inf'"),
+        (lambda t: t.replace('<axis xyz="0 1 0"/>', '<axis xyz="0 1"/>'),
+         "joint 'swing' <axis>: 'xyz' is not 3 finite numbers: '0 1'"),
+        (lambda t: t.replace('<origin xyz="0 0 -0.5"/>', '<origin xyz="0 0 x"/>'),
+         "link 'bob' <inertial> <origin>: 'xyz' is not 3 finite numbers: '0 0 x'"),
+    ],
+    ids=["malformed-xml", "non-numeric-mass", "no-mass-value", "infinite-velocity",
+         "short-axis", "bad-origin"],
+)
+def test_model_file_errors_name_file_element_and_attribute(tmp_path, capsys, edit, problem):
+    code, err, urdf = _design_urdf(tmp_path, capsys, edit(PENDULUM_URDF.format(lo=-3, hi=3)))
+    assert code == EXIT_ERROR
+    assert err.startswith(f"error: {urdf}: {problem}")
+
+
+def _simulate(tmp_path, traj, *flags):
+    return main(
+        ["simulate", "--fixture", "planar2", "--traj", str(traj), "--trials", "1",
+         "--rate", "50", *flags, "--out", str(tmp_path / "sim")]
+    )
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe{}", b"[1, 2]"],
+                         ids=["malformed", "undecodable", "not-an-object"])
+@pytest.mark.parametrize("document", ["manifest", "trajectory", "payload", "base"])
+def test_a_bad_json_file_exits_1_naming_it(tmp_path, capsys, document, content):
+    data_dir = _planar2_data(tmp_path)
+    traj, spec, base = tmp_path / "traj.json", tmp_path / "spec.json", tmp_path / "base.json"
+    spec.write_text(json.dumps({"mass": 0.4}))
+    base.write_text(json.dumps({"alpha": [0.0] * 26}))
+    bad = {"manifest": data_dir / "manifest.json", "trajectory": traj, "payload": spec,
+           "base": base}[document]
+    bad.write_bytes(content)
+    if document == "manifest":
+        code = main(["tune-filters", "--data", str(data_dir), "--out", str(tmp_path / "o")])
+    elif document == "base":
+        code = main(["identify", "--mode", "payload", "--data", str(data_dir),
+                     "--base-params", str(base), "--out", str(tmp_path / "o")])
+    else:
+        code = _simulate(tmp_path, traj, "--payload", str(spec))
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
+
+def test_an_undecodable_model_file_exits_1_naming_it(tmp_path, capsys):
+    code, err, urdf = _design_urdf(tmp_path, capsys, b"<robot name='\xff'/>")
+    assert code == EXIT_ERROR
+    assert err.startswith(f"error: {urdf}: not a text file")
+
+
+def test_an_undecodable_metrics_file_exits_1_naming_it(tmp_path, capsys):
+    (tmp_path / "metrics.csv").write_bytes(b"method,link\n\xff\n")
+    assert main(["report", "--runs", str(tmp_path)]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'metrics.csv'}: not a text")
+
+
+@pytest.mark.parametrize(
+    "key, value, problem",
+    [("axis", [0.0, 1.0], "'axis' has shape (2,), expected (3,)"),
+     ("position_limits", [0, 1, 2], "'position_limits' has shape (3,), expected (2,)")],
+)
+def test_manifest_entries_of_the_wrong_length_name_file_and_key(
+    tmp_path, capsys, key, value, problem
+):
+    data_dir = _planar2_data(tmp_path)
+    manifest_path = data_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["model"]["links"][1]["joint"][key] = value
+    manifest_path.write_text(json.dumps(manifest))
+    code = main(["identify", "--data", str(data_dir), "--out", str(tmp_path / "o")])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {manifest_path} model links[1] joint: {problem}\n"
+
+
+# --- input sweep -------------------------------------------------------------------
+
+_VALUES = [None, "x", [], {}, 5, [1.0, 2.0]]
+
+
+def _entries(doc, at=()):
+    """Paths to the entries of a JSON document: every key of an object, every
+    element of a short list of numbers, and, for a list of objects, the keys
+    of its last object. Run provenance (``config``) is not read, so it is skipped."""
+    found = []
+    for key, value in doc.items():
+        if key == "config":
+            continue
+        found.append(at + (key,))
+        if isinstance(value, dict):
+            found += _entries(value, at + (key,))
+        elif isinstance(value, list) and value and isinstance(value[-1], dict):
+            found += _entries(value[-1], at + (key, len(value) - 1))
+        elif isinstance(value, list) and len(value) <= 3:
+            found += [at + (key, i) for i, v in enumerate(value) if not isinstance(v, list)]
+    return found
+
+
+def _replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("sweep")
+    traj = _write_trajectory(tmp, "planar2")
+    spec = tmp / "sphere.json"
+    spec.write_text(json.dumps({"mass": 0.4, "radius": 0.05, "com": [0.0, 0.0, 0.1]}))
+    assert _simulate(tmp, traj, "--noise-rel", "0.005", "--payload", str(spec)) == EXIT_OK
+    manifest = json.loads((tmp / "sim" / "manifest.json").read_text())
+    (tmp / "base.json").write_text(json.dumps({"alpha": manifest["truth_parameters"]}))
+    return tmp
+
+
+# Entries whose bad values ended in a traceback before every input went
+# through one reader; their messages must name the file and the entry.
+_ONCE_TRACEBACKS = ("noise", "torque_abs_std", "torque_rel_std", "rate", "char_length",
+                    "truth_parameters", "position_limits")
+
+
+@pytest.mark.parametrize("document", ["manifest", "trajectory", "sphere", "rigid body"])
+def test_every_bad_entry_exits_through_main(tmp_path, capsys, sweep_inputs, document):
+    # Each entry of each document gets each of _VALUES in turn. main must
+    # return 0, 1 or 2 every time; exit 1 must name the file (a body the
+    # payload feasibility check rejects is named by that check instead).
+    simulate = ["simulate", "--fixture", "planar2", "--trials", "1", "--rate", "50",
+                "--out", str(tmp_path / "sim")]
+    if document == "manifest":
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        for trial in (sweep_inputs / "sim").glob("trial_*.csv"):
+            (data_dir / trial.name).write_bytes(trial.read_bytes())
+        path = data_dir / "manifest.json"
+        doc = json.loads((sweep_inputs / "sim" / "manifest.json").read_text())
+        argv = ["identify", "--mode", "payload", "--data", str(data_dir), "--pos-cutoff", "8",
+                "--base-params", str(sweep_inputs / "base.json"), "--out", str(tmp_path / "o")]
+    elif document == "trajectory":
+        path = tmp_path / "traj.json"
+        doc = json.loads((sweep_inputs / "traj.json").read_text())
+        argv = [*simulate, "--traj", str(path)]
+    else:
+        path = tmp_path / "spec.json"
+        doc = (
+            {"mass": 0.4, "radius": 0.05, "com": [0.0, 0.0, 0.1]} if document == "sphere"
+            else {"mass": 0.4, "first_moment": [0.0, 0.0, 0.04],
+                  "rotational_inertia": np.diag([5e-3, 5e-3, 4e-4]).tolist()}
+        )
+        argv = [*simulate, "--traj", str(sweep_inputs / "traj.json"), "--payload", str(path)]
+    problems = []
+    for entry in _entries(doc):
+        named = next(k for k in reversed(entry) if isinstance(k, str))
+        for value in _VALUES:
+            path.write_text(json.dumps(_replaced(doc, entry, value)))
+            case = f"{entry} = {value!r}"
+            try:
+                code = main(argv)
+            except Exception as exc:  # any exception out of main is the failure
+                problems.append(f"{case}: {type(exc).__name__}: {exc}")
+                continue
+            err = capsys.readouterr().err.strip()
+            if code not in (EXIT_OK, EXIT_ERROR, EXIT_WARNINGS):
+                problems.append(f"{case}: exit {code}")
+            elif code != EXIT_ERROR:
+                continue
+            elif str(path) not in err and "payload is infeasible" not in err:
+                problems.append(f"{case}: {err}")
+            elif named in _ONCE_TRACEBACKS and not (
+                repr(named) in err or named.replace("_", " ") in err
+            ):
+                problems.append(f"{case}: {err} (does not name {named!r})")
+    assert problems == []

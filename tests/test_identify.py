@@ -491,7 +491,7 @@ class TestPayload:
     def test_noiseless_sphere_recovery(self):
         payload = solid_sphere_params(0.5, 0.05, [0.0, 0.0, 0.10])
         stack, truth = self._stack_with_payload(payload)
-        result = payload_identify(least_squares(stack), truth)
+        result = payload_identify(least_squares(stack))
         assert abs(result.params.mass - 0.5) / 0.5 < 1e-6
         np.testing.assert_allclose(
             result.params.first_moment, payload.first_moment, atol=1e-6
@@ -505,7 +505,7 @@ class TestPayload:
             stack, truth = self._stack_with_payload(
                 zero, noise=0.05, noise_seed=seed, count=200
             )
-            result = payload_identify(least_squares(stack), truth)
+            result = payload_identify(least_squares(stack))
             assert result.params.mass >= 0.0
             assert result.pseudo_inertia_min_eig > 0.0
 
@@ -514,7 +514,7 @@ class TestPayload:
         # and the re-identified composite link
         payload = solid_sphere_params(0.3, 0.04, [0.02, 0.01, 0.08])
         stack, truth = self._stack_with_payload(payload)
-        result = payload_identify(least_squares(stack), truth)
+        result = payload_identify(least_squares(stack))
         base_last = LinkInertialParams.from_vector(
             np.concatenate([truth[26:36], np.zeros(3)])
         )
@@ -533,7 +533,7 @@ class TestPayload:
         b2 = solid_sphere_params(0.25, 0.03, [0.03, 0.0, 0.10])
         both = combine_inertial(b1, b2)
         stack, truth = self._stack_with_payload(both)
-        result = payload_identify(least_squares(stack), truth)
+        result = payload_identify(least_squares(stack))
         recovered_b2 = LinkInertialParams(
             result.params.mass - b1.mass,
             result.params.first_moment - b1.first_moment,
@@ -548,7 +548,7 @@ class TestPayload:
         rng = np.random.default_rng(13)
         stack = _noiseless_stack(model, rng, count=50)
         with pytest.raises(IdentifyError, match="last link"):
-            payload_identify(least_squares(stack), truth)
+            payload_identify(least_squares(stack))
 
 
 class TestErrorMetrics:
@@ -645,5 +645,5 @@ class TestRandomChains:
         tau = tau + noise * np.std(tau) * rng.standard_normal(tau.shape)
         mask = payload_fixed_mask(model.num_joints)
         stack = stack_regressor(model, q, qd, qdd, tau, fixed_mask=mask, fixed_values=base)
-        result = payload_identify(least_squares(stack), base)
+        result = payload_identify(least_squares(stack))
         assert result.params.mass >= 0.0

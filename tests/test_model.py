@@ -96,7 +96,8 @@ class TestParse:
 
     def test_missing_velocity_limit(self):
         bad = PENDULUM_URDF.replace(' velocity="2.5"', "")
-        with pytest.raises(ValidationError, match="swing"):
+        missing = "joint 'swing' <limit>: 'velocity' is missing"
+        with pytest.raises(RobotDescriptionError, match=missing):
             parse_robot_description(bad)
 
     def test_missing_limit_element(self):
