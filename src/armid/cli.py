@@ -25,7 +25,7 @@ from . import excite, identify, model as model_mod, signals, simulate
 from .dynamics import stack_regressor
 from .excite import ALOptions, DesignProblem
 from .identify import IdentifyError
-from .model import ArmidError, json_entry, read_json, read_text
+from .model import ArmidError, check_number, json_entry, read_json, read_text
 from .signals import SignalError, _json_hash, _write_csv, _write_json
 
 EXIT_OK = 0
@@ -185,7 +185,10 @@ def _payload_from_spec(path: str) -> model_mod.LinkInertialParams:
 def cmd_simulate(args) -> int:
     fixture = _load_fixture(args)
     if args.payload:
-        fixture = fixture.with_payload(_payload_from_spec(args.payload))
+        try:
+            fixture = fixture.with_payload(_payload_from_spec(args.payload))
+        except simulate.SimulateError as exc:  # an infeasible body; spec errors name the file
+            raise simulate.SimulateError(f"{args.payload}: {exc}") from None
     traj, _ = excite.load_trajectory(args.traj)
     noise = simulate.NoiseSpec(
         torque_abs_std=args.noise_abs,
@@ -327,12 +330,13 @@ def _parse_grid(raw: str):
         pos, torque = ([float(v) for v in part.split(",") if v] for part in raw.split(":"))
     except ValueError:
         raise ArmidError("grid must be 'default' or 'p1,p2,...:t1,t2,...' in Hz") from None
-    return tuple((p, t) for p in pos for t in torque)
+    cutoff = partial(check_number, name="grid cutoff (Hz)", error=ArmidError, positive=True)
+    return tuple((cutoff(p), cutoff(t)) for p in pos for t in torque)
 
 
 def cmd_tune_filters(args) -> int:
-    _, robot, averaged = _load_dataset(Path(args.data))
     grid = _parse_grid(args.grid)
+    _, robot, averaged = _load_dataset(Path(args.data))
     best, table = signals.tune_filter_cutoffs(averaged, robot, grid)
 
     out_dir = Path(args.out)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .dynamics import forward_kinematics, regressor_batch
 from .identify import identifiable_subspace
-from .model import ArmidError, RobotModel, json_entry, model_to_dict, read_json
+from .model import ArmidError, RobotModel, check_number, json_entry, model_to_dict, read_json
 from .signals import _float_rows, _json_hash, _write_csv, _write_json
 
 
@@ -54,8 +54,7 @@ class FourierTrajectory:
     cosine_coeffs: np.ndarray
 
     def __post_init__(self):
-        if not self.base_frequency > 0:
-            raise ExciteError("base frequency must be > 0")
+        check_number(self.base_frequency, "base frequency (rad/s)", ExciteError, positive=True)
         if self.harmonics < 1:
             raise ExciteError("need at least one harmonic")
         q0 = np.asarray(self.offsets, dtype=float)
@@ -109,33 +108,26 @@ def _fourier_rows(traj: FourierTrajectory, s: np.ndarray, c: np.ndarray, wl: np.
     return q, qd, qdd
 
 
-def _check_sample_rate(rate: float, omega: float, harmonics: int, error: type[Exception]):
-    """Raise ``error`` if ``rate`` Hz aliases the top harmonic ``harmonics * omega``."""
-    nyquist_rate = 2.0 * omega * harmonics / (2.0 * math.pi)
-    if rate <= nyquist_rate:
-        raise error(f"rate {rate} Hz aliases harmonic content up to {nyquist_rate / 2.0} Hz")
-
-
 def sample_trajectory(
     traj: FourierTrajectory, rate: float, include_endpoint: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Uniform samples over one period: (t, q, qd, qdd)."""
-    t = _sample_times(traj.duration, rate, include_endpoint)
+    t = _sample_times(traj, rate, include_endpoint)
     q, qd, qdd = fourier_eval(traj, t)
     return t, q, qd, qdd
 
 
-def _sample_times(duration: float, rate: float, include_endpoint: bool) -> np.ndarray:
-    """``round(duration * rate)`` times k / rate, plus t = ``duration`` exactly
-    if ``include_endpoint``."""
-    if not 0 < rate < math.inf:
-        raise ExciteError("sample rate must be finite and > 0")
-    count = int(round(duration * rate))
-    if count < 2:
-        raise ExciteError("sample rate too low for the trajectory duration")
+def _sample_times(traj: FourierTrajectory, rate: float, include_endpoint: bool) -> np.ndarray:
+    """``round(duration * rate)`` times k / rate, plus t = ``duration`` if ``include_endpoint``.
+    The one check of a sample rate: finite, > 0 and above twice the top harmonic."""
+    check_number(rate, "sample rate", ExciteError, positive=True)
+    nyquist_rate = 2.0 * traj.base_frequency * traj.harmonics / (2.0 * math.pi)
+    if rate <= nyquist_rate:
+        raise ExciteError(f"rate {rate} Hz aliases harmonic content up to {nyquist_rate / 2.0} Hz")
+    count = int(round(traj.duration * rate))
     t = np.arange(count + (1 if include_endpoint else 0)) / rate
     if include_endpoint:
-        t[-1] = duration
+        t[-1] = traj.duration
     return t
 
 
@@ -146,8 +138,7 @@ class Sphere:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.radius < 0:
-            raise ExciteError("sphere radius must be >= 0")
+        check_number(self.radius, "sphere radius", ExciteError)
 
 
 # Log-sum-exp sharpness for the aggregated limit margins.
@@ -170,10 +161,7 @@ class DesignProblem:
     link_collision_spheres: tuple[tuple[Sphere, ...], ...] = ()
 
     def __post_init__(self):
-        if self.gamma < 0:
-            raise ExciteError("gamma must be >= 0")
-        if not 0 < self.sample_rate < math.inf:
-            raise ExciteError("sample rate must be finite and > 0")
+        check_number(self.gamma, "gamma", ExciteError)
         if self.link_collision_spheres and len(self.link_collision_spheres) != self.model.num_joints:
             raise ExciteError("need one collision sphere list per link (or none)")
 
@@ -325,6 +313,8 @@ class ALOptions:
         for name in ("restarts", "seed"):
             if getattr(self, name) < 0:
                 raise ExciteError(f"{name} must be >= 0")
+        check_number(self.constraint_tolerance, "constraint_tolerance", ExciteError)
+        check_number(self.step_decay, "step_decay", ExciteError, positive=True)
 
 
 @dataclass
@@ -648,9 +638,6 @@ def design_trajectory(
     L = harmonics
     if L < 1:
         raise ExciteError("need at least one harmonic")
-    _check_sample_rate(problem.sample_rate, omega, L, ExciteError)
-
-    basis, rank = _design_basis(problem, opts.seed)
     lo, hi, vmax, _ = _joint_limits(model)
 
     def build(x: np.ndarray) -> FourierTrajectory:
@@ -674,8 +661,10 @@ def design_trajectory(
             np.repeat(0.5 * vmax / L, L),
         ]
     )
-    # One sin/cos grid per design, over the closed period at S + 1 times.
-    grid = _fourier_grid(omega, L, _sample_times(build(x0).duration, problem.sample_rate, True))
+    # One sin/cos grid per design, over the closed period at S + 1 times; a
+    # bad rate or frequency stops the design here, before the basis's SVD.
+    grid = _fourier_grid(omega, L, _sample_times(build(x0), problem.sample_rate, True))
+    basis, rank = _design_basis(problem, opts.seed)
 
     def sample(x: np.ndarray):
         return _fourier_rows(build(x), *grid)

@@ -32,6 +32,7 @@ from .model import (
     INERTIAL_PARAMS_PER_LINK,
     LinkInertialParams,
     PARAMS_PER_LINK,
+    check_number,
     inertia_about_com,
     is_physically_feasible,
     pseudo_inertia,
@@ -449,8 +450,7 @@ def _regularized_pair(system: LeastSquares, c, target, reg_weight):
     sigma_max = system.subspace.singular_values[0]
     if reg_weight is None:
         reg_weight = 1e-3 * sigma_max**2
-    elif not 0.0 <= reg_weight < np.inf:  # NaN fails too
-        raise IdentifyError(f"reg_weight must be finite and >= 0, got {reg_weight}")
+    check_number(reg_weight, "reg_weight", IdentifyError)
     reg_eff = max(reg_weight, _REGULARIZATION_FLOOR * max(sigma_max**2, 1.0))
     root = np.sqrt(reg_eff) * system.subspace.unidentifiable_basis.T
     return np.vstack([system.G, root]), np.concatenate([c, root @ target])
@@ -614,10 +614,8 @@ def error_metrics(
     CoM error is normalized by a characteristic length; inertia error is the
     relative Frobenius distance between the CoM-frame inertia tensors.
     """
-    if char_length == 0:
-        raise IdentifyError("char_length must be nonzero")
-    if truth.mass <= 0:
-        raise IdentifyError("truth mass must be > 0")
+    check_number(char_length, "char_length", IdentifyError, positive=True)
+    check_number(truth.mass, "truth mass", IdentifyError, positive=True)
     mass_pct = 100.0 * abs(estimate.mass - truth.mass) / truth.mass
     com_est = estimate.first_moment / estimate.mass
     com_true = truth.first_moment / truth.mass
@@ -640,5 +638,7 @@ def nearest_base_params(
     """
     if not available:
         raise IdentifyError("no base parameter sets available")
+    if not np.isfinite(configuration):  # NaN would pick the first label
+        raise IdentifyError(f"configuration must be finite, got {configuration}")
     label = min(available, key=lambda k: (abs(k - configuration), k))
     return label, np.asarray(available[label], dtype=float)

@@ -57,6 +57,15 @@ class ValidationError(ModelError):
     """A structural or numeric invariant is violated."""
 
 
+def check_number(value, name: str, error: type[ArmidError], positive: bool = False) -> float:
+    """``value`` as a float if it is finite and >= 0, or > 0 with ``positive``, else
+    ``error`` naming ``name`` and the value: the one rule for armid's float settings."""
+    number = float(value)
+    if not (math.isfinite(number) and (number > 0.0 if positive else number >= 0.0)):
+        raise error(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
+    return number
+
+
 def _as_array(values, shape, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.shape != shape:
@@ -129,10 +138,8 @@ class JointSpec:
             raise ValidationError(
                 f"joint '{self.name}': position limits [{lo}, {hi}] are reversed"
             )
-        if not self.velocity_limit > 0:
-            raise ValidationError(f"joint '{self.name}': velocity limit must be > 0")
-        if not self.acceleration_limit > 0:
-            raise ValidationError(f"joint '{self.name}': acceleration limit must be > 0")
+        for key in ("velocity_limit", "acceleration_limit"):
+            check_number(getattr(self, key), f"joint '{self.name}': {key}", ValidationError, True)
 
 
 @dataclass(frozen=True)
@@ -277,8 +284,7 @@ def is_physically_feasible(p: LinkInertialParams, tol: float = 1e-9) -> Feasibil
     Feasible iff ``min eig(J) > tol`` and all of ``mu_v, mu_c, I_r >= -tol``.
     The report carries the binding (smallest) margin.
     """
-    if tol < 0:
-        raise ValidationError("tolerance must be >= 0")
+    check_number(tol, "tolerance", ValidationError)
     min_eig = float(np.linalg.eigvalsh(pseudo_inertia(p))[0])
     violations = {}
     if min_eig <= tol:
@@ -584,12 +590,12 @@ _REQUIRED = object()
 
 
 def json_entry(spec, key: str, where, kind=None, error=ModelError, default=_REQUIRED):
-    """``spec[key]`` of a JSON object read from ``where``. A ``kind`` that is a
-    shape tuple (None leaves a length open) makes it a finite float array of
-    that shape, or a float for ``()``; any other ``kind`` converts it. A
-    missing entry reads as ``default`` if one is given. Otherwise a missing or
-    unconvertible entry, or a ``spec`` that is not a JSON object, raises
-    ``error`` naming ``where`` and ``key``."""
+    """``spec[key]`` of a JSON object read from ``where``. A ``kind`` that is a shape
+    tuple (None leaves a length open) makes it a finite float array of that shape, or a
+    float for ``()``; any other ``kind`` is the exact type of the entry (no 2.9, "2" or
+    true for ``int``). A missing entry reads as ``default`` if one is given. Otherwise a
+    missing entry, one of another type or shape, or a ``spec`` that is not a JSON object
+    raises ``error`` naming ``where`` and ``key``."""
     if not isinstance(spec, dict):
         raise error(f"{where}: not a JSON object")
     if key not in spec:
@@ -597,10 +603,9 @@ def json_entry(spec, key: str, where, kind=None, error=ModelError, default=_REQU
             raise error(f"{where}: no {key!r} entry")
         return default
     if not isinstance(kind, tuple):
-        try:
-            return spec[key] if kind is None else kind(spec[key])
-        except (TypeError, ValueError, OverflowError):
-            raise error(f"{where}: {key!r} entry is malformed") from None
+        if kind is not None and type(spec[key]) is not kind:
+            raise error(f"{where}: {key!r} must be a JSON {kind.__name__}, got {spec[key]!r}")
+        return spec[key]
     try:
         array = np.asarray(spec[key], dtype=float)
     except (TypeError, ValueError, OverflowError):

@@ -15,13 +15,14 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import inverse_dynamics_batch
-from .excite import FourierTrajectory, _check_sample_rate, sample_trajectory, trajectory_to_dict
+from .excite import FourierTrajectory, sample_trajectory, trajectory_to_dict
 from .model import (
     ArmidError,
     JointSpec,
     LinkInertialParams,
     RobotModel,
     Transform,
+    check_number,
     combine_inertial,
     is_physically_feasible,
     model_to_dict,
@@ -33,7 +34,7 @@ from .signals import RawTrial, _write_json, trial_to_csv
 
 
 class SimulateError(ArmidError):
-    """Raised for invalid generation setups (unknown fixture, aliasing, ...)."""
+    """Raised for invalid generation setups (unknown fixture, bad noise, ...)."""
 
 
 @dataclass(frozen=True)
@@ -47,9 +48,10 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("torque_abs_std", "torque_rel_std", "position_std", "seed"):
-            if getattr(self, name) < 0:
-                raise SimulateError(f"{name} must be >= 0")
+        for name in ("torque_abs_std", "torque_rel_std", "position_std"):
+            check_number(getattr(self, name), name, SimulateError)
+        if self.seed < 0:
+            raise SimulateError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,7 @@ class Fixture:
     char_length: float = 0.3
 
     def __post_init__(self):
+        check_number(self.char_length, "char_length", SimulateError, positive=True)
         if self.payload is not None:
             report = is_physically_feasible(self.payload)
             if not report.feasible:
@@ -235,7 +238,6 @@ def generate_dataset(
     """
     if trials < 1:
         raise SimulateError("need at least one trial")
-    _check_sample_rate(rate, traj.base_frequency, traj.harmonics, SimulateError)
     model = fixture.model
     if fixture.payload is not None:
         model = lump_payload(model, fixture.payload)

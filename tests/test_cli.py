@@ -308,6 +308,21 @@ class TestSimulateIdentifyPipeline:
         assert "using base parameter set labeled 0.06" in capsys.readouterr().err
         assert (out_dir / "payload.json").exists()
 
+    def test_a_non_finite_configuration_is_rejected(self, tmp_path, capsys):
+        # NaN is no nearer to any label, and once silently picked the first.
+        data_dir = _planar2_data(tmp_path)
+        truth = json.loads((data_dir / "manifest.json").read_text())["truth_parameters"]
+        base_path = tmp_path / "base.json"
+        base_path.write_text(json.dumps({"labeled_sets": {"0.02": truth, "0.06": truth}}))
+        code = main(
+            [
+                "identify", "--mode", "payload", "--data", str(data_dir), "--base-params",
+                str(base_path), "--configuration", "nan", "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: configuration must be finite, got nan\n"
+
     def test_base_params_without_alpha_or_labeled_sets(self, tmp_path, capsys):
         data_dir, truth = self._payload_dataset(tmp_path)
         base_path = tmp_path / "base.json"
@@ -447,8 +462,16 @@ class TestSimulateIdentifyPipeline:
             (lambda d: d["trajectory"].update(offsets="x"), " trajectory",
              "'offsets' is not numeric"),
             (lambda d: d.pop("trajectory"), "", "no 'trajectory' entry"),
+            # int() once read each of these as a harmonic count.
+            (lambda d: d["trajectory"].update(harmonics=3.0), " trajectory",
+             "'harmonics' must be a JSON int, got 3.0"),
+            (lambda d: d["trajectory"].update(harmonics="3"), " trajectory",
+             "'harmonics' must be a JSON int, got '3'"),
+            (lambda d: d["trajectory"].update(harmonics=True), " trajectory",
+             "'harmonics' must be a JSON int, got True"),
         ],
-        ids=["no-harmonics", "bad-offsets", "no-trajectory"],
+        ids=["no-harmonics", "bad-offsets", "no-trajectory", "float-harmonics",
+             "string-harmonics", "bool-harmonics"],
     )
     def test_trajectory_errors_name_file_and_key(self, tmp_path, capsys, edit, where, problem):
         traj_path = _write_trajectory(tmp_path, "chain3")

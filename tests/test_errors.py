@@ -4,9 +4,11 @@ exit 1. Any other exception is a bug and propagates out of ``main``."""
 
 import ast
 import copy
+import dataclasses
 import importlib
 import inspect
 import json
+import math
 import pkgutil
 from pathlib import Path
 
@@ -16,7 +18,9 @@ import pytest
 import armid
 from armid import simulate
 from armid.cli import EXIT_ERROR, EXIT_OK, EXIT_WARNINGS, main
-from armid.model import ArmidError
+from armid.excite import ALOptions, DesignProblem, FourierTrajectory, Sphere, design_trajectory
+from armid.model import ArmidError, JointSpec
+from armid.simulate import Fixture, NoiseSpec
 
 from test_cli import PENDULUM_URDF, _planar2_data, _write_trajectory
 
@@ -64,25 +68,81 @@ def test_an_internal_value_error_is_not_an_input_error(tmp_path, monkeypatch):
         )
 
 
+_AT_LEAST_0 = "must be finite and >= 0, got"
+_ABOVE_0 = "must be finite and > 0, got"
+
+
 @pytest.mark.parametrize(
     "command, flag, value, problem",
     [
         ("design", "--seed", "-1", "seed must be >= 0"),
         ("design", "--harmonics", "-1", "need at least one harmonic"),
-        ("design", "--sample-rate", "nan", "sample rate must be finite and > 0"),
-        ("design", "--sample-rate", "inf", "sample rate must be finite and > 0"),
+        ("design", "--sample-rate", "nan", f"sample rate {_ABOVE_0} nan"),
+        ("design", "--sample-rate", "inf", f"sample rate {_ABOVE_0} inf"),
         ("simulate", "--seed", "-1", "seed must be >= 0"),
-        ("simulate", "--rate", "nan", "sample rate must be finite and > 0"),
-        ("simulate", "--rate", "inf", "sample rate must be finite and > 0"),
+        ("simulate", "--rate", "nan", f"sample rate {_ABOVE_0} nan"),
+        ("simulate", "--rate", "inf", f"sample rate {_ABOVE_0} inf"),
+        # Each of these once exited 0 or 2, or exited 1 naming something else.
+        ("design", "--gamma", "nan", f"gamma {_AT_LEAST_0} nan"),
+        ("design", "--gamma", "inf", f"gamma {_AT_LEAST_0} inf"),
+        ("design", "--tolerance", "nan", f"constraint_tolerance {_AT_LEAST_0} nan"),
+        ("design", "--tolerance", "inf", f"constraint_tolerance {_AT_LEAST_0} inf"),
+        ("design", "--tolerance", "-1", f"constraint_tolerance {_AT_LEAST_0} -1.0"),
+        ("design", "--base-freq", "inf", f"base frequency (rad/s) {_ABOVE_0} inf"),
+        ("simulate", "--char-length", "nan", f"char_length {_ABOVE_0} nan"),
+        ("simulate", "--char-length", "inf", f"char_length {_ABOVE_0} inf"),
+        ("simulate", "--char-length", "-1", f"char_length {_ABOVE_0} -1.0"),
+        ("simulate", "--char-length", "0", f"char_length {_ABOVE_0} 0.0"),
+        ("simulate", "--noise-rel", "nan", f"torque_rel_std {_AT_LEAST_0} nan"),
+        ("simulate", "--noise-rel", "inf", f"torque_rel_std {_AT_LEAST_0} inf"),
+        ("simulate", "--noise-abs", "nan", f"torque_abs_std {_AT_LEAST_0} nan"),
+        ("simulate", "--noise-abs", "inf", f"torque_abs_std {_AT_LEAST_0} inf"),
+        ("simulate", "--noise-pos", "nan", f"position_std {_AT_LEAST_0} nan"),
+        ("simulate", "--noise-pos", "inf", f"position_std {_AT_LEAST_0} inf"),
+        ("simulate", "--rate", "0", f"sample rate {_ABOVE_0} 0.0"),
+        ("simulate", "--rate", "-1", f"sample rate {_ABOVE_0} -1.0"),
+        ("tune-filters", "--grid", "4,nan:4,8", f"grid cutoff (Hz) {_ABOVE_0} nan"),
     ],
 )
 def test_out_of_range_flags_are_armid_errors(tmp_path, capsys, command, flag, value, problem):
-    # numpy would reject these with a ValueError, which is no longer an input error.
-    args = ["--fixture", "planar2", flag, value, "--out", str(tmp_path / "o")]
+    # Exit 1, naming the setting and the value: NaN and inf never pass, and
+    # numpy never sees a value it would reject with a ValueError.
+    args = [flag, value, "--out", str(tmp_path / "o")]
+    if command == "tune-filters":
+        args += ["--data", str(_planar2_data(tmp_path))]
+    else:
+        args += ["--fixture", "planar2"]
     if command == "simulate":
         args += ["--traj", str(_write_trajectory(tmp_path, "planar2"))]
     assert main([command, *args]) == EXIT_ERROR
     assert capsys.readouterr().err == f"error: {problem}\n"
+
+
+_BASE = {
+    FourierTrajectory: FourierTrajectory(1.0, 1, [0.0], [[0.0]], [[0.0]]),
+    Sphere: Sphere(np.zeros(3), 0.1),
+    DesignProblem: DesignProblem(simulate.builtin_fixture("pendulum1").model),
+    ALOptions: ALOptions(),
+    NoiseSpec: NoiseSpec(),
+    Fixture: simulate.builtin_fixture("pendulum1"),
+    JointSpec: simulate.builtin_fixture("pendulum1").model.joint_specs[0],
+}
+# The one float setting checked where it is used rather than where it is set.
+_CHECKED_IN_USE = {
+    (DesignProblem, "sample_rate"): lambda problem: design_trajectory(problem, 1.0, 1),
+}
+
+
+@pytest.mark.parametrize("cls", list(_BASE), ids=lambda cls: cls.__name__)
+def test_every_float_setting_rejects_nan_and_inf(cls):
+    # A float field added later must go through model.check_number as well.
+    names = [f.name for f in dataclasses.fields(cls) if f.type in ("float", float)]
+    assert names
+    for name in names:
+        for bad in (math.nan, math.inf):
+            use = _CHECKED_IN_USE.get((cls, name), lambda obj: None)
+            with pytest.raises(ArmidError, match=f"{bad}"):
+                use(dataclasses.replace(_BASE[cls], **{name: bad}))
 
 
 def _design_urdf(tmp_path, capsys, text):
@@ -228,8 +288,7 @@ _ONCE_TRACEBACKS = ("noise", "torque_abs_std", "torque_rel_std", "rate", "char_l
 @pytest.mark.parametrize("document", ["manifest", "trajectory", "sphere", "rigid body"])
 def test_every_bad_entry_exits_through_main(tmp_path, capsys, sweep_inputs, document):
     # Each entry of each document gets each of _VALUES in turn. main must
-    # return 0, 1 or 2 every time; exit 1 must name the file (a body the
-    # payload feasibility check rejects is named by that check instead).
+    # return 0, 1 or 2 every time; exit 1 must name the file.
     simulate = ["simulate", "--fixture", "planar2", "--trials", "1", "--rate", "50",
                 "--out", str(tmp_path / "sim")]
     if document == "manifest":
@@ -269,7 +328,7 @@ def test_every_bad_entry_exits_through_main(tmp_path, capsys, sweep_inputs, docu
                 problems.append(f"{case}: exit {code}")
             elif code != EXIT_ERROR:
                 continue
-            elif str(path) not in err and "payload is infeasible" not in err:
+            elif str(path) not in err:
                 problems.append(f"{case}: {err}")
             elif named in _ONCE_TRACEBACKS and not (
                 repr(named) in err or named.replace("_", " ") in err

@@ -577,8 +577,9 @@ class TestErrorMetrics:
 
     def test_zero_char_length_rejected(self):
         p = solid_sphere_params(1.0, 0.1, [0.0, 0.0, 0.0])
-        with pytest.raises(IdentifyError):
-            error_metrics(p, p, 0.0)
+        for length in (0.0, -0.3, np.nan, np.inf):  # -0.3 once gave negative percentages
+            with pytest.raises(IdentifyError, match="char_length must be finite and > 0"):
+                error_metrics(p, p, length)
 
 
 class TestBaseParamSelection:

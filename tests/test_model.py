@@ -329,6 +329,12 @@ class TestFeasibility:
             assert is_physically_feasible(p2).feasible
             assert is_physically_feasible(combine_inertial(p1, p2)).feasible
 
+    def test_tolerance_must_be_finite_and_nonnegative(self):
+        p = solid_sphere_params(1.0, 0.5, [0.1, 0.0, 0.0])
+        for tol in (np.nan, np.inf, -1e-9):  # NaN once called every body feasible
+            with pytest.raises(ValidationError, match="tolerance must be finite and >= 0"):
+                is_physically_feasible(p, tol=tol)
+
     def test_report_is_dataclass(self):
         p = solid_sphere_params(1.0, 0.5, [0.1, 0.0, 0.0])
         report = is_physically_feasible(p)

@@ -5,7 +5,13 @@ import pytest
 
 from armid import signals
 from armid.dynamics import inverse_dynamics_batch
-from armid.excite import DesignProblem, FourierTrajectory, random_feasible_trajectory, sample_trajectory
+from armid.excite import (
+    DesignProblem,
+    ExciteError,
+    FourierTrajectory,
+    random_feasible_trajectory,
+    sample_trajectory,
+)
 from armid.model import (
     combine_inertial,
     is_physically_feasible,
@@ -88,7 +94,8 @@ class TestGenerate:
     def test_aliasing_rejected(self):
         fixture = builtin_fixture("planar2")
         traj = _test_trajectory(2, L=5)
-        with pytest.raises(SimulateError, match="alias"):
+        # The sample rate has one check, in excite, whose error it raises.
+        with pytest.raises(ExciteError, match="alias"):
             generate_dataset(fixture, traj, 0.5, 1, NoiseSpec())
 
     def test_noise_statistics(self):
