@@ -97,7 +97,8 @@ def _load_dataset(data_dir: Path) -> tuple[dict, model_mod.RobotModel, signals.R
     paths = sorted(data_dir.glob("trial_*.csv"))
     if not paths:
         raise SignalError(f"no trial_*.csv files in {data_dir}")
-    trials = [signals.trial_from_csv(p) for p in paths]
+    shared_text: dict = {}  # trials without position noise share their t, q text
+    trials = [signals.trial_from_csv(p, shared_text) for p in paths]
     first = trials[0].timestamps
     for path, trial in zip(paths, trials):
         if trial.num_joints != robot.num_joints:
@@ -211,14 +212,21 @@ def cmd_simulate(args) -> int:
 # --- identify ---------------------------------------------------------------------
 
 
+def _manifest_number(spec, key: str, where, default: float, positive: bool = False) -> float:
+    """A number of a dataset's manifest, under the range rule of every float
+    setting; an error names ``where`` and ``key``."""
+    value = json_entry(spec, key, where, (), SignalError, default)
+    return check_number(value, f"{where}: {key!r}", SignalError, positive)
+
+
 def _resolve_cutoffs(args, manifest, where) -> tuple[float | None, float | None]:
     pos, torque = args.pos_cutoff, args.torque_cutoff
     noise = json_entry(manifest, "noise", where, default={})
     stds = [
-        json_entry(noise, k, f"{where} 'noise'", (), default=0.0)
+        _manifest_number(noise, k, f"{where} 'noise'", 0.0)
         for k in ("torque_abs_std", "torque_rel_std", "position_std")
     ]
-    rate = json_entry(manifest, "rate", where, (), default=100.0)
+    rate = _manifest_number(manifest, "rate", where, 100.0, positive=True)
     default = min(10.0, rate / 4.0) if any(std > 0.0 for std in stds) else None
     if pos == "auto":
         pos = default
@@ -263,7 +271,7 @@ def cmd_identify(args) -> int:
     where = Path(args.data) / "manifest.json"
     entry = partial(json_entry, manifest, where=where)
     truth = entry("truth_parameters", kind=(13 * robot.num_joints,), default=None)
-    char_length = entry("char_length", kind=(), default=0.3)
+    char_length = _manifest_number(manifest, "char_length", where, 0.3, positive=True)
     truth_payload = entry("payload", default=None)
     if truth_payload:
         truth_payload = model_mod.rigid_body_from_dict(truth_payload, f"{where} 'payload'")

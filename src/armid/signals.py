@@ -458,12 +458,18 @@ def trial_to_csv(trial: RawTrial, path, shared_text: dict | None = None) -> None
     _write_csv(path, header, rows)
 
 
-def trial_from_csv(path) -> RawTrial:
+def trial_from_csv(path, shared_text: dict | None = None) -> RawTrial:
     """Read a trial written by :func:`trial_to_csv`.
 
     Lines may end in ``\\n`` or ``\\r\\n``. Every data line must hold one
     number per header field: blank lines and comments are errors. Errors name
     the file and the bad line, counting the header as row 1.
+
+    ``shared_text`` is the reading twin of :func:`trial_to_csv`'s: pass the same
+    dict for every trial of one dataset, and a trial whose lines each start with
+    the ``[t | q]`` text of the last trial parsed in full parses only its torques
+    and takes that trial's ``t`` and ``q`` numbers. Equal text reads to equal
+    bits, and any other trial is parsed in full, so the result never depends on it.
     """
     text = read_text(path, SignalError)
     if not text:
@@ -475,23 +481,59 @@ def trial_from_csv(path) -> RawTrial:
     if lines[-1:] == [""]:
         lines.pop()  # the newline that ends the last row
     width = len(header)
-    try:
-        table = (
-            np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-            if lines
-            else np.empty((0, width))
-        )
-    except ValueError:
-        table = None
-    # loadtxt skips blank lines and numbers rows its own way, so any failure
-    # is located here, line by line.
-    if table is None or table.shape != (len(lines), width):
-        raise SignalError(f"{path}: {_bad_row(lines, width)}")
     n = (width - 1) // 2
+    table = _reuse_t_q(lines, n, shared_text) if shared_text else None
+    parsed = table is None
+    if parsed:
+        table = _parse_rows(lines) if lines else np.empty((0, width))
+        # loadtxt skips blank lines and numbers rows its own way, so any failure
+        # is located here, line by line.
+        if table is None or table.shape != (len(lines), width):
+            raise SignalError(f"{path}: {_bad_row(lines, width)}")
     try:
-        return RawTrial(timestamps=table[:, 0], q=table[:, 1 : 1 + n], tau=table[:, 1 + n :])
+        trial = RawTrial(timestamps=table[:, 0], q=table[:, 1 : 1 + n], tau=table[:, 1 + n :])
     except SignalError as exc:
         raise SignalError(f"{path}: {exc}") from exc
+    if parsed and shared_text is not None:
+        shared_text.clear()
+        shared_text["last"] = (lines, table[:, : n + 1].copy())
+    return trial
+
+
+def _t_q_text(line: str, n: int) -> str:
+    """A data line of ``n`` joints up to and including its (n + 1)-th comma."""
+    return line[: len(line) - len(line.split(",", n + 1)[-1])]
+
+
+def _reuse_t_q(lines: list[str], n: int, shared_text: dict) -> np.ndarray | None:
+    """The table of ``lines`` if each starts with the ``[t | q]`` text of the
+    last trial in ``shared_text`` and the rest parses to ``n`` torques, its
+    ``t`` and ``q`` columns taken from that trial; else None."""
+    last, t_q = shared_text["last"]
+    if t_q.shape[1] != n + 1 or len(lines) != len(last):
+        return None
+    # The first line alone turns away a trial with its own q text, so that
+    # trial pays for no prefixes; they are cut once, for the first match.
+    if "prefixes" not in shared_text:
+        if not lines[0].startswith(_t_q_text(last[0], n)):
+            return None
+        shared_text["prefixes"] = [_t_q_text(line, n) for line in last]
+    prefixes = shared_text["prefixes"]
+    if not all(map(str.startswith, lines, prefixes)):
+        return None
+    tau = _parse_rows([line[len(p) :] for line, p in zip(lines, prefixes)])
+    if tau is None or tau.shape != (len(lines), n):
+        return None
+    return np.hstack([t_q, tau])
+
+
+def _parse_rows(lines: list[str]) -> np.ndarray | None:
+    """Comma-separated ``lines`` as a 2-D float table, or None if a field is not
+    a number. numpy's loadtxt skips blank lines, so callers check the row count."""
+    try:
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
 
 
 def _bad_row(lines: list[str], width: int) -> str:
@@ -503,8 +545,6 @@ def _bad_row(lines: list[str], width: int) -> str:
         fields = line.count(",") + 1
         if fields != width:
             return f"row {row} has {fields} fields, expected {width}"
-        try:
-            np.loadtxt([line], delimiter=",", comments=None)
-        except ValueError:
+        if _parse_rows([line]) is None:
             return f"row {row} contains a non-numeric field"
     return "data rows do not parse"

@@ -335,3 +335,38 @@ def test_every_bad_entry_exits_through_main(tmp_path, capsys, sweep_inputs, docu
             ):
                 problems.append(f"{case}: {err} (does not name {named!r})")
     assert problems == []
+
+
+@pytest.mark.parametrize(
+    "entry, value, rule",
+    [
+        (("char_length",), -0.3, _ABOVE_0),
+        (("char_length",), 0, _ABOVE_0),
+        (("rate",), -50, _ABOVE_0),
+        (("rate",), 0, _ABOVE_0),
+        (("noise", "torque_abs_std"), -1, _AT_LEAST_0),
+        (("noise", "torque_rel_std"), -1, _AT_LEAST_0),
+        (("noise", "position_std"), -1e-3, _AT_LEAST_0),
+    ],
+    ids=["char_length<0", "char_length=0", "rate<0", "rate=0", "torque_abs_std<0",
+         "torque_rel_std<0", "position_std<0"],
+)
+def test_out_of_range_manifest_numbers_exit_1_before_any_artifact(
+    tmp_path, capsys, sweep_inputs, entry, value, rule
+):
+    # Each once passed its read: char_length failed after identification.json
+    # was written, a negative rate made negative cutoffs, and negative stds
+    # turned the auto filters off on noisy data.
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    for trial in (sweep_inputs / "sim").glob("trial_*.csv"):
+        (data_dir / trial.name).write_bytes(trial.read_bytes())
+    path = data_dir / "manifest.json"
+    doc = json.loads((sweep_inputs / "sim" / "manifest.json").read_text())
+    path.write_text(json.dumps(_replaced(doc, entry, value)))
+    out = tmp_path / "o"
+    assert main(["identify", "--data", str(data_dir), "--out", str(out)]) == EXIT_ERROR
+    where = f"{path} 'noise'" if entry[0] == "noise" else path
+    problem = f"{entry[-1]!r} {rule} {float(value)}"
+    assert capsys.readouterr().err == f"error: {where}: {problem}\n"
+    assert not out.exists()

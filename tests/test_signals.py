@@ -1,3 +1,4 @@
+import json
 import tempfile
 from pathlib import Path
 
@@ -7,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from armid import identify, signals
-from armid.model import pack_params
+from armid import cli, identify, signals
+from armid.model import model_to_dict, pack_params
 from armid.signals import (
     DEFAULT_CUTOFF_GRID,
     RawTrial,
@@ -21,6 +22,7 @@ from armid.signals import (
     trial_to_csv,
     tune_filter_cutoffs,
 )
+from armid.simulate import builtin_fixture
 
 
 def _make_trial(rate=100.0, duration=2.0, n=1, fn=None, noise=0.0, seed=0):
@@ -500,6 +502,97 @@ class TestCsv:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SignalError, match="row 6"):
             trial_from_csv(path)
+
+
+def _bits(trial) -> tuple[bytes, ...]:
+    return tuple(getattr(trial, name).tobytes() for name in ("timestamps", "q", "tau"))
+
+
+class TestSharedRead:
+    """``trial_from_csv`` with a ``shared_text`` dict reads what each file reads alone."""
+
+    @given(
+        n=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        kinds=st.lists(
+            st.sampled_from(["same", "position noise", "zero signs", "one zero", "shorter"]),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_shared_reads_give_the_bits_of_lone_reads(self, n, seed, kinds):
+        # Each trial after the first takes the [t | q] of the one before it:
+        # as is, with noise on q, with the sign of every zero in q flipped,
+        # with its first zero made 1.0 (text of the same length), or one
+        # sample shorter.
+        rng = np.random.default_rng(seed)
+        t = np.arange(24) / 50.0
+        q = rng.standard_normal((24, n))
+        q[rng.random(q.shape) < 0.3] = 0.0
+        q[rng.random(q.shape) < 0.3] = -0.0
+        trials = [RawTrial(t, q, rng.standard_normal(q.shape))]
+        for kind in kinds:
+            t, q = trials[-1].timestamps, trials[-1].q
+            if kind == "position noise":
+                q = q + 1e-3 * rng.standard_normal(q.shape)
+            elif kind == "zero signs":
+                q = np.where(q == 0.0, -q, q)
+            elif kind == "one zero":
+                q = q.copy()
+                q.flat[np.argmax(q == 0.0)] = 1.0
+            elif kind == "shorter":
+                t, q = t[:-1], q[:-1]
+            trials.append(RawTrial(t, q, rng.standard_normal(q.shape)))
+        with tempfile.TemporaryDirectory() as tmp:
+            data_dir = Path(tmp)
+            written: dict = {}
+            for k, trial in enumerate(trials):
+                trial_to_csv(trial, data_dir / f"trial_{k:03d}.csv", written)
+            paths = sorted(data_dir.glob("trial_*.csv"))
+            shared: dict = {}
+            for path in paths:
+                assert _bits(trial_from_csv(path, shared)) == _bits(trial_from_csv(path))
+            # A dataset loads to the same averaged trial, or the same error,
+            # with or without the shared text.
+            model = builtin_fixture(("pendulum1", "planar2", "chain3")[n - 1]).model
+            (data_dir / "manifest.json").write_text(json.dumps({"model": model_to_dict(model)}))
+            outcomes = []
+            real = signals.trial_from_csv
+            for lone in (False, True):
+                with pytest.MonkeyPatch.context() as mp:
+                    if lone:
+                        mp.setattr(signals, "trial_from_csv", lambda path, shared_text: real(path))
+                    try:
+                        outcomes.append(_bits(cli._load_dataset(data_dir)[2]))
+                    except SignalError as exc:
+                        outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda line: line.rsplit(",", 1)[0] + ",abc",
+            lambda line: line + ",0.5",
+            lambda line: line.rsplit(",", 1)[0],
+            lambda line: ",".join(line.split(",")[:3]) + ",",
+            lambda line: "\n" + line,
+        ],
+        ids=["non-numeric", "extra field", "missing field", "no torques", "blank line"],
+    )
+    def test_a_bad_torque_part_raises_the_lone_error(self, tmp_path, edit):
+        # Row 7's [t | q] text is the previous trial's; its torques are not.
+        good, bad = tmp_path / "trial_0.csv", tmp_path / "trial_1.csv"
+        trial_to_csv(_make_trial(fn=np.sin, n=2), good)
+        lines = good.read_text().splitlines()
+        lines[6] = edit(lines[6])
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SignalError) as lone:
+            trial_from_csv(bad)
+        shared: dict = {}
+        trial_from_csv(good, shared)
+        with pytest.raises(SignalError) as info:
+            trial_from_csv(bad, shared)
+        assert str(info.value) == str(lone.value)
+        assert str(lone.value).startswith(f"{bad}: row 7 ")
 
 
 class TestRawTrialValidation:

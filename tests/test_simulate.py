@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from armid import signals
+from armid.cli import _load_dataset
 from armid.dynamics import inverse_dynamics_batch
 from armid.excite import (
     DesignProblem,
@@ -216,3 +217,21 @@ class TestWriteDataset:
         write_dataset(tmp_path, fixture, _test_trajectory(2, seed=4), 50.0, 10, noise)
         # One [t | q] block (1 + 2 columns) for all ten trials, one tau block each.
         assert sorted(widths) == [2] * 10 + [3]
+
+    def test_trials_without_position_noise_parse_t_q_once(self, tmp_path, monkeypatch):
+        noise = NoiseSpec(torque_rel_std=0.01, seed=3)
+        write_dataset(tmp_path, builtin_fixture("planar2"), _test_trajectory(2, seed=4), 50.0,
+                      10, noise)
+        widths = []
+        real = np.loadtxt
+
+        def counted(*args, **kwargs):
+            table = real(*args, **kwargs)
+            widths.append(table.shape[1])
+            return table
+
+        monkeypatch.setattr(signals.np, "loadtxt", counted)
+        _load_dataset(tmp_path)
+        # The first trial parses all 1 + 2 + 2 columns; the other nine parse
+        # their 2 torque columns and take its t, q numbers.
+        assert sorted(widths) == [2] * 9 + [5]
