@@ -15,6 +15,9 @@ import functools
 import hashlib
 import json
 import math
+import os
+import pickle
+import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -448,14 +451,93 @@ def trial_to_csv(trial: RawTrial, path, shared_text: dict | None = None) -> None
     """
     n = trial.num_joints
     header = ["t"] + [f"q_{i + 1}" for i in range(n)] + [f"tau_{i + 1}" for i in range(n)]
+    t_q_rows = _t_q_rows(trial, {} if shared_text is None else shared_text)
+    rows = [a + "," + b for a, b in zip(t_q_rows, _float_rows(trial.tau))]
+    _write_csv(path, header, rows)
+
+
+def _t_q_rows(trial: RawTrial, shared_text: dict) -> list[str]:
+    """The ``[t | q]`` rows of ``trial``, formatted unless ``shared_text``
+    holds them; ``shared_text`` keeps the last block it was asked for."""
     t_q = np.column_stack([trial.timestamps, trial.q])
     key = (t_q.shape, t_q.tobytes())
-    cache = {} if shared_text is None else shared_text
-    if key not in cache:
-        cache.clear()
-        cache[key] = _float_rows(t_q)
-    rows = [a + "," + b for a, b in zip(cache[key], _float_rows(trial.tau))]
-    _write_csv(path, header, rows)
+    if key not in shared_text:
+        shared_text.clear()
+        shared_text[key] = _float_rows(t_q)
+    return shared_text[key]
+
+
+def write_trials(trials: Sequence[RawTrial], paths: Sequence) -> None:
+    """Write ``trials[k]`` to ``paths[k]`` with :func:`trial_to_csv`, from two
+    processes when there are at least two trials and two usable CPUs.
+
+    Trial 0's ``[t | q]`` block is formatted first and shared, as in
+    :func:`trial_to_csv`; then one forked child writes the odd trials while
+    this process writes the even ones. The bytes written are those of a
+    sequential loop, the child is reaped before this returns or raises, and
+    if trials fail, the error is the lowest-numbered failing trial's: the
+    one a sequential loop would raise.
+    """
+    shared_text: dict = {}  # trials without position noise share their t, q text
+    if trials:
+        _t_q_rows(trials[0], shared_text)
+    if len(trials) < 2 or _usable_cpus() < 2:
+        failures = [_write_each(trials, paths, range(len(trials)), shared_text)]
+    else:
+        failures = _write_forked(trials, paths, shared_text)
+    failures = [f for f in failures if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it; write in one process there
+        return 1
+
+
+def _write_each(trials, paths, ks, shared_text: dict) -> tuple[int, Exception] | None:
+    """Write trials ``ks`` in order; the first failure as ``(k, error)``, or None."""
+    for k in ks:
+        try:
+            trial_to_csv(trials[k], paths[k], shared_text)
+        except Exception as exc:
+            return k, exc
+    return None
+
+
+def _write_forked(trials, paths, shared_text: dict) -> list:
+    """The failures of writing the even trials here and the odd ones in a
+    forked child, which reports its failure (or None) through a pipe."""
+    read_end, write_end = os.pipe()
+    with warnings.catch_warnings():
+        # From Python 3.12 fork warns in a process with other threads (numpy's
+        # BLAS threads, say). The child is safe: it only formats text, writes
+        # files and leaves by os._exit.
+        warnings.filterwarnings(
+            "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
+            DeprecationWarning,
+        )
+        pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_end)
+            failure = _write_each(trials, paths, range(1, len(trials), 2), shared_text)
+            with open(write_end, "wb") as pipe:
+                pickle.dump(failure, pipe)
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    try:
+        with open(read_end, "rb") as pipe:
+            failures = [_write_each(trials, paths, range(0, len(trials), 2), shared_text)]
+            report = pipe.read()
+    finally:
+        os.waitpid(pid, 0)
+    if not report:
+        raise SignalError(f"{paths[1]}: the process writing the odd trials did not finish")
+    return failures + [pickle.loads(report)]
 
 
 def trial_from_csv(path, shared_text: dict | None = None) -> RawTrial:

@@ -30,7 +30,7 @@ from .model import (
     params_from_com,
     rigid_body_to_dict,
 )
-from .signals import RawTrial, _write_json, trial_to_csv
+from .signals import RawTrial, _write_json, write_trials
 
 
 class SimulateError(ArmidError):
@@ -269,12 +269,8 @@ def write_dataset(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = generate_dataset(fixture, traj, rate, trials, noise)
-    paths = []
-    shared_text: dict = {}  # trials without position noise share their t, q text
-    for k, trial in enumerate(dataset):
-        path = out_dir / f"trial_{k:03d}.csv"
-        trial_to_csv(trial, path, shared_text)
-        paths.append(path)
+    paths = [out_dir / f"trial_{k:03d}.csv" for k in range(trials)]
+    write_trials(dataset, paths)
     manifest = {
         "fixture": fixture.name,
         "model": model_to_dict(fixture.model),

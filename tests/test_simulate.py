@@ -1,10 +1,12 @@
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
 
 from armid import signals
-from armid.cli import _load_dataset
+from armid.cli import _load_dataset, main
 from armid.dynamics import inverse_dynamics_batch
 from armid.excite import (
     DesignProblem,
@@ -12,6 +14,7 @@ from armid.excite import (
     FourierTrajectory,
     random_feasible_trajectory,
     sample_trajectory,
+    save_trajectory,
 )
 from armid.model import (
     combine_inertial,
@@ -205,16 +208,20 @@ class TestWriteDataset:
 
     def test_trials_without_position_noise_format_t_q_once(self, tmp_path, monkeypatch):
         fixture = builtin_fixture("planar2")
-        widths = []
+        # A file, not a list: the trials are written by this process and a
+        # forked child, and both must be counted.
+        log = tmp_path / "widths.log"
         real = signals._float_rows
 
         def counted(table):
-            widths.append(table.shape[1])
+            with open(log, "a") as fh:
+                fh.write(f"{table.shape[1]}\n")
             return real(table)
 
         monkeypatch.setattr(signals, "_float_rows", counted)
         noise = NoiseSpec(torque_rel_std=0.01, seed=3)
-        write_dataset(tmp_path, fixture, _test_trajectory(2, seed=4), 50.0, 10, noise)
+        write_dataset(tmp_path / "data", fixture, _test_trajectory(2, seed=4), 50.0, 10, noise)
+        widths = [int(line) for line in log.read_text().split()]
         # One [t | q] block (1 + 2 columns) for all ten trials, one tau block each.
         assert sorted(widths) == [2] * 10 + [3]
 
@@ -235,3 +242,83 @@ class TestWriteDataset:
         # The first trial parses all 1 + 2 + 2 columns; the other nine parse
         # their 2 torque columns and take its t, q numbers.
         assert sorted(widths) == [2] * 9 + [5]
+
+
+class TestWriteTrials:
+    """Trials are written by this process (even k) and a forked child (odd k)."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # Fork on any machine, one CPU or many: the split is what is tested.
+        monkeypatch.setattr(signals, "_usable_cpus", lambda: 2)
+        yield
+        with pytest.raises(ChildProcessError):  # no child is left behind
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("position_std", [0.0, 1e-3])
+    @pytest.mark.parametrize("trials", [1, 2, 3, 10])
+    def test_bytes_equal_a_sequential_loop(self, tmp_path, monkeypatch, trials, position_std,
+                                           cpus):
+        if cpus == 1:  # one usable CPU: every trial in this process, no fork
+            monkeypatch.setattr(signals, "_usable_cpus", lambda: 1)
+            monkeypatch.setattr(signals.os, "fork", None)
+        fixture = builtin_fixture("planar2")
+        traj = _test_trajectory(2, seed=5)
+        noise = NoiseSpec(torque_rel_std=0.01, position_std=position_std, seed=8)
+        paths = write_dataset(tmp_path / "forked", fixture, traj, 50.0, trials, noise)
+        assert [p.name for p in paths] == [f"trial_{k:03d}.csv" for k in range(trials)]
+        shared_text: dict = {}
+        for k, trial in enumerate(generate_dataset(fixture, traj, 50.0, trials, noise)):
+            path = tmp_path / f"sequential_{k}.csv"
+            trial_to_csv(trial, path, shared_text)
+            assert paths[k].read_bytes() == path.read_bytes()
+
+    def _simulate(self, tmp_path, capsys, blocked):
+        traj_path = tmp_path / "traj.json"
+        save_trajectory(traj_path, _test_trajectory(2, seed=4))
+        out = tmp_path / "data"
+        for k in blocked:  # a directory where a trial file must go
+            (out / f"trial_{k:03d}.csv").mkdir(parents=True)
+        code = main(["simulate", "--fixture", "planar2", "--traj", str(traj_path),
+                     "--trials", "10", "--rate", "50", "--noise-rel", "0.01",
+                     "--out", str(out)])
+        return code, capsys.readouterr().err, out
+
+    @pytest.mark.parametrize("k", [4, 7])
+    def test_an_unwritable_trial_exits_1_naming_it(self, tmp_path, capsys, k):
+        code, err, out = self._simulate(tmp_path, capsys, [k])
+        assert code == 1
+        assert err.startswith("error: ")
+        assert str(out / f"trial_{k:03d}.csv") in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("blocked", [(3, 6), (2, 5)])
+    def test_the_lowest_failing_trial_is_named(self, tmp_path, capsys, blocked):
+        code, err, out = self._simulate(tmp_path, capsys, blocked)
+        assert code == 1
+        assert err.count("\n") == 1
+        assert str(out / f"trial_{min(blocked):03d}.csv") in err
+        assert str(out / f"trial_{max(blocked):03d}.csv") not in err
+
+    def test_a_child_that_cannot_report_is_an_error(self, tmp_path, monkeypatch):
+        def broken(obj, fh):  # only the child pickles
+            raise RuntimeError("no report")
+
+        monkeypatch.setattr(signals.pickle, "dump", broken)
+        fixture = builtin_fixture("planar2")
+        with pytest.raises(signals.SignalError, match=r"trial_001\.csv: the process writing"):
+            write_dataset(tmp_path, fixture, _test_trajectory(2, seed=4), 50.0, 3, NoiseSpec())
+
+    def test_the_fork_warning_of_python_3_12_is_ignored(self, tmp_path, monkeypatch):
+        real = os.fork
+
+        def threaded_fork():  # what os.fork does from 3.12 in a process with threads
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                          "may lead to deadlocks in the child.", DeprecationWarning)
+            return real()
+
+        monkeypatch.setattr(signals.os, "fork", threaded_fork)
+        fixture = builtin_fixture("planar2")
+        paths = write_dataset(tmp_path, fixture, _test_trajectory(2, seed=4), 50.0, 3, NoiseSpec())
+        assert len(paths) == 3
