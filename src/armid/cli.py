@@ -85,40 +85,7 @@ def _parse_cutoff(raw: str):
     return value
 
 
-def _load_dataset(data_dir: Path) -> tuple[dict, model_mod.RobotModel, signals.RawTrial]:
-    """A dataset directory's manifest, its robot model, and its averaged trial."""
-    manifest_path = data_dir / "manifest.json"
-    if not manifest_path.exists():
-        raise SignalError(f"no manifest.json in {data_dir}")
-    manifest = read_json(manifest_path, SignalError)
-    robot = model_mod.model_from_dict(
-        json_entry(manifest, "model", manifest_path), f"{manifest_path} model"
-    )
-    paths = sorted(data_dir.glob("trial_*.csv"))
-    if not paths:
-        raise SignalError(f"no trial_*.csv files in {data_dir}")
-    shared_text: dict = {}  # trials without position noise share their t, q text
-    trials = [signals.trial_from_csv(p, shared_text) for p in paths]
-    first = trials[0].timestamps
-    for path, trial in zip(paths, trials):
-        if trial.num_joints != robot.num_joints:
-            raise SignalError(
-                f"{path}: {trial.num_joints} joints, but the manifest's model has "
-                f"{robot.num_joints}"
-            )
-        if trial.timestamps.size != first.size:
-            size = trial.timestamps.size
-            raise SignalError(f"{path}: {size} samples, but {paths[0]} has {first.size}")
-        if np.max(np.abs(trial.timestamps - first)) > 1e-9:
-            raise SignalError(f"{path}: time grid differs from {paths[0]}")
-    return manifest, robot, signals.average_trials(trials)
-
-
 _METRICS_HEADER = ["method", "link", "mass_pct", "com_pct", "inertia_pct"]
-
-
-def _metrics_row(method: str, link: str, estimate, truth, char_length) -> list:
-    return [method, link, *identify.error_metrics(estimate, truth, char_length)]
 
 
 def _metrics_rows(model, alpha_hat, truth, char_length, method):
@@ -126,7 +93,7 @@ def _metrics_rows(model, alpha_hat, truth, char_length, method):
         model_mod.unpack_params(v, model).inertial_params for v in (alpha_hat, truth)
     )
     return [
-        _metrics_row(method, joint.name, estimate, true, char_length)
+        [method, joint.name, *identify.error_metrics(estimate, true, char_length)]
         for joint, estimate, true in zip(model.joint_specs, estimates, truths)
     ]
 
@@ -198,13 +165,7 @@ def cmd_simulate(args) -> int:
         seed=args.seed,
     )
     simulate.write_dataset(
-        Path(args.out),
-        fixture,
-        traj,
-        args.rate,
-        args.trials,
-        noise,
-        extra_manifest=_stamp(args),
+        args.out, fixture, traj, args.rate, args.trials, noise, extra_manifest=_stamp(args)
     )
     return EXIT_OK
 
@@ -219,20 +180,21 @@ def _manifest_number(spec, key: str, where, default: float, positive: bool = Fal
     return check_number(value, f"{where}: {key!r}", SignalError, positive)
 
 
-def _resolve_cutoffs(args, manifest, where) -> tuple[float | None, float | None]:
-    pos, torque = args.pos_cutoff, args.torque_cutoff
+def _resolve_cutoffs(args, manifest, where, rate: float) -> tuple[float | None, float | None]:
+    """The cutoff flags, ``auto`` as min(10 Hz, ``rate`` / 4) on noisy data, else None.
+    ``rate`` is the trials' own; a manifest ``rate`` must agree with it."""
     noise = json_entry(manifest, "noise", where, default={})
     stds = [
         _manifest_number(noise, k, f"{where} 'noise'", 0.0)
         for k in ("torque_abs_std", "torque_rel_std", "position_std")
     ]
-    rate = _manifest_number(manifest, "rate", where, 100.0, positive=True)
+    recorded = _manifest_number(manifest, "rate", where, rate, positive=True)
+    if abs(recorded - rate) > 1e-9 * rate:
+        raise SignalError(
+            f"{where}: 'rate' is {recorded} Hz, but the trials are sampled at {rate} Hz"
+        )
     default = min(10.0, rate / 4.0) if any(std > 0.0 for std in stds) else None
-    if pos == "auto":
-        pos = default
-    if torque == "auto":
-        torque = default
-    return pos, torque
+    return tuple(default if c == "auto" else c for c in (args.pos_cutoff, args.torque_cutoff))
 
 
 def _load_base_params(args, n: int) -> np.ndarray:
@@ -267,20 +229,25 @@ def _load_base_params(args, n: int) -> np.ndarray:
 
 
 def cmd_identify(args) -> int:
-    manifest, robot, averaged = _load_dataset(Path(args.data))
-    where = Path(args.data) / "manifest.json"
+    manifest, robot, trials = signals.load_dataset(args.data)
+    averaged = signals.average_trials(trials)
+    del trials  # only the mean is used from here on
+    where = Path(args.data) / signals.MANIFEST_NAME
     entry = partial(json_entry, manifest, where=where)
     truth = entry("truth_parameters", kind=(13 * robot.num_joints,), default=None)
     char_length = _manifest_number(manifest, "char_length", where, 0.3, positive=True)
     truth_payload = entry("payload", default=None)
     if truth_payload:
         truth_payload = model_mod.rigid_body_from_dict(truth_payload, f"{where} 'payload'")
-    pos_cut, torque_cut = _resolve_cutoffs(args, manifest, where)
+    pos_cut, torque_cut = _resolve_cutoffs(args, manifest, where, averaged.sample_rate)
     dataset = signals.process_trial(averaged, pos_cut, torque_cut)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stamp = _stamp(args, pos_cutoff=pos_cut, torque_cutoff=torque_cut)
+    stamp = {
+        **_stamp(args, pos_cutoff=pos_cut, torque_cutoff=torque_cut),
+        "cutoffs": {"position": pos_cut, "torque": torque_cut},
+    }
 
     if args.mode == "robot":
         stack = stack_regressor(robot, dataset.q, dataset.qd, dataset.qdd, dataset.tau)
@@ -290,7 +257,6 @@ def cmd_identify(args) -> int:
         result_cons = identify.consistent_identify(system, prior, reg_weight=args.reg_weight)
         payload = {
             **stamp,
-            "cutoffs": {"position": pos_cut, "torque": torque_cut},
             "ols": result_ols.as_dict(),
             "consistent": result_cons.as_dict(),
             "alpha": result_cons.alpha_hat.tolist(),
@@ -311,16 +277,10 @@ def cmd_identify(args) -> int:
         fixed_mask=identify.payload_fixed_mask(robot.num_joints), fixed_values=base,
     )
     result = identify.payload_identify(identify.least_squares(stack), reg_weight=args.reg_weight)
-    payload = {
-        **stamp,
-        "cutoffs": {"position": pos_cut, "torque": torque_cut},
-        "payload": result.as_dict(),
-    }
-    _write_json(out_dir / "payload.json", payload)
+    _write_json(out_dir / "payload.json", {**stamp, "payload": result.as_dict()})
     if truth_payload:
-        row = _metrics_row(
-            "payload", robot.joint_specs[-1].name, result.params, truth_payload, char_length
-        )
+        errors = identify.error_metrics(result.params, truth_payload, char_length)
+        row = ["payload", robot.joint_specs[-1].name, *errors]
         _write_csv(out_dir / "metrics.csv", _METRICS_HEADER, [row])
     if result.boundary_warning:
         print("payload estimate hugs the feasibility boundary", file=sys.stderr)
@@ -344,7 +304,9 @@ def _parse_grid(raw: str):
 
 def cmd_tune_filters(args) -> int:
     grid = _parse_grid(args.grid)
-    _, robot, averaged = _load_dataset(Path(args.data))
+    _, robot, trials = signals.load_dataset(args.data)
+    averaged = signals.average_trials(trials)
+    del trials  # only the mean is searched
     best, table = signals.tune_filter_cutoffs(averaged, robot, grid)
 
     out_dir = Path(args.out)
@@ -430,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("identify", help="estimate parameters from a dataset")
     p.add_argument("--mode", choices=("robot", "payload"), default="robot")
-    p.add_argument("--data", required=True, help="dataset directory with manifest.json")
+    p.add_argument("--data", required=True, help=f"dataset directory with {signals.MANIFEST_NAME}")
     p.add_argument("--base-params", help="robot identification JSON (payload mode)")
     p.add_argument("--configuration", type=float, default=0.0,
                    help="configuration label for selecting among labeled base sets")

@@ -19,13 +19,15 @@ import os
 import pickle
 import warnings
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from . import identify
 from .dynamics import stack_regressor
-from .model import ArmidError, RobotModel, is_physically_feasible, pack_params, read_text
+from .model import ArmidError, RobotModel, is_physically_feasible, json_entry, model_from_dict
+from .model import pack_params, read_json, read_text
 
 # Samples discarded at each boundary per differentiation pass (the five-point
 # stencil needs two neighbours on each side).
@@ -246,15 +248,25 @@ def average_trials(trials: Sequence[RawTrial]) -> RawTrial:
     """Elementwise mean of aligned trials (improves signal-to-noise)."""
     if not trials:
         raise SignalError("no trials to average")
-    first = trials[0]
-    for i, trial in enumerate(trials[1:], start=1):
-        if trial.q.shape != first.q.shape:
-            raise SignalError(f"trial {i} dimensions differ from trial 0")
-        if np.max(np.abs(trial.timestamps - first.timestamps)) > 1e-9:
-            raise SignalError(f"trial {i} time grid differs from trial 0")
+    _check_trial_set(trials, [f"trial {i}" for i in range(len(trials))])
     q = np.mean([t.q for t in trials], axis=0)
     tau = np.mean([t.tau for t in trials], axis=0)
-    return RawTrial(timestamps=first.timestamps.copy(), q=q, tau=tau)
+    return RawTrial(timestamps=trials[0].timestamps.copy(), q=q, tau=tau)
+
+
+def _check_trial_set(trials: Sequence[RawTrial], names: Sequence) -> None:
+    """Raise unless every trial has trial 0's sample count, joint count and
+    time grid (within 1e-9); errors call ``trials[k]`` ``names[k]``."""
+    first = trials[0]
+    for name, trial in zip(names[1:], trials[1:]):
+        for what, count, expected in (
+            ("samples", trial.timestamps.size, first.timestamps.size),
+            ("joints", trial.num_joints, first.num_joints),
+        ):
+            if count != expected:
+                raise SignalError(f"{name}: {count} {what}, but {names[0]} has {expected}")
+        if np.max(np.abs(trial.timestamps - first.timestamps)) > 1e-9:
+            raise SignalError(f"{name}: time grid differs from {names[0]}")
 
 
 def process_trial(
@@ -320,53 +332,48 @@ def tune_filter_cutoffs(
     only the current group's rows are held. Each torque cutoff's torques are
     filtered once. Every point then factors its own ``[W | T - w0]``, so its
     residual has the bits it gets when searched alone. A point that fails with
-    a data, model or identification error is skipped but kept in the table (a
-    failed stack or filter is not cached, so each of its points retries it);
-    any other exception is a bug and propagates. Ties break toward the lower
-    cutoffs. Returns the best (position, torque) pair and the full search
-    table, in grid order.
+    a data, model or identification error (its own, or its group's stack's)
+    is skipped but kept in the table; any other exception is a bug and
+    propagates. Ties break toward the lower cutoffs. Returns the best
+    (position, torque) pair and the full search table, in grid order.
     """
     if not grid:
         raise SignalError("cutoff grid is empty")
     prior = identification_prior(model)
 
-    @functools.lru_cache(maxsize=1)
-    def stack_at(pos_cut):  # T holds unfiltered torques, which each point replaces
-        ds = process_trial(trial, pos_cut, None)
-        return stack_regressor(model, ds.q, ds.qd, ds.qdd, ds.tau).materialize()
-
     @functools.cache
     def torques_at(tor_cut):  # trimmed and flattened as a stack's T
         return _filtered_torque(trial, tor_cut)[_EDGE_TRIM:-_EDGE_TRIM].reshape(-1)
 
-    def search_point(pos_cut, tor_cut):  # its estimate, or the error that stopped it
+    def search_point(stack, tor_cut):  # (residual, None), or (None, what stopped it)
+        if isinstance(stack, Exception):
+            return None, str(stack)
         try:
-            stack = replace(stack_at(pos_cut), T=torques_at(tor_cut))
-            return identify.consistent_identify(identify.least_squares(stack), prior)
+            system = identify.least_squares(replace(stack, T=torques_at(tor_cut)))
+            return float(identify.consistent_identify(system, prior).residual), None
         except _POINT_ERRORS as exc:
-            return exc
+            return None, str(exc)
 
-    # Points that share a position cutoff run one after another, so the one
-    # cached stack serves them all; the table keeps grid order.
-    positions = [pos_cut for pos_cut, _ in grid]
-    order = sorted(range(len(grid)), key=lambda i: positions.index(positions[i]))
-    results = {i: search_point(*grid[i]) for i in order}
-    outcome = [results[i] for i in range(len(grid))]
-    table = [
-        CutoffSearchEntry(*point, None, error=str(result))
-        if isinstance(result, Exception)
-        else CutoffSearchEntry(*point, float(result.residual))
-        for point, result in zip(grid, outcome)
-    ]
+    groups: dict = {}  # position cutoff -> the grid indices of its points
+    for i, (pos_cut, _) in enumerate(grid):
+        groups.setdefault(pos_cut, []).append(i)
+    table: list = [None] * len(grid)
+    for pos_cut, members in groups.items():
+        try:  # T holds unfiltered torques, which each point replaces
+            ds = process_trial(trial, pos_cut, None)
+            stack = stack_regressor(model, ds.q, ds.qd, ds.qdd, ds.tau).materialize()
+        except _POINT_ERRORS as exc:
+            stack = exc
+        for i in members:
+            table[i] = CutoffSearchEntry(*grid[i], *search_point(stack, grid[i][1]))
 
     valid = [e for e in table if e.residual is not None]
     if not valid:
         raise SignalError("every grid point failed during cutoff tuning")
 
-    def sort_key(e: CutoffSearchEntry):
-        pos = e.position_cutoff if e.position_cutoff is not None else np.inf
-        tor = e.torque_cutoff if e.torque_cutoff is not None else np.inf
-        return (e.residual, pos, tor)
+    def sort_key(e: CutoffSearchEntry):  # a cutoff of None (no filter) ranks highest
+        cutoffs = (e.position_cutoff, e.torque_cutoff)
+        return e.residual, *(np.inf if c is None else c for c in cutoffs)
 
     best = min(valid, key=sort_key)
     return (best.position_cutoff, best.torque_cutoff), table
@@ -467,17 +474,23 @@ def _t_q_rows(trial: RawTrial, shared_text: dict) -> list[str]:
     return shared_text[key]
 
 
-def write_trials(trials: Sequence[RawTrial], paths: Sequence) -> None:
-    """Write ``trials[k]`` to ``paths[k]`` with :func:`trial_to_csv`, from two
-    processes when there are at least two trials and two usable CPUs.
+MANIFEST_NAME = "manifest.json"  # beside a dataset's trial_*.csv files
+
+
+def save_dataset(out_dir, trials: Sequence[RawTrial], manifest: dict) -> list[Path]:
+    """Write a dataset directory: ``trials[k]`` to ``trial_{k:03d}.csv`` with
+    :func:`trial_to_csv`, then ``manifest``; returns the trial paths.
 
     Trial 0's ``[t | q]`` block is formatted first and shared, as in
-    :func:`trial_to_csv`; then one forked child writes the odd trials while
-    this process writes the even ones. The bytes written are those of a
-    sequential loop, the child is reaped before this returns or raises, and
-    if trials fail, the error is the lowest-numbered failing trial's: the
-    one a sequential loop would raise.
+    :func:`trial_to_csv`. With at least two trials and two usable CPUs, one
+    forked child writes the odd trials while this process writes the even
+    ones. The bytes written are those of a sequential loop, the child is
+    reaped before this returns or raises, and if trials fail, the error is the
+    lowest-numbered failing trial's: the one a sequential loop would raise.
     """
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = [out_dir / f"trial_{k:03d}.csv" for k in range(len(trials))]
     shared_text: dict = {}  # trials without position noise share their t, q text
     if trials:
         _t_q_rows(trials[0], shared_text)
@@ -488,6 +501,8 @@ def write_trials(trials: Sequence[RawTrial], paths: Sequence) -> None:
     failures = [f for f in failures if f is not None]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
+    _write_json(out_dir / MANIFEST_NAME, manifest)
+    return paths
 
 
 def _usable_cpus() -> int:
@@ -580,6 +595,33 @@ def trial_from_csv(path, shared_text: dict | None = None) -> RawTrial:
         shared_text.clear()
         shared_text["last"] = (lines, table[:, : n + 1].copy())
     return trial
+
+
+def load_dataset(data_dir) -> tuple[dict, RobotModel, list[RawTrial]]:
+    """A dataset directory's manifest, the robot model in it, and its trials,
+    read one file at a time with shared ``[t | q]`` text. The trials must have
+    the model's joints and trial 0's time grid, and match the manifest's
+    ``trials`` count if it has one."""
+    data_dir = Path(data_dir)
+    manifest_path = data_dir / MANIFEST_NAME
+    if not manifest_path.exists():
+        raise SignalError(f"no {MANIFEST_NAME} in {data_dir}")
+    manifest = read_json(manifest_path, SignalError)
+    robot = model_from_dict(json_entry(manifest, "model", manifest_path), f"{manifest_path} model")
+    paths = sorted(data_dir.glob("trial_*.csv"))
+    if not paths:
+        raise SignalError(f"no trial_*.csv files in {data_dir}")
+    expected = json_entry(manifest, "trials", manifest_path, int, SignalError, None)
+    if expected is not None and expected != len(paths):
+        found = f"{data_dir} holds {len(paths)} trial_*.csv files"
+        raise SignalError(f"{manifest_path} says {expected} trials, but {found}")
+    shared_text: dict = {}  # trials without position noise share their t, q text
+    trials = [trial_from_csv(path, shared_text) for path in paths]
+    if trials[0].num_joints != robot.num_joints:
+        joints = f"{trials[0].num_joints} joints, but the manifest's model has {robot.num_joints}"
+        raise SignalError(f"{paths[0]}: {joints}")
+    _check_trial_set(trials, paths)
+    return manifest, robot, trials
 
 
 def _t_q_text(line: str, n: int) -> str:

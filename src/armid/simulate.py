@@ -30,7 +30,7 @@ from .model import (
     params_from_com,
     rigid_body_to_dict,
 )
-from .signals import RawTrial, _write_json, write_trials
+from .signals import RawTrial, save_dataset
 
 
 class SimulateError(ArmidError):
@@ -265,12 +265,8 @@ def write_dataset(
     noise: NoiseSpec,
     extra_manifest: dict | None = None,
 ) -> list[Path]:
-    """Emit trial CSVs plus a manifest carrying the ground truth and config."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Simulate trials and save them with a manifest of the ground truth and config."""
     dataset = generate_dataset(fixture, traj, rate, trials, noise)
-    paths = [out_dir / f"trial_{k:03d}.csv" for k in range(trials)]
-    write_trials(dataset, paths)
     manifest = {
         "fixture": fixture.name,
         "model": model_to_dict(fixture.model),
@@ -284,6 +280,4 @@ def write_dataset(
     }
     if extra_manifest:
         manifest.update(extra_manifest)
-    _write_json(out_dir / "manifest.json", manifest)
-    return paths
-
+    return save_dataset(out_dir, dataset, manifest)

@@ -11,7 +11,7 @@ import pytest
 
 import armid
 from armid import identify, signals, simulate
-from armid.cli import EXIT_ERROR, EXIT_OK, EXIT_WARNINGS, _load_dataset, build_parser, main
+from armid.cli import EXIT_ERROR, EXIT_OK, EXIT_WARNINGS, build_parser, main
 from armid.excite import (
     DesignProblem,
     evaluate_constraints,
@@ -21,7 +21,7 @@ from armid.excite import (
     save_trajectory,
 )
 from armid.model import model_to_dict
-from armid.signals import RawTrial, SignalError, trial_from_csv, trial_to_csv
+from armid.signals import RawTrial, SignalError, load_dataset, trial_from_csv, trial_to_csv
 from armid.simulate import builtin_fixture
 
 PENDULUM_URDF = """
@@ -402,7 +402,7 @@ class TestSimulateIdentifyPipeline:
 
     def test_missing_dataset_files_are_signal_errors(self, tmp_path):
         with pytest.raises(SignalError, match="no manifest.json"):
-            _load_dataset(tmp_path)
+            load_dataset(tmp_path)
         traj_path = _write_trajectory(tmp_path, "planar2")
         data_dir = tmp_path / "data"
         main(
@@ -413,7 +413,7 @@ class TestSimulateIdentifyPipeline:
         )
         (data_dir / "trial_000.csv").unlink()
         with pytest.raises(SignalError, match=r"no trial_\*\.csv"):
-            _load_dataset(data_dir)
+            load_dataset(data_dir)
 
     def test_trial_joint_count_must_match_the_model(self, tmp_path, capsys):
         data_dir = _planar2_data(tmp_path)
@@ -544,7 +544,7 @@ class TestSimulateIdentifyPipeline:
         assert code == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {spec}: {problem}\n"
 
-    @pytest.mark.parametrize("change", ["shorter", "shifted"])
+    @pytest.mark.parametrize("change", ["shorter", "shifted", "fewer joints"])
     def test_trials_must_share_the_time_grid(self, tmp_path, capsys, change):
         data_dir = _planar2_data(tmp_path, trials=2)
         first, second = data_dir / "trial_000.csv", data_dir / "trial_001.csv"
@@ -552,13 +552,78 @@ class TestSimulateIdentifyPipeline:
         t, q, tau = trial.timestamps, trial.q, trial.tau
         if change == "shorter":
             trial_to_csv(RawTrial(t[:-5], q[:-5], tau[:-5]), second)
-            expected = f"{second}: {t.size - 5} samples, but {first} has {t.size}"
-        else:
+            problem = f"{t.size - 5} samples, but {{}} has {t.size}"
+        elif change == "shifted":
             trial_to_csv(RawTrial(t + 0.001, q, tau), second)
-            expected = f"{second}: time grid differs from {first}"
+            problem = "time grid differs from {}"
+        else:
+            trial_to_csv(RawTrial(t, q[:, :1], tau[:, :1]), second)
+            problem = "1 joints, but {} has 2"
         code = main(["identify", "--data", str(data_dir), "--out", str(tmp_path / "o")])
         assert code == EXIT_ERROR
-        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert capsys.readouterr().err == f"error: {second}: {problem.format(first)}\n"
+        # The library's averaging refuses the same trials, naming them by index.
+        trials = [trial_from_csv(first), trial_from_csv(second)]
+        with pytest.raises(SignalError) as info:
+            signals.average_trials(trials)
+        assert str(info.value) == f"trial 1: {problem.format('trial 0')}"
+
+    def test_trial_files_must_match_the_manifest_count(self, tmp_path, capsys):
+        # A smaller rerun into the same directory leaves the first run's
+        # trial_002..005 behind; they must not be averaged into the second's.
+        traj_path = _write_trajectory(tmp_path, "planar2")
+        data_dir = tmp_path / "data"
+        for trials, seed in (("6", "1"), ("2", "2")):
+            code = main(
+                [
+                    "simulate", "--fixture", "planar2", "--traj", str(traj_path),
+                    "--trials", trials, "--seed", seed, "--rate", "50", "--out", str(data_dir),
+                ]
+            )
+            assert code == EXIT_OK
+        manifest_path = data_dir / "manifest.json"
+        for command in ("identify", "tune-filters"):
+            out = tmp_path / command
+            assert main([command, "--data", str(data_dir), "--out", str(out)]) == EXIT_ERROR
+            assert capsys.readouterr().err == (
+                f"error: {manifest_path} says 2 trials, but {data_dir} holds 6 "
+                "trial_*.csv files\n"
+            )
+            assert not out.exists()
+        # A manifest without a trial count takes every trial file.
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["trials"]
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["identify", "--data", str(data_dir), "--out", str(tmp_path / "o")]) == 0
+
+    def test_auto_cutoffs_follow_the_trials_own_rate(self, tmp_path, capsys):
+        traj_path = _write_trajectory(tmp_path, "planar2")
+        data_dir = tmp_path / "data"
+        code = main(
+            [
+                "simulate", "--fixture", "planar2", "--traj", str(traj_path), "--trials", "2",
+                "--rate", "16", "--noise-rel", "0.01", "--out", str(data_dir),
+            ]
+        )
+        assert code == EXIT_OK
+        manifest_path = data_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        # Without a manifest rate, auto reads 16 Hz from the trials: 4 Hz cutoffs.
+        del manifest["rate"]
+        manifest_path.write_text(json.dumps(manifest))
+        out = tmp_path / "o"
+        assert main(["identify", "--data", str(data_dir), "--out", str(out)]) == EXIT_OK
+        cutoffs = json.loads((out / "identification.json").read_text())["cutoffs"]
+        assert cutoffs == {"position": 4.0, "torque": 4.0}
+        # A manifest rate that the trials do not have is refused.
+        manifest["rate"] = 20.0
+        manifest_path.write_text(json.dumps(manifest))
+        out = tmp_path / "o2"
+        assert main(["identify", "--data", str(data_dir), "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {manifest_path}: 'rate' is 20.0 Hz, but the trials are sampled at 16.0 Hz\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "content, problem",

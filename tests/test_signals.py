@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from armid import cli, identify, signals
+from armid import identify, signals
 from armid.model import model_to_dict, pack_params
 from armid.signals import (
     DEFAULT_CUTOFF_GRID,
@@ -562,7 +562,7 @@ class TestSharedRead:
                     if lone:
                         mp.setattr(signals, "trial_from_csv", lambda path, shared_text: real(path))
                     try:
-                        outcomes.append(_bits(cli._load_dataset(data_dir)[2]))
+                        outcomes.append(_bits(average_trials(signals.load_dataset(data_dir)[2])))
                     except SignalError as exc:
                         outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from armid import signals
-from armid.cli import _load_dataset, main
+from armid.cli import main
 from armid.dynamics import inverse_dynamics_batch
 from armid.excite import (
     DesignProblem,
@@ -23,7 +23,7 @@ from armid.model import (
     solid_sphere_params,
     unpack_params,
 )
-from armid.signals import RawTrial, trial_to_csv
+from armid.signals import RawTrial, load_dataset, trial_to_csv
 from armid.simulate import (
     FIXTURE_NAMES,
     NoiseSpec,
@@ -238,7 +238,7 @@ class TestWriteDataset:
             return table
 
         monkeypatch.setattr(signals.np, "loadtxt", counted)
-        _load_dataset(tmp_path)
+        load_dataset(tmp_path)
         # The first trial parses all 1 + 2 + 2 columns; the other nine parse
         # their 2 torque columns and take its t, q numbers.
         assert sorted(widths) == [2] * 9 + [5]
