@@ -197,9 +197,9 @@ def _resolve_cutoffs(args, manifest, where, rate: float) -> tuple[float | None, 
     return tuple(default if c == "auto" else c for c in (args.pos_cutoff, args.torque_cutoff))
 
 
-def _load_base_params(args, n: int) -> np.ndarray:
+def _load_base_params(args, size: int) -> np.ndarray:
     """The file's ``alpha``, or its ``labeled_sets`` entry labeled nearest
-    ``--configuration``. Errors name the file and the key."""
+    ``--configuration``, which must hold ``size`` entries. Errors name the file and the key."""
     path = args.base_params
     data = read_json(path, IdentifyError)
     entry = partial(json_entry, kind=(None,), error=IdentifyError)
@@ -223,8 +223,8 @@ def _load_base_params(args, n: int) -> np.ndarray:
         key, alpha = "'alpha'", entry(data, "alpha", path)
     else:
         raise IdentifyError(f"{path}: needs 'alpha' or 'labeled_sets'")
-    if alpha.shape != (13 * n,):
-        raise IdentifyError(f"{path}: {key} has {alpha.size} entries, expected {13 * n}")
+    if alpha.shape != (size,):
+        raise IdentifyError(f"{path}: {key} has {alpha.size} entries, expected {size}")
     return alpha
 
 
@@ -234,7 +234,7 @@ def cmd_identify(args) -> int:
     del trials  # only the mean is used from here on
     where = Path(args.data) / signals.MANIFEST_NAME
     entry = partial(json_entry, manifest, where=where)
-    truth = entry("truth_parameters", kind=(13 * robot.num_joints,), default=None)
+    truth = entry("truth_parameters", kind=(model_mod.num_params(robot),), default=None)
     char_length = _manifest_number(manifest, "char_length", where, 0.3, positive=True)
     truth_payload = entry("payload", default=None)
     if truth_payload:
@@ -266,12 +266,18 @@ def cmd_identify(args) -> int:
             rows = _metrics_rows(robot, result_ols.alpha_hat, truth, char_length, "ols")
             rows += _metrics_rows(robot, result_cons.alpha_hat, truth, char_length, "consistent")
             _write_csv(out_dir / "metrics.csv", _METRICS_HEADER, rows)
+            massless = [row for row in rows if row[3] is None]
+            for method, link, *_ in massless:
+                print(f"{method} estimate of link '{link}' has mass <= 0: "
+                      "its com_pct and inertia_pct are empty in metrics.csv", file=sys.stderr)
+            if massless:
+                return EXIT_WARNINGS
         return EXIT_OK
 
     # payload mode
     if not args.base_params:
         raise ArmidError("payload mode requires --base-params")
-    base = _load_base_params(args, robot.num_joints)
+    base = _load_base_params(args, model_mod.num_params(robot))
     stack = stack_regressor(
         robot, dataset.q, dataset.qd, dataset.qdd, dataset.tau,
         fixed_mask=identify.payload_fixed_mask(robot.num_joints), fixed_values=base,

@@ -28,7 +28,9 @@ import numpy as np
 
 from .dynamics import forward_kinematics, regressor_batch
 from .identify import identifiable_subspace
-from .model import ArmidError, RobotModel, check_number, json_entry, model_to_dict, read_json
+from .model import (
+    ArmidError, RobotModel, check_number, json_entry, model_to_dict, num_params, read_json,
+)
 from .signals import _float_rows, _json_hash, _write_csv, _write_json
 
 
@@ -430,44 +432,20 @@ def augmented_lagrangian_minimize(
     step_vec[step_vec == 0] = _INITIAL_STEP
     rng = np.random.default_rng(opts.seed)
 
-    f0, rec0 = evaluate(x0)
-    eq_names = list(rec0.equalities.keys())
-    ineq_names = list(rec0.inequalities.keys())
-    lam = np.zeros(len(eq_names))
-    mu = np.zeros(len(ineq_names))
     rho = _INITIAL_PENALTY
     tol = opts.constraint_tolerance
-
-    # The start point is the incumbent to beat; any evaluation with a number
-    # for its violation beats it, so a run that never gets one returns x0, flagged.
-    best = {
-        "x": x0.copy(),
-        "objective": math.inf,
-        "violation": math.inf,
-        "record": rec0,
-        "infeasibility": rec0.max_violation(),
-        "score": f0,
-    }
+    # The incumbent: [(violation beyond tol, objective), x, score, record]. Any
+    # evaluation with a number for its violation beats the start's (inf, inf);
+    # until one does, the start point is returned, flagged.
+    best = [(math.inf, math.inf), x0.copy(), None, None]
     evaluations = 0
+    # Sized from the start point's record once it is evaluated.
+    eq_names, ineq_names, lam, mu = [], [], np.zeros(0), np.zeros(0)
 
     def as_vectors(record: ConstraintRecord):
         g = np.array([record.equalities[k] for k in eq_names])
         h = np.array([record.inequalities[k] for k in ineq_names])
         return g, h
-
-    def consider(x, score, record):
-        f = float(score)
-        infeas = record.max_violation()
-        violation = max(infeas - tol, 0.0)
-        current = (best["violation"], best["objective"])
-        candidate = (violation, f)
-        if candidate < current:
-            best["x"] = x.copy()
-            best["objective"] = f
-            best["violation"] = violation
-            best["record"] = record
-            best["infeasibility"] = infeas
-            best["score"] = score
 
     def lagrangian(x):
         """The augmented Lagrangian at x, with evaluate's (objective, record)."""
@@ -475,8 +453,12 @@ def augmented_lagrangian_minimize(
         evaluated = evaluate(x)
         score, record = evaluated
         evaluations += 1
-        consider(x, score, record)
         value = float(score)
+        key = (max(record.max_violation() - tol, 0.0), value)
+        if key < best[0]:
+            best[:] = key, x.copy(), score, record
+        elif best[3] is None:
+            best[2:] = score, record
         if not np.isfinite(value):
             return math.inf, evaluated
         g, h = as_vectors(record)
@@ -487,11 +469,12 @@ def augmented_lagrangian_minimize(
             value += float(np.sum(shifted**2 - mu**2)) / (2.0 * rho)
         return value, evaluated
 
-    consider(x0, f0, rec0)
-    evaluations += 1
+    f0, rec0 = lagrangian(x0)[1]
+    eq_names, ineq_names = list(rec0.equalities), list(rec0.inequalities)
+    lam, mu = np.zeros(len(eq_names)), np.zeros(len(ineq_names))
 
     history: list[dict] = []
-    x = x0.copy()
+    x = x0
     prev_infeas = math.inf
     for outer in range(opts.outer_iterations):
         budget = opts.subproblem_budget
@@ -531,13 +514,14 @@ def augmented_lagrangian_minimize(
             rho = min(rho * _PENALTY_GROWTH, _MAX_PENALTY)
         prev_infeas = infeas
 
-    infeas = best["infeasibility"]
+    (_, objective), x, score, record = best
+    infeas = record.max_violation()
     return ALResult(
-        x=best["x"],
-        objective=best["objective"],
+        x=x,
+        objective=objective,
         initial=f0,
-        final=best["score"],
-        record=best["record"],
+        final=score,
+        record=record,
         infeasibility=infeas,
         feasible=infeas <= tol,
         evaluations=evaluations,
@@ -607,7 +591,7 @@ def _design_basis(problem: DesignProblem, seed: int) -> tuple[np.ndarray, int]:
     """Structural identifiable basis estimated from random in-limit states."""
     model = problem.model
     n = model.num_joints
-    total = 13 * n
+    total = num_params(model)
     rng = np.random.default_rng([seed, 1701])
     samples = max(80, 4 * total)
     lo, hi, vmax, amax = _joint_limits(model)
@@ -671,7 +655,7 @@ def design_trajectory(
 
     def information(q, qd, qdd) -> InformationObjective:
         # The objective reads rows [0, S); row S repeats t = 0 of the period.
-        W = regressor_batch(model, q[:-1], qd[:-1], qdd[:-1]).reshape(-1, 13 * n)
+        W = regressor_batch(model, q[:-1], qd[:-1], qdd[:-1]).reshape(-1, num_params(model))
         return information_objective(W @ basis, problem.gamma)
 
     def evaluate(x: np.ndarray) -> tuple[InformationObjective, ConstraintRecord]:

@@ -376,7 +376,9 @@ def _barrier_minimize(
     x = x0.copy()
     log_x = _log_barrier(x, lmis, log_indices)
     if log_x is None:
-        raise InfeasiblePriorError("barrier start point is not strictly interior")
+        raise InfeasiblePriorError(
+            "prior is not strictly feasible (pseudo-inertia PD and frictions > 0 required)"
+        )
     f_x = f_quad(x)
 
     n_terms = max(1, lmis.index.shape[0] * 4 + log_indices.size)
@@ -476,12 +478,7 @@ def consistent_identify(
     A, y = _regularized_pair(system, system.c, prior_free, reg_weight)
 
     lmis, log_indices = _build_link_constraints(system)
-    x0 = prior_free.copy()
-    if _log_barrier(x0, lmis, log_indices) is None:
-        raise InfeasiblePriorError(
-            "prior is not strictly feasible (pseudo-inertia PD and frictions > 0 required)"
-        )
-    x, trace = _barrier_minimize(A, y, system.rho_sq, lmis, log_indices, x0)
+    x, trace = _barrier_minimize(A, y, system.rho_sq, lmis, log_indices, prior_free)
 
     return IdentificationResult(
         alpha_hat=system.embed(x),
@@ -608,15 +605,18 @@ def payload_identify(system: LeastSquares, reg_weight: float | None = None) -> P
 
 def error_metrics(
     estimate: LinkInertialParams, truth: LinkInertialParams, char_length: float
-) -> tuple[float, float, float]:
+) -> tuple[float, float | None, float | None]:
     """Percentage errors for mass, center of mass, and CoM-frame inertia.
 
     CoM error is normalized by a characteristic length; inertia error is the
-    relative Frobenius distance between the CoM-frame inertia tensors.
+    relative Frobenius distance between the CoM-frame inertia tensors. An
+    estimate with mass <= 0 has neither, and both read None.
     """
     check_number(char_length, "char_length", IdentifyError, positive=True)
     check_number(truth.mass, "truth mass", IdentifyError, positive=True)
     mass_pct = 100.0 * abs(estimate.mass - truth.mass) / truth.mass
+    if estimate.mass <= 0:
+        return mass_pct, None, None
     com_est = estimate.first_moment / estimate.mass
     com_true = truth.first_moment / truth.mass
     com_pct = 100.0 * float(np.linalg.norm(com_est - com_true)) / char_length

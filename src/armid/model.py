@@ -454,7 +454,8 @@ def _robot_from_xml(text: str) -> RobotModel:
     if not links:
         raise RobotDescriptionError("document declares no links")
 
-    joints = []
+    parent_joint: dict[str, str] = {}  # link -> name of the joint it hangs from
+    child_joint: dict[str, tuple] = {}  # link -> (joint name, child link, element)
     for el in root.findall("joint"):
         jname = el.get("name", "<unnamed>")
         jtype = el.get("type")
@@ -462,45 +463,36 @@ def _robot_from_xml(text: str) -> RobotModel:
             raise UnsupportedTopologyError(
                 f"joint '{jname}' has type '{jtype}'; only revolute joints are supported"
             )
-        parent = el.find("parent")
-        child = el.find("child")
-        if parent is None or child is None:
+        parent_el, child_el = el.find("parent"), el.find("child")
+        if parent_el is None or child_el is None:
             raise RobotDescriptionError(f"joint '{jname}' needs <parent> and <child>")
-        joints.append((jname, parent.get("link"), child.get("link"), el))
-
-    if not joints:
-        raise RobotDescriptionError("document declares no joints")
-
-    children_of: dict[str, list] = {}
-    child_names = set()
-    for jname, parent, child, el in joints:
-        if parent not in links:
-            raise RobotDescriptionError(f"joint '{jname}': unknown parent link '{parent}'")
-        if child not in links:
-            raise RobotDescriptionError(f"joint '{jname}': unknown child link '{child}'")
-        if child in child_names:
+        parent, child = parent_el.get("link"), child_el.get("link")
+        for role, link in (("parent", parent), ("child", child)):
+            if link not in links:
+                raise RobotDescriptionError(f"joint '{jname}': unknown {role} link '{link}'")
+        if child in parent_joint:
             raise UnsupportedTopologyError(f"link '{child}' has more than one parent joint")
-        child_names.add(child)
-        children_of.setdefault(parent, []).append((jname, child, el))
+        if parent in child_joint:
+            raise UnsupportedTopologyError(
+                f"link '{parent}' has more than one child joint; chains must not branch"
+            )
+        parent_joint[child] = jname
+        child_joint[parent] = (jname, child, el)
 
-    roots = [n for n in links if n not in child_names]
+    if not parent_joint:
+        raise RobotDescriptionError("document declares no joints")
+    roots = [n for n in links if n not in parent_joint]
     if len(roots) != 1:
         raise UnsupportedTopologyError(
             f"expected exactly one base link, found {sorted(roots)}"
         )
-    for parent, outgoing in children_of.items():
-        if len(outgoing) > 1:
-            raise UnsupportedTopologyError(
-                f"link '{parent}' has {len(outgoing)} child joints; chains must not branch"
-            )
 
     chain = []
     current = roots[0]
-    while current in children_of:
-        jname, child, el = children_of[current][0]
-        chain.append((jname, child, el))
-        current = child
-    if len(chain) != len(joints):
+    while current in child_joint:
+        chain.append(child_joint[current])
+        current = chain[-1][1]
+    if len(chain) != len(parent_joint):
         raise UnsupportedTopologyError("joints do not form a single connected chain")
 
     model_links = []

@@ -76,116 +76,42 @@ class Fixture:
         return replace(self, payload=payload)
 
 
-def _revolute(name, axis, xyz, rpy, limits, vel, acc) -> JointSpec:
-    return JointSpec(
-        name=name,
-        axis=np.asarray(axis, dtype=float),
-        parent_frame_pose=Transform.from_xyz_rpy(xyz, rpy),
-        position_limits=limits,
-        velocity_limit=vel,
-        acceleration_limit=acc,
-    )
-
-
-def _pendulum1() -> Fixture:
-    joint = _revolute("j1", [0, 1, 0], [0, 0, 0], [0, 0, 0], (-3.0, 3.0), 3.0, 20.0)
-    params = params_from_com(
-        1.2, [0.0, 0.0, -0.5], np.diag([0.10, 0.10, 0.002]), 0.05, 0.10, 1e-4
-    )
-    model = RobotModel(links=((joint, params),), name="pendulum1")
-    return Fixture(name="pendulum1", model=model, char_length=0.5)
-
-
-def _planar2() -> Fixture:
-    j1 = _revolute("shoulder", [0, 1, 0], [0, 0, 0], [0, 0, 0], (-2.2, 2.2), 3.0, 20.0)
-    j2 = _revolute("elbow", [0, 1, 0], [0.5, 0, 0], [0, 0, 0], (-2.2, 2.2), 3.0, 20.0)
-    p1 = params_from_com(
-        2.0, [0.25, 0.0, 0.0], np.diag([0.002, 0.045, 0.045]), 0.12, 0.20, 2e-4
-    )
-    p2 = params_from_com(
-        1.2, [0.20, 0.0, 0.0], np.diag([0.001, 0.018, 0.018]), 0.08, 0.15, 1e-4
-    )
-    model = RobotModel(links=((j1, p1), (j2, p2)), name="planar2")
-    return Fixture(name="planar2", model=model, char_length=0.5)
-
-
-def _chain3() -> Fixture:
-    j1 = _revolute("base_yaw", [0, 0, 1], [0, 0, 0.20], [0, 0, 0], (-2.9, 2.9), 2.0, 12.0)
-    j2 = _revolute("shoulder", [0, 1, 0], [0.05, 0, 0.15], [0, 0, 0], (-2.2, 2.2), 2.0, 12.0)
-    j3 = _revolute("wrist_roll", [1, 0, 0], [0.25, 0, 0.05], [0, 0, 0], (-2.9, 2.9), 2.5, 15.0)
-    p1 = params_from_com(
-        2.5, [0.02, 0.01, 0.08], np.diag([0.020, 0.020, 0.010]), 0.15, 0.25, 3e-4
-    )
-    p2 = params_from_com(
-        1.8, [0.12, 0.0, 0.03], np.diag([0.015, 0.020, 0.012]), 0.12, 0.20, 2e-4
-    )
-    p3 = params_from_com(
-        0.9, [0.10, 0.02, 0.0], np.diag([0.006, 0.008, 0.005]), 0.08, 0.12, 1e-4
-    )
-    model = RobotModel(links=((j1, p1), (j2, p2), (j3, p3)), name="chain3")
-    return Fixture(name="chain3", model=model, char_length=0.4)
-
-
-# arm7 joint limits: +-2.9 rad positions, +-1.7 rad/s velocities on every joint.
-_ARM7_POSITION_LIMIT = 2.9
-_ARM7_VELOCITY_LIMIT = 1.7
-_ARM7_ACCELERATION_LIMIT = 10.0
-
-
-def _arm7() -> Fixture:
-    axes = [[0, 0, 1], [0, 1, 0], [0, 0, 1], [0, -1, 0], [0, 0, 1], [0, 1, 0], [0, 0, 1]]
-    offsets = [
-        [0, 0, 0.15],
-        [0, 0.01, 0.19],
-        [0, -0.01, 0.21],
-        [0, 0.01, 0.19],
-        [0, -0.01, 0.21],
-        [0, 0.01, 0.19],
-        [0, 0, 0.08],
-    ]
-    masses = [3.4, 3.4, 4.0, 2.7, 1.7, 1.8, 0.3]
-    coms = [
-        [0.0, -0.03, 0.12],
-        [0.0, 0.04, 0.08],
-        [0.0, 0.03, 0.13],
-        [0.0, -0.03, 0.07],
-        [0.0, -0.02, 0.12],
-        [0.0, 0.04, 0.06],
-        [0.0, 0.0, 0.02],
-    ]
-    inertias = [
-        [0.020, 0.020, 0.008],
-        [0.020, 0.020, 0.008],
-        [0.030, 0.030, 0.010],
-        [0.015, 0.015, 0.006],
-        [0.010, 0.010, 0.004],
-        [0.008, 0.008, 0.003],
-        [0.001, 0.001, 0.001],
-    ]
-    links = []
-    for i in range(7):
-        joint = _revolute(
-            f"joint_{i + 1}",
-            axes[i],
-            offsets[i],
-            [0, 0, 0],
-            (-_ARM7_POSITION_LIMIT, _ARM7_POSITION_LIMIT),
-            _ARM7_VELOCITY_LIMIT,
-            _ARM7_ACCELERATION_LIMIT,
-        )
-        params = params_from_com(
-            masses[i], coms[i], np.diag(inertias[i]), 0.20, 0.30, 5e-4
-        )
-        links.append((joint, params))
-    model = RobotModel(links=tuple(links), name="arm7")
-    return Fixture(name="arm7", model=model, char_length=0.3)
-
-
-_FIXTURES = {
-    "pendulum1": _pendulum1,
-    "planar2": _planar2,
-    "chain3": _chain3,
-    "arm7": _arm7,
+# One row per link: joint name, axis, origin xyz, (position limit, velocity and
+# acceleration limits), mass, CoM, principal CoM inertias, (viscous friction,
+# Coulomb friction, rotor inertia). Position limits are symmetric.
+# arm7: +-2.9 rad positions, +-1.7 rad/s velocities on every joint.
+_ARM7_LIMITS, _ARM7_FRICTION = (2.9, 1.7, 10.0), (0.20, 0.30, 5e-4)
+_FIXTURES = {  # name: (char_length, rows)
+    "pendulum1": (0.5, [
+        ("j1", [0, 1, 0], [0, 0, 0], (3.0, 3.0, 20.0),
+         1.2, [0.0, 0.0, -0.5], [0.10, 0.10, 0.002], (0.05, 0.10, 1e-4)),
+    ]),
+    "planar2": (0.5, [
+        ("shoulder", [0, 1, 0], [0, 0, 0], (2.2, 3.0, 20.0),
+         2.0, [0.25, 0.0, 0.0], [0.002, 0.045, 0.045], (0.12, 0.20, 2e-4)),
+        ("elbow", [0, 1, 0], [0.5, 0, 0], (2.2, 3.0, 20.0),
+         1.2, [0.20, 0.0, 0.0], [0.001, 0.018, 0.018], (0.08, 0.15, 1e-4)),
+    ]),
+    "chain3": (0.4, [
+        ("base_yaw", [0, 0, 1], [0, 0, 0.20], (2.9, 2.0, 12.0),
+         2.5, [0.02, 0.01, 0.08], [0.020, 0.020, 0.010], (0.15, 0.25, 3e-4)),
+        ("shoulder", [0, 1, 0], [0.05, 0, 0.15], (2.2, 2.0, 12.0),
+         1.8, [0.12, 0.0, 0.03], [0.015, 0.020, 0.012], (0.12, 0.20, 2e-4)),
+        ("wrist_roll", [1, 0, 0], [0.25, 0, 0.05], (2.9, 2.5, 15.0),
+         0.9, [0.10, 0.02, 0.0], [0.006, 0.008, 0.005], (0.08, 0.12, 1e-4)),
+    ]),
+    "arm7": (0.3, [
+        (f"joint_{i + 1}", axis, xyz, _ARM7_LIMITS, mass, com, inertia, _ARM7_FRICTION)
+        for i, (axis, xyz, mass, com, inertia) in enumerate([
+            ([0, 0, 1], [0, 0, 0.15], 3.4, [0.0, -0.03, 0.12], [0.020, 0.020, 0.008]),
+            ([0, 1, 0], [0, 0.01, 0.19], 3.4, [0.0, 0.04, 0.08], [0.020, 0.020, 0.008]),
+            ([0, 0, 1], [0, -0.01, 0.21], 4.0, [0.0, 0.03, 0.13], [0.030, 0.030, 0.010]),
+            ([0, -1, 0], [0, 0.01, 0.19], 2.7, [0.0, -0.03, 0.07], [0.015, 0.015, 0.006]),
+            ([0, 0, 1], [0, -0.01, 0.21], 1.7, [0.0, -0.02, 0.12], [0.010, 0.010, 0.004]),
+            ([0, 1, 0], [0, 0.01, 0.19], 1.8, [0.0, 0.04, 0.06], [0.008, 0.008, 0.003]),
+            ([0, 0, 1], [0, 0, 0.08], 0.3, [0.0, 0.0, 0.02], [0.001, 0.001, 0.001]),
+        ])
+    ]),
 }
 
 FIXTURE_NAMES = tuple(sorted(_FIXTURES))
@@ -194,19 +120,23 @@ FIXTURE_NAMES = tuple(sorted(_FIXTURES))
 def builtin_fixture(name: str) -> Fixture:
     """Deterministic ground-truth fixtures: pendulum1, planar2, chain3, arm7."""
     try:
-        factory = _FIXTURES[name]
+        char_length, rows = _FIXTURES[name]
     except KeyError:
         raise SimulateError(
             f"unknown fixture '{name}'; available: {', '.join(FIXTURE_NAMES)}"
         ) from None
-    fixture = factory()
-    for i, params in enumerate(fixture.model.inertial_params):
+    links = []
+    for joint, axis, xyz, (limit, vel, acc), mass, com, inertia, friction in rows:
+        params = params_from_com(mass, com, np.diag(inertia), *friction)
         report = is_physically_feasible(params)
         if not report.feasible:
             raise SimulateError(
-                f"fixture '{name}' link {i} infeasible ({report.binding_constraint})"
+                f"fixture '{name}' link {len(links)} infeasible ({report.binding_constraint})"
             )
-    return fixture
+        pose = Transform.from_xyz_rpy(xyz, [0, 0, 0])
+        links.append((JointSpec(joint, axis, pose, (-limit, limit), vel, acc), params))
+    model = RobotModel(links=tuple(links), name=name)
+    return Fixture(name=name, model=model, char_length=char_length)
 
 
 def lump_payload(model: RobotModel, payload: LinkInertialParams) -> RobotModel:

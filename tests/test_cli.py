@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 import math
 import os
@@ -20,7 +22,7 @@ from armid.excite import (
     sample_trajectory,
     save_trajectory,
 )
-from armid.model import model_to_dict
+from armid.model import PARAMS_PER_LINK, model_to_dict
 from armid.signals import RawTrial, SignalError, load_dataset, trial_from_csv, trial_to_csv
 from armid.simulate import builtin_fixture
 
@@ -230,6 +232,42 @@ class TestSimulateIdentifyPipeline:
         rows = 2 * (samples - 8)  # two joints; processing trims 4 samples at each end
         assert rows > 3 * 256
         assert sorted(calls) == ["qr"] * -(-rows // 256) + ["svd"]
+
+    @pytest.mark.parametrize("mass", [-0.485, 0.0])
+    def test_a_massless_estimate_is_flagged_and_its_cells_left_empty(
+        self, tmp_path, capsys, monkeypatch, mass
+    ):
+        data_dir = _planar2_data(tmp_path)
+        real_ols = identify.ols_identify
+
+        def last_mass_set(system, prior=None):
+            result = real_ols(system, prior=prior)
+            alpha = result.alpha_hat.copy()
+            alpha[PARAMS_PER_LINK] = mass  # the elbow link's mass
+            return dataclasses.replace(result, alpha_hat=alpha)
+
+        monkeypatch.setattr(identify, "ols_identify", last_mass_set)
+        out_dir = tmp_path / "ident"
+        code = main(
+            ["identify", "--mode", "robot", "--data", str(data_dir), "--out", str(out_dir)]
+        )
+        assert code == EXIT_WARNINGS
+        assert capsys.readouterr().err == (
+            "ols estimate of link 'elbow' has mass <= 0: "
+            "its com_pct and inertia_pct are empty in metrics.csv\n"
+        )
+        ols = json.loads((out_dir / "identification.json").read_text())["ols"]
+        assert ols["alpha"][PARAMS_PER_LINK] == mass
+        with open(out_dir / "metrics.csv", newline="") as fh:
+            rows = {(r["method"], r["link"]): r for r in csv.DictReader(fh)}
+        assert len(rows) == 4
+        for key, row in rows.items():
+            empty = key == ("ols", "elbow")
+            assert (row["com_pct"] == "", row["inertia_pct"] == "") == (empty, empty)
+            assert float(row["mass_pct"]) >= 0
+        assert float(rows["ols", "elbow"]["mass_pct"]) == pytest.approx(
+            100.0 * (1.2 - mass) / 1.2
+        )
 
     def test_payload_mode_needs_base_params(self, tmp_path):
         traj_path = _write_trajectory(tmp_path, "chain3")

@@ -116,12 +116,42 @@ class TestParse:
         with pytest.raises(RobotDescriptionError, match="line"):
             parse_robot_description("<robot name='x'>\n<link name='a'>\n</robot>")
 
-    def test_branching_chain_rejected(self):
-        branched = TWOLINK_URDF.replace(
-            '<parent link="upper"/>', '<parent link="base"/>'
-        )
-        with pytest.raises(UnsupportedTopologyError):
-            parse_robot_description(branched)
+    _LOOP = """
+  <link name="a"/>
+  <link name="b"/>
+  <joint name="ab" type="revolute"><parent link="a"/><child link="b"/></joint>
+  <joint name="ba" type="revolute"><parent link="b"/><child link="a"/></joint>
+</robot>"""
+
+    @pytest.mark.parametrize(
+        "old, new, error, message",
+        [
+            ('<parent link="upper"/>', '<parent link="base"/>', UnsupportedTopologyError,
+             "link 'base' has more than one child joint; chains must not branch"),
+            ('<link name="base"/>', '<link name="base"/><link name="tool"/>',
+             UnsupportedTopologyError, "expected exactly one base link, found ['base', 'tool']"),
+            ('<parent link="upper"/>\n    <child link="lower"/>',
+             '<parent link="lower"/>\n    <child link="upper"/>', UnsupportedTopologyError,
+             "link 'upper' has more than one parent joint"),
+            ('<parent link="upper"/>', '<parent link="uper"/>', RobotDescriptionError,
+             "joint 'elbow': unknown parent link 'uper'"),
+            ('<child link="lower"/>', '<child link="lowr"/>', RobotDescriptionError,
+             "joint 'elbow': unknown child link 'lowr'"),
+            ('<child link="lower"/>', "", RobotDescriptionError,
+             "joint 'elbow' needs <parent> and <child>"),
+            ("joint", "hinge", RobotDescriptionError, "document declares no joints"),
+            ("</robot>", _LOOP, UnsupportedTopologyError,
+             "joints do not form a single connected chain"),
+        ],
+        ids=["branching", "two-bases", "two-parents", "unknown-parent", "unknown-child",
+             "missing-child", "no-joints", "detached-loop"],
+    )
+    def test_branching_chain_rejected(self, old, new, error, message):
+        doc = TWOLINK_URDF.replace(old, new)
+        assert doc != TWOLINK_URDF
+        with pytest.raises(error) as info:
+            parse_robot_description(doc)
+        assert str(info.value) == f"robot description: {message}"
 
     def test_prismatic_rejected(self):
         bad = PENDULUM_URDF.replace('type="revolute"', 'type="prismatic"')

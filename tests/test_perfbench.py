@@ -1,17 +1,21 @@
-"""The benchmark's required spans name functions that armid still has.
+"""The benchmark's required spans and prepare steps name what armid still has.
 
 perfbench traces a run by wrapping armid's public functions, and a workload
-fails when a span it requires never fires. These tests read perfbench's
-constants from its source, without importing or running it, so a refactor
-that renames or privatizes a required function fails here first.
+fails when a span it requires never fires; its prepare step calls armid's
+fixtures and trajectory API directly. These tests read perfbench's sources
+without running a benchmark (``workloads.py``, standard library only, is
+loaded to call its ``plan``), so a refactor that renames or privatizes what
+the benchmark uses fails here first.
 """
 
 import ast
 import importlib
+import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
-from armid import signals
+from armid import signals, simulate
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -46,3 +50,38 @@ def test_trial_paths_sit_where_the_tracer_reads_them():
     # The tracer's byte counts take the trial path from these arguments.
     assert list(inspect.signature(signals.trial_from_csv).parameters)[0] == "path"
     assert list(inspect.signature(signals.trial_to_csv).parameters)[1] == "path"
+
+
+def test_every_armid_attribute_the_benchmark_calls_is_public():
+    tree = ast.parse((PERFBENCH / "child.py").read_text())
+    used = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("excite", "simulate", "cli")
+        and not node.attr.startswith("__")  # module metadata such as cli.__file__
+    }
+    assert ("simulate", "builtin_fixture") in used and ("cli", "main") in used
+    for short, name in sorted(used):
+        module = importlib.import_module(f"armid.{short}")
+        assert not name.startswith("_"), (short, name)
+        assert callable(getattr(module, name, None)), (short, name)
+
+
+def test_every_fixture_the_workloads_use_is_builtin(monkeypatch):
+    name = "_perfbench_workloads"
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, workloads)  # its dataclasses look themselves up
+    spec.loader.exec_module(workloads)
+    used = set()
+    for workload in workloads.WORKLOADS:
+        plan = workloads.plan(workload, 0)
+        argvs = [stage.argv for stage in plan.stages]
+        if plan.prepare is not None:
+            used |= set(plan.prepare["trajectories"])
+            argvs.append(plan.prepare["simulate"])
+        used |= {argv[argv.index("--fixture") + 1] for argv in argvs if "--fixture" in argv}
+    assert used == {"arm7", "chain3"}
+    assert used <= set(simulate.FIXTURE_NAMES)

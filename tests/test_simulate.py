@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import os
 import warnings
@@ -19,6 +21,7 @@ from armid.excite import (
 from armid.model import (
     combine_inertial,
     is_physically_feasible,
+    model_to_dict,
     pack_params,
     solid_sphere_params,
     unpack_params,
@@ -65,6 +68,23 @@ class TestFixtures:
     def test_unknown_name(self):
         with pytest.raises(SimulateError, match="unknown fixture"):
             builtin_fixture("arm99")
+
+    def test_every_fixture_is_pinned_to_its_bytes(self):
+        # Any change to a fixture's kinematics, limits, parameters or length
+        # scale changes every artifact made from it.
+        digests = {}
+        for name in FIXTURE_NAMES:
+            f = builtin_fixture(name)
+            text = json.dumps(
+                {"model": model_to_dict(f.model), "char_length": f.char_length}, sort_keys=True
+            )
+            digests[name] = hashlib.sha256(text.encode()).hexdigest()
+        assert digests == {
+            "arm7": "dbd84aee15f4ad008c8dbe221ec51cb71e7e96e1bf9520885ba290f334f7377a",
+            "chain3": "c339ab4677bb7193486dcd9d5b4514656840189f4c07b164c88a409f80bd73ca",
+            "pendulum1": "b87ef5375e22a52c4f45c704e1b93c41d5ccb473d1d980d2431d6cc52cb3d6f1",
+            "planar2": "9fdc0266cf5c910195ad1edd7965967c1c254d3ad58c4397fbe24ce852871e50",
+        }
 
 
 class TestGenerate:
