@@ -240,7 +240,7 @@ def cmd_identify(args) -> int:
     if truth_payload:
         truth_payload = model_mod.rigid_body_from_dict(truth_payload, f"{where} 'payload'")
     pos_cut, torque_cut = _resolve_cutoffs(args, manifest, where, averaged.sample_rate)
-    dataset = signals.process_trial(averaged, pos_cut, torque_cut)
+    samples = signals.process_trial(averaged, pos_cut, torque_cut)  # (q, qd, qdd, tau)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -250,7 +250,7 @@ def cmd_identify(args) -> int:
     }
 
     if args.mode == "robot":
-        stack = stack_regressor(robot, dataset.q, dataset.qd, dataset.qdd, dataset.tau)
+        stack = stack_regressor(robot, *samples)
         prior = signals.identification_prior(robot)
         system = identify.least_squares(stack)
         result_ols = identify.ols_identify(system, prior=prior)
@@ -279,8 +279,7 @@ def cmd_identify(args) -> int:
         raise ArmidError("payload mode requires --base-params")
     base = _load_base_params(args, model_mod.num_params(robot))
     stack = stack_regressor(
-        robot, dataset.q, dataset.qd, dataset.qdd, dataset.tau,
-        fixed_mask=identify.payload_fixed_mask(robot.num_joints), fixed_values=base,
+        robot, *samples, fixed_mask=identify.payload_fixed_mask(robot.num_joints), fixed_values=base
     )
     result = identify.payload_identify(identify.least_squares(stack), reg_weight=args.reg_weight)
     _write_json(out_dir / "payload.json", {**stamp, "payload": result.as_dict()})

@@ -350,6 +350,8 @@ def stack_regressor(
     if tau.shape != np.shape(q):
         raise ValidationError(f"torque shape {tau.shape} does not match states {np.shape(q)}")
     q, qd, qdd = _check_batch(model, q, qd, qdd)
+    if not np.all(np.isfinite(tau)):
+        raise ValidationError("tau contains non-finite entries")
     total = num_params(model)
     if fixed_mask is None:
         mask = np.zeros(total, dtype=bool)

@@ -87,7 +87,8 @@ def fourier_eval(traj: FourierTrajectory, t) -> tuple[np.ndarray, np.ndarray, np
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr < -1e-12) or np.any(t_arr > traj.duration + 1e-12):
         raise ExciteError(f"time outside [0, {traj.duration}]")
-    q, qd, qdd = _fourier_rows(traj, *_fourier_grid(traj.base_frequency, traj.harmonics, t_arr))
+    grid = _fourier_grid(traj.base_frequency, traj.harmonics, t_arr)
+    q, qd, qdd = _fourier_rows(traj.offsets, traj.sine_coeffs, traj.cosine_coeffs, *grid)
     if np.isscalar(t) or np.ndim(t) == 0:
         return q[0], qd[0], qdd[0]
     return q, qd, qdd
@@ -100,11 +101,10 @@ def _fourier_grid(omega: float, harmonics: int, t: np.ndarray):
     return np.sin(phase), np.cos(phase), wl
 
 
-def _fourier_rows(traj: FourierTrajectory, s: np.ndarray, c: np.ndarray, wl: np.ndarray):
-    """(T, N) positions, velocities, accelerations on a :func:`_fourier_grid`."""
-    a = traj.sine_coeffs
-    b = traj.cosine_coeffs
-    q = traj.offsets + s @ (a / wl).T - c @ (b / wl).T
+def _fourier_rows(q0, a, b, s: np.ndarray, c: np.ndarray, wl: np.ndarray):
+    """(T, N) positions, velocities, accelerations of the series with offsets
+    ``q0`` and coefficients ``a``, ``b`` on a :func:`_fourier_grid`."""
+    q = q0 + s @ (a / wl).T - c @ (b / wl).T
     qd = c @ a.T + s @ b.T
     qdd = -s @ (a * wl).T + c @ (b * wl).T
     return q, qd, qdd
@@ -533,16 +533,13 @@ def augmented_lagrangian_minimize(
 
 
 @dataclass
-class DesignReport:
-    initial: InformationObjective
-    final: InformationObjective
-    record: ConstraintRecord
-    feasible: bool
+class DesignReport(ALResult):
+    """A design's :class:`ALResult`, whose ``initial`` and ``final`` are
+    :class:`InformationObjective` scores, plus what the design adds."""
+
     boundary_within_tolerance: bool
-    evaluations: int
     subspace_rank: int
     seed: int
-    history: list[dict]
 
     def as_dict(self) -> dict:
         return {
@@ -624,18 +621,12 @@ def design_trajectory(
         raise ExciteError("need at least one harmonic")
     lo, hi, vmax, _ = _joint_limits(model)
 
-    def build(x: np.ndarray) -> FourierTrajectory:
-        # Project onto the rest-to-rest subspace so every candidate satisfies
-        # the boundary equalities exactly and the search fights only the
-        # inequality constraints.
+    def coefficients(x: np.ndarray):
+        # (q0, a, b) of x. Projected onto the rest-to-rest subspace, every
+        # candidate satisfies the boundary equalities exactly and the search
+        # fights only the inequality constraints.
         a, b = _rest_to_rest(x[n : n + n * L].reshape(n, L), x[n + n * L :].reshape(n, L))
-        return FourierTrajectory(
-            base_frequency=omega,
-            harmonics=L,
-            offsets=x[:n],
-            sine_coeffs=a,
-            cosine_coeffs=b,
-        )
+        return x[:n], a, b
 
     x0 = np.concatenate([(lo + hi) / 2.0, np.zeros(2 * n * L)])
     step = np.concatenate(
@@ -647,48 +638,33 @@ def design_trajectory(
     )
     # One sin/cos grid per design, over the closed period at S + 1 times; a
     # bad rate or frequency stops the design here, before the basis's SVD.
-    grid = _fourier_grid(omega, L, _sample_times(build(x0), problem.sample_rate, True))
+    start = FourierTrajectory(omega, L, *coefficients(x0))
+    grid = _fourier_grid(omega, L, _sample_times(start, problem.sample_rate, True))
     basis, rank = _design_basis(problem, opts.seed)
 
-    def sample(x: np.ndarray):
-        return _fourier_rows(build(x), *grid)
-
-    def information(q, qd, qdd) -> InformationObjective:
+    def evaluate(x: np.ndarray) -> tuple[InformationObjective, ConstraintRecord]:
+        q, qd, qdd = _fourier_rows(*coefficients(x), *grid)
         # The objective reads rows [0, S); row S repeats t = 0 of the period.
         W = regressor_batch(model, q[:-1], qd[:-1], qdd[:-1]).reshape(-1, num_params(model))
-        return information_objective(W @ basis, problem.gamma)
-
-    def evaluate(x: np.ndarray) -> tuple[InformationObjective, ConstraintRecord]:
-        rows = sample(x)
-        return information(*rows), evaluate_constraints(problem, *rows)
+        score = information_objective(W @ basis, problem.gamma)
+        return score, evaluate_constraints(problem, q, qd, qdd)
 
     def restart_sampler(rng: np.random.Generator) -> np.ndarray:
-        # Random exciting start; build() projects it onto rest-to-rest anyway.
+        # Random exciting start; coefficients() projects it onto rest-to-rest anyway.
         q0, a, b = _random_coefficients(rng, model, L)
         return np.concatenate([q0, a.ravel(), b.ravel()])
 
     result = augmented_lagrangian_minimize(
         evaluate, x0, opts, step=step, restart_sampler=restart_sampler
     )
-    traj = build(result.x)
-
     boundary_ok = all(
         abs(value) <= (_BOUNDARY_VEL_TOL if name.startswith("qd_") else _BOUNDARY_ACC_TOL)
         for name, value in result.record.equalities.items()
     )
-
     report = DesignReport(
-        initial=result.initial,
-        final=result.final,
-        record=result.record,
-        feasible=result.feasible,
-        boundary_within_tolerance=boundary_ok,
-        evaluations=result.evaluations,
-        subspace_rank=rank,
-        seed=opts.seed,
-        history=result.history,
+        **vars(result), boundary_within_tolerance=boundary_ok, subspace_rank=rank, seed=opts.seed
     )
-    return traj, report
+    return FourierTrajectory(omega, L, *coefficients(result.x)), report
 
 
 # Coefficient draws random_feasible_trajectory tries before giving up.

@@ -283,33 +283,28 @@ class _Lmis:
     """K pseudo-inertia LMIs ``J_k(x) = constant[k] + sum_s x[index[k, s]] bases[k, s] > 0``.
 
     Every LMI has one slot per inertial parameter. A slot whose parameter is
-    fixed (its value folded into ``constant``) holds a zero basis and the
-    dummy index ``size``, the number of free parameters: it reads a zero
-    appended to ``x``, and its derivatives land in an entry that is dropped.
+    fixed (its value folded into ``constant``) holds a zero basis and index 0:
+    it adds exact zeros to J and to the derivatives.
     """
 
     constant: np.ndarray  # (K, 4, 4)
     bases: np.ndarray  # (K, 10, 4, 4)
-    index: np.ndarray  # (K, 10), entries in [0, size]
-    size: int
+    index: np.ndarray  # (K, 10), entries in [0, size)
+    size: int  # free parameters: the length of x
 
     @cached_property
     def _hess_slots(self) -> np.ndarray:
-        """Flat targets of the (K, 10, 10) Hessian blocks in a (size + 1)^2 array."""
-        d1 = self.size + 1
-        return (self.index[:, :, None] * d1 + self.index[:, None, :]).ravel()
+        """Flat targets of the (K, 10, 10) Hessian blocks in a size^2 array."""
+        return (self.index[:, :, None] * self.size + self.index[:, None, :]).ravel()
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        return self.constant + np.einsum(
-            "ks,ksij->kij", np.append(x, 0.0)[self.index], self.bases
-        )
+        return self.constant + np.einsum("ks,ksij->kij", x[self.index], self.bases)
 
     def add_derivatives(self, x, mu: float, grad: np.ndarray, hess: np.ndarray) -> None:
         """Add the gradient and Hessian of ``-mu * sum_k log det J_k(x)`` in place.
 
-        ``grad`` and ``hess`` have ``size + 1`` entries per axis, the last for
-        the dummy slots. ufunc.at adds in LMI order and sums entries that share
-        an index, as the payload's two LMIs do.
+        ufunc.at adds in LMI order and sums entries that share an index, as the
+        payload's two LMIs do.
         """
         try:
             J_inv = np.linalg.inv(self.value(x))
@@ -365,9 +360,6 @@ def _barrier_minimize(
     mu geometrically by ``_MU_SHRINK`` down to ``_MU_FINAL``.
     """
     AtA, Aty = A.T @ A, A.T @ y
-    # Gradient and Hessian with one more entry per axis for the LMIs' dummy slots.
-    grad_pad, hess_pad = np.zeros(x0.size + 1), np.zeros((x0.size + 1, x0.size + 1))
-    grad, hess = grad_pad[:-1], hess_pad[:-1, :-1]
 
     def f_quad(x):
         r = A @ x - y
@@ -388,9 +380,9 @@ def _barrier_minimize(
     while True:
         iterations = 0
         for _ in range(_NEWTON_MAX_ITER):
-            grad[:] = 2.0 * (AtA @ x - Aty)
-            hess[:] = 2.0 * AtA
-            lmis.add_derivatives(x, mu, grad_pad, hess_pad)
+            grad = 2.0 * (AtA @ x - Aty)
+            hess = 2.0 * AtA
+            lmis.add_derivatives(x, mu, grad, hess)
             if log_indices.size:
                 xi = x[log_indices]
                 grad[log_indices] -= mu / xi
@@ -505,7 +497,7 @@ def _build_link_constraints(system: LeastSquares):
     lmis = _Lmis(
         constant=np.einsum("ks,sij->kij", fixed_part, _PI_BASES),
         bases=free[:, :, None, None] * _PI_BASES,
-        index=np.where(free, free_index_of[inertial], mask.sum()),
+        index=np.where(free, free_index_of[inertial], 0),
         size=int(mask.sum()),
     )
     positive = links[:, INERTIAL_PARAMS_PER_LINK:].ravel()

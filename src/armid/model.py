@@ -450,7 +450,14 @@ def _robot_from_xml(text: str) -> RobotModel:
         raise RobotDescriptionError(f"expected <robot> root element, got <{root.tag}>")
     name = root.get("name", "robot")
 
-    links = {el.get("name"): el for el in root.findall("link")}
+    links: dict[str, ET.Element] = {}
+    for el in root.findall("link"):
+        link = el.get("name")
+        if not link:
+            raise RobotDescriptionError("a <link> has no name")
+        if link in links:
+            raise RobotDescriptionError(f"link '{link}' is declared twice")
+        links[link] = el
     if not links:
         raise RobotDescriptionError("document declares no links")
 

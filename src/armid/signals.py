@@ -88,25 +88,6 @@ class RawTrial:
         return self.q.shape[1]
 
 
-@dataclass(frozen=True)
-class ProcessedDataset:
-    """Aligned kinematic states and torques, boundary samples already trimmed."""
-
-    timestamps: np.ndarray
-    q: np.ndarray
-    qd: np.ndarray
-    qdd: np.ndarray
-    tau: np.ndarray
-    sample_rate: float
-
-    def __post_init__(self):
-        for name in ("timestamps", "q", "qd", "qdd", "tau"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(arr)):
-                raise SignalError(f"{name} contains non-finite values after processing")
-            object.__setattr__(self, name, arr)
-
-
 def lowpass_zero_phase(x: np.ndarray, cutoff: float, rate: float) -> np.ndarray:
     """Forward-backward second-order Butterworth low-pass (zero phase, DC gain 1).
 
@@ -273,11 +254,13 @@ def process_trial(
     trial: RawTrial,
     position_cutoff: float | None,
     torque_cutoff: float | None,
-) -> ProcessedDataset:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Filter, differentiate twice, filter derivatives, and trim boundaries.
 
-    A cutoff of None skips the corresponding filter (useful for noiseless
-    synthetic data, where filtering only removes signal).
+    Returns trimmed copies of ``(q, qd, qdd, tau)``, each (S - 8, N): the
+    samples :func:`~armid.dynamics.stack_regressor` takes. A cutoff of None
+    skips the corresponding filter (useful for noiseless synthetic data,
+    where filtering only removes signal).
     """
     rate = trial.sample_rate
     q = trial.q
@@ -288,15 +271,7 @@ def process_trial(
         # One call for both: every column is filtered on its own.
         qd, qdd = np.hsplit(lowpass_zero_phase(np.hstack([qd, qdd]), position_cutoff, rate), 2)
     tau = _filtered_torque(trial, torque_cutoff)
-    sl = slice(_EDGE_TRIM, -_EDGE_TRIM)
-    return ProcessedDataset(
-        timestamps=trial.timestamps[sl].copy(),
-        q=q[sl].copy(),
-        qd=qd[sl].copy(),
-        qdd=qdd[sl].copy(),
-        tau=tau[sl].copy(),
-        sample_rate=rate,
-    )
+    return tuple(x[_EDGE_TRIM:-_EDGE_TRIM].copy() for x in (q, qd, qdd, tau))
 
 
 def _filtered_torque(trial: RawTrial, torque_cutoff: float | None) -> np.ndarray:
@@ -360,8 +335,7 @@ def tune_filter_cutoffs(
     table: list = [None] * len(grid)
     for pos_cut, members in groups.items():
         try:  # T holds unfiltered torques, which each point replaces
-            ds = process_trial(trial, pos_cut, None)
-            stack = stack_regressor(model, ds.q, ds.qd, ds.qdd, ds.tau).materialize()
+            stack = stack_regressor(model, *process_trial(trial, pos_cut, None)).materialize()
         except _POINT_ERRORS as exc:
             stack = exc
         for i in members:

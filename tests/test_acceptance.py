@@ -86,8 +86,7 @@ def test_criterion_2_noiseless_roundtrip():
     assert report.feasible, "designed trajectory must satisfy constraints"
 
     trials = generate_dataset(fixture, traj, 100.0, 1, NoiseSpec(seed=0))
-    dataset = process_trial(trials[0], None, None)
-    stack = stack_regressor(model, dataset.q, dataset.qd, dataset.qdd, dataset.tau)
+    stack = stack_regressor(model, *process_trial(trials[0], None, None))
 
     sub = identifiable_subspace(stack.materialize().W)
     basis = sub.identifiable_basis
@@ -132,15 +131,12 @@ def test_criterion_3_noisy_payload_anchor():
     noise = NoiseSpec(torque_rel_std=0.01, seed=33)
     trials = generate_dataset(loaded, traj, 100.0, 10, noise)
     averaged = average_trials(trials)
-    dataset = process_trial(averaged, None, None)
+    samples = process_trial(averaged, None, None)
 
     n = model.num_joints
     mask = np.ones(13 * n, dtype=bool)
     mask[13 * (n - 1) : 13 * (n - 1) + 10] = False
-    stack = stack_regressor(
-        model, dataset.q, dataset.qd, dataset.qdd, dataset.tau,
-        fixed_mask=mask, fixed_values=truth,
-    )
+    stack = stack_regressor(model, *samples, fixed_mask=mask, fixed_values=truth)
     result = payload_identify(least_squares(stack))
 
     mass_err = abs(result.params.mass - payload.mass) / payload.mass

@@ -350,6 +350,16 @@ class TestStack:
         with pytest.raises(ValidationError, match="fixed_values must be finite"):
             stack_regressor(twolink_model, q, qd, qdd, tau, mask, values)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_torque_rejected(self, twolink_model, bad):
+        # Unchecked, one bad torque would reach the factorization and come out
+        # as a NaN estimate.
+        q = qd = qdd = np.zeros((3, 2))
+        tau = np.zeros((3, 2))
+        tau[1, 0] = bad
+        with pytest.raises(ValidationError, match="tau contains non-finite entries"):
+            stack_regressor(twolink_model, q, qd, qdd, tau)
+
     def test_dimension_mismatch(self, twolink_model):
         q = qd = qdd = np.zeros((1, 2))
         with pytest.raises(ValidationError):

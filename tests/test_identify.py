@@ -239,11 +239,9 @@ def _per_link_derivatives(bodies, slots, d):
 
 
 def _batched_derivatives(lmis, x):
-    grad, hess = np.zeros(x.size + 1), np.zeros((x.size + 1, x.size + 1))
+    grad, hess = np.zeros(x.size), np.zeros((x.size, x.size))
     lmis.add_derivatives(x, 1.0, grad, hess)
-    # The dummy slots' entries are dropped, and must hold nothing.
-    assert grad[-1] == 0 and not hess[-1].any() and not hess[:, -1].any()
-    return grad[:-1], hess[:-1, :-1]
+    return grad, hess
 
 
 class TestBatchedLmis:
@@ -261,7 +259,8 @@ class TestBatchedLmis:
         )
         lmis, _ = identify._build_link_constraints(system)
         assert lmis.index.shape == (3, 10)
-        assert np.sum(lmis.index == system.G.shape[1]) == 3  # link 1's padded slots
+        zero_slots = np.argwhere(~lmis.bases.any(axis=(2, 3)))
+        np.testing.assert_array_equal(zero_slots, [[1, 1], [1, 4], [1, 8]])  # link 1's fixed slots
         x = truth[~fixed] * np.linspace(0.9, 1.1, np.sum(~fixed))
         free_index = np.cumsum(~fixed) - 1
         slots = [

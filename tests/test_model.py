@@ -142,9 +142,12 @@ class TestParse:
             ("joint", "hinge", RobotDescriptionError, "document declares no joints"),
             ("</robot>", _LOOP, UnsupportedTopologyError,
              "joints do not form a single connected chain"),
+            ('<link name="base"/>', "<link/>", RobotDescriptionError, "a <link> has no name"),
+            ('<link name="base"/>', '<link name="base"/><link name="upper"/>',
+             RobotDescriptionError, "link 'upper' is declared twice"),
         ],
         ids=["branching", "two-bases", "two-parents", "unknown-parent", "unknown-child",
-             "missing-child", "no-joints", "detached-loop"],
+             "missing-child", "no-joints", "detached-loop", "nameless-link", "duplicate-link"],
     )
     def test_branching_chain_rejected(self, old, new, error, message):
         doc = TWOLINK_URDF.replace(old, new)

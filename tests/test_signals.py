@@ -207,16 +207,16 @@ class TestAverage:
 class TestProcess:
     def test_no_nan_and_trim(self):
         trial = _make_trial(fn=np.sin, noise=0.01)
-        ds = process_trial(trial, 10.0, 10.0)
-        assert np.all(np.isfinite(ds.q))
-        assert np.all(np.isfinite(ds.qdd))
-        assert ds.q.shape[0] == trial.q.shape[0] - 8
+        q, _, qdd, _ = process_trial(trial, 10.0, 10.0)
+        assert np.all(np.isfinite(q))
+        assert np.all(np.isfinite(qdd))
+        assert q.shape[0] == trial.q.shape[0] - 8
 
     def test_none_cutoffs_skip_filtering(self):
         trial = _make_trial(fn=np.sin)
-        ds = process_trial(trial, None, None)
-        np.testing.assert_array_equal(ds.q, trial.q[4:-4])
-        np.testing.assert_array_equal(ds.tau, trial.tau[4:-4])
+        q, _, _, tau = process_trial(trial, None, None)
+        np.testing.assert_array_equal(q, trial.q[4:-4])
+        np.testing.assert_array_equal(tau, trial.tau[4:-4])
 
 
 class TestTuneCutoffs:
