@@ -264,12 +264,12 @@ def evaluate_constraints(
         for i, name in enumerate(names)
         for kind, margin in margins.items()
     }
-    equalities: dict[str, float] = {}
-    for i, name in enumerate(names):
-        equalities[f"qd_start_{name}"] = float(qd[0, i])
-        equalities[f"qd_end_{name}"] = float(qd[-1, i])
-        equalities[f"qdd_start_{name}"] = float(qdd[0, i])
-        equalities[f"qdd_end_{name}"] = float(qdd[-1, i])
+    ends = {"qd_start": qd[0], "qd_end": qd[-1], "qdd_start": qdd[0], "qdd_end": qdd[-1]}
+    equalities: dict[str, float] = {
+        f"{kind}_{name}": float(row[i])
+        for i, name in enumerate(names)
+        for kind, row in ends.items()
+    }
 
     if problem.obstacles and problem.link_collision_spheres:
         R, p = forward_kinematics(model, q)
@@ -366,17 +366,14 @@ def _nelder_mead(func, x0: np.ndarray, step: np.ndarray, max_evals: int):
         reflected = centroid + alpha * (centroid - pts[-1])
         f_r, p_r = func(reflected)
         used += 1
-        if f_r < vals[0]:
-            if used < max_evals:
-                expanded = centroid + gamma * (reflected - centroid)
-                f_e, p_e = func(expanded)
-                used += 1
-                if f_e < f_r:
-                    pts[-1], vals[-1], payloads[-1] = expanded, f_e, p_e
-                    continue
-            pts[-1], vals[-1], payloads[-1] = reflected, f_r, p_r
-            continue
-        if f_r < vals[-2]:
+        if f_r < vals[0] and used < max_evals:
+            expanded = centroid + gamma * (reflected - centroid)
+            f_e, p_e = func(expanded)
+            used += 1
+            if f_e < f_r:
+                pts[-1], vals[-1], payloads[-1] = expanded, f_e, p_e
+                continue
+        if f_r < vals[0] or f_r < vals[-2]:  # both tests: vals[-2] may be NaN
             pts[-1], vals[-1], payloads[-1] = reflected, f_r, p_r
             continue
         contracted = centroid + rho * (pts[-1] - centroid)
@@ -439,19 +436,12 @@ def augmented_lagrangian_minimize(
     # until one does, the start point is returned, flagged.
     best = [(math.inf, math.inf), x0.copy(), None, None]
     evaluations = 0
-    # Sized from the start point's record once it is evaluated.
-    eq_names, ineq_names, lam, mu = [], [], np.zeros(0), np.zeros(0)
-
-    def as_vectors(record: ConstraintRecord):
-        g = np.array([record.equalities[k] for k in eq_names])
-        h = np.array([record.inequalities[k] for k in ineq_names])
-        return g, h
+    lam = mu = None  # the multipliers, sized from the first record evaluated
 
     def lagrangian(x):
         """The augmented Lagrangian at x, with evaluate's (objective, record)."""
-        nonlocal evaluations
-        evaluated = evaluate(x)
-        score, record = evaluated
+        nonlocal evaluations, lam, mu
+        score, record = evaluate(x)
         evaluations += 1
         value = float(score)
         key = (max(record.max_violation() - tol, 0.0), value)
@@ -459,19 +449,17 @@ def augmented_lagrangian_minimize(
             best[:] = key, x.copy(), score, record
         elif best[3] is None:
             best[2:] = score, record
+        if lam is None:  # before the finiteness check: the start may score inf
+            lam, mu = np.zeros(len(record.equalities)), np.zeros(len(record.inequalities))
         if not np.isfinite(value):
-            return math.inf, evaluated
-        g, h = as_vectors(record)
-        if g.size:
-            value += float(lam @ g) + 0.5 * rho * float(g @ g)
-        if h.size:
-            shifted = np.clip(mu + rho * h, 0.0, None)
-            value += float(np.sum(shifted**2 - mu**2)) / (2.0 * rho)
-        return value, evaluated
+            return math.inf, (score, record)
+        g, h = record.equality_vector(), record.inequality_vector()
+        value += float(lam @ g) + 0.5 * rho * float(g @ g)
+        shifted = np.clip(mu + rho * h, 0.0, None)
+        value += float(np.sum(shifted**2 - mu**2)) / (2.0 * rho)
+        return value, (score, record)
 
-    f0, rec0 = lagrangian(x0)[1]
-    eq_names, ineq_names = list(rec0.equalities), list(rec0.inequalities)
-    lam, mu = np.zeros(len(eq_names)), np.zeros(len(ineq_names))
+    f0, _ = lagrangian(x0)[1]
 
     history: list[dict] = []
     x = x0
@@ -497,10 +485,9 @@ def augmented_lagrangian_minimize(
 
         # Nelder-Mead returns an evaluated vertex, so x is not evaluated again.
         score, record = at_sub
-        g, h = as_vectors(record)
         infeas = record.max_violation()
-        lam = np.clip(lam + rho * g, -_MULTIPLIER_BOUND, _MULTIPLIER_BOUND)
-        mu = np.clip(mu + rho * h, 0.0, _MULTIPLIER_BOUND)
+        lam = np.clip(lam + rho * record.equality_vector(), -_MULTIPLIER_BOUND, _MULTIPLIER_BOUND)
+        mu = np.clip(mu + rho * record.inequality_vector(), 0.0, _MULTIPLIER_BOUND)
         history.append(
             {
                 "outer": outer,
@@ -683,26 +670,20 @@ def random_feasible_trajectory(
     acceleration subspace and scaled down until all limit inequalities hold.
     Returns None when none of ``_FEASIBLE_DRAWS`` draws is feasible.
     """
+    grid = None
     for _ in range(_FEASIBLE_DRAWS):
         q0, a, b = _random_coefficients(rng, problem.model, harmonics)
         a, b = _rest_to_rest(a, b)
-        scale = 1.0
-        for _ in range(12):
-            traj = FourierTrajectory(
-                base_frequency=omega,
-                harmonics=harmonics,
-                offsets=q0,
-                sine_coeffs=scale * a,
-                cosine_coeffs=scale * b,
-            )
-            _, q, qd, qdd = sample_trajectory(traj, problem.sample_rate, include_endpoint=True)
-            record = evaluate_constraints(problem, q, qd, qdd)
-            ineq = record.inequality_vector()
+        if grid is None:  # one closed-period grid; the first draw checks frequency and rate
+            start = FourierTrajectory(omega, harmonics, q0, a, b)
+            grid = _fourier_grid(omega, harmonics, _sample_times(start, problem.sample_rate, True))
+        for scale in 0.5 ** np.arange(12):
+            q, qd, qdd = _fourier_rows(q0, scale * a, scale * b, *grid)
+            ineq = evaluate_constraints(problem, q, qd, qdd).inequality_vector()
             if ineq.size == 0 or np.max(ineq) <= 0.0:
                 if np.any(scale * np.abs(a) > 1e-9):
-                    return traj
+                    return FourierTrajectory(omega, harmonics, q0, scale * a, scale * b)
                 break
-            scale *= 0.5
     return None
 
 

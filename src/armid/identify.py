@@ -575,16 +575,12 @@ def payload_identify(system: LeastSquares, reg_weight: float | None = None) -> P
 
     p, trace = _barrier_minimize(A, y, system.rho_sq, lmis, log_indices, p0)
 
-    diff = np.zeros(PARAMS_PER_LINK)
-    diff[:INERTIAL_PARAMS_PER_LINK] = p
-    params = LinkInertialParams.from_vector(diff)
-    min_eig = float(np.linalg.eigvalsh(pseudo_inertia(params))[0])
-    composite = LinkInertialParams.from_vector(
-        np.concatenate([base10 + p, np.zeros(3)])
-    )
+    params = LinkInertialParams.from_vector(np.concatenate([p, np.zeros(3)]))
+    composite = LinkInertialParams.from_vector(np.concatenate([base10 + p, np.zeros(3)]))
+    J = pseudo_inertia(params)
+    min_eig = float(np.linalg.eigvalsh(J)[0])
     composite_eig = float(np.linalg.eigvalsh(pseudo_inertia(composite))[0])
-    scale = 1.0 + float(np.abs(pseudo_inertia(params)).max())
-    warning = min_eig < 1e-8 * scale
+    warning = min_eig < 1e-8 * (1.0 + float(np.abs(J).max()))
     return PayloadResult(
         params=params,
         pseudo_inertia_min_eig=min_eig,

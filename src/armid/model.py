@@ -286,31 +286,21 @@ def is_physically_feasible(p: LinkInertialParams, tol: float = 1e-9) -> Feasibil
     """
     check_number(tol, "tolerance", ValidationError)
     min_eig = float(np.linalg.eigvalsh(pseudo_inertia(p))[0])
-    violations = {}
-    if min_eig <= tol:
-        violations["pseudo_inertia"] = min_eig
+    violations = {"pseudo_inertia": min_eig} if min_eig <= tol else {}
     for name in ("viscous_friction", "coulomb_friction", "rotor_inertia"):
-        value = getattr(p, name)
-        if value < -tol:
-            violations[name] = value
-    if violations:
-        binding = min(violations, key=violations.get)
-        margin = violations[binding]
-        feasible = False
-    else:
-        # Everything holds; the interesting slack is the eigenvalue margin
-        # (frictions at exactly zero sit on the boundary but are allowed).
-        binding = "pseudo_inertia"
-        margin = min_eig
-        feasible = True
+        if getattr(p, name) < -tol:
+            violations[name] = getattr(p, name)
+    # When everything holds, the interesting slack is the eigenvalue margin
+    # (frictions at exactly zero sit on the boundary but are allowed).
+    binding = min(violations, key=violations.get, default="pseudo_inertia")
     return FeasibilityReport(
-        feasible=feasible,
+        feasible=not violations,
         pseudo_inertia_min_eig=min_eig,
         viscous_friction=p.viscous_friction,
         coulomb_friction=p.coulomb_friction,
         rotor_inertia=p.rotor_inertia,
         binding_constraint=binding,
-        margin=margin,
+        margin=violations.get(binding, min_eig),
     )
 
 

@@ -169,6 +169,11 @@ def generate_dataset(
     if trials < 1:
         raise SimulateError("need at least one trial")
     model = fixture.model
+    if traj.num_joints != model.num_joints:
+        raise SimulateError(
+            f"trajectory has {traj.num_joints} joints, but robot '{fixture.name}' has "
+            f"{model.num_joints}"
+        )
     if fixture.payload is not None:
         model = lump_payload(model, fixture.payload)
     t, q, qd, qdd = sample_trajectory(traj, rate)

@@ -205,6 +205,13 @@ def test_a_bad_json_file_exits_1_naming_it(tmp_path, capsys, document, content):
     assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
 
+def test_a_trajectory_for_another_robot_exits_1_naming_both_counts(tmp_path, capsys):
+    traj = _write_trajectory(tmp_path, "arm7")
+    assert _simulate(tmp_path, traj) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: trajectory has 7 joints, but robot 'planar2' has 2\n"
+    assert not (tmp_path / "sim").exists()
+
+
 def test_an_undecodable_model_file_exits_1_naming_it(tmp_path, capsys):
     code, err, urdf = _design_urdf(tmp_path, capsys, b"<robot name='\xff'/>")
     assert code == EXIT_ERROR

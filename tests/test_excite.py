@@ -422,6 +422,47 @@ class TestDesign:
         assert record.max_violation() <= 1e-9
         assert np.any(traj.sine_coeffs != 0)
 
+    @pytest.mark.parametrize("fixture", ["planar2", "chain3", "arm7"])
+    def test_random_draws_match_a_trajectory_per_candidate(self, fixture):
+        # The benchmark's input trajectories come from these draws, at these
+        # settings. Sampling every candidate from one grid must give the same
+        # bits as building and sampling a FourierTrajectory per candidate.
+        problem = DesignProblem(model=builtin_fixture(fixture).model, sample_rate=20.0)
+        omega, harmonics = 2 * math.pi * 0.05, 5
+
+        def per_candidate(rng):
+            for _ in range(excite._FEASIBLE_DRAWS):
+                q0, a, b = excite._random_coefficients(rng, problem.model, harmonics)
+                a, b = excite._rest_to_rest(a, b)
+                scale = 1.0
+                for _ in range(12):
+                    traj = FourierTrajectory(omega, harmonics, q0, scale * a, scale * b)
+                    _, q, qd, qdd = sample_trajectory(traj, problem.sample_rate, True)
+                    ineq = evaluate_constraints(problem, q, qd, qdd).inequality_vector()
+                    if ineq.size == 0 or np.max(ineq) <= 0.0:
+                        if np.any(scale * np.abs(a) > 1e-9):
+                            return traj
+                        break
+                    scale *= 0.5
+            return None
+
+        for seed in range(10):
+            drawn = random_feasible_trajectory(
+                problem, omega, harmonics, np.random.default_rng(seed)
+            )
+            expected = per_candidate(np.random.default_rng(seed))
+            assert (drawn is None) == (expected is None), seed
+            if expected is not None:
+                assert trajectory_to_dict(drawn) == trajectory_to_dict(expected), seed
+
+    def test_random_draws_check_rate_and_frequency(self):
+        model = builtin_fixture("planar2").model
+        rng = np.random.default_rng(0)
+        with pytest.raises(ExciteError, match="alias"):
+            random_feasible_trajectory(DesignProblem(model, sample_rate=0.5), 1.0, 5, rng)
+        with pytest.raises(ExciteError, match="base frequency"):
+            random_feasible_trajectory(DesignProblem(model), -1.0, 5, rng)
+
 
 class TestSerialization:
     def test_dict_roundtrip(self):

@@ -69,6 +69,34 @@ def test_every_armid_attribute_the_benchmark_calls_is_public():
         assert callable(getattr(module, name, None)), (short, name)
 
 
+def test_every_armid_call_the_benchmark_makes_fits_its_signature():
+    # A renamed, reordered or dropped parameter fails here rather than in the
+    # benchmark's prepare step.
+    tree = ast.parse((PERFBENCH / "child.py").read_text())
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("excite", "simulate", "cli")
+    ]
+    names = {call.func.attr for call in calls}
+    assert {"random_feasible_trajectory", "DesignProblem", "save_trajectory"} <= names
+    for call in calls:
+        short, name = call.func.value.id, call.func.attr
+        where = f"perfbench/child.py:{call.lineno} {short}.{name}"
+        assert not any(isinstance(arg, ast.Starred) for arg in call.args), where
+        assert all(keyword.arg is not None for keyword in call.keywords), where
+        fn = getattr(importlib.import_module(f"armid.{short}"), name)
+        try:
+            inspect.signature(fn).bind(
+                *[None] * len(call.args), **{k.arg: None for k in call.keywords}
+            )
+        except TypeError as exc:
+            raise AssertionError(f"{where}: {exc}") from None
+
+
 def test_every_fixture_the_workloads_use_is_builtin(monkeypatch):
     name = "_perfbench_workloads"
     spec = importlib.util.spec_from_file_location(name, PERFBENCH / "workloads.py")
