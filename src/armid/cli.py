@@ -228,6 +228,13 @@ def _load_base_params(args, size: int) -> np.ndarray:
     return alpha
 
 
+def _unconverged(estimator: str, trace: identify.BarrierTrace) -> bool:
+    """True, with a line on stderr, when ``estimator``'s barrier stopped short."""
+    if not trace.converged:
+        print(f"{estimator} estimate: the barrier did not converge", file=sys.stderr)
+    return not trace.converged
+
+
 def cmd_identify(args) -> int:
     manifest, robot, trials = signals.load_dataset(args.data)
     averaged = signals.average_trials(trials)
@@ -262,6 +269,8 @@ def cmd_identify(args) -> int:
             "alpha": result_cons.alpha_hat.tolist(),
         }
         _write_json(out_dir / "identification.json", payload)
+        unconverged = _unconverged("consistent", result_cons.trace)
+        massless = []
         if truth is not None:
             rows = _metrics_rows(robot, result_ols.alpha_hat, truth, char_length, "ols")
             rows += _metrics_rows(robot, result_cons.alpha_hat, truth, char_length, "consistent")
@@ -270,9 +279,7 @@ def cmd_identify(args) -> int:
             for method, link, *_ in massless:
                 print(f"{method} estimate of link '{link}' has mass <= 0: "
                       "its com_pct and inertia_pct are empty in metrics.csv", file=sys.stderr)
-            if massless:
-                return EXIT_WARNINGS
-        return EXIT_OK
+        return EXIT_WARNINGS if unconverged or massless else EXIT_OK
 
     # payload mode
     if not args.base_params:
@@ -287,10 +294,10 @@ def cmd_identify(args) -> int:
         errors = identify.error_metrics(result.params, truth_payload, char_length)
         row = ["payload", robot.joint_specs[-1].name, *errors]
         _write_csv(out_dir / "metrics.csv", _METRICS_HEADER, [row])
+    unconverged = _unconverged("payload", result.trace)
     if result.boundary_warning:
         print("payload estimate hugs the feasibility boundary", file=sys.stderr)
-        return EXIT_WARNINGS
-    return EXIT_OK
+    return EXIT_WARNINGS if unconverged or result.boundary_warning else EXIT_OK
 
 
 # --- tune-filters -----------------------------------------------------------------

@@ -70,11 +70,19 @@ class SubspaceReport:
 
 @dataclass(frozen=True)
 class BarrierTrace:
-    """Path-following record: one entry per barrier stage."""
+    """Path-following record: one path entry per barrier stage.
+
+    ``converged`` is True when no line search failed and the last stage met
+    its Newton-decrement test. ``gap_bound`` is m * mu_final, the duality gap
+    of the last stage's exact center, m counting the barrier's log terms
+    (4 per LMI, 1 per positive entry).
+    """
 
     mu_path: tuple[float, ...]
     objective_path: tuple[float, ...]
     newton_iterations: tuple[int, ...]
+    converged: bool
+    gap_bound: float
 
 
 @dataclass(frozen=True)
@@ -357,7 +365,9 @@ def _barrier_minimize(
     Hessian costs d-sized work, and the LMIs take one batched ``inv`` per
     Newton step and one batched ``cholesky`` per candidate. Each barrier stage
     runs damped Newton until the Newton decrement is negligible, then shrinks
-    mu geometrically by ``_MU_SHRINK`` down to ``_MU_FINAL``.
+    mu geometrically by ``_MU_SHRINK`` down to ``_MU_FINAL``. The trace says
+    whether the path converged: a failed line search or a last stage cut off
+    at ``_NEWTON_MAX_ITER`` leaves ``converged`` False.
     """
     AtA, Aty = A.T @ A, A.T @ y
 
@@ -376,9 +386,10 @@ def _barrier_minimize(
     n_terms = max(1, lmis.index.shape[0] * 4 + log_indices.size)
     mu = max(1e-6, (abs(f_x) + 1.0) / n_terms)
     mu_values, objective_values, newton_counts = [], [], []
+    line_searches_held = True
 
     while True:
-        iterations = 0
+        iterations, centered = 0, False
         for _ in range(_NEWTON_MAX_ITER):
             grad = 2.0 * (AtA @ x - Aty)
             hess = 2.0 * AtA
@@ -394,6 +405,7 @@ def _barrier_minimize(
                 step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
             decrement = float(-grad @ step)
             if decrement <= 0 or 0.5 * decrement < 1e-11 * (1.0 + abs(f_x)):
+                centered = True
                 break
 
             phi0 = f_x - mu * log_x
@@ -411,6 +423,7 @@ def _barrier_minimize(
                 t *= 0.5
             iterations += 1
             if not accepted:
+                line_searches_held = False
                 break
 
         mu_values.append(mu)
@@ -424,6 +437,8 @@ def _barrier_minimize(
         mu_path=tuple(mu_values),
         objective_path=tuple(objective_values),
         newton_iterations=tuple(newton_counts),
+        converged=line_searches_held and centered,
+        gap_bound=n_terms * mu,
     )
     return x, trace
 

@@ -314,7 +314,32 @@ class TestSimulateIdentifyPipeline:
         metrics = (out_dir / "metrics.csv").read_text()
         assert "payload" in metrics
 
-    def _payload_dataset(self, tmp_path):
+    @pytest.mark.parametrize("mode", ["robot", "payload"])
+    def test_an_unconverged_barrier_exits_2_naming_the_estimator(
+        self, tmp_path, capsys, monkeypatch, mode
+    ):
+        # On noisy data one Newton step per stage cannot center the last stage.
+        data_dir, truth = self._payload_dataset(tmp_path, "--noise-rel", "0.01", "--seed", "1")
+        base_path = tmp_path / "base.json"
+        base_path.write_text(json.dumps({"alpha": truth}))
+        args = ["identify", "--mode", mode, "--data", str(data_dir), "--out", str(tmp_path / "o")]
+        if mode == "payload":
+            args += ["--base-params", str(base_path)]
+        monkeypatch.setattr(identify, "_NEWTON_MAX_ITER", 1)
+        assert main(args) == EXIT_WARNINGS
+        estimator, artifact = {
+            "robot": ("consistent", "identification.json"),
+            "payload": ("payload", "payload.json"),
+        }[mode]
+        err = capsys.readouterr().err.splitlines()
+        assert f"{estimator} estimate: the barrier did not converge" in err
+        trace = json.loads((tmp_path / "o" / artifact).read_text())[estimator]["trace"]
+        assert trace["converged"] is False
+        assert set(trace["newton_iterations"]) <= {0, 1}
+        terms = {"robot": 3 * (4 + 3), "payload": 2 * 4}[mode]
+        assert trace["gap_bound"] == terms * trace["mu_path"][-1]
+
+    def _payload_dataset(self, tmp_path, *flags):
         traj_path = _write_trajectory(tmp_path, "chain3")
         payload_spec = tmp_path / "payload.json"
         payload_spec.write_text(json.dumps({"mass": 0.4, "radius": 0.05}))
@@ -322,7 +347,7 @@ class TestSimulateIdentifyPipeline:
         code = main(
             [
                 "simulate", "--fixture", "chain3", "--traj", str(traj_path),
-                "--trials", "1", "--payload", str(payload_spec), "--out", str(data_dir),
+                "--trials", "1", "--payload", str(payload_spec), *flags, "--out", str(data_dir),
             ]
         )
         assert code == EXIT_OK
