@@ -311,17 +311,24 @@ class _Lmis:
     def add_derivatives(self, x, mu: float, grad: np.ndarray, hess: np.ndarray) -> None:
         """Add the gradient and Hessian of ``-mu * sum_k log det J_k(x)`` in place.
 
-        ufunc.at adds in LMI order and sums entries that share an index, as the
-        payload's two LMIs do.
+        With the bases of LMI k flattened to the rows of a (10, 16) matrix P_k,
+        the gradient of ``log det J_k`` is ``P_k vec(J_k^-1)`` and its Hessian
+        ``-P_k (J_k^-1 kron J_k^-1) P_k^T``. np.bincount sums entries that share
+        an index, as the payload's two LMIs do.
         """
         try:
             J_inv = np.linalg.inv(self.value(x))
         except np.linalg.LinAlgError as exc:
             raise IdentifyError("singular pseudo-inertia inside barrier") from exc
-        M = np.einsum("kij,ksjl->ksil", J_inv, self.bases)
-        np.subtract.at(grad, self.index.ravel(), mu * np.trace(M, axis1=2, axis2=3).ravel())
-        block = np.einsum("ksij,ktji->kst", M, M)
-        np.add.at(hess.reshape(-1), self._hess_slots, mu * block.ravel())
+        K = J_inv.shape[0]
+        P = self.bases.reshape(K, INERTIAL_PARAMS_PER_LINK, 16)
+        kron = (J_inv[:, :, None, :, None] * J_inv[:, None, :, None, :]).reshape(K, 16, 16)
+        g = P @ J_inv.reshape(K, 16, 1)
+        block = P @ kron @ P.transpose(0, 2, 1)
+        grad -= mu * np.bincount(self.index.ravel(), g.ravel(), minlength=self.size)
+        hess += mu * np.bincount(
+            self._hess_slots, block.ravel(), minlength=self.size**2
+        ).reshape(self.size, self.size)
 
 
 def _log_barrier(x, lmis: _Lmis, log_indices) -> float | None:
