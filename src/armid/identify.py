@@ -350,9 +350,11 @@ def _log_barrier(x, lmis: _Lmis, log_indices) -> float | None:
     return total + 2.0 * float(np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2))))
 
 
-# Barrier path: mu shrinks by _MU_SHRINK per stage until it reaches _MU_FINAL;
-# each stage takes at most _NEWTON_MAX_ITER damped Newton steps.
-_MU_SHRINK = 0.2
+# Barrier path, as _barrier_minimize describes it. With _CENTERING at 0.1 or
+# more, Newton steps on some random chains landed so near the LMI boundary that
+# ``inv`` failed or a link came out infeasible; at 0.03 and below none did.
+_MU_SHRINK = 0.05
+_CENTERING = 0.01
 _MU_FINAL = 1e-10
 _NEWTON_MAX_ITER = 60
 
@@ -370,11 +372,17 @@ def _barrier_minimize(
 
     ``A`` has d columns and at most 2d rows, so every objective, gradient and
     Hessian costs d-sized work, and the LMIs take one batched ``inv`` per
-    Newton step and one batched ``cholesky`` per candidate. Each barrier stage
-    runs damped Newton until the Newton decrement is negligible, then shrinks
-    mu geometrically by ``_MU_SHRINK`` down to ``_MU_FINAL``. The trace says
-    whether the path converged: a failed line search or a last stage cut off
-    at ``_NEWTON_MAX_ITER`` leaves ``converged`` False.
+    Newton step and one batched ``cholesky`` per candidate.
+
+    Mu shrinks geometrically by ``_MU_SHRINK`` down to ``_MU_FINAL``, and each
+    stage runs damped Newton from the last stage's point. A stage before the
+    last is centered only approximately, until half the Newton decrement is
+    below ``_CENTERING * m * mu``, m * mu being its duality-gap scale (Boyd &
+    Vandenberghe, *Convex Optimization*, 11.5); the next mu discards that
+    center anyway. The last stage runs until the decrement is negligible,
+    below ``1e-11 * (1 + f)``. The trace says whether the path converged: a
+    failed line search or a last stage cut off at ``_NEWTON_MAX_ITER`` leaves
+    ``converged`` False.
     """
     AtA, Aty = A.T @ A, A.T @ y
 
@@ -411,7 +419,8 @@ def _barrier_minimize(
             except np.linalg.LinAlgError:
                 step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
             decrement = float(-grad @ step)
-            if decrement <= 0 or 0.5 * decrement < 1e-11 * (1.0 + abs(f_x)):
+            tol = 1e-11 * (1.0 + abs(f_x)) if mu <= _MU_FINAL else _CENTERING * n_terms * mu
+            if decrement <= 0 or 0.5 * decrement < tol:
                 centered = True
                 break
 

@@ -550,6 +550,145 @@ class TestPayload:
             payload_identify(least_squares(stack))
 
 
+def _tight_barrier_minimize(A, y, rho_sq, lmis, log_indices, x0):
+    """Reference barrier path: every stage centered to 1e-11 * (1 + f), mu
+    shrinking by 0.2 from the same start to the same 1e-10."""
+    AtA, Aty = A.T @ A, A.T @ y
+
+    def f_quad(x):
+        r = A @ x - y
+        return float(r @ r) + rho_sq
+
+    x = x0.copy()
+    log_x = identify._log_barrier(x, lmis, log_indices)
+    f_x = f_quad(x)
+    n_terms = max(1, lmis.index.shape[0] * 4 + log_indices.size)
+    mu = max(1e-6, (abs(f_x) + 1.0) / n_terms)
+    mu_values, objective_values, newton_counts = [], [], []
+    while True:
+        iterations = 0
+        for _ in range(60):
+            grad = 2.0 * (AtA @ x - Aty)
+            hess = 2.0 * AtA
+            lmis.add_derivatives(x, mu, grad, hess)
+            if log_indices.size:
+                xi = x[log_indices]
+                grad[log_indices] -= mu / xi
+                hess[log_indices, log_indices] += mu / xi**2
+            try:
+                step = np.linalg.solve(hess, -grad)
+            except np.linalg.LinAlgError:
+                step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+            decrement = float(-grad @ step)
+            if decrement <= 0 or 0.5 * decrement < 1e-11 * (1.0 + abs(f_x)):
+                break
+            phi0 = f_x - mu * log_x
+            t, accepted = 1.0, False
+            for _ in range(60):
+                cand = x + t * step
+                log_cand = identify._log_barrier(cand, lmis, log_indices)
+                if log_cand is not None:
+                    f_cand = f_quad(cand)
+                    if f_cand - mu * log_cand <= phi0 - 1e-4 * t * decrement:
+                        x, f_x, log_x, accepted = cand, f_cand, log_cand, True
+                        break
+                t *= 0.5
+            iterations += 1
+            if not accepted:
+                break
+        mu_values.append(mu)
+        objective_values.append(f_x)
+        newton_counts.append(iterations)
+        if mu <= 1e-10:
+            break
+        mu = max(mu * 0.2, 1e-10)
+    trace = BarrierTrace(
+        tuple(mu_values), tuple(objective_values), tuple(newton_counts), True, n_terms * mu
+    )
+    return x, trace
+
+
+def _against_tight_path(estimate, system, *args):
+    """``estimate(system, *args)`` on the barrier's own path and on the reference's."""
+    result = estimate(system, *args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(identify, "_barrier_minimize", _tight_barrier_minimize)
+        reference = estimate(system, *args)
+    return result, reference
+
+
+def _assert_same_optimum(result, reference):
+    f, f_ref = result.trace.objective_path[-1], reference.trace.objective_path[-1]
+    assert abs(f - f_ref) <= 1e-9 * (1.0 + f_ref), (f, f_ref)
+    assert result.trace.converged
+
+
+def _arm7_payload_system(noise, seed):
+    model = builtin_fixture("arm7").model
+    base = pack_params(model)
+    loaded = base.copy()
+    loaded[-13:-3] = combine_inertial(
+        model.inertial_params[-1], solid_sphere_params(0.4271, 0.05, [0.0, 0.02, 0.1])
+    ).to_vector()[:10]
+    rng = np.random.default_rng(seed)
+    q, qd, qdd = _random_states(model, rng, 300)
+    tau = inverse_dynamics_batch(unpack_params(loaded, model), q, qd, qdd)
+    tau = tau * (1.0 + noise * rng.standard_normal(tau.shape))
+    mask = payload_fixed_mask(model.num_joints)
+    return least_squares(stack_regressor(model, q, qd, qdd, tau, fixed_mask=mask, fixed_values=base))
+
+
+class TestBarrierPath:
+    """Stages before the last are centered only as tightly as the next mu needs."""
+
+    def test_newton_steps_stay_within_budget(self):
+        # Centering every stage tightly, with mu shrinking by 0.2, took 54 and
+        # 103 Newton steps on these two systems; the payload ends on the boundary.
+        model = builtin_fixture("chain3").model
+        stack = _noiseless_stack(model, np.random.default_rng(8), noise=0.02, noise_seed=9)
+        robot = consistent_identify(least_squares(stack), identification_prior(model))
+        payload = payload_identify(_arm7_payload_system(0.01, 5))
+        assert payload.boundary_warning
+        assert sum(robot.trace.newton_iterations) <= 30
+        assert sum(payload.trace.newton_iterations) <= 65
+
+    @pytest.mark.parametrize("name", ["pendulum1", "planar2", "chain3", "arm7"])
+    def test_fixtures_reach_the_tight_path_optimum(self, name):
+        model = builtin_fixture(name).model
+        system = least_squares(
+            _noiseless_stack(model, np.random.default_rng(4), count=200, noise=0.05)
+        )
+        result, reference = _against_tight_path(
+            consistent_identify, system, identification_prior(model)
+        )
+        _assert_same_optimum(result, reference)
+        assert all(report.feasible for report in result.link_feasibility)
+
+    @given(
+        model=_random_chain(),
+        seed=st.integers(0, 2**32 - 1),
+        noise=st.floats(0.0, 1.0),
+    )
+    def test_random_chains_reach_the_tight_path_optimum(self, model, seed, noise):
+        rng = np.random.default_rng(seed)
+        q, qd, qdd = _chain_states(model, rng, 60)
+        tau = inverse_dynamics_batch(model, q, qd, qdd)
+        tau = tau + noise * np.std(tau) * rng.standard_normal(tau.shape)
+        system = least_squares(stack_regressor(model, q, qd, qdd, tau))
+        result, reference = _against_tight_path(
+            consistent_identify, system, identification_prior(model)
+        )
+        _assert_same_optimum(result, reference)
+        assert all(report.feasible for report in result.link_feasibility)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.01, 0.05])
+    def test_payload_reaches_the_tight_path_optimum(self, noise):
+        result, reference = _against_tight_path(payload_identify, _arm7_payload_system(noise, 5))
+        _assert_same_optimum(result, reference)
+        assert result.pseudo_inertia_min_eig > 0.0
+        assert result.boundary_warning == reference.boundary_warning
+
+
 class TestErrorMetrics:
     def test_exact_estimate(self):
         p = solid_sphere_params(1.0, 0.1, [0.05, 0.0, 0.02])

@@ -15,7 +15,10 @@ import inspect
 import sys
 from pathlib import Path
 
-from armid import signals, simulate
+import numpy as np
+
+from armid import dynamics, identify, signals, simulate
+from armid.model import pack_params
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -97,12 +100,18 @@ def test_every_armid_call_the_benchmark_makes_fits_its_signature():
             raise AssertionError(f"{where}: {exc}") from None
 
 
+def _load(filename: str, monkeypatch):
+    """A perfbench file loaded as a module of its own."""
+    name = f"_perfbench_{filename.removesuffix('.py')}"
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / filename)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)  # its dataclasses look themselves up
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_fixture_the_workloads_use_is_builtin(monkeypatch):
-    name = "_perfbench_workloads"
-    spec = importlib.util.spec_from_file_location(name, PERFBENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, name, workloads)  # its dataclasses look themselves up
-    spec.loader.exec_module(workloads)
+    workloads = _load("workloads.py", monkeypatch)
     used = set()
     for workload in workloads.WORKLOADS:
         plan = workloads.plan(workload, 0)
@@ -113,3 +122,35 @@ def test_every_fixture_the_workloads_use_is_builtin(monkeypatch):
         used |= {argv[argv.index("--fixture") + 1] for argv in argvs if "--fixture" in argv}
     assert used == {"arm7", "chain3"}
     assert used <= set(simulate.FIXTURE_NAMES)
+
+
+def test_barrier_counters_read_real_results(monkeypatch):
+    # The tracer reads identify.barrier.* off each barrier result's trace, so a
+    # renamed BarrierTrace field would zero them without failing a run.
+    tracer = _load("tracer.py", monkeypatch)
+    model = simulate.builtin_fixture("chain3").model
+    truth = pack_params(model)
+    rng = np.random.default_rng(0)
+    q, qd, qdd = (rng.uniform(-2.0, 2.0, (100, 3)) for _ in range(3))
+    tau = dynamics.inverse_dynamics_batch(model, q, qd, qdd)
+    tau = tau + 0.01 * rng.standard_normal(tau.shape)
+    mask = identify.payload_fixed_mask(3)
+    results = {
+        "identify.consistent_identify": identify.consistent_identify(
+            identify.least_squares(dynamics.stack_regressor(model, q, qd, qdd, tau)), truth
+        ),
+        "identify.payload_identify": identify.payload_identify(
+            identify.least_squares(
+                dynamics.stack_regressor(model, q, qd, qdd, tau, fixed_mask=mask, fixed_values=truth)
+            )
+        ),
+    }
+    for span, result in results.items():
+        assert tracer.MEASURES[span] is tracer._barrier
+        counts = dict(tracer._barrier((), {}, result))
+        assert counts == {
+            "identify.barrier.newton_iters": sum(result.trace.newton_iterations),
+            "identify.barrier.mu_stages": len(result.trace.mu_path),
+        }
+        assert counts["identify.barrier.newton_iters"] > 0
+        assert counts["identify.barrier.mu_stages"] > 0
