@@ -4,8 +4,9 @@ perfbench traces a run by wrapping armid's public functions, and a workload
 fails when a span it requires never fires; its prepare step calls armid's
 fixtures and trajectory API directly. These tests read perfbench's sources
 without running a benchmark (``workloads.py``, standard library only, is
-loaded to call its ``plan``), so a refactor that renames or privatizes what
-the benchmark uses fails here first.
+loaded to call its ``plan``, and ``tracer.py`` to apply its counters to real
+results), so a refactor that renames or privatizes what the benchmark uses
+fails here first.
 """
 
 import ast
