@@ -154,7 +154,7 @@ def cmd_simulate(args) -> int:
     fixture = _load_fixture(args)
     if args.payload:
         try:
-            fixture = fixture.with_payload(_payload_from_spec(args.payload))
+            fixture = dataclasses.replace(fixture, payload=_payload_from_spec(args.payload))
         except simulate.SimulateError as exc:  # an infeasible body; spec errors name the file
             raise simulate.SimulateError(f"{args.payload}: {exc}") from None
     traj, _ = excite.load_trajectory(args.traj)
@@ -306,12 +306,16 @@ def cmd_identify(args) -> int:
 def _parse_grid(raw: str):
     if raw == "default":
         return signals.DEFAULT_CUTOFF_GRID
+    check = partial(check_number, name="grid cutoff (Hz)", error=ArmidError, positive=True)
+
+    def cutoff(v: str):  # Hz, or None (no filter) for 'none' or 'off', as --pos-cutoff takes
+        return None if v.lower() in ("none", "off") else check(float(v))
+
     try:
-        pos, torque = ([float(v) for v in part.split(",") if v] for part in raw.split(":"))
+        pos, torque = ([cutoff(v) for v in part.split(",") if v] for part in raw.split(":"))
     except ValueError:
-        raise ArmidError("grid must be 'default' or 'p1,p2,...:t1,t2,...' in Hz") from None
-    cutoff = partial(check_number, name="grid cutoff (Hz)", error=ArmidError, positive=True)
-    return tuple((cutoff(p), cutoff(t)) for p in pos for t in torque)
+        raise ArmidError("grid must be 'default' or 'p1,p2,...:t1,t2,...' (Hz or none)") from None
+    return tuple((p, t) for p in pos for t in torque)
 
 
 def cmd_tune_filters(args) -> int:

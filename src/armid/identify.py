@@ -263,15 +263,15 @@ def ols_identify(system: LeastSquares, prior: np.ndarray | None = None) -> Ident
 
 
 def _prior_free(system: LeastSquares, prior: np.ndarray | None) -> np.ndarray:
-    d = system.G.shape[1]
+    """The free entries of a prior in the stack's full layout (13N, or d without links)."""
     if prior is None:
-        return np.zeros(d)
+        return np.zeros(system.G.shape[1])
     prior = np.asarray(prior, dtype=float)
-    if system.free_mask is not None and prior.size == system.free_mask.size:
-        return prior[system.free_mask]
-    if prior.size == d:
-        return prior.copy()
-    raise IdentifyError(f"prior has {prior.size} entries, expected {d} or full 13N")
+    mask = system.free_mask
+    full = system.G.shape[1] if mask is None else mask.size
+    if prior.size != full:
+        raise IdentifyError(f"prior has {prior.size} entries, expected {full}")
+    return prior.copy() if mask is None else prior[mask]
 
 
 # --- log-det barrier machinery ---------------------------------------------------

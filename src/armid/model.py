@@ -310,23 +310,19 @@ def combine_inertial(a: LinkInertialParams, b: LinkInertialParams) -> LinkInerti
     Mass, first moment, and origin-frame inertia are additive, as are the
     joint-side friction and rotor terms (payloads normally carry zeros there).
     """
-    return LinkInertialParams(
-        mass=a.mass + b.mass,
-        first_moment=a.first_moment + b.first_moment,
-        rotational_inertia=a.rotational_inertia + b.rotational_inertia,
-        viscous_friction=a.viscous_friction + b.viscous_friction,
-        coulomb_friction=a.coulomb_friction + b.coulomb_friction,
-        rotor_inertia=a.rotor_inertia + b.rotor_inertia,
-    )
+    return LinkInertialParams.from_vector(a.to_vector() + b.to_vector())
+
+
+def _parallel_axis_shift(mass: float, c: np.ndarray) -> np.ndarray:
+    """Origin-frame inertia minus CoM-frame inertia of ``mass`` centered at ``c``."""
+    return mass * (np.dot(c, c) * np.eye(3) - np.outer(c, c))
 
 
 def inertia_about_com(p: LinkInertialParams) -> np.ndarray:
     """Rotational inertia re-expressed about the center of mass (mass must be > 0)."""
     if p.mass <= 0:
         raise ValidationError("center-of-mass inertia requires mass > 0")
-    c = p.first_moment / p.mass
-    shift = p.mass * (np.dot(c, c) * np.eye(3) - np.outer(c, c))
-    return p.rotational_inertia - shift
+    return p.rotational_inertia - _parallel_axis_shift(p.mass, p.first_moment / p.mass)
 
 
 def params_from_com(
@@ -340,12 +336,10 @@ def params_from_com(
     """Build link parameters from CoM-frame quantities via the parallel axis theorem."""
     c = np.asarray(com, dtype=float)
     inertia_com = np.asarray(inertia_com, dtype=float)
-    shift = mass * (np.dot(c, c) * np.eye(3) - np.outer(c, c))
-    inertia_origin = 0.5 * (inertia_com + inertia_com.T) + shift
     return LinkInertialParams(
         mass=mass,
         first_moment=mass * c,
-        rotational_inertia=inertia_origin,
+        rotational_inertia=0.5 * (inertia_com + inertia_com.T) + _parallel_axis_shift(mass, c),
         viscous_friction=viscous_friction,
         coulomb_friction=coulomb_friction,
         rotor_inertia=rotor_inertia,

@@ -16,7 +16,6 @@ import hashlib
 import json
 import math
 import os
-import pickle
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -307,10 +306,11 @@ def tune_filter_cutoffs(
     only the current group's rows are held. Each torque cutoff's torques are
     filtered once. Every point then factors its own ``[W | T - w0]``, so its
     residual has the bits it gets when searched alone. A point that fails with
-    a data, model or identification error (its own, or its group's stack's)
-    is skipped but kept in the table; any other exception is a bug and
-    propagates. Ties break toward the lower cutoffs. Returns the best
-    (position, torque) pair and the full search table, in grid order.
+    a data, model or identification error (its own, or its group's stack's),
+    or whose barrier did not converge, is not ranked but kept in the table;
+    any other exception is a bug and propagates. Ties break toward the lower
+    cutoffs. Returns the best (position, torque) pair and the full search
+    table, in grid order.
     """
     if not grid:
         raise SignalError("cutoff grid is empty")
@@ -325,9 +325,12 @@ def tune_filter_cutoffs(
             return None, str(stack)
         try:
             system = identify.least_squares(replace(stack, T=torques_at(tor_cut)))
-            return float(identify.consistent_identify(system, prior).residual), None
+            result = identify.consistent_identify(system, prior)
         except _POINT_ERRORS as exc:
             return None, str(exc)
+        if not result.trace.converged:
+            return None, "the barrier did not converge"
+        return float(result.residual), None
 
     groups: dict = {}  # position cutoff -> the grid indices of its points
     for i, (pos_cut, _) in enumerate(grid):
@@ -458,9 +461,10 @@ def save_dataset(out_dir, trials: Sequence[RawTrial], manifest: dict) -> list[Pa
     Trial 0's ``[t | q]`` block is formatted first and shared, as in
     :func:`trial_to_csv`. With at least two trials and two usable CPUs, one
     forked child writes the odd trials while this process writes the even
-    ones. The bytes written are those of a sequential loop, the child is
-    reaped before this returns or raises, and if trials fail, the error is the
-    lowest-numbered failing trial's: the one a sequential loop would raise.
+    ones, and the child is reaped before this returns or raises. If either
+    half fails, or the fork does, a sequential loop writes every trial again:
+    the bytes written and the error raised (the lowest-numbered failing
+    trial's) are that loop's.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -468,13 +472,9 @@ def save_dataset(out_dir, trials: Sequence[RawTrial], manifest: dict) -> list[Pa
     shared_text: dict = {}  # trials without position noise share their t, q text
     if trials:
         _t_q_rows(trials[0], shared_text)
-    if len(trials) < 2 or _usable_cpus() < 2:
-        failures = [_write_each(trials, paths, range(len(trials)), shared_text)]
-    else:
-        failures = _write_forked(trials, paths, shared_text)
-    failures = [f for f in failures if f is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+    if len(trials) < 2 or _usable_cpus() < 2 or not _written_forked(trials, paths, shared_text):
+        for trial, path in zip(trials, paths):
+            trial_to_csv(trial, path, shared_text)
     _write_json(out_dir / MANIFEST_NAME, manifest)
     return paths
 
@@ -486,20 +486,9 @@ def _usable_cpus() -> int:
         return 1
 
 
-def _write_each(trials, paths, ks, shared_text: dict) -> tuple[int, Exception] | None:
-    """Write trials ``ks`` in order; the first failure as ``(k, error)``, or None."""
-    for k in ks:
-        try:
-            trial_to_csv(trials[k], paths[k], shared_text)
-        except Exception as exc:
-            return k, exc
-    return None
-
-
-def _write_forked(trials, paths, shared_text: dict) -> list:
-    """The failures of writing the even trials here and the odd ones in a
-    forked child, which reports its failure (or None) through a pipe."""
-    read_end, write_end = os.pipe()
+def _written_forked(trials, paths, shared_text: dict) -> bool:
+    """Whether this process wrote the even trials and a forked child the odd
+    ones, both without error; the child reports only by its exit status."""
     with warnings.catch_warnings():
         # From Python 3.12 fork warns in a process with other threads (numpy's
         # BLAS threads, say). The child is safe: it only formats text, writes
@@ -508,25 +497,26 @@ def _write_forked(trials, paths, shared_text: dict) -> list:
             "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
             DeprecationWarning,
         )
-        pid = os.fork()
-    if pid == 0:
         try:
-            os.close(read_end)
-            failure = _write_each(trials, paths, range(1, len(trials), 2), shared_text)
-            with open(write_end, "wb") as pipe:
-                pickle.dump(failure, pipe)
+            pid = os.fork()
+        except OSError:  # no process to spare (EAGAIN, say)
+            return False
+    if pid == 0:
+        status = 1
+        try:
+            for k in range(1, len(trials), 2):
+                trial_to_csv(trials[k], paths[k], shared_text)
+            status = 0
         finally:
-            os._exit(0)
-    os.close(write_end)
+            os._exit(status)
     try:
-        with open(read_end, "rb") as pipe:
-            failures = [_write_each(trials, paths, range(0, len(trials), 2), shared_text)]
-            report = pipe.read()
+        for k in range(0, len(trials), 2):
+            trial_to_csv(trials[k], paths[k], shared_text)
+    except Exception:
+        return False
     finally:
-        os.waitpid(pid, 0)
-    if not report:
-        raise SignalError(f"{paths[1]}: the process writing the odd trials did not finish")
-    return failures + [pickle.loads(report)]
+        _, status = os.waitpid(pid, 0)
+    return status == 0
 
 
 def trial_from_csv(path, shared_text: dict | None = None) -> RawTrial:

@@ -9,7 +9,7 @@ a real arm.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -71,9 +71,6 @@ class Fixture:
                 raise SimulateError(
                     f"fixture payload is infeasible ({report.binding_constraint})"
                 )
-
-    def with_payload(self, payload: LinkInertialParams) -> "Fixture":
-        return replace(self, payload=payload)
 
 
 # One row per link: joint name, axis, origin xyz, (position limit, velocity and

@@ -5,6 +5,7 @@ prints a single PASS line with the measured numbers. Run with ``pytest -s``
 to see the lines; a failed assertion is the FAIL case.
 """
 
+import dataclasses
 import math
 import time
 
@@ -121,7 +122,7 @@ def test_criterion_3_noisy_payload_anchor():
     model = fixture.model
     truth = pack_params(model)
     payload = solid_sphere_params(0.4271, 0.05, [0.0, 0.02, 0.10])
-    loaded = fixture.with_payload(payload)
+    loaded = dataclasses.replace(fixture, payload=payload)
 
     problem = DesignProblem(model=model, sample_rate=20.0)
     rng = np.random.default_rng(21)

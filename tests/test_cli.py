@@ -813,6 +813,25 @@ class TestTuneAndReport:
             residuals.values()
         )
 
+    def test_a_search_with_no_converged_point_exits_1(self, tmp_path, capsys, monkeypatch):
+        # One Newton step per stage cannot center the last stage: no point is ranked.
+        traj_path = _write_trajectory(tmp_path, "planar2")
+        data_dir = tmp_path / "data"
+        main(
+            [
+                "simulate", "--fixture", "planar2", "--traj", str(traj_path),
+                "--trials", "1", "--rate", "50", "--noise-rel", "0.01",
+                "--out", str(data_dir),
+            ]
+        )
+        monkeypatch.setattr(identify, "_NEWTON_MAX_ITER", 1)
+        code = main(
+            ["tune-filters", "--data", str(data_dir), "--grid", "6,12:6,12",
+             "--out", str(tmp_path / "tuned")]
+        )
+        assert code == EXIT_ERROR
+        assert "every grid point failed during cutoff tuning" in capsys.readouterr().err
+
     def test_report_aggregates_runs(self, tmp_path, capsys):
         run = tmp_path / "runA"
         run.mkdir()
@@ -943,7 +962,11 @@ class TestGoldenCsv:
     def test_cutoff_search_rows(self, tmp_path, monkeypatch):
         data_dir = _planar2_data(tmp_path)
         monkeypatch.setattr(
-            identify, "consistent_identify", lambda system, prior: SimpleNamespace(residual=1 / 3)
+            identify,
+            "consistent_identify",
+            lambda system, prior: SimpleNamespace(
+                residual=1 / 3, trace=SimpleNamespace(converged=True)
+            ),
         )
         out_dir = tmp_path / "tuned"
         code = main(
@@ -956,3 +979,26 @@ class TestGoldenCsv:
             '2000.0,6.0,,"cutoff 2000.0 Hz must lie in (0, 25.0) for rate 50.0 Hz"\r\n'
         )
         assert (out_dir / "cutoff_search.csv").read_bytes() == expected.encode()
+
+    def test_none_in_the_grid_is_no_filter(self, tmp_path, monkeypatch):
+        data_dir = _planar2_data(tmp_path)
+        monkeypatch.setattr(
+            identify,
+            "consistent_identify",
+            lambda system, prior: SimpleNamespace(
+                residual=1 / 3, trace=SimpleNamespace(converged=True)
+            ),
+        )
+        out_dir = tmp_path / "tuned"
+        code = main(
+            ["tune-filters", "--data", str(data_dir), "--grid", "6,None:off", "--out", str(out_dir)]
+        )
+        assert code == EXIT_OK
+        expected = (
+            "position_cutoff,torque_cutoff,residual,error\r\n"
+            "6.0,,0.3333333333333333,\r\n"
+            ",,0.3333333333333333,\r\n"
+        )
+        assert (out_dir / "cutoff_search.csv").read_bytes() == expected.encode()
+        best = json.loads((out_dir / "best_cutoffs.json").read_text())
+        assert (best["position_cutoff"], best["torque_cutoff"]) == (6.0, None)

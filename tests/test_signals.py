@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
@@ -290,6 +291,25 @@ class TestTuneCutoffs:
         assert table[0].residual is None
         assert table[0].error == "barrier gave up"
         assert table[1].residual is not None
+
+    def test_an_unconverged_point_is_never_best(self, monkeypatch):
+        model, trial = self._noiseless_setup()
+        real = identify.consistent_identify
+        calls = []
+
+        def second_unconverged(system, prior):  # the lowest residual, but unconverged
+            result = real(system, prior)
+            calls.append(None)
+            if len(calls) == 2:
+                trace = dataclasses.replace(result.trace, converged=False)
+                return dataclasses.replace(result, residual=0.0, trace=trace)
+            return result
+
+        monkeypatch.setattr(identify, "consistent_identify", second_unconverged)
+        best, table = tune_filter_cutoffs(trial, model, [(4.0, 4.0), (8.0, 8.0)])
+        assert best == (4.0, 4.0)
+        assert table[1].residual is None
+        assert table[1].error == "the barrier did not converge"
 
     def test_empty_grid(self):
         model, trial = self._noiseless_setup()

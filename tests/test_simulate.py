@@ -1,11 +1,17 @@
+import dataclasses
+import errno
 import hashlib
 import json
 import math
 import os
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from armid import signals
 from armid.cli import main
@@ -169,7 +175,7 @@ class TestPayloadLumping:
     def test_generate_uses_lumped_payload(self):
         fixture = builtin_fixture("chain3")
         payload = solid_sphere_params(0.4, 0.05, [0.0, 0.0, 0.1])
-        loaded = fixture.with_payload(payload)
+        loaded = dataclasses.replace(fixture, payload=payload)
         traj = _test_trajectory(3)
         trial = generate_dataset(loaded, traj, 50.0, 1, NoiseSpec())[0]
         _, q, qd, qdd = sample_trajectory(traj, 50.0)
@@ -182,7 +188,7 @@ class TestPayloadLumping:
 
         bogus = LinkInertialParams(-0.5, np.zeros(3), np.zeros((3, 3)))
         with pytest.raises(SimulateError, match="payload"):
-            fixture.with_payload(bogus)
+            dataclasses.replace(fixture, payload=bogus)
 
 
 class TestWriteDataset:
@@ -321,13 +327,69 @@ class TestWriteTrials:
         assert str(out / f"trial_{min(blocked):03d}.csv") in err
         assert str(out / f"trial_{max(blocked):03d}.csv") not in err
 
-    def test_a_child_that_cannot_report_is_an_error(self, tmp_path, monkeypatch):
-        def broken(obj, fh):  # only the child pickles
-            raise RuntimeError("no report")
+    @settings(max_examples=12, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(half=st.sampled_from(["parent", "child"]), lowest=st.integers(0, 4),
+           above=st.sets(st.integers(0, 9)))
+    def test_blocked_trials_fail_as_a_sequential_loop(self, capsys, half, lowest, above):
+        # The lowest blocked trial is even (this process's half) or odd (the child's).
+        lowest = 2 * lowest + (half == "child")
+        blocked = {lowest} | {k for k in above if k > lowest}
+        with tempfile.TemporaryDirectory() as tmp:
+            code, err, out = self._simulate(Path(tmp), capsys, sorted(blocked))
+            assert code == 1
+            assert err.count("\n") == 1
+            assert str(out / f"trial_{lowest:03d}.csv") in err
+            trials = generate_dataset(builtin_fixture("planar2"), _test_trajectory(2, seed=4),
+                                      50.0, 10, NoiseSpec(torque_rel_std=0.01))
+            for k in range(lowest):
+                trial_to_csv(trials[k], Path(tmp) / "lone.csv")
+                assert (out / f"trial_{k:03d}.csv").read_bytes() == (
+                    Path(tmp) / "lone.csv").read_bytes()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
-        monkeypatch.setattr(signals.pickle, "dump", broken)
+    def _assert_sequential_bytes(self, paths, trials):
+        for path, trial in zip(paths, trials, strict=True):
+            lone = path.with_name("lone.csv")
+            trial_to_csv(trial, lone)
+            assert path.read_bytes() == lone.read_bytes()
+
+    def test_a_failing_child_is_redone(self, tmp_path, monkeypatch):
+        parent, real = os.getpid(), signals.trial_to_csv
+
+        def child_fails(trial, path, shared_text=None):
+            if os.getpid() != parent:
+                raise signals.SignalError(f"{path}: failed in the child")
+            real(trial, path, shared_text)
+
+        monkeypatch.setattr(signals, "trial_to_csv", child_fails)
+        fixture, traj, noise = builtin_fixture("planar2"), _test_trajectory(2, seed=4), NoiseSpec()
+        paths = write_dataset(tmp_path / "data", fixture, traj, 50.0, 4, noise)
+        self._assert_sequential_bytes(paths, generate_dataset(fixture, traj, 50.0, 4, noise))
+
+    def test_a_fork_that_cannot_start_writes_in_one_process(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(signals.os, "fork", no_fork)
+        fixture, traj, noise = builtin_fixture("planar2"), _test_trajectory(2, seed=4), NoiseSpec()
+        paths = write_dataset(tmp_path / "data", fixture, traj, 50.0, 3, noise)
+        self._assert_sequential_bytes(paths, generate_dataset(fixture, traj, 50.0, 3, noise))
+
+    def test_an_error_the_child_could_not_send_is_raised(self, tmp_path, monkeypatch):
+        class Unsendable(signals.SignalError):  # a local class does not pickle
+            pass
+
+        real = signals.trial_to_csv
+
+        def odd_trial_fails(trial, path, shared_text=None):
+            if path.name == "trial_001.csv":
+                raise Unsendable(f"{path}: cannot be written")
+            real(trial, path, shared_text)
+
+        monkeypatch.setattr(signals, "trial_to_csv", odd_trial_fails)
         fixture = builtin_fixture("planar2")
-        with pytest.raises(signals.SignalError, match=r"trial_001\.csv: the process writing"):
+        with pytest.raises(Unsendable, match=r"trial_001\.csv: cannot be written"):
             write_dataset(tmp_path, fixture, _test_trajectory(2, seed=4), 50.0, 3, NoiseSpec())
 
     def test_the_fork_warning_of_python_3_12_is_ignored(self, tmp_path, monkeypatch):
