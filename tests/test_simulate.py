@@ -341,10 +341,8 @@ class TestWriteTrials:
             assert str(out / f"trial_{lowest:03d}.csv") in err
             trials = generate_dataset(builtin_fixture("planar2"), _test_trajectory(2, seed=4),
                                       50.0, 10, NoiseSpec(torque_rel_std=0.01))
-            for k in range(lowest):
-                trial_to_csv(trials[k], Path(tmp) / "lone.csv")
-                assert (out / f"trial_{k:03d}.csv").read_bytes() == (
-                    Path(tmp) / "lone.csv").read_bytes()
+            paths = [out / f"trial_{k:03d}.csv" for k in range(lowest)]
+            self._assert_sequential_bytes(paths, trials[:lowest])
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
