@@ -25,8 +25,10 @@ from . import excite, identify, model as model_mod, signals, simulate
 from .dynamics import stack_regressor
 from .excite import ALOptions, DesignProblem
 from .identify import IdentifyError
-from .model import ArmidError, check_number, json_entry, read_json, read_text
-from .signals import SignalError, _json_hash, _write_csv, _write_json
+from .model import (
+    ArmidError, check_number, json_entry, json_hash, read_json, read_text, write_csv, write_json,
+)
+from .signals import SignalError
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -52,7 +54,7 @@ def _stamp(args, **resolved) -> dict:
     seed = flags.pop("seed", None)
     paths = {k: flags.pop(k) for k in _PATH_FLAGS if k in flags}
     config = {"command": args.command, "paths": paths, "parameters": flags, "seed": seed}
-    return {"config": config, "config_hash": _json_hash(config)}
+    return {"config": config, "config_hash": json_hash(config)}
 
 
 def _load_fixture(args) -> simulate.Fixture:
@@ -127,7 +129,7 @@ def cmd_design(args) -> int:
     }
     excite.save_trajectory(out_dir / "trajectory.json", traj, provenance)
     excite.export_trajectory_csv(out_dir / "trajectory.csv", traj, args.sample_rate)
-    _write_json(out_dir / "design_report.json", {"report": report.as_dict(), **stamp})
+    write_json(out_dir / "design_report.json", {"report": report.as_dict(), **stamp})
     if not report.feasible:
         print("design completed with infeasibility flag", file=sys.stderr)
         return EXIT_WARNINGS
@@ -181,18 +183,13 @@ def _manifest_number(spec, key: str, where, default: float, positive: bool = Fal
 
 
 def _resolve_cutoffs(args, manifest, where, rate: float) -> tuple[float | None, float | None]:
-    """The cutoff flags, ``auto`` as min(10 Hz, ``rate`` / 4) on noisy data, else None.
-    ``rate`` is the trials' own; a manifest ``rate`` must agree with it."""
+    """The cutoff flags, ``auto`` as min(10 Hz, ``rate`` / 4) on noisy data, else None;
+    ``rate`` is the trials' own."""
     noise = json_entry(manifest, "noise", where, default={})
     stds = [
         _manifest_number(noise, k, f"{where} 'noise'", 0.0)
         for k in ("torque_abs_std", "torque_rel_std", "position_std")
     ]
-    recorded = _manifest_number(manifest, "rate", where, rate, positive=True)
-    if abs(recorded - rate) > 1e-9 * rate:
-        raise SignalError(
-            f"{where}: 'rate' is {recorded} Hz, but the trials are sampled at {rate} Hz"
-        )
     default = min(10.0, rate / 4.0) if any(std > 0.0 for std in stds) else None
     return tuple(default if c == "auto" else c for c in (args.pos_cutoff, args.torque_cutoff))
 
@@ -268,13 +265,13 @@ def cmd_identify(args) -> int:
             "consistent": result_cons.as_dict(),
             "alpha": result_cons.alpha_hat.tolist(),
         }
-        _write_json(out_dir / "identification.json", payload)
+        write_json(out_dir / "identification.json", payload)
         unconverged = _unconverged("consistent", result_cons.trace)
         massless = []
         if truth is not None:
             rows = _metrics_rows(robot, result_ols.alpha_hat, truth, char_length, "ols")
             rows += _metrics_rows(robot, result_cons.alpha_hat, truth, char_length, "consistent")
-            _write_csv(out_dir / "metrics.csv", _METRICS_HEADER, rows)
+            write_csv(out_dir / "metrics.csv", _METRICS_HEADER, rows)
             massless = [row for row in rows if row[3] is None]
             for method, link, *_ in massless:
                 print(f"{method} estimate of link '{link}' has mass <= 0: "
@@ -288,12 +285,16 @@ def cmd_identify(args) -> int:
     stack = stack_regressor(
         robot, *samples, fixed_mask=identify.payload_fixed_mask(robot.num_joints), fixed_values=base
     )
-    result = identify.payload_identify(identify.least_squares(stack), reg_weight=args.reg_weight)
-    _write_json(out_dir / "payload.json", {**stamp, "payload": result.as_dict()})
+    system = identify.least_squares(stack)
+    try:
+        result = identify.payload_identify(system, reg_weight=args.reg_weight)
+    except identify.InfeasiblePriorError as exc:  # the base parameters' last link
+        raise IdentifyError(f"{args.base_params}: {exc}") from None
+    write_json(out_dir / "payload.json", {**stamp, "payload": result.as_dict()})
     if truth_payload:
         errors = identify.error_metrics(result.params, truth_payload, char_length)
         row = ["payload", robot.joint_specs[-1].name, *errors]
-        _write_csv(out_dir / "metrics.csv", _METRICS_HEADER, [row])
+        write_csv(out_dir / "metrics.csv", _METRICS_HEADER, [row])
     unconverged = _unconverged("payload", result.trace)
     if result.boundary_warning:
         print("payload estimate hugs the feasibility boundary", file=sys.stderr)
@@ -327,19 +328,16 @@ def cmd_tune_filters(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(
+    write_csv(
         out_dir / "cutoff_search.csv",
         [field.name for field in dataclasses.fields(signals.CutoffSearchEntry)],
         [dataclasses.astuple(e) for e in table],
     )
-    _write_json(
-        out_dir / "best_cutoffs.json",
-        {
-            **_stamp(args),
-            "position_cutoff": best[0],
-            "torque_cutoff": best[1],
-        },
-    )
+    if best is None:
+        errors = "; ".join(dict.fromkeys(e.error for e in table))
+        raise SignalError(f"every grid point failed during cutoff tuning ({errors})")
+    cutoffs = {"position_cutoff": best[0], "torque_cutoff": best[1]}
+    write_json(out_dir / "best_cutoffs.json", {**_stamp(args), **cutoffs})
     return EXIT_OK
 
 

@@ -29,9 +29,9 @@ import numpy as np
 from .dynamics import forward_kinematics, regressor_batch
 from .identify import identifiable_subspace
 from .model import (
-    ArmidError, RobotModel, check_number, json_entry, model_to_dict, num_params, read_json,
+    ArmidError, RobotModel, check_number, float_rows, json_entry, json_hash, model_to_dict,
+    num_params, read_json, write_csv, write_json,
 )
-from .signals import _float_rows, _json_hash, _write_csv, _write_json
 
 
 class ExciteError(ArmidError):
@@ -725,7 +725,7 @@ def trajectory_from_dict(data: dict, where="trajectory") -> FourierTrajectory:
 
 
 def save_trajectory(path, traj: FourierTrajectory, provenance: dict | None = None) -> None:
-    _write_json(path, {"trajectory": trajectory_to_dict(traj), "provenance": provenance or {}})
+    write_json(path, {"trajectory": trajectory_to_dict(traj), "provenance": provenance or {}})
 
 
 def load_trajectory(path) -> tuple[FourierTrajectory, dict]:
@@ -739,12 +739,12 @@ def export_trajectory_csv(path, traj: FourierTrajectory, rate: float) -> None:
     t, q, qd, qdd = sample_trajectory(traj, rate, include_endpoint=True)
     n = traj.num_joints
     header = ["t"] + [f"{prefix}_{i + 1}" for prefix in ("q", "qd", "qdd") for i in range(n)]
-    _write_csv(path, header, _float_rows(np.column_stack([t, q, qd, qdd])))
+    write_csv(path, header, float_rows(np.column_stack([t, q, qd, qdd])))
 
 
 def problem_fingerprint(problem: DesignProblem, omega: float, harmonics: int) -> str:
     """Stable hash of the design setup, for provenance blocks."""
-    return _json_hash(
+    return json_hash(
         {
             "model": model_to_dict(problem.model),
             "sample_rate": problem.sample_rate,

@@ -550,10 +550,7 @@ _PAYLOAD_START_MASS = 1e-3
 
 
 def default_payload_start() -> np.ndarray:
-    """Small strictly feasible body used as the barrier start for payloads.
-
-    A fresh array on every call: :func:`payload_identify` shrinks it in place.
-    """
+    """Small strictly feasible body used as the barrier start for payloads."""
     body = np.zeros(INERTIAL_PARAMS_PER_LINK)
     body[0] = _PAYLOAD_START_MASS
     body[4] = body[7] = body[9] = 0.4 * _PAYLOAD_START_MASS * 0.05**2
@@ -575,15 +572,14 @@ def payload_identify(system: LeastSquares, reg_weight: float | None = None) -> P
     The system's stack must have been built with ``fixed_mask =
     payload_fixed_mask(N)``; its ``fixed_values`` are the base parameters,
     the last link's included. The decision variable is the difference ``p``
-    between the composite and base link;
-    both ``J(p)`` and the composite ``J(base + p)`` are constrained positive
-    definite, since the difference must be a real body and so must the
-    loaded link.
+    between the composite and base link; both ``J(p)`` and the composite
+    ``J(base + p)`` are constrained positive definite, since the difference
+    must be a real body and so must the loaded link. A base last link that is
+    not itself a body raises :class:`InfeasiblePriorError`.
     """
     if system.free_mask is None:
         raise IdentifyError("payload_identify needs a stack with link structure")
-    n = system.num_links
-    free = ~payload_fixed_mask(n)
+    free = ~payload_fixed_mask(system.num_links)
     if not np.array_equal(system.free_mask, free):
         raise IdentifyError(
             "stack must leave exactly the last link's 10 inertial parameters free"
@@ -591,20 +587,17 @@ def payload_identify(system: LeastSquares, reg_weight: float | None = None) -> P
     base10 = system.fixed_values[free]
 
     p0 = default_payload_start()
-    A, y = _regularized_pair(system, system.c - system.G @ base10, p0.copy(), reg_weight)
+    A, y = _regularized_pair(system, system.c - system.G @ base10, p0, reg_weight)
 
     lmis = _payload_constraints(base10)
     log_indices = np.asarray([], dtype=int)
-
-    # Shrink the generic start until both LMIs hold strictly.
-    for _ in range(40):
-        if _log_barrier(p0, lmis, log_indices) is not None:
-            break
-        p0 *= 0.5
-    else:
-        raise InfeasiblePriorError("could not find a strictly feasible payload start")
-
-    p, trace = _barrier_minimize(A, y, system.rho_sq, lmis, log_indices, p0)
+    try:  # J(p0) is PD: if J(base10 + p0) is not, neither is J(base10), and no smaller p0 helps
+        p, trace = _barrier_minimize(A, y, system.rho_sq, lmis, log_indices, p0)
+    except InfeasiblePriorError:
+        raise InfeasiblePriorError(
+            "the base parameters' last link is not physically consistent "
+            "(its pseudo-inertia is not positive definite)"
+        ) from None
 
     params = LinkInertialParams.from_vector(np.concatenate([p, np.zeros(3)]))
     composite = LinkInertialParams.from_vector(np.concatenate([base10 + p, np.zeros(3)]))

@@ -14,6 +14,8 @@ center of mass). Friction is viscous (``mu_v``) plus Coulomb (``mu_c``), and
 
 from __future__ import annotations
 
+import csv
+import hashlib
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -567,6 +569,46 @@ def read_json(path, error=ModelError) -> dict:
     if not isinstance(data, dict):
         raise error(f"{path}: not a JSON object")
     return data
+
+
+def float_rows(table: np.ndarray) -> list[str]:
+    """Each row of a 2-D float array as its comma-joined values.
+
+    Each value is the ``repr`` of a Python float, the shortest decimal that
+    reads back to the same 64-bit value.
+    """
+    # tolist() first: under numpy 2, repr(np.float64(x)) is 'np.float64(x)'.
+    return [",".join(map(repr, row)) for row in table.tolist()]
+
+
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """Write ``header`` then ``rows``; every CSV table armid writes uses this.
+
+    A float table comes as its rows formatted by :func:`float_rows` (a list
+    of str). Those lines end in ``\\r\\n``: the bytes ``csv`` writes, made
+    without its per-cell work. Any other ``rows`` go through ``csv``, which
+    writes None as an empty cell and quotes text where needed.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        if rows and isinstance(rows[0], str):
+            fh.write("".join(line + "\r\n" for line in rows))
+        else:
+            writer.writerows(rows)
+
+
+def write_json(path, payload: dict) -> None:
+    """Write ``payload`` as indented JSON with sorted keys; every JSON
+    artifact armid writes uses this, so field order never changes its bytes."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def json_hash(payload: dict) -> str:
+    """SHA-256 of ``payload`` as compact sorted-key JSON: config and problem hashes."""
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 _REQUIRED = object()

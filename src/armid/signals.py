@@ -10,10 +10,7 @@ phase lag between positions and torques biases identification.
 
 from __future__ import annotations
 
-import csv
 import functools
-import hashlib
-import json
 import math
 import os
 import warnings
@@ -25,8 +22,10 @@ import numpy as np
 
 from . import identify
 from .dynamics import stack_regressor
-from .model import ArmidError, RobotModel, is_physically_feasible, json_entry, model_from_dict
-from .model import pack_params, read_json, read_text
+from .model import (
+    ArmidError, RobotModel, check_number, float_rows, is_physically_feasible, json_entry,
+    model_from_dict, pack_params, read_json, read_text, write_csv, write_json,
+)
 
 # Samples discarded at each boundary per differentiation pass (the five-point
 # stencil needs two neighbours on each side).
@@ -296,7 +295,7 @@ def tune_filter_cutoffs(
     trial: RawTrial,
     model: RobotModel,
     grid: Sequence[tuple[float | None, float | None]] = DEFAULT_CUTOFF_GRID,
-) -> tuple[tuple[float | None, float | None], list[CutoffSearchEntry]]:
+) -> tuple[tuple[float | None, float | None] | None, list[CutoffSearchEntry]]:
     """Grid-search filter cutoffs by the consistent-identification residual.
 
     Every grid point processes the trial, runs the constrained identification
@@ -309,8 +308,8 @@ def tune_filter_cutoffs(
     a data, model or identification error (its own, or its group's stack's),
     or whose barrier did not converge, is not ranked but kept in the table;
     any other exception is a bug and propagates. Ties break toward the lower
-    cutoffs. Returns the best (position, torque) pair and the full search
-    table, in grid order.
+    cutoffs. Returns the best (position, torque) pair, None if no point ranks,
+    and the full search table, in grid order.
     """
     if not grid:
         raise SignalError("cutoff grid is empty")
@@ -321,8 +320,6 @@ def tune_filter_cutoffs(
         return _filtered_torque(trial, tor_cut)[_EDGE_TRIM:-_EDGE_TRIM].reshape(-1)
 
     def search_point(stack, tor_cut):  # (residual, None), or (None, what stopped it)
-        if isinstance(stack, Exception):
-            return None, str(stack)
         try:
             system = identify.least_squares(replace(stack, T=torques_at(tor_cut)))
             result = identify.consistent_identify(system, prior)
@@ -340,20 +337,18 @@ def tune_filter_cutoffs(
         try:  # T holds unfiltered torques, which each point replaces
             stack = stack_regressor(model, *process_trial(trial, pos_cut, None)).materialize()
         except _POINT_ERRORS as exc:
-            stack = exc
+            for i in members:
+                table[i] = CutoffSearchEntry(*grid[i], None, str(exc))
+            continue
         for i in members:
             table[i] = CutoffSearchEntry(*grid[i], *search_point(stack, grid[i][1]))
-
-    valid = [e for e in table if e.residual is not None]
-    if not valid:
-        raise SignalError("every grid point failed during cutoff tuning")
 
     def sort_key(e: CutoffSearchEntry):  # a cutoff of None (no filter) ranks highest
         cutoffs = (e.position_cutoff, e.torque_cutoff)
         return e.residual, *(np.inf if c is None else c for c in cutoffs)
 
-    best = min(valid, key=sort_key)
-    return (best.position_cutoff, best.torque_cutoff), table
+    best = min((e for e in table if e.residual is not None), key=sort_key, default=None)
+    return None if best is None else (best.position_cutoff, best.torque_cutoff), table
 
 
 def default_identification_prior(num_links: int) -> np.ndarray:
@@ -384,46 +379,6 @@ def identification_prior(model: RobotModel) -> np.ndarray:
 # --- artifact formats ------------------------------------------------------------
 
 
-def _float_rows(table: np.ndarray) -> list[str]:
-    """Each row of a 2-D float array as its comma-joined values.
-
-    Each value is the ``repr`` of a Python float, the shortest decimal that
-    reads back to the same 64-bit value.
-    """
-    # tolist() first: under numpy 2, repr(np.float64(x)) is 'np.float64(x)'.
-    return [",".join(map(repr, row)) for row in table.tolist()]
-
-
-def _write_csv(path, header: Sequence[str], rows) -> None:
-    """Write ``header`` then ``rows``; every CSV table armid writes uses this.
-
-    A float table comes as its rows formatted by :func:`_float_rows` (a list
-    of str). Those lines end in ``\\r\\n``: the bytes ``csv`` writes, made
-    without its per-cell work. Any other ``rows`` go through ``csv``, which
-    writes None as an empty cell and quotes text where needed.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        if rows and isinstance(rows[0], str):
-            fh.write("".join(line + "\r\n" for line in rows))
-        else:
-            writer.writerows(rows)
-
-
-def _write_json(path, payload: dict) -> None:
-    """Write ``payload`` as indented JSON with sorted keys; every JSON
-    artifact armid writes uses this, so field order never changes its bytes."""
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _json_hash(payload: dict) -> str:
-    """SHA-256 of ``payload`` as compact sorted-key JSON: config and problem hashes."""
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-
 def trial_to_csv(trial: RawTrial, path, shared_text: dict | None = None) -> None:
     """Write ``t,q_1..q_N,tau_1..tau_N`` rows in 64-bit decimal text.
 
@@ -436,8 +391,8 @@ def trial_to_csv(trial: RawTrial, path, shared_text: dict | None = None) -> None
     n = trial.num_joints
     header = ["t"] + [f"q_{i + 1}" for i in range(n)] + [f"tau_{i + 1}" for i in range(n)]
     t_q_rows = _t_q_rows(trial, {} if shared_text is None else shared_text)
-    rows = [a + "," + b for a, b in zip(t_q_rows, _float_rows(trial.tau))]
-    _write_csv(path, header, rows)
+    rows = [a + "," + b for a, b in zip(t_q_rows, float_rows(trial.tau))]
+    write_csv(path, header, rows)
 
 
 def _t_q_rows(trial: RawTrial, shared_text: dict) -> list[str]:
@@ -447,7 +402,7 @@ def _t_q_rows(trial: RawTrial, shared_text: dict) -> list[str]:
     key = (t_q.shape, t_q.tobytes())
     if key not in shared_text:
         shared_text.clear()
-        shared_text[key] = _float_rows(t_q)
+        shared_text[key] = float_rows(t_q)
     return shared_text[key]
 
 
@@ -475,7 +430,7 @@ def save_dataset(out_dir, trials: Sequence[RawTrial], manifest: dict) -> list[Pa
     if len(trials) < 2 or _usable_cpus() < 2 or not _written_forked(trials, paths, shared_text):
         for trial, path in zip(trials, paths):
             trial_to_csv(trial, path, shared_text)
-    _write_json(out_dir / MANIFEST_NAME, manifest)
+    write_json(out_dir / MANIFEST_NAME, manifest)
     return paths
 
 
@@ -565,7 +520,7 @@ def load_dataset(data_dir) -> tuple[dict, RobotModel, list[RawTrial]]:
     """A dataset directory's manifest, the robot model in it, and its trials,
     read one file at a time with shared ``[t | q]`` text. The trials must have
     the model's joints and trial 0's time grid, and match the manifest's
-    ``trials`` count if it has one."""
+    ``trials`` count and ``rate`` (within 1e-9 relative) where it has them."""
     data_dir = Path(data_dir)
     manifest_path = data_dir / MANIFEST_NAME
     if not manifest_path.exists():
@@ -585,6 +540,12 @@ def load_dataset(data_dir) -> tuple[dict, RobotModel, list[RawTrial]]:
         joints = f"{trials[0].num_joints} joints, but the manifest's model has {robot.num_joints}"
         raise SignalError(f"{paths[0]}: {joints}")
     _check_trial_set(trials, paths)
+    rate = trials[0].sample_rate
+    recorded = json_entry(manifest, "rate", manifest_path, (), SignalError, rate)
+    check_number(recorded, f"{manifest_path}: 'rate'", SignalError, positive=True)
+    if abs(recorded - rate) > 1e-9 * rate:
+        found = f"but the trials are sampled at {rate} Hz"
+        raise SignalError(f"{manifest_path}: 'rate' is {recorded} Hz, {found}")
     return manifest, robot, trials
 
 

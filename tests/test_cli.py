@@ -339,6 +339,58 @@ class TestSimulateIdentifyPipeline:
         terms = {"robot": 3 * (4 + 3), "payload": 2 * 4}[mode]
         assert trace["gap_bound"] == terms * trace["mu_path"][-1]
 
+    def test_a_failed_line_search_exits_2(self, tmp_path, capsys, monkeypatch):
+        # Every candidate after the start is rejected, so no Newton step is taken.
+        data_dir, _ = self._payload_dataset(tmp_path, "--noise-rel", "0.01", "--seed", "1")
+        real = identify._log_barrier
+        calls = []
+
+        def start_only(x, lmis, log_indices):
+            calls.append(None)
+            return real(x, lmis, log_indices) if len(calls) == 1 else None
+
+        monkeypatch.setattr(identify, "_log_barrier", start_only)
+        out = tmp_path / "o"
+        assert main(["identify", "--data", str(data_dir), "--out", str(out)]) == EXIT_WARNINGS
+        assert capsys.readouterr().err.splitlines() == [
+            "consistent estimate: the barrier did not converge"
+        ]
+        trace = json.loads((out / "identification.json").read_text())["consistent"]["trace"]
+        assert trace["converged"] is False
+        assert len(set(trace["objective_path"])) == 1
+        assert len(calls) > 1
+
+    def test_an_infeasible_base_link_exits_1_naming_base_params(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A smaller payload start only lowers the composite's eigenvalues, so
+        # one failed start is the verdict.
+        data_dir, truth = self._payload_dataset(tmp_path)
+        truth[2 * PARAMS_PER_LINK] = -1.0  # the last link's mass
+        base_path = tmp_path / "base.json"
+        base_path.write_text(json.dumps({"alpha": truth}))
+        real = identify._log_barrier
+        calls = []
+
+        def counted(x, lmis, log_indices):
+            calls.append(None)
+            return real(x, lmis, log_indices)
+
+        monkeypatch.setattr(identify, "_log_barrier", counted)
+        code = main(
+            [
+                "identify", "--mode", "payload", "--data", str(data_dir),
+                "--base-params", str(base_path), "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == EXIT_ERROR
+        assert len(calls) == 1
+        assert capsys.readouterr().err == (
+            f"error: {base_path}: the base parameters' last link is not physically "
+            "consistent (its pseudo-inertia is not positive definite)\n"
+        )
+        assert not (tmp_path / "o" / "payload.json").exists()
+
     def _payload_dataset(self, tmp_path, *flags):
         traj_path = _write_trajectory(tmp_path, "chain3")
         payload_spec = tmp_path / "payload.json"
@@ -688,6 +740,20 @@ class TestSimulateIdentifyPipeline:
         )
         assert not out.exists()
 
+    def test_tune_filters_checks_the_manifest_rate(self, tmp_path, capsys):
+        data_dir = _planar2_data(tmp_path)
+        manifest_path = data_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["rate"] = 100.0
+        manifest_path.write_text(json.dumps(manifest))
+        out = tmp_path / "tuned"
+        code = main(["tune-filters", "--data", str(data_dir), "--grid", "6:6", "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {manifest_path}: 'rate' is 100.0 Hz, but the trials are sampled at 50.0 Hz\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "content, problem",
         [
@@ -831,6 +897,27 @@ class TestTuneAndReport:
         )
         assert code == EXIT_ERROR
         assert "every grid point failed during cutoff tuning" in capsys.readouterr().err
+
+    def test_a_search_with_no_ranked_point_keeps_its_table(self, tmp_path, capsys, monkeypatch):
+        data_dir = _planar2_data(tmp_path)
+        monkeypatch.setattr(identify, "_NEWTON_MAX_ITER", 1)
+        out_dir = tmp_path / "tuned"
+        code = main(
+            ["tune-filters", "--data", str(data_dir), "--grid", "6,2000:6", "--out", str(out_dir)]
+        )
+        assert code == EXIT_ERROR
+        nyquist = "cutoff 2000.0 Hz must lie in (0, 25.0) for rate 50.0 Hz"
+        assert capsys.readouterr().err == (
+            "error: every grid point failed during cutoff tuning "
+            f"(the barrier did not converge; {nyquist})\n"
+        )
+        expected = (
+            "position_cutoff,torque_cutoff,residual,error\r\n"
+            "6.0,6.0,,the barrier did not converge\r\n"
+            f'2000.0,6.0,,"{nyquist}"\r\n'
+        )
+        assert (out_dir / "cutoff_search.csv").read_bytes() == expected.encode()
+        assert not (out_dir / "best_cutoffs.json").exists()
 
     def test_report_aggregates_runs(self, tmp_path, capsys):
         run = tmp_path / "runA"

@@ -367,6 +367,32 @@ class TestStack:
         with pytest.raises(ValidationError):
             stack_regressor(twolink_model, q, qd, qdd, np.zeros((1, 3)))
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda m, z: RegressorStack(np.zeros((3, 2)), np.zeros(2), np.zeros(3)),
+             "W, w0, T row counts disagree"),
+            (lambda m, z: RegressorStack(np.zeros((3, 2)), np.zeros(3), np.zeros(3),
+                                         free_mask=np.ones(3, dtype=bool)),
+             "free_mask does not match W column count"),
+            (lambda m, z: RegressorStack(np.zeros((3, 2)), np.zeros(3), np.zeros(3),
+                                         free_mask=[True, True, False], fixed_values=np.zeros(2)),
+             "fixed_values length does not match free_mask"),
+            (lambda m, z: stack_regressor(m, z[:0], z[:0], z[:0], z[:0]), "empty sample list"),
+            (lambda m, z: stack_regressor(m, z, z, z, z[:2]),
+             r"torque shape \(2, 2\) does not match states \(3, 2\)"),
+            (lambda m, z: stack_regressor(m, z, z, z, z, np.ones(25, dtype=bool), np.zeros(25)),
+             "fixed_mask must have 26 entries"),
+            (lambda m, z: stack_regressor(m, z, z, z, z, np.ones(26, dtype=bool)),
+             "fixed_mask given without fixed_values"),
+            (lambda m, z: stack_regressor(m, z, z, z, z, np.ones(26, dtype=bool), np.zeros(25)),
+             "fixed_values must have 26 entries"),
+        ],
+    )
+    def test_input_checks_name_the_problem(self, twolink_model, build, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            build(twolink_model, np.zeros((3, 2)))
+
     def test_no_mask_stack_holds_no_regressor_copy(self, peak_bytes):
         # A stack keeps its samples, not its rows: building one evaluates no
         # regressor row at all.

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -421,6 +422,18 @@ class TestDesign:
         record = _constraints(traj, problem)
         assert record.max_violation() <= 1e-9
         assert np.any(traj.sine_coeffs != 0)
+
+    def test_a_window_narrower_than_the_smooth_max_slack_has_no_draw(self):
+        # The log-sum-exp of the S + 1 rows of q - hi is at least their mean
+        # plus log(S + 1) / beta, about q0 - 0.05 + log(201) / 50 > 0 for an
+        # offset q0 within 0.01 of mid-range, at any scale.
+        model = builtin_fixture("pendulum1").model
+        (joint, params), = model.links
+        narrow = dataclasses.replace(joint, position_limits=(-0.05, 0.05))
+        problem = DesignProblem(model=dataclasses.replace(model, links=((narrow, params),)),
+                                sample_rate=20.0)
+        draw = random_feasible_trajectory(problem, 2 * math.pi * 0.1, 3, np.random.default_rng(0))
+        assert draw is None
 
     @pytest.mark.parametrize("fixture", ["planar2", "chain3", "arm7"])
     def test_random_draws_match_a_trajectory_per_candidate(self, fixture):

@@ -311,6 +311,17 @@ class TestTuneCutoffs:
         assert table[1].residual is None
         assert table[1].error == "the barrier did not converge"
 
+    def test_a_search_with_no_ranked_point_returns_its_table(self):
+        model, trial = self._noiseless_setup()
+        grid = [(2000.0, 8.0), (8.0, 2000.0)]  # a position, then a torque cutoff past Nyquist
+        best, table = tune_filter_cutoffs(trial, model, grid)
+        assert best is None
+        assert [(e.position_cutoff, e.torque_cutoff) for e in table] == grid
+        assert all(e.residual is None for e in table)
+        assert [e.error for e in table] == [
+            "cutoff 2000.0 Hz must lie in (0, 25.0) for rate 50.0 Hz"
+        ] * 2
+
     def test_empty_grid(self):
         model, trial = self._noiseless_setup()
         with pytest.raises(SignalError):

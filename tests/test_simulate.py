@@ -237,14 +237,14 @@ class TestWriteDataset:
         # A file, not a list: the trials are written by this process and a
         # forked child, and both must be counted.
         log = tmp_path / "widths.log"
-        real = signals._float_rows
+        real = signals.float_rows
 
         def counted(table):
             with open(log, "a") as fh:
                 fh.write(f"{table.shape[1]}\n")
             return real(table)
 
-        monkeypatch.setattr(signals, "_float_rows", counted)
+        monkeypatch.setattr(signals, "float_rows", counted)
         noise = NoiseSpec(torque_rel_std=0.01, seed=3)
         write_dataset(tmp_path / "data", fixture, _test_trajectory(2, seed=4), 50.0, 10, noise)
         widths = [int(line) for line in log.read_text().split()]

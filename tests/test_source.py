@@ -33,3 +33,28 @@ def test_every_top_level_import_is_used(path):
 def test_the_check_sees_an_unused_import():
     source = "import json\nimport math as m\nfrom os import path, sep\nprint(m.pi, sep)\n"
     assert _unused_imports(source) == ["line 1: json", "line 3: path"]
+
+
+def _private_imports(source: str) -> list[str]:
+    """The ``_``-prefixed names a module imports from armid's own modules."""
+    return [
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "armid")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_a_private_name_of_another(path):
+    assert _private_imports(path.read_text()) == []
+
+
+def test_the_check_sees_a_private_import():
+    source = (
+        "from __future__ import annotations\nfrom os import _exit\n"
+        "from .signals import _write_csv, trial_to_csv\nfrom armid.model import _REQUIRED\n"
+    )
+    assert _private_imports(source) == ["line 3: _write_csv", "line 4: _REQUIRED"]
