@@ -106,7 +106,6 @@ def _metrics_rows(model, alpha_hat, truth, char_length, method):
 def cmd_design(args) -> int:
     robot = _load_fixture(args).model
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     omega = 2.0 * math.pi * args.base_freq
     problem = DesignProblem(
         model=robot, sample_rate=args.sample_rate, gamma=args.gamma
@@ -195,9 +194,11 @@ def _resolve_cutoffs(args, manifest, where, rate: float) -> tuple[float | None, 
 
 
 def _load_base_params(args, size: int) -> np.ndarray:
-    """The file's ``alpha``, or its ``labeled_sets`` entry labeled nearest
+    """The ``--base-params`` file's ``alpha``, or its ``labeled_sets`` entry labeled nearest
     ``--configuration``, which must hold ``size`` entries. Errors name the file and the key."""
     path = args.base_params
+    if not path:
+        raise ArmidError("payload mode requires --base-params")
     data = read_json(path, IdentifyError)
     entry = partial(json_entry, kind=(None,), error=IdentifyError)
     if "labeled_sets" in data:
@@ -244,10 +245,10 @@ def cmd_identify(args) -> int:
     if truth_payload:
         truth_payload = model_mod.rigid_body_from_dict(truth_payload, f"{where} 'payload'")
     pos_cut, torque_cut = _resolve_cutoffs(args, manifest, where, averaged.sample_rate)
+    base = _load_base_params(args, model_mod.num_params(robot)) if args.mode == "payload" else None
     samples = signals.process_trial(averaged, pos_cut, torque_cut)  # (q, qd, qdd, tau)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stamp = {
         **_stamp(args, pos_cutoff=pos_cut, torque_cutoff=torque_cut),
         "cutoffs": {"position": pos_cut, "torque": torque_cut},
@@ -279,9 +280,6 @@ def cmd_identify(args) -> int:
         return EXIT_WARNINGS if unconverged or massless else EXIT_OK
 
     # payload mode
-    if not args.base_params:
-        raise ArmidError("payload mode requires --base-params")
-    base = _load_base_params(args, model_mod.num_params(robot))
     stack = stack_regressor(
         robot, *samples, fixed_mask=identify.payload_fixed_mask(robot.num_joints), fixed_values=base
     )
@@ -327,7 +325,6 @@ def cmd_tune_filters(args) -> int:
     best, table = signals.tune_filter_cutoffs(averaged, robot, grid)
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(
         out_dir / "cutoff_search.csv",
         [field.name for field in dataclasses.fields(signals.CutoffSearchEntry)],

@@ -57,8 +57,7 @@ class FourierTrajectory:
 
     def __post_init__(self):
         check_number(self.base_frequency, "base frequency (rad/s)", ExciteError, positive=True)
-        if self.harmonics < 1:
-            raise ExciteError("need at least one harmonic")
+        check_number(self.harmonics, "harmonics", ExciteError, positive=True)
         q0 = np.asarray(self.offsets, dtype=float)
         a = np.asarray(self.sine_coeffs, dtype=float)
         b = np.asarray(self.cosine_coeffs, dtype=float)
@@ -310,13 +309,11 @@ class ALOptions:
     step_decay: float = 0.7
 
     def __post_init__(self):
-        if self.subproblem_budget <= 0 or self.outer_iterations <= 0:
-            raise ExciteError("budgets must be positive")
-        for name in ("restarts", "seed"):
-            if getattr(self, name) < 0:
-                raise ExciteError(f"{name} must be >= 0")
-        check_number(self.constraint_tolerance, "constraint_tolerance", ExciteError)
-        check_number(self.step_decay, "step_decay", ExciteError, positive=True)
+        for name, positive in (
+            ("subproblem_budget", True), ("outer_iterations", True), ("restarts", False),
+            ("seed", False), ("constraint_tolerance", False), ("step_decay", True),
+        ):
+            check_number(getattr(self, name), name, ExciteError, positive)
 
 
 @dataclass
@@ -604,8 +601,7 @@ def design_trajectory(
     model = problem.model
     n = model.num_joints
     L = harmonics
-    if L < 1:
-        raise ExciteError("need at least one harmonic")
+    check_number(L, "harmonics", ExciteError, positive=True)  # before 0.5 * vmax / L
     lo, hi, vmax, _ = _joint_limits(model)
 
     def coefficients(x: np.ndarray):

@@ -61,8 +61,11 @@ class ValidationError(ModelError):
 
 def check_number(value, name: str, error: type[ArmidError], positive: bool = False) -> float:
     """``value`` as a float if it is finite and >= 0, or > 0 with ``positive``, else
-    ``error`` naming ``name`` and the value: the one rule for armid's float settings."""
-    number = float(value)
+    ``error`` naming ``name`` and the value: the one rule for armid's numeric settings."""
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond float range
+        number = math.inf
     if not (math.isfinite(number) and (number > 0.0 if positive else number >= 0.0)):
         raise error(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
     return number
@@ -587,8 +590,10 @@ def write_csv(path, header: Sequence[str], rows) -> None:
     A float table comes as its rows formatted by :func:`float_rows` (a list
     of str). Those lines end in ``\\r\\n``: the bytes ``csv`` writes, made
     without its per-cell work. Any other ``rows`` go through ``csv``, which
-    writes None as an empty cell and quotes text where needed.
+    writes None as an empty cell and quotes text where needed. Like
+    :func:`write_json`, it creates the directory it writes into.
     """
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -600,7 +605,10 @@ def write_csv(path, header: Sequence[str], rows) -> None:
 
 def write_json(path, payload: dict) -> None:
     """Write ``payload`` as indented JSON with sorted keys; every JSON
-    artifact armid writes uses this, so field order never changes its bytes."""
+    artifact armid writes uses this, so field order never changes its bytes. The
+    directory it writes into is created here, so a command that fails before its
+    first artifact leaves no ``--out`` behind."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -422,7 +422,6 @@ def save_dataset(out_dir, trials: Sequence[RawTrial], manifest: dict) -> list[Pa
     trial's) are that loop's.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = [out_dir / f"trial_{k:03d}.csv" for k in range(len(trials))]
     shared_text: dict = {}  # trials without position noise share their t, q text
     if trials:

@@ -48,10 +48,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("torque_abs_std", "torque_rel_std", "position_std"):
+        for name in ("torque_abs_std", "torque_rel_std", "position_std", "seed"):
             check_number(getattr(self, name), name, SimulateError)
-        if self.seed < 0:
-            raise SimulateError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -163,8 +161,7 @@ def generate_dataset(
         tau_meas = tau * (1 + rel * xi1) + abs * xi2
         q_meas   = q + position_std * xi3
     """
-    if trials < 1:
-        raise SimulateError("need at least one trial")
+    check_number(trials, "trials", SimulateError, positive=True)
     model = fixture.model
     if traj.num_joints != model.num_joints:
         raise SimulateError(

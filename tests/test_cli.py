@@ -182,7 +182,7 @@ class TestDesignCommand:
             ["design", "--fixture", "pendulum1", "--restarts", "-1", "--out", str(tmp_path)]
         )
         assert code == EXIT_ERROR
-        assert capsys.readouterr().err == "error: restarts must be >= 0\n"
+        assert capsys.readouterr().err == "error: restarts must be finite and >= 0, got -1\n"
 
 
 class TestSimulateIdentifyPipeline:
@@ -390,6 +390,43 @@ class TestSimulateIdentifyPipeline:
             "consistent (its pseudo-inertia is not positive definite)\n"
         )
         assert not (tmp_path / "o" / "payload.json").exists()
+
+    @pytest.mark.parametrize(
+        "base, problem, processed",
+        [
+            ({"alpha": [0.0] * 5}, "{base}: 'alpha' has 5 entries, expected 39", 0),
+            ({"consistent": {}}, "{base}: needs 'alpha' or 'labeled_sets'", 0),
+            ("infeasible", "{base}: the base parameters' last link is not physically "
+             "consistent (its pseudo-inertia is not positive definite)", 1),
+            (None, "payload mode requires --base-params", 0),
+        ],
+        ids=["short-alpha", "no-alpha", "infeasible-base-link", "no-base-params"],
+    )
+    def test_a_bad_base_exits_1_leaving_no_out(
+        self, tmp_path, capsys, monkeypatch, base, problem, processed
+    ):
+        # The base file is read before the trials are processed; only the
+        # base link's feasibility waits for the stack.
+        data_dir, truth = self._payload_dataset(tmp_path)
+        base_path = tmp_path / "base.json"
+        if base == "infeasible":
+            truth[2 * PARAMS_PER_LINK] = -1.0  # the last link's mass
+            base = {"alpha": truth}
+        flags = [] if base is None else ["--base-params", str(base_path)]
+        base_path.write_text(json.dumps(base))
+        calls = []
+        real = signals.process_trial
+        monkeypatch.setattr(
+            signals, "process_trial", lambda *a: calls.append(None) or real(*a)
+        )
+        out = tmp_path / "o"
+        code = main(
+            ["identify", "--mode", "payload", "--data", str(data_dir), *flags, "--out", str(out)]
+        )
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {problem.format(base=base_path)}\n"
+        assert len(calls) == processed
+        assert not out.exists()
 
     def _payload_dataset(self, tmp_path, *flags):
         traj_path = _write_trajectory(tmp_path, "chain3")

@@ -75,11 +75,14 @@ _ABOVE_0 = "must be finite and > 0, got"
 @pytest.mark.parametrize(
     "command, flag, value, problem",
     [
-        ("design", "--seed", "-1", "seed must be >= 0"),
-        ("design", "--harmonics", "-1", "need at least one harmonic"),
+        ("design", "--seed", "-1", f"seed {_AT_LEAST_0} -1"),
+        ("design", "--harmonics", "-1", f"harmonics {_ABOVE_0} -1"),
+        ("design", "--budget", "0", f"subproblem_budget {_ABOVE_0} 0"),
+        ("design", "--outer", "0", f"outer_iterations {_ABOVE_0} 0"),
         ("design", "--sample-rate", "nan", f"sample rate {_ABOVE_0} nan"),
         ("design", "--sample-rate", "inf", f"sample rate {_ABOVE_0} inf"),
-        ("simulate", "--seed", "-1", "seed must be >= 0"),
+        ("simulate", "--seed", "-1", f"seed {_AT_LEAST_0} -1"),
+        ("simulate", "--trials", "0", f"trials {_ABOVE_0} 0"),
         ("simulate", "--rate", "nan", f"sample rate {_ABOVE_0} nan"),
         ("simulate", "--rate", "inf", f"sample rate {_ABOVE_0} inf"),
         # Each of these once exited 0 or 2, or exited 1 naming something else.
@@ -105,9 +108,11 @@ _ABOVE_0 = "must be finite and > 0, got"
     ],
 )
 def test_out_of_range_flags_are_armid_errors(tmp_path, capsys, command, flag, value, problem):
-    # Exit 1, naming the setting and the value: NaN and inf never pass, and
-    # numpy never sees a value it would reject with a ValueError.
-    args = [flag, value, "--out", str(tmp_path / "o")]
+    # Exit 1, naming the setting and the value, before anything is written: NaN
+    # and inf never pass, and numpy never sees a value it would reject with a
+    # ValueError.
+    out = tmp_path / "o"
+    args = [flag, value, "--out", str(out)]
     if command == "tune-filters":
         args += ["--data", str(_planar2_data(tmp_path))]
     else:
@@ -116,6 +121,79 @@ def test_out_of_range_flags_are_armid_errors(tmp_path, capsys, command, flag, va
         args += ["--traj", str(_write_trajectory(tmp_path, "planar2"))]
     assert main([command, *args]) == EXIT_ERROR
     assert capsys.readouterr().err == f"error: {problem}\n"
+    assert not out.exists()
+
+
+def _robot_file(tmp_path, text):
+    urdf = tmp_path / "robot.urdf"
+    urdf.write_text(text)
+    return urdf
+
+
+def _edited_trial(tmp_path, edit):
+    """A planar2 dataset whose trial 0 has ``edit`` applied to its data rows."""
+    data_dir = _planar2_data(tmp_path)
+    path = data_dir / "trial_000.csv"
+    header, *rows = path.read_text().splitlines(keepends=True)
+    path.write_text(header + "".join(edit(rows)))
+    return data_dir, path
+
+
+def _no_robot(tmp_path):
+    return ["design"], "either --model or --fixture is required"
+
+
+def _grid_not_a_number(tmp_path):
+    return (["tune-filters", "--data", str(_planar2_data(tmp_path)), "--grid", "4,abc:4"],
+            "grid must be 'default' or 'p1,p2,...:t1,t2,...' (Hz or none)")
+
+
+def _nan_torque(tmp_path):
+    data_dir, trial = _edited_trial(
+        tmp_path, lambda rows: [rows[0].rsplit(",", 1)[0] + ",nan\r\n", *rows[1:]]
+    )
+    return ["identify", "--data", str(data_dir)], f"{trial}: tau contains non-finite values"
+
+
+def _decreasing_time(tmp_path):
+    data_dir, trial = _edited_trial(tmp_path, lambda rows: rows[::-1])  # a uniform grid
+    return (["identify", "--data", str(data_dir)],
+            f"{trial}: timestamps must be strictly increasing")
+
+
+def _root_not_robot(tmp_path):
+    urdf = _robot_file(tmp_path, "<notrobot/>")
+    return (["design", "--model", str(urdf)],
+            f"{urdf}: expected <robot> root element, got <notrobot>")
+
+
+def _no_links(tmp_path):
+    urdf = _robot_file(tmp_path, '<robot name="r"/>')
+    return ["design", "--model", str(urdf)], f"{urdf}: document declares no links"
+
+
+def _zero_harmonics(tmp_path):
+    traj = _write_trajectory(tmp_path, "planar2")
+    spec = json.loads(traj.read_text())
+    spec["trajectory"]["harmonics"] = 0
+    traj.write_text(json.dumps(spec))
+    return (["simulate", "--fixture", "planar2", "--traj", str(traj)],
+            f"{traj} trajectory: harmonics must be finite and > 0, got 0")
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_no_robot, _grid_not_a_number, _nan_torque, _decreasing_time, _root_not_robot, _no_links,
+     _zero_harmonics],
+    ids=lambda case: case.__name__[1:],
+)
+def test_an_input_error_exits_1_naming_it_and_writes_nothing(tmp_path, capsys, case):
+    # The range errors of numeric flags are in test_out_of_range_flags_are_armid_errors.
+    argv, fault = case(tmp_path)
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: {fault}\n"
+    assert not out.exists()
 
 
 _BASE = {
@@ -135,14 +213,27 @@ _CHECKED_IN_USE = {
 
 @pytest.mark.parametrize("cls", list(_BASE), ids=lambda cls: cls.__name__)
 def test_every_float_setting_rejects_nan_and_inf(cls):
-    # A float field added later must go through model.check_number as well.
-    names = [f.name for f in dataclasses.fields(cls) if f.type in ("float", float)]
+    # Every numeric field, float or int, goes through model.check_number; one
+    # added later must as well.
+    names = [f.name for f in dataclasses.fields(cls) if f.type in ("float", float, "int", int)]
     assert names
     for name in names:
         for bad in (math.nan, math.inf):
             use = _CHECKED_IN_USE.get((cls, name), lambda obj: None)
             with pytest.raises(ArmidError, match=f"{bad}"):
                 use(dataclasses.replace(_BASE[cls], **{name: bad}))
+
+
+def test_generate_dataset_rejects_a_nan_trial_count():
+    traj = _BASE[FourierTrajectory]
+    with pytest.raises(simulate.SimulateError, match="trials must be finite and > 0, got nan"):
+        simulate.generate_dataset(_BASE[Fixture], traj, 20.0, math.nan, NoiseSpec())
+
+
+def test_an_integer_beyond_float_range_is_out_of_range():
+    # float() of such an int raises OverflowError, which is not an ArmidError.
+    with pytest.raises(ArmidError, match="seed must be finite and >= 0, got 1000"):
+        ALOptions(seed=10**400)
 
 
 def _design_urdf(tmp_path, capsys, text):

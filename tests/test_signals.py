@@ -332,7 +332,9 @@ class TestTuneCutoffs:
         # and each point's residual is the one it gets when searched alone.
         model, trial = self._noiseless_setup()
         grid = [(4.0, 8.0), (2000.0, 4.0), (8.0, 4.0), (4.0, 4.0), (8.0, 2000.0), (2000.0, 8.0)]
-        # (4, 4) keeps a search of one failing point from failing as a whole.
+        # Row 0 of each search is the point searched alone; the second point,
+        # (4, 4), changes nothing in it. (A search in which no point ranks
+        # returns (None, table) rather than raising.)
         alone = [tune_filter_cutoffs(trial, model, [p, (4.0, 4.0)])[1][0] for p in grid]
         built = []
         real = signals.stack_regressor

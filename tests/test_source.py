@@ -58,3 +58,28 @@ def test_the_check_sees_a_private_import():
         "from .signals import _write_csv, trial_to_csv\nfrom armid.model import _REQUIRED\n"
     )
     assert _private_imports(source) == ["line 3: _write_csv", "line 4: _REQUIRED"]
+
+
+def _mkdir_calls(source: str) -> list[str]:
+    """The lines on which ``source`` calls a ``mkdir`` or ``makedirs`` attribute."""
+    return [
+        f"line {node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("mkdir", "makedirs")
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "model.py"], ids=lambda p: p.name
+)
+def test_only_the_artifact_writers_create_directories(path):
+    # model.write_csv and model.write_json create the directory they write into,
+    # so a command that fails before its first artifact leaves no --out behind.
+    assert _mkdir_calls(path.read_text()) == []
+
+
+def test_the_check_sees_a_mkdir_call():
+    source = "import os\nfrom pathlib import Path\nPath('o').mkdir()\nos.makedirs('p')\n"
+    assert _mkdir_calls(source) == ["line 3", "line 4"]
