@@ -15,7 +15,6 @@ import dataclasses
 import io
 import math
 import sys
-from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
 
@@ -103,7 +102,7 @@ def _metrics_rows(model, alpha_hat, truth, char_length, method):
 # --- design -----------------------------------------------------------------------
 
 
-def cmd_design(args) -> int:
+def cmd_design(args) -> list[str]:
     robot = _load_fixture(args).model
     out_dir = Path(args.out)
     omega = 2.0 * math.pi * args.base_freq
@@ -129,10 +128,7 @@ def cmd_design(args) -> int:
     excite.save_trajectory(out_dir / "trajectory.json", traj, provenance)
     excite.export_trajectory_csv(out_dir / "trajectory.csv", traj, args.sample_rate)
     write_json(out_dir / "design_report.json", {"report": report.as_dict(), **stamp})
-    if not report.feasible:
-        print("design completed with infeasibility flag", file=sys.stderr)
-        return EXIT_WARNINGS
-    return EXIT_OK
+    return [] if report.feasible else ["design completed with infeasibility flag"]
 
 
 # --- simulate ---------------------------------------------------------------------
@@ -151,7 +147,7 @@ def _payload_from_spec(path: str) -> model_mod.LinkInertialParams:
     )
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> list[str]:
     fixture = _load_fixture(args)
     if args.payload:
         try:
@@ -168,7 +164,7 @@ def cmd_simulate(args) -> int:
     simulate.write_dataset(
         args.out, fixture, traj, args.rate, args.trials, noise, extra_manifest=_stamp(args)
     )
-    return EXIT_OK
+    return []
 
 
 # --- identify ---------------------------------------------------------------------
@@ -226,14 +222,7 @@ def _load_base_params(args, size: int) -> np.ndarray:
     return alpha
 
 
-def _unconverged(estimator: str, trace: identify.BarrierTrace) -> bool:
-    """True, with a line on stderr, when ``estimator``'s barrier stopped short."""
-    if not trace.converged:
-        print(f"{estimator} estimate: the barrier did not converge", file=sys.stderr)
-    return not trace.converged
-
-
-def cmd_identify(args) -> int:
+def cmd_identify(args) -> list[str]:
     manifest, robot, trials = signals.load_dataset(args.data)
     averaged = signals.average_trials(trials)
     del trials  # only the mean is used from here on
@@ -245,58 +234,55 @@ def cmd_identify(args) -> int:
     if truth_payload:
         truth_payload = model_mod.rigid_body_from_dict(truth_payload, f"{where} 'payload'")
     pos_cut, torque_cut = _resolve_cutoffs(args, manifest, where, averaged.sample_rate)
-    base = _load_base_params(args, model_mod.num_params(robot)) if args.mode == "payload" else None
+    payload_mode = args.mode == "payload"
+    base = _load_base_params(args, model_mod.num_params(robot)) if payload_mode else None
     samples = signals.process_trial(averaged, pos_cut, torque_cut)  # (q, qd, qdd, tau)
+    # Payload mode fixes every link but the last at the base parameters.
+    mask = identify.payload_fixed_mask(robot.num_joints) if payload_mode else None
+    stack = stack_regressor(robot, *samples, fixed_mask=mask, fixed_values=base)
+    system = identify.least_squares(stack)
 
     out_dir = Path(args.out)
     stamp = {
         **_stamp(args, pos_cutoff=pos_cut, torque_cutoff=torque_cut),
         "cutoffs": {"position": pos_cut, "torque": torque_cut},
     }
-
-    if args.mode == "robot":
-        stack = stack_regressor(robot, *samples)
+    if payload_mode:
+        estimator = "payload"
+        try:
+            result = identify.payload_identify(system, reg_weight=args.reg_weight)
+        except identify.InfeasiblePriorError as exc:  # the base parameters' last link
+            raise IdentifyError(f"{args.base_params}: {exc}") from None
+        write_json(out_dir / "payload.json", {**stamp, "payload": result.as_dict()})
+        rows = [] if not truth_payload else [[
+            "payload", robot.joint_specs[-1].name,
+            *identify.error_metrics(result.params, truth_payload, char_length),
+        ]]
+        hugs = "payload estimate hugs the feasibility boundary"
+        flags = [hugs] if result.boundary_warning else []
+    else:
+        estimator = "consistent"
         prior = signals.identification_prior(robot)
-        system = identify.least_squares(stack)
-        result_ols = identify.ols_identify(system, prior=prior)
-        result_cons = identify.consistent_identify(system, prior, reg_weight=args.reg_weight)
-        payload = {
-            **stamp,
-            "ols": result_ols.as_dict(),
-            "consistent": result_cons.as_dict(),
-            "alpha": result_cons.alpha_hat.tolist(),
-        }
-        write_json(out_dir / "identification.json", payload)
-        unconverged = _unconverged("consistent", result_cons.trace)
-        massless = []
-        if truth is not None:
-            rows = _metrics_rows(robot, result_ols.alpha_hat, truth, char_length, "ols")
-            rows += _metrics_rows(robot, result_cons.alpha_hat, truth, char_length, "consistent")
-            write_csv(out_dir / "metrics.csv", _METRICS_HEADER, rows)
-            massless = [row for row in rows if row[3] is None]
-            for method, link, *_ in massless:
-                print(f"{method} estimate of link '{link}' has mass <= 0: "
-                      "its com_pct and inertia_pct are empty in metrics.csv", file=sys.stderr)
-        return EXIT_WARNINGS if unconverged or massless else EXIT_OK
-
-    # payload mode
-    stack = stack_regressor(
-        robot, *samples, fixed_mask=identify.payload_fixed_mask(robot.num_joints), fixed_values=base
-    )
-    system = identify.least_squares(stack)
-    try:
-        result = identify.payload_identify(system, reg_weight=args.reg_weight)
-    except identify.InfeasiblePriorError as exc:  # the base parameters' last link
-        raise IdentifyError(f"{args.base_params}: {exc}") from None
-    write_json(out_dir / "payload.json", {**stamp, "payload": result.as_dict()})
-    if truth_payload:
-        errors = identify.error_metrics(result.params, truth_payload, char_length)
-        row = ["payload", robot.joint_specs[-1].name, *errors]
-        write_csv(out_dir / "metrics.csv", _METRICS_HEADER, [row])
-    unconverged = _unconverged("payload", result.trace)
-    if result.boundary_warning:
-        print("payload estimate hugs the feasibility boundary", file=sys.stderr)
-    return EXIT_WARNINGS if unconverged or result.boundary_warning else EXIT_OK
+        ols = identify.ols_identify(system, prior=prior)
+        result = identify.consistent_identify(system, prior, reg_weight=args.reg_weight)
+        write_json(out_dir / "identification.json", {
+            **stamp, "ols": ols.as_dict(), "consistent": result.as_dict(),
+            "alpha": result.alpha_hat.tolist(),
+        })
+        rows = [] if truth is None else [
+            *_metrics_rows(robot, ols.alpha_hat, truth, char_length, "ols"),
+            *_metrics_rows(robot, result.alpha_hat, truth, char_length, "consistent"),
+        ]
+        flags = [
+            f"{method} estimate of link '{link}' has mass <= 0: "
+            "its com_pct and inertia_pct are empty in metrics.csv"
+            for method, link, _, com_pct, _ in rows if com_pct is None
+        ]
+    if rows:
+        write_csv(out_dir / "metrics.csv", _METRICS_HEADER, rows)
+    if not result.trace.converged:
+        flags.insert(0, f"{estimator} estimate: the barrier did not converge")
+    return flags
 
 
 # --- tune-filters -----------------------------------------------------------------
@@ -317,7 +303,7 @@ def _parse_grid(raw: str):
     return tuple((p, t) for p in pos for t in torque)
 
 
-def cmd_tune_filters(args) -> int:
+def cmd_tune_filters(args) -> list[str]:
     grid = _parse_grid(args.grid)
     _, robot, trials = signals.load_dataset(args.data)
     averaged = signals.average_trials(trials)
@@ -335,28 +321,29 @@ def cmd_tune_filters(args) -> int:
         raise SignalError(f"every grid point failed during cutoff tuning ({errors})")
     cutoffs = {"position_cutoff": best[0], "torque_cutoff": best[1]}
     write_json(out_dir / "best_cutoffs.json", {**_stamp(args), **cutoffs})
-    return EXIT_OK
+    return []
 
 
 # --- report -----------------------------------------------------------------------
 
 
-def cmd_report(args) -> int:
-    rows = []
+def cmd_report(args) -> list[str]:
+    table = []
     for run in args.runs:
         metrics_path = Path(run) / "metrics.csv"
         if not metrics_path.exists():
             print(f"skipping {run}: no metrics.csv", file=sys.stderr)
             continue
-        text = read_text(metrics_path, ArmidError)
-        rows += ({**row, "run": str(run)} for row in csv.DictReader(io.StringIO(text)))
-    if not rows:
+        reader = csv.DictReader(io.StringIO(read_text(metrics_path, ArmidError)))
+        table += ([str(run), *map(row.get, _METRICS_HEADER)] for row in reader)  # missing: None
+    if not table:
         raise ArmidError("no metrics found in the given run directories")
-    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as out_fh:
-        writer = csv.DictWriter(out_fh, ["run", *_METRICS_HEADER], extrasaction="ignore")
-        writer.writeheader()
-        writer.writerows(rows)
-    return EXIT_OK
+    header = ["run", *_METRICS_HEADER]
+    if args.out:
+        write_csv(args.out, header, table)
+    else:
+        csv.writer(sys.stdout).writerows([header, *table])
+    return []
 
 
 # --- parser -----------------------------------------------------------------------
@@ -436,10 +423,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     try:
-        return args.func(args)
+        warnings = args.func(args)
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    for line in warnings:  # after the command's last artifact
+        print(line, file=sys.stderr)
+    return EXIT_WARNINGS if warnings else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -653,31 +653,33 @@ def json_entry(spec, key: str, where, kind=None, error=ModelError, default=_REQU
 def model_from_dict(data: dict, where="model") -> RobotModel:
     """Inverse of :func:`model_to_dict`; a missing or malformed entry, or one
     the model rejects, raises :class:`ModelError` naming ``where``."""
-    links = []
+    links, at = [], where  # ``at``: the entry a constructor's error is about
     try:
         for i, entry in enumerate(json_entry(data, "links", where, list)):
-            at = f"{where} links[{i}]"
-            j, j_at = json_entry(entry, "joint", at), f"{at} joint"
+            link_at = f"{where} links[{i}]"
+            j, at = json_entry(entry, "joint", link_at), f"{link_at} joint"
             joint = JointSpec(
-                name=json_entry(j, "name", j_at),
-                axis=json_entry(j, "axis", j_at, (3,)),
+                name=json_entry(j, "name", at),
+                axis=json_entry(j, "axis", at, (3,)),
                 parent_frame_pose=Transform(
-                    json_entry(j, "rotation", j_at, (3, 3)),
-                    json_entry(j, "translation", j_at, (3,)),
+                    json_entry(j, "rotation", at, (3, 3)),
+                    json_entry(j, "translation", at, (3,)),
                 ),
-                position_limits=json_entry(j, "position_limits", j_at, (2,)),
-                velocity_limit=json_entry(j, "velocity_limit", j_at, ()),
-                acceleration_limit=json_entry(j, "acceleration_limit", j_at, ()),
+                position_limits=json_entry(j, "position_limits", at, (2,)),
+                velocity_limit=json_entry(j, "velocity_limit", at, ()),
+                acceleration_limit=json_entry(j, "acceleration_limit", at, ()),
             )
+            at = link_at
             params = json_entry(entry, "params", at, (PARAMS_PER_LINK,))
             links.append((joint, LinkInertialParams.from_vector(params)))
+        at = where
         return RobotModel(
             links=tuple(links),
             gravity=json_entry(data, "gravity", where, (3,)),
             name=json_entry(data, "name", where),
         )
-    except ValidationError as exc:  # json_entry's own errors already name where
-        raise ValidationError(f"{where}: {exc}") from None
+    except ValidationError as exc:  # json_entry's own errors already name the entry
+        raise ValidationError(f"{at}: {exc}") from None
 
 
 def rigid_body_to_dict(p: LinkInertialParams) -> dict:

@@ -269,6 +269,28 @@ class TestSimulateIdentifyPipeline:
             100.0 * (1.2 - mass) / 1.2
         )
 
+    def test_an_unconverged_barrier_is_flagged_before_a_massless_link(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        data_dir, _ = self._payload_dataset(tmp_path, "--noise-rel", "0.01", "--seed", "1")
+        real_ols = identify.ols_identify
+
+        def massless_shoulder(system, prior=None):
+            result = real_ols(system, prior=prior)
+            alpha = result.alpha_hat.copy()
+            alpha[PARAMS_PER_LINK] = 0.0  # the shoulder link's mass
+            return dataclasses.replace(result, alpha_hat=alpha)
+
+        monkeypatch.setattr(identify, "ols_identify", massless_shoulder)
+        monkeypatch.setattr(identify, "_NEWTON_MAX_ITER", 1)
+        code = main(["identify", "--data", str(data_dir), "--out", str(tmp_path / "o")])
+        assert code == EXIT_WARNINGS
+        assert capsys.readouterr().err == (
+            "consistent estimate: the barrier did not converge\n"
+            "ols estimate of link 'shoulder' has mass <= 0: "
+            "its com_pct and inertia_pct are empty in metrics.csv\n"
+        )
+
     def test_payload_mode_needs_base_params(self, tmp_path):
         traj_path = _write_trajectory(tmp_path, "chain3")
         data_dir = tmp_path / "data"
@@ -327,12 +349,14 @@ class TestSimulateIdentifyPipeline:
             args += ["--base-params", str(base_path)]
         monkeypatch.setattr(identify, "_NEWTON_MAX_ITER", 1)
         assert main(args) == EXIT_WARNINGS
-        estimator, artifact = {
-            "robot": ("consistent", "identification.json"),
-            "payload": ("payload", "payload.json"),
+        hugs = "payload estimate hugs the feasibility boundary\n"
+        estimator, artifact, after = {
+            "robot": ("consistent", "identification.json", ""),
+            "payload": ("payload", "payload.json", hugs),
         }[mode]
-        err = capsys.readouterr().err.splitlines()
-        assert f"{estimator} estimate: the barrier did not converge" in err
+        assert capsys.readouterr().err == (
+            f"{estimator} estimate: the barrier did not converge\n{after}"
+        )
         trace = json.loads((tmp_path / "o" / artifact).read_text())[estimator]["trace"]
         assert trace["converged"] is False
         assert set(trace["newton_iterations"]) <= {0, 1}
@@ -591,15 +615,28 @@ class TestSimulateIdentifyPipeline:
         assert capsys.readouterr().err == f"error: {manifest_path}: no 'model' entry\n"
 
     @pytest.mark.parametrize(
-        "value, problem",
-        [(None, "no 'axis' entry"), ("up", "'axis' is not numeric")],
+        "key, value, problem",
+        [
+            pytest.param("axis", None, "no 'axis' entry", id="None-no 'axis' entry"),
+            pytest.param("axis", "up", "'axis' is not numeric", id="up-'axis' is not numeric"),
+            # Entries of the right shape that the joint's own constructors reject.
+            pytest.param(
+                "rotation", [[2, 0, 0], [0, 1, 0], [0, 0, 1]],
+                "rotation is not orthonormal (deviation 3.00e+00)", id="rotation-not-orthonormal",
+            ),
+            pytest.param(
+                "axis", [0, 0, 2], "joint 'elbow': axis norm 2.0 is not 1", id="axis-not-unit"
+            ),
+        ],
     )
-    def test_manifest_model_errors_name_file_and_key(self, tmp_path, capsys, value, problem):
+    def test_manifest_model_errors_name_file_and_key(
+        self, tmp_path, capsys, key, value, problem
+    ):
         data_dir = _planar2_data(tmp_path)
         manifest_path = data_dir / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         joint = manifest["model"]["links"][1]["joint"]
-        joint.pop("axis") if value is None else joint.update(axis=value)
+        joint.pop(key) if value is None else joint.update({key: value})
         manifest_path.write_text(json.dumps(manifest))
         code = main(["identify", "--data", str(data_dir), "--out", str(tmp_path / "o")])
         assert code == EXIT_ERROR
@@ -967,6 +1004,28 @@ class TestTuneAndReport:
         out = capsys.readouterr().out
         assert "consistent" in out
         assert str(run) in out
+
+    def test_report_out_creates_its_directory_and_writes_what_stdout_shows(
+        self, tmp_path, capsys
+    ):
+        run_a, run_b = tmp_path / "runA", tmp_path / "runB"
+        run_a.mkdir()
+        run_b.mkdir()
+        (run_a / "metrics.csv").write_text(
+            "method,link,mass_pct,com_pct,inertia_pct\nconsistent,j1,0.1,0.2,0.3\n"
+        )
+        # No inertia_pct column and an empty com_pct: both are written as empty cells.
+        (run_b / "metrics.csv").write_text("method,link,mass_pct,com_pct\nols,j2,0.4,\n")
+        runs = ["report", "--runs", str(run_a), str(run_b)]
+        assert main(runs) == EXIT_OK
+        shown = capsys.readouterr().out
+        out = tmp_path / "sub" / "report.csv"
+        assert main([*runs, "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == shown.encode() == (
+            "run,method,link,mass_pct,com_pct,inertia_pct\r\n"
+            f"{run_a},consistent,j1,0.1,0.2,0.3\r\n"
+            f"{run_b},ols,j2,0.4,,\r\n"
+        ).encode()
 
     def test_report_without_metrics_errors(self, tmp_path):
         empty = tmp_path / "empty"

@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 import armid
-from armid import simulate
+from armid import dynamics, excite, identify, model, signals, simulate
 from armid.cli import EXIT_ERROR, EXIT_OK, EXIT_WARNINGS, main
 from armid.excite import ALOptions, DesignProblem, FourierTrajectory, Sphere, design_trajectory
-from armid.model import ArmidError, JointSpec
+from armid.model import ArmidError, JointSpec, LinkInertialParams, Transform
 from armid.simulate import Fixture, NoiseSpec
 
 from test_cli import PENDULUM_URDF, _planar2_data, _write_trajectory
@@ -124,6 +124,9 @@ def test_out_of_range_flags_are_armid_errors(tmp_path, capsys, command, flag, va
     assert not out.exists()
 
 
+_URDF = PENDULUM_URDF.format(lo=-1, hi=1)
+
+
 def _robot_file(tmp_path, text):
     urdf = tmp_path / "robot.urdf"
     urdf.write_text(text)
@@ -172,6 +175,17 @@ def _no_links(tmp_path):
     return ["design", "--model", str(urdf)], f"{urdf}: document declares no links"
 
 
+def _zero_axis(tmp_path):
+    urdf = _robot_file(tmp_path, _URDF.replace("0 1 0", "0 0 0"))
+    return ["design", "--model", str(urdf)], f"{urdf}: joint 'swing': zero axis"
+
+
+def _no_mass(tmp_path):
+    urdf = _robot_file(tmp_path, _URDF.replace('<mass value="1.0"/>', ""))
+    return (["design", "--model", str(urdf)],
+            f"{urdf}: link 'bob': <inertial> needs <mass> and <inertia>")
+
+
 def _zero_harmonics(tmp_path):
     traj = _write_trajectory(tmp_path, "planar2")
     spec = json.loads(traj.read_text())
@@ -184,7 +198,7 @@ def _zero_harmonics(tmp_path):
 @pytest.mark.parametrize(
     "case",
     [_no_robot, _grid_not_a_number, _nan_torque, _decreasing_time, _root_not_robot, _no_links,
-     _zero_harmonics],
+     _zero_axis, _no_mass, _zero_harmonics],
     ids=lambda case: case.__name__[1:],
 )
 def test_an_input_error_exits_1_naming_it_and_writes_nothing(tmp_path, capsys, case):
@@ -194,6 +208,110 @@ def test_an_input_error_exits_1_naming_it_and_writes_nothing(tmp_path, capsys, c
     assert main([*argv, "--out", str(out)]) == EXIT_ERROR
     assert capsys.readouterr().err == f"error: {fault}\n"
     assert not out.exists()
+
+
+_PLANAR2 = simulate.builtin_fixture("planar2").model
+# A stack built from bare matrices: two free columns and no per-link layout.
+_BARE = identify.least_squares(dynamics.RegressorStack(np.eye(6, 2), np.zeros(6), np.ones(6)))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: dynamics.inverse_dynamics_batch(
+                _PLANAR2, np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((2, 2))
+            ),
+            model.ValidationError, "state batch shapes (3, 2)/(3, 2)/(2, 2) do not match N=2",
+            id="dynamics-state-shapes",
+        ),
+        pytest.param(
+            lambda: Transform(np.eye(2), np.zeros(3)),
+            model.ValidationError, "rotation must have shape (3, 3), got (2, 2)",
+            id="model-array-shape",
+        ),
+        pytest.param(
+            lambda: Transform(np.eye(3), [0.0, math.nan, 0.0]),
+            model.ValidationError, "translation contains non-finite entries",
+            id="model-array-non-finite",
+        ),
+        pytest.param(
+            lambda: Transform(np.diag([2.0, 1.0, 1.0]), np.zeros(3)),
+            model.ValidationError, "rotation is not orthonormal (deviation 3.00e+00)",
+            id="model-rotation",
+        ),
+        pytest.param(
+            lambda: LinkInertialParams.from_vector(np.zeros(12)),
+            model.ValidationError, "expected 13 entries, got (12,)",
+            id="model-from-vector-size",
+        ),
+        pytest.param(
+            lambda: model.RobotModel(links=((1, 2),)),
+            model.ValidationError, "links must be (JointSpec, LinkInertialParams) pairs",
+            id="model-links-not-pairs",
+        ),
+        pytest.param(
+            lambda: model.inertia_about_com(LinkInertialParams(0.0, np.zeros(3), np.eye(3))),
+            model.ValidationError, "center-of-mass inertia requires mass > 0",
+            id="model-com-inertia-massless",
+        ),
+        pytest.param(
+            lambda: model.parse_robot_description(_URDF.replace('<mass value="1.0"/>', ""), "r"),
+            model.ValidationError, "r: link 'bob': <inertial> needs <mass> and <inertia>",
+            id="model-inertial-without-mass",
+        ),
+        pytest.param(
+            lambda: model.parse_robot_description(_URDF.replace("0 1 0", "0 0 0"), "r"),
+            model.ValidationError, "r: joint 'swing': zero axis",
+            id="model-zero-axis",
+        ),
+        pytest.param(
+            lambda: signals.RawTrial(np.zeros((3, 1)), np.zeros((3, 2)), np.zeros((3, 2))),
+            signals.SignalError, "timestamps must be (S,), q and tau (S, N)",
+            id="signals-trial-dims",
+        ),
+        pytest.param(
+            lambda: signals.RawTrial(np.zeros(3), np.zeros((2, 2)), np.zeros((2, 2))),
+            signals.SignalError, "timestamps, q, tau row counts disagree",
+            id="signals-trial-rows",
+        ),
+        pytest.param(
+            lambda: signals.average_trials([]),
+            signals.SignalError, "no trials to average",
+            id="signals-average-nothing",
+        ),
+        pytest.param(
+            lambda: DesignProblem(_PLANAR2, link_collision_spheres=((),)),
+            excite.ExciteError, "need one collision sphere list per link (or none)",
+            id="excite-sphere-lists",
+        ),
+        pytest.param(
+            lambda: excite.evaluate_constraints(DesignProblem(_PLANAR2), *[np.zeros((3, 3))] * 3),
+            excite.ExciteError, "trajectory and model joint counts differ",
+            id="excite-joint-count",
+        ),
+        pytest.param(
+            lambda: identify.ols_identify(_BARE, prior=np.zeros(5)),
+            identify.IdentifyError, "prior has 5 entries, expected 2",
+            id="identify-prior-size",
+        ),
+        pytest.param(
+            lambda: identify.consistent_identify(_BARE, np.zeros(2)),
+            identify.IdentifyError, "consistent_identify needs a stack with link structure",
+            id="identify-consistent-bare-stack",
+        ),
+        pytest.param(
+            lambda: identify.payload_identify(_BARE),
+            identify.IdentifyError, "payload_identify needs a stack with link structure",
+            id="identify-payload-bare-stack",
+        ),
+    ],
+)
+def test_library_input_checks_name_the_problem(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 _BASE = {

@@ -83,3 +83,32 @@ def test_only_the_artifact_writers_create_directories(path):
 def test_the_check_sees_a_mkdir_call():
     source = "import os\nfrom pathlib import Path\nPath('o').mkdir()\nos.makedirs('p')\n"
     assert _mkdir_calls(source) == ["line 3", "line 4"]
+
+
+def _exit_code_readers(source: str) -> list[str]:
+    """The lines on which a top-level function other than ``main`` reads
+    ``EXIT_OK`` or ``EXIT_WARNINGS``."""
+    return [
+        f"line {node.lineno}: {node.id} in {func.name}"
+        for func in ast.parse(source).body
+        if isinstance(func, ast.FunctionDef) and func.name != "main"
+        for node in ast.walk(func)
+        if isinstance(node, ast.Name) and node.id in ("EXIT_OK", "EXIT_WARNINGS")
+    ]
+
+
+def test_only_main_decides_a_success_exit_code():
+    # Each command returns the warnings it flagged; main prints them and picks 0 or 2.
+    source = (Path(armid.__file__).parent / "cli.py").read_text()
+    assert _exit_code_readers(source) == []
+
+
+def test_the_check_sees_an_exit_code_outside_main():
+    source = (
+        "EXIT_OK, EXIT_WARNINGS = 0, 2\n"
+        "def cmd(flag):\n    return EXIT_WARNINGS if flag else EXIT_OK\n"
+        "def main():\n    return EXIT_OK\n"
+    )
+    assert _exit_code_readers(source) == [
+        "line 3: EXIT_WARNINGS in cmd", "line 3: EXIT_OK in cmd"
+    ]
