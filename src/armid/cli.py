@@ -140,9 +140,10 @@ def _payload_from_spec(path: str) -> model_mod.LinkInertialParams:
     spec = read_json(path)
     if "first_moment" in spec:
         return model_mod.rigid_body_from_dict(spec, path)
+    radius = json_entry(spec, "radius", path, (), default=0.05)
     return model_mod.solid_sphere_params(
         json_entry(spec, "mass", path, ()),
-        json_entry(spec, "radius", path, (), default=0.05),
+        check_number(radius, f"{path}: 'radius'", model_mod.ModelError, positive=True),
         json_entry(spec, "com", path, (3,), default=np.zeros(3)),
     )
 
@@ -223,6 +224,8 @@ def _load_base_params(args, size: int) -> np.ndarray:
 
 
 def cmd_identify(args) -> list[str]:
+    if not math.isfinite(args.configuration):  # labeled base sets or not
+        raise IdentifyError(f"configuration must be finite, got {args.configuration}")
     manifest, robot, trials = signals.load_dataset(args.data)
     averaged = signals.average_trials(trials)
     del trials  # only the mean is used from here on

@@ -113,23 +113,24 @@ def sample_trajectory(
     traj: FourierTrajectory, rate: float, include_endpoint: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Uniform samples over one period: (t, q, qd, qdd)."""
-    t = _sample_times(traj, rate, include_endpoint)
-    q, qd, qdd = fourier_eval(traj, t)
-    return t, q, qd, qdd
+    t, grid = _period_grid(traj.base_frequency, traj.harmonics, rate, include_endpoint)
+    return t, *_fourier_rows(traj.offsets, traj.sine_coeffs, traj.cosine_coeffs, *grid)
 
 
-def _sample_times(traj: FourierTrajectory, rate: float, include_endpoint: bool) -> np.ndarray:
-    """``round(duration * rate)`` times k / rate, plus t = ``duration`` if ``include_endpoint``.
-    The one check of a sample rate: finite, > 0 and above twice the top harmonic."""
+def _period_grid(omega: float, harmonics: int, rate: float, closed: bool):
+    """The round(duration * rate) times k / rate, plus t = duration if ``closed``, and their grid.
+    The one check of a sampled period: omega, harmonics, rate > 0, rate > 2 x top harmonic."""
+    check_number(omega, "base frequency (rad/s)", ExciteError, positive=True)
+    check_number(harmonics, "harmonics", ExciteError, positive=True)
     check_number(rate, "sample rate", ExciteError, positive=True)
-    nyquist_rate = 2.0 * traj.base_frequency * traj.harmonics / (2.0 * math.pi)
+    nyquist_rate = 2.0 * omega * harmonics / (2.0 * math.pi)
     if rate <= nyquist_rate:
         raise ExciteError(f"rate {rate} Hz aliases harmonic content up to {nyquist_rate / 2.0} Hz")
-    count = int(round(traj.duration * rate))
-    t = np.arange(count + (1 if include_endpoint else 0)) / rate
-    if include_endpoint:
-        t[-1] = traj.duration
-    return t
+    duration = 2.0 * math.pi / omega
+    t = np.arange(int(round(duration * rate)) + (1 if closed else 0)) / rate
+    if closed:
+        t[-1] = duration
+    return t, _fourier_grid(omega, harmonics, t)
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,10 @@ class Sphere:
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
+        center = np.asarray(self.center, dtype=float)
+        if center.shape != (3,) or not np.all(np.isfinite(center)):
+            raise ExciteError(f"sphere center must be 3 finite numbers, got {center.tolist()}")
+        object.__setattr__(self, "center", center)
         check_number(self.radius, "sphere radius", ExciteError)
 
 
@@ -601,29 +605,22 @@ def design_trajectory(
     model = problem.model
     n = model.num_joints
     L = harmonics
-    check_number(L, "harmonics", ExciteError, positive=True)  # before 0.5 * vmax / L
+    # One sin/cos grid per design, over the closed period at S + 1 times; a bad
+    # period stops the design here, before 0.5 * vmax / L and the basis's SVD.
+    _, grid = _period_grid(omega, L, problem.sample_rate, closed=True)
+    basis, rank = _design_basis(problem, opts.seed)
     lo, hi, vmax, _ = _joint_limits(model)
 
     def coefficients(x: np.ndarray):
         # (q0, a, b) of x. Projected onto the rest-to-rest subspace, every
         # candidate satisfies the boundary equalities exactly and the search
         # fights only the inequality constraints.
-        a, b = _rest_to_rest(x[n : n + n * L].reshape(n, L), x[n + n * L :].reshape(n, L))
-        return x[:n], a, b
+        q0, a, b = np.split(x, [n, n + n * L])
+        return q0, *_rest_to_rest(a.reshape(n, L), b.reshape(n, L))
 
     x0 = np.concatenate([(lo + hi) / 2.0, np.zeros(2 * n * L)])
-    step = np.concatenate(
-        [
-            np.minimum(0.15 * (hi - lo), 0.5),
-            np.repeat(0.5 * vmax / L, L),
-            np.repeat(0.5 * vmax / L, L),
-        ]
-    )
-    # One sin/cos grid per design, over the closed period at S + 1 times; a
-    # bad rate or frequency stops the design here, before the basis's SVD.
-    start = FourierTrajectory(omega, L, *coefficients(x0))
-    grid = _fourier_grid(omega, L, _sample_times(start, problem.sample_rate, True))
-    basis, rank = _design_basis(problem, opts.seed)
+    ab_step = np.repeat(0.5 * vmax / L, L)  # the same for a and for b
+    step = np.concatenate([np.minimum(0.15 * (hi - lo), 0.5), ab_step, ab_step])
 
     def evaluate(x: np.ndarray) -> tuple[InformationObjective, ConstraintRecord]:
         q, qd, qdd = _fourier_rows(*coefficients(x), *grid)
@@ -634,8 +631,7 @@ def design_trajectory(
 
     def restart_sampler(rng: np.random.Generator) -> np.ndarray:
         # Random exciting start; coefficients() projects it onto rest-to-rest anyway.
-        q0, a, b = _random_coefficients(rng, model, L)
-        return np.concatenate([q0, a.ravel(), b.ravel()])
+        return np.concatenate(_random_coefficients(rng, model, L), axis=None)
 
     result = augmented_lagrangian_minimize(
         evaluate, x0, opts, step=step, restart_sampler=restart_sampler
@@ -666,13 +662,10 @@ def random_feasible_trajectory(
     acceleration subspace and scaled down until all limit inequalities hold.
     Returns None when none of ``_FEASIBLE_DRAWS`` draws is feasible.
     """
-    grid = None
+    _, grid = _period_grid(omega, harmonics, problem.sample_rate, closed=True)
     for _ in range(_FEASIBLE_DRAWS):
         q0, a, b = _random_coefficients(rng, problem.model, harmonics)
         a, b = _rest_to_rest(a, b)
-        if grid is None:  # one closed-period grid; the first draw checks frequency and rate
-            start = FourierTrajectory(omega, harmonics, q0, a, b)
-            grid = _fourier_grid(omega, harmonics, _sample_times(start, problem.sample_rate, True))
         for scale in 0.5 ** np.arange(12):
             q, qd, qdd = _fourier_rows(q0, scale * a, scale * b, *grid)
             ineq = evaluate_constraints(problem, q, qd, qdd).inequality_vector()

@@ -37,6 +37,7 @@ from .model import (
     is_physically_feasible,
     pseudo_inertia,
     rigid_body_to_dict,
+    solid_sphere_params,
 )
 
 DEFAULT_SVD_THRESHOLD = 1e-8
@@ -551,10 +552,8 @@ _PAYLOAD_START_MASS = 1e-3
 
 def default_payload_start() -> np.ndarray:
     """Small strictly feasible body used as the barrier start for payloads."""
-    body = np.zeros(INERTIAL_PARAMS_PER_LINK)
-    body[0] = _PAYLOAD_START_MASS
-    body[4] = body[7] = body[9] = 0.4 * _PAYLOAD_START_MASS * 0.05**2
-    return body
+    body = solid_sphere_params(_PAYLOAD_START_MASS, 0.05, np.zeros(3))
+    return body.to_vector()[:INERTIAL_PARAMS_PER_LINK]
 
 
 def payload_fixed_mask(num_links: int) -> np.ndarray:

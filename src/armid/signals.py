@@ -23,8 +23,8 @@ import numpy as np
 from . import identify
 from .dynamics import stack_regressor
 from .model import (
-    ArmidError, RobotModel, check_number, float_rows, is_physically_feasible, json_entry,
-    model_from_dict, pack_params, read_json, read_text, write_csv, write_json,
+    ArmidError, LinkInertialParams, RobotModel, check_number, float_rows, is_physically_feasible,
+    json_entry, model_from_dict, pack_params, read_json, read_text, write_csv, write_json,
 )
 
 # Samples discarded at each boundary per differentiation pass (the five-point
@@ -353,10 +353,8 @@ def tune_filter_cutoffs(
 
 def default_identification_prior(num_links: int) -> np.ndarray:
     """Generic strictly feasible prior: light links, small positive frictions."""
-    per_link = np.array(
-        [0.1, 0.0, 0.0, 0.0, 0.01, 0.0, 0.0, 0.01, 0.0, 0.01, 1e-2, 1e-2, 1e-3]
-    )
-    return np.tile(per_link, num_links)
+    per_link = LinkInertialParams(0.1, np.zeros(3), 0.01 * np.eye(3), 1e-2, 1e-2, 1e-3)
+    return np.tile(per_link.to_vector(), num_links)
 
 
 def identification_prior(model: RobotModel) -> np.ndarray:

@@ -195,10 +195,35 @@ def _zero_harmonics(tmp_path):
             f"{traj} trajectory: harmonics must be finite and > 0, got 0")
 
 
+def _nan_configuration(tmp_path):
+    # Checked before any work in both modes, not only to pick among labeled sets.
+    return (["identify", "--data", str(_planar2_data(tmp_path)), "--configuration", "nan"],
+            "configuration must be finite, got nan")
+
+
+def _nan_configuration_with_alpha(tmp_path):
+    data_dir = _planar2_data(tmp_path)
+    base = tmp_path / "base.json"
+    truth = json.loads((data_dir / "manifest.json").read_text())["truth_parameters"]
+    base.write_text(json.dumps({"alpha": truth}))
+    return (["identify", "--mode", "payload", "--data", str(data_dir), "--base-params", str(base),
+             "--configuration", "nan"], "configuration must be finite, got nan")
+
+
+def _negative_radius(tmp_path):
+    # (2/5) m r**2 would read -0.05 as 0.05.
+    spec = tmp_path / "payload.json"
+    spec.write_text(json.dumps({"mass": 0.4, "radius": -0.05, "com": [0, 0, 0.1]}))
+    traj = _write_trajectory(tmp_path, "planar2")
+    return (["simulate", "--fixture", "planar2", "--traj", str(traj), "--payload", str(spec)],
+            f"{spec}: 'radius' must be finite and > 0, got -0.05")
+
+
 @pytest.mark.parametrize(
     "case",
     [_no_robot, _grid_not_a_number, _nan_torque, _decreasing_time, _root_not_robot, _no_links,
-     _zero_axis, _no_mass, _zero_harmonics],
+     _zero_axis, _no_mass, _zero_harmonics, _nan_configuration, _nan_configuration_with_alpha,
+     _negative_radius],
     ids=lambda case: case.__name__[1:],
 )
 def test_an_input_error_exits_1_naming_it_and_writes_nothing(tmp_path, capsys, case):
@@ -284,6 +309,16 @@ _BARE = identify.least_squares(dynamics.RegressorStack(np.eye(6, 2), np.zeros(6)
             lambda: DesignProblem(_PLANAR2, link_collision_spheres=((),)),
             excite.ExciteError, "need one collision sphere list per link (or none)",
             id="excite-sphere-lists",
+        ),
+        pytest.param(
+            lambda: Sphere([0.0, 0.0], 0.1),
+            excite.ExciteError, "sphere center must be 3 finite numbers, got [0.0, 0.0]",
+            id="excite-sphere-center-size",
+        ),
+        pytest.param(
+            lambda: Sphere(np.array([math.nan, 0.0, 0.0]), 0.1),
+            excite.ExciteError, "sphere center must be 3 finite numbers, got [nan, 0.0, 0.0]",
+            id="excite-sphere-center-non-finite",
         ),
         pytest.param(
             lambda: excite.evaluate_constraints(DesignProblem(_PLANAR2), *[np.zeros((3, 3))] * 3),

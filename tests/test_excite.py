@@ -1,8 +1,10 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from armid import excite
 from armid.dynamics import regressor_batch
@@ -94,6 +96,22 @@ class TestFourier:
         t, q, qd, qdd = sample_trajectory(traj, 10.0)
         assert t.size == round(traj.duration * 10.0)
         assert q.shape == (t.size, 2)
+
+    @given(
+        n=st.integers(1, 3), L=st.integers(1, 5), omega=st.floats(0.5, 5.0),
+        oversampling=st.floats(1.01, 10.0), closed=st.booleans(), seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sampling_has_the_bits_of_evaluating_at_its_times(
+        self, n, L, omega, oversampling, closed, seed
+    ):
+        # sample_trajectory builds its grid from the checked period, fourier_eval
+        # from any times in it: the two agree bit for bit at the sampled times.
+        traj = _traj(n=n, L=L, omega=omega, seed=seed)
+        rate = oversampling * 2.0 * omega * L / (2.0 * math.pi)
+        t, *sampled = sample_trajectory(traj, rate, closed)
+        for got, expected in zip(sampled, fourier_eval(traj, t)):
+            assert got.shape == expected.shape == (t.size, n)
+            assert got.tobytes() == expected.tobytes()
 
     def test_endpoint_grid_ends_at_duration(self):
         # 0.06 Hz at 20 Hz: duration * rate = 333.3 rounds down to 333 steps.
@@ -407,6 +425,41 @@ class TestDesign:
             "evaluate_constraints": evaluations,
             "regressor_batch": evaluations + 1,
         }
+
+    def test_one_trajectory_per_design_and_per_returned_draw(self, monkeypatch):
+        # The period is checked where its grid is built, so no FourierTrajectory
+        # is built only to run its checks: one for each trajectory handed back.
+        built = []
+        real = excite.FourierTrajectory
+        monkeypatch.setattr(excite, "FourierTrajectory", lambda *a: built.append(a) or real(*a))
+        problem = DesignProblem(model=builtin_fixture("planar2").model, sample_rate=20.0)
+        opts = ALOptions(seed=4, subproblem_budget=60, outer_iterations=2, restarts=1)
+        design_trajectory(problem, 2 * math.pi * 0.1, 3, opts)
+        assert len(built) == 1
+        draw = random_feasible_trajectory(problem, 2 * math.pi * 0.1, 5, np.random.default_rng(1))
+        assert draw is not None and len(built) == 2
+
+    @pytest.mark.parametrize(
+        "harmonics, rate, message",
+        [(0, 20.0, "harmonics must be finite and > 0, got 0"),
+         (5, 0.5, "rate 0.5 Hz aliases harmonic content up to 0.5 Hz")],
+    )
+    def test_a_bad_period_stops_random_draws_before_the_first(self, harmonics, rate, message):
+        problem = DesignProblem(model=builtin_fixture("planar2").model, sample_rate=rate)
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning about 1 / 0 comes first
+            with pytest.raises(ExciteError) as info:
+                random_feasible_trajectory(problem, 2 * math.pi * 0.1, harmonics, rng)
+        assert str(info.value) == message
+        assert rng.bit_generator.state == state
+
+    def test_the_design_names_a_bad_frequency_before_bad_harmonics(self):
+        # The order FourierTrajectory checks them in.
+        problem = DesignProblem(model=builtin_fixture("planar2").model, sample_rate=20.0)
+        with pytest.raises(ExciteError, match=r"^base frequency \(rad/s\) must be finite"):
+            design_trajectory(problem, math.nan, 0)
 
     def test_design_rejects_undersampling(self):
         model = builtin_fixture("pendulum1").model

@@ -112,3 +112,41 @@ def test_the_check_sees_an_exit_code_outside_main():
     assert _exit_code_readers(source) == [
         "line 3: EXIT_WARNINGS in cmd", "line 3: EXIT_OK in cmd"
     ]
+
+
+def _trajectories_built_to_check(source: str) -> list[str]:
+    """The lines on which ``source`` calls ``FourierTrajectory`` outside a ``return``
+    statement and outside ``trajectory_from_dict``."""
+    tree = ast.parse(source)
+    allowed = {
+        id(node)
+        for scope in ast.walk(tree)
+        if isinstance(scope, ast.Return)
+        or (isinstance(scope, ast.FunctionDef) and scope.name == "trajectory_from_dict")
+        for node in ast.walk(scope)
+    }
+    lines = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "FourierTrajectory"
+        and id(node) not in allowed
+    )
+    return [f"line {line}" for line in lines]
+
+
+def test_excite_builds_a_trajectory_only_to_hand_it_back():
+    # The checks of a sampled period live in the function that builds its grid,
+    # so no trajectory is built only to run them.
+    source = (Path(armid.__file__).parent / "excite.py").read_text()
+    assert _trajectories_built_to_check(source) == []
+
+
+def test_the_check_sees_a_trajectory_built_to_check():
+    source = (
+        "def design(w):\n    start = FourierTrajectory(w, 1)\n    return FourierTrajectory(w, 2)\n"
+        "def trajectory_from_dict(d):\n    traj = FourierTrajectory(**d)\n    return traj\n"
+        "DEFAULT = FourierTrajectory(1.0, 1)\n"
+    )
+    assert _trajectories_built_to_check(source) == ["line 2", "line 7"]
