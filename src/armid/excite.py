@@ -14,7 +14,8 @@ with seeded random restarts). Everything is deterministic for a fixed seed.
 A design builds the sin/cos grid of one closed period once. Each candidate is
 then sampled once from that grid: the objective reads rows [0, S) and the
 constraints read all S + 1 rows, whose first and last are t = 0 and
-t = duration.
+t = duration. Candidates the search can score independently share one
+regressor call per block, with the bits each would get alone.
 """
 
 from __future__ import annotations
@@ -57,19 +58,20 @@ class FourierTrajectory:
 
     def __post_init__(self):
         check_number(self.base_frequency, "base frequency (rad/s)", ExciteError, positive=True)
-        check_number(self.harmonics, "harmonics", ExciteError, positive=True)
-        q0 = np.asarray(self.offsets, dtype=float)
-        a = np.asarray(self.sine_coeffs, dtype=float)
-        b = np.asarray(self.cosine_coeffs, dtype=float)
+        check_number(self.harmonics, "harmonics", ExciteError, positive=True, integer=True)
+        # Private read-only copies, so no caller's array can change the trajectory.
+        q0, a, b = (
+            np.array(v, dtype=float) for v in (self.offsets, self.sine_coeffs, self.cosine_coeffs)
+        )
         n = q0.size
         if a.shape != (n, self.harmonics) or b.shape != (n, self.harmonics):
             raise ExciteError(
                 f"coefficient shapes {a.shape}/{b.shape} do not match "
                 f"({n}, {self.harmonics})"
             )
-        object.__setattr__(self, "offsets", q0)
-        object.__setattr__(self, "sine_coeffs", a)
-        object.__setattr__(self, "cosine_coeffs", b)
+        for name, value in (("offsets", q0), ("sine_coeffs", a), ("cosine_coeffs", b)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def duration(self) -> float:
@@ -121,7 +123,7 @@ def _period_grid(omega: float, harmonics: int, rate: float, closed: bool):
     """The round(duration * rate) times k / rate, plus t = duration if ``closed``, and their grid.
     The one check of a sampled period: omega, harmonics, rate > 0, rate > 2 x top harmonic."""
     check_number(omega, "base frequency (rad/s)", ExciteError, positive=True)
-    check_number(harmonics, "harmonics", ExciteError, positive=True)
+    check_number(harmonics, "harmonics", ExciteError, positive=True, integer=True)
     check_number(rate, "sample rate", ExciteError, positive=True)
     nyquist_rate = 2.0 * omega * harmonics / (2.0 * math.pi)
     if rate <= nyquist_rate:
@@ -313,11 +315,12 @@ class ALOptions:
     step_decay: float = 0.7
 
     def __post_init__(self):
-        for name, positive in (
-            ("subproblem_budget", True), ("outer_iterations", True), ("restarts", False),
-            ("seed", False), ("constraint_tolerance", False), ("step_decay", True),
+        for name, positive, integer in (
+            ("subproblem_budget", True, True), ("outer_iterations", True, True),
+            ("restarts", False, True), ("seed", False, True),
+            ("constraint_tolerance", False, False), ("step_decay", True, False),
         ):
-            check_number(getattr(self, name), name, ExciteError, positive)
+            check_number(getattr(self, name), name, ExciteError, positive, integer)
 
 
 @dataclass
@@ -337,23 +340,23 @@ class ALResult:
 def _nelder_mead(func, x0: np.ndarray, step: np.ndarray, max_evals: int):
     """Plain Nelder-Mead with an evaluation budget.
 
-    ``func(x)`` returns ``(value, payload)``; the search minimizes the value
-    and keeps each vertex's payload. The n + 1 starting vertices are always
-    evaluated, so ``max_evals`` should exceed n. Returns (x_best, f_best,
-    payload_best, used).
+    ``func(X)`` takes a (k, n) array of points and returns one ``(value,
+    payload)`` pair per row, in order; the search minimizes the value and keeps
+    each vertex's payload. Points that do not depend on each other's values go
+    to ``func`` together: the n + 1 starting vertices in one call, and the
+    vertices of a shrink in another. Reflect, expand and contract are one-row
+    calls. The starting vertices are always evaluated, so ``max_evals`` should
+    exceed n. Returns (x_best, f_best, payload_best, used).
     """
     n = x0.size
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
-    pts = [x0.copy()]
-    for i in range(n):
-        v = x0.copy()
-        v[i] += step[i]
-        pts.append(v)
-    evaluated = [func(p) for p in pts]
-    used = len(pts)
-    pts = np.asarray(pts)
-    vals = np.array([value for value, _ in evaluated], dtype=float)
-    payloads = [payload for _, payload in evaluated]
+    pts = np.tile(x0, (n + 1, 1))
+    pts[np.arange(1, n + 1), np.arange(n)] += step
+    values, payloads = zip(*func(pts))
+    vals, payloads, used = np.array(values, dtype=float), list(payloads), n + 1
+
+    def one(x):
+        return func(x[None])[0]
 
     while used < max_evals:
         order = np.argsort(vals, kind="stable")
@@ -365,11 +368,11 @@ def _nelder_mead(func, x0: np.ndarray, step: np.ndarray, max_evals: int):
                 break
         centroid = pts[:-1].mean(axis=0)
         reflected = centroid + alpha * (centroid - pts[-1])
-        f_r, p_r = func(reflected)
+        f_r, p_r = one(reflected)
         used += 1
         if f_r < vals[0] and used < max_evals:
             expanded = centroid + gamma * (reflected - centroid)
-            f_e, p_e = func(expanded)
+            f_e, p_e = one(expanded)
             used += 1
             if f_e < f_r:
                 pts[-1], vals[-1], payloads[-1] = expanded, f_e, p_e
@@ -379,25 +382,24 @@ def _nelder_mead(func, x0: np.ndarray, step: np.ndarray, max_evals: int):
             continue
         contracted = centroid + rho * (pts[-1] - centroid)
         if used < max_evals:
-            f_c, p_c = func(contracted)
+            f_c, p_c = one(contracted)
             used += 1
             if f_c < vals[-1]:
                 pts[-1], vals[-1], payloads[-1] = contracted, f_c, p_c
                 continue
-        # shrink toward the best vertex
-        for i in range(1, n + 1):
-            if used >= max_evals:
-                break
-            pts[i] = pts[0] + sigma * (pts[i] - pts[0])
-            vals[i], payloads[i] = func(pts[i])
-            used += 1
+        # shrink toward the best vertex, as many vertices as the budget allows
+        k = min(n, max_evals - used)
+        if k > 0:
+            pts[1 : k + 1] = pts[0] + sigma * (pts[1 : k + 1] - pts[0])
+            vals[1 : k + 1], payloads[1 : k + 1] = zip(*func(pts[1 : k + 1]))
+            used += k
 
     best = int(np.argmin(vals))
     return pts[best].copy(), float(vals[best]), payloads[best], used
 
 
 def augmented_lagrangian_minimize(
-    evaluate: Callable[[np.ndarray], tuple[float, ConstraintRecord]],
+    evaluate: Callable[[np.ndarray], list[tuple[Any, ConstraintRecord]]],
     x0: np.ndarray,
     opts: ALOptions,
     step: np.ndarray | float | None = None,
@@ -405,11 +407,15 @@ def augmented_lagrangian_minimize(
 ) -> ALResult:
     """Minimize a black-box objective under black-box constraints.
 
-    ``evaluate(x)`` returns the objective and the constraint record at x
-    together, so a caller can score each candidate from one sample of it. The
+    ``evaluate(X)`` takes a (k, n) array of candidates and returns one
+    ``(objective, record)`` pair per row, in order: the objective and the
+    constraint record of that candidate together, so a caller can score each
+    candidate from one sample of it, and score a block of independent
+    candidates (a simplex's starting vertices, a shrink) in one pass. The
     objective is anything ``float()`` accepts; the result hands back the
     objects returned at x0 and at the result, so a caller that returns a
-    richer score need not evaluate either point again.
+    richer score need not evaluate either point again. The pairs are taken
+    in row order, so the result does not depend on how many rows a call holds.
     Outer loop: classic augmented Lagrangian with quadratic equality terms and
     squared-positive-part inequality terms; multipliers are first-order
     updated and clamped, and the penalty grows whenever the infeasibility
@@ -439,28 +445,32 @@ def augmented_lagrangian_minimize(
     evaluations = 0
     lam = mu = None  # the multipliers, sized from the first record evaluated
 
-    def lagrangian(x):
-        """The augmented Lagrangian at x, with evaluate's (objective, record)."""
+    def lagrangian(X):
+        """The augmented Lagrangian at each row of X, with evaluate's (objective,
+        record); the incumbent and the counts take the rows in order."""
         nonlocal evaluations, lam, mu
-        score, record = evaluate(x)
-        evaluations += 1
-        value = float(score)
-        key = (max(record.max_violation() - tol, 0.0), value)
-        if key < best[0]:
-            best[:] = key, x.copy(), score, record
-        elif best[3] is None:
-            best[2:] = score, record
-        if lam is None:  # before the finiteness check: the start may score inf
-            lam, mu = np.zeros(len(record.equalities)), np.zeros(len(record.inequalities))
-        if not np.isfinite(value):
-            return math.inf, (score, record)
-        g, h = record.equality_vector(), record.inequality_vector()
-        value += float(lam @ g) + 0.5 * rho * float(g @ g)
-        shifted = np.clip(mu + rho * h, 0.0, None)
-        value += float(np.sum(shifted**2 - mu**2)) / (2.0 * rho)
-        return value, (score, record)
+        out = []
+        for x, (score, record) in zip(X, evaluate(X), strict=True):
+            evaluations += 1
+            value = float(score)
+            key = (max(record.max_violation() - tol, 0.0), value)
+            if key < best[0]:
+                best[:] = key, x.copy(), score, record
+            elif best[3] is None:
+                best[2:] = score, record
+            if lam is None:  # before the finiteness check: the start may score inf
+                lam, mu = np.zeros(len(record.equalities)), np.zeros(len(record.inequalities))
+            if not np.isfinite(value):
+                out.append((math.inf, (score, record)))
+                continue
+            g, h = record.equality_vector(), record.inequality_vector()
+            value += float(lam @ g) + 0.5 * rho * float(g @ g)
+            shifted = np.clip(mu + rho * h, 0.0, None)
+            value += float(np.sum(shifted**2 - mu**2)) / (2.0 * rho)
+            out.append((value, (score, record)))
+        return out
 
-    f0, _ = lagrangian(x0)[1]
+    f0, _ = lagrangian(x0[None])[0][1]
 
     history: list[dict] = []
     x = x0
@@ -588,6 +598,12 @@ def _design_basis(problem: DesignProblem, seed: int) -> tuple[np.ndarray, int]:
     return sub.identifiable_basis, sub.rank
 
 
+# Regressor bytes per design regressor call. A call's fixed cost is shared by
+# the candidates that fit (two 400-sample chain3 periods), and its memory stays
+# bounded whatever the simplex size; a candidate alone never splits.
+_DESIGN_BLOCK_BYTES = 2**20
+
+
 def design_trajectory(
     problem: DesignProblem,
     omega: float = 2.0 * math.pi * 0.1,
@@ -607,7 +623,7 @@ def design_trajectory(
     L = harmonics
     # One sin/cos grid per design, over the closed period at S + 1 times; a bad
     # period stops the design here, before 0.5 * vmax / L and the basis's SVD.
-    _, grid = _period_grid(omega, L, problem.sample_rate, closed=True)
+    t, grid = _period_grid(omega, L, problem.sample_rate, closed=True)
     basis, rank = _design_basis(problem, opts.seed)
     lo, hi, vmax, _ = _joint_limits(model)
 
@@ -622,12 +638,20 @@ def design_trajectory(
     ab_step = np.repeat(0.5 * vmax / L, L)  # the same for a and for b
     step = np.concatenate([np.minimum(0.15 * (hi - lo), 0.5), ab_step, ab_step])
 
-    def evaluate(x: np.ndarray) -> tuple[InformationObjective, ConstraintRecord]:
-        q, qd, qdd = _fourier_rows(*coefficients(x), *grid)
-        # The objective reads rows [0, S); row S repeats t = 0 of the period.
-        W = regressor_batch(model, q[:-1], qd[:-1], qdd[:-1]).reshape(-1, num_params(model))
-        score = information_objective(W @ basis, problem.gamma)
-        return score, evaluate_constraints(problem, q, qd, qdd)
+    # Candidates per regressor call: as many S-sample periods as fit the byte budget.
+    per_block = max(1, _DESIGN_BLOCK_BYTES // ((t.size - 1) * n * num_params(model) * 8))
+
+    def evaluate(X: np.ndarray) -> list[tuple[InformationObjective, ConstraintRecord]]:
+        scored = []
+        for start in range(0, len(X), per_block):
+            rows = [_fourier_rows(*coefficients(x), *grid) for x in X[start : start + per_block]]
+            # The objective reads rows [0, S) of each; row S repeats t = 0 of the period.
+            states = (np.concatenate([r[i][:-1] for r in rows]) for i in range(3))
+            W = regressor_batch(model, *states).reshape(len(rows), -1, num_params(model))
+            for Wk, (q, qd, qdd) in zip(W, rows):
+                score = information_objective(Wk @ basis, problem.gamma)
+                scored.append((score, evaluate_constraints(problem, q, qd, qdd)))
+        return scored
 
     def restart_sampler(rng: np.random.Generator) -> np.ndarray:
         # Random exciting start; coefficients() projects it onto rest-to-rest anyway.

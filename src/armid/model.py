@@ -59,15 +59,20 @@ class ValidationError(ModelError):
     """A structural or numeric invariant is violated."""
 
 
-def check_number(value, name: str, error: type[ArmidError], positive: bool = False) -> float:
-    """``value`` as a float if it is finite and >= 0, or > 0 with ``positive``, else
-    ``error`` naming ``name`` and the value: the one rule for armid's numeric settings."""
+def check_number(
+    value, name: str, error: type[ArmidError], positive: bool = False, integer: bool = False
+) -> float:
+    """``value`` as a float if it is finite and >= 0, or > 0 with ``positive``, and a
+    whole number with ``integer``, else ``error`` naming ``name`` and the value: the
+    one rule for armid's numeric settings."""
     try:
         number = float(value)
     except OverflowError:  # an integer beyond float range
         number = math.inf
     if not (math.isfinite(number) and (number > 0.0 if positive else number >= 0.0)):
         raise error(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
+    if integer and not number.is_integer():
+        raise error(f"{name} must be an integer, got {value}")
     return number
 
 

@@ -49,7 +49,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         for name in ("torque_abs_std", "torque_rel_std", "position_std", "seed"):
-            check_number(getattr(self, name), name, SimulateError)
+            check_number(getattr(self, name), name, SimulateError, integer=name == "seed")
 
 
 @dataclass(frozen=True)
@@ -161,7 +161,7 @@ def generate_dataset(
         tau_meas = tau * (1 + rel * xi1) + abs * xi2
         q_meas   = q + position_std * xi3
     """
-    check_number(trials, "trials", SimulateError, positive=True)
+    check_number(trials, "trials", SimulateError, positive=True, integer=True)
     model = fixture.model
     if traj.num_joints != model.num_joints:
         raise SimulateError(

@@ -278,7 +278,8 @@ def test_criterion_6_al_solver_benchmark():
         opts = ALOptions(seed=7, subproblem_budget=400, outer_iterations=8,
                          constraint_tolerance=1e-4)
         return augmented_lagrangian_minimize(
-            lambda x: (float(x[0] ** 2), ConstraintRecord({}, {"xmin": 1.0 - float(x[0])})),
+            lambda X: [(float(x[0] ** 2), ConstraintRecord({}, {"xmin": 1.0 - float(x[0])}))
+                       for x in X],
             np.array([3.0]),
             opts,
         )
@@ -287,10 +288,13 @@ def test_criterion_6_al_solver_benchmark():
         opts = ALOptions(seed=7, subproblem_budget=600, outer_iterations=10,
                          constraint_tolerance=1e-4)
         return augmented_lagrangian_minimize(
-            lambda x: (
-                float((x[0] - 2.0) ** 2 + (x[1] - 1.0) ** 2),
-                ConstraintRecord({"sum": float(x[0] + x[1] - 1.0)}, {}),
-            ),
+            lambda X: [
+                (
+                    float((x[0] - 2.0) ** 2 + (x[1] - 1.0) ** 2),
+                    ConstraintRecord({"sum": float(x[0] + x[1] - 1.0)}, {}),
+                )
+                for x in X
+            ],
             np.zeros(2),
             opts,
         )

@@ -321,6 +321,28 @@ _BARE = identify.least_squares(dynamics.RegressorStack(np.eye(6, 2), np.zeros(6)
             id="excite-sphere-center-non-finite",
         ),
         pytest.param(
+            lambda: excite.random_feasible_trajectory(
+                DesignProblem(_PLANAR2), 1.0, 2.5, np.random.default_rng(0)
+            ),
+            excite.ExciteError, "harmonics must be an integer, got 2.5",
+            id="excite-fractional-harmonics",
+        ),
+        pytest.param(
+            lambda: FourierTrajectory(1.0, 1.5, [0.0], [[0.0]], [[0.0]]),
+            excite.ExciteError, "harmonics must be an integer, got 1.5",
+            id="excite-trajectory-fractional-harmonics",
+        ),
+        pytest.param(
+            lambda: ALOptions(restarts=0.5),
+            excite.ExciteError, "restarts must be an integer, got 0.5",
+            id="excite-fractional-restarts",
+        ),
+        pytest.param(
+            lambda: NoiseSpec(seed=2.5),
+            simulate.SimulateError, "seed must be an integer, got 2.5",
+            id="simulate-fractional-seed",
+        ),
+        pytest.param(
             lambda: excite.evaluate_constraints(DesignProblem(_PLANAR2), *[np.zeros((3, 3))] * 3),
             excite.ExciteError, "trajectory and model joint counts differ",
             id="excite-joint-count",

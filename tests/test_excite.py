@@ -28,7 +28,9 @@ from armid.excite import (
     trajectory_from_dict,
     trajectory_to_dict,
 )
+from armid.model import num_params
 from armid.simulate import FIXTURE_NAMES, builtin_fixture
+from test_dynamics import _random_chain
 
 
 def _traj(n=2, L=3, omega=2 * math.pi * 0.1, seed=0, scale=0.3):
@@ -55,6 +57,18 @@ class TestFourier:
             np.testing.assert_allclose(q, [0.3, -0.4])
             np.testing.assert_allclose(qd, 0.0)
             np.testing.assert_allclose(qdd, 0.0)
+
+    def test_a_trajectory_keeps_private_read_only_arrays(self):
+        q0, a, b = np.array([0.3, -0.4]), np.ones((2, 2)), np.ones((2, 2))
+        traj = FourierTrajectory(1.0, 2, q0, a, b)
+        q0[0] = 5.0
+        a[:] = 0.0
+        assert traj.offsets.tolist() == [0.3, -0.4]
+        assert traj.sine_coeffs.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+        for values in (traj.offsets, traj.sine_coeffs, traj.cosine_coeffs):
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 1.0
 
     def test_derivatives_match_finite_differences(self):
         traj = _traj(seed=3)
@@ -293,6 +307,11 @@ class TestConstraints:
         assert ConstraintRecord({}, {}).max_violation() == 0.0
 
 
+def _batch(evaluate):
+    """The batch evaluate of a one-point ``evaluate``: one pair per row."""
+    return lambda X: [evaluate(x) for x in X]
+
+
 class TestAugmentedLagrangian:
     def test_scalar_inequality_problem(self):
         # min x^2 s.t. x >= 1 has its optimum at exactly 1
@@ -301,7 +320,7 @@ class TestAugmentedLagrangian:
 
         opts = ALOptions(seed=7, subproblem_budget=400, outer_iterations=8,
                          constraint_tolerance=1e-4)
-        result = augmented_lagrangian_minimize(evaluate, np.array([3.0]), opts)
+        result = augmented_lagrangian_minimize(_batch(evaluate), np.array([3.0]), opts)
         assert result.feasible
         assert result.x[0] == pytest.approx(1.0, abs=1e-3)
 
@@ -315,7 +334,7 @@ class TestAugmentedLagrangian:
 
         opts = ALOptions(seed=7, subproblem_budget=600, outer_iterations=10,
                          constraint_tolerance=1e-4)
-        result = augmented_lagrangian_minimize(evaluate, np.zeros(2), opts)
+        result = augmented_lagrangian_minimize(_batch(evaluate), np.zeros(2), opts)
         assert result.feasible
         np.testing.assert_allclose(result.x, [1.0, 0.0], atol=1e-3)
 
@@ -328,7 +347,7 @@ class TestAugmentedLagrangian:
             return float(d @ Q @ d), ConstraintRecord({}, {})
 
         opts = ALOptions(seed=3, subproblem_budget=1200, outer_iterations=4)
-        result = augmented_lagrangian_minimize(evaluate, np.zeros(5), opts)
+        result = augmented_lagrangian_minimize(_batch(evaluate), np.zeros(5), opts)
         assert result.evaluations < 5000
         np.testing.assert_allclose(result.x, target, atol=1e-4)
 
@@ -337,8 +356,8 @@ class TestAugmentedLagrangian:
             return float(np.sum(x**2)), ConstraintRecord({"plane": float(x.sum() - 1.0)}, {})
 
         opts = ALOptions(seed=42, subproblem_budget=300, outer_iterations=4)
-        a = augmented_lagrangian_minimize(evaluate, np.zeros(3), opts)
-        b = augmented_lagrangian_minimize(evaluate, np.zeros(3), opts)
+        a = augmented_lagrangian_minimize(_batch(evaluate), np.zeros(3), opts)
+        b = augmented_lagrangian_minimize(_batch(evaluate), np.zeros(3), opts)
         assert np.array_equal(a.x, b.x)
         assert a.objective == b.objective
         assert a.evaluations == b.evaluations
@@ -351,7 +370,7 @@ class TestAugmentedLagrangian:
             )
 
         opts = ALOptions(seed=1, subproblem_budget=200, outer_iterations=3)
-        result = augmented_lagrangian_minimize(evaluate, np.zeros(1), opts)
+        result = augmented_lagrangian_minimize(_batch(evaluate), np.zeros(1), opts)
         assert not result.feasible
 
     def test_nan_everywhere_returns_flagged_start(self):
@@ -362,12 +381,37 @@ class TestAugmentedLagrangian:
 
         x0 = np.array([0.5, -0.5])
         opts = ALOptions(seed=0, subproblem_budget=20, outer_iterations=2)
-        result = augmented_lagrangian_minimize(evaluate, x0, opts)
+        result = augmented_lagrangian_minimize(_batch(evaluate), x0, opts)
         assert not result.feasible
         assert math.isnan(result.infeasibility)
         np.testing.assert_array_equal(result.x, x0)
         assert result.final == 0.5
         assert result.evaluations > 1
+
+
+class _Captured(Exception):
+    pass
+
+
+def _design_evaluate(patch, problem, omega, harmonics):
+    """The evaluate, start and steps that ``design_trajectory`` hands its solver."""
+    def capture(evaluate, x0, opts, step, restart_sampler):
+        raise _Captured(evaluate, x0, step)
+
+    patch.setattr(excite, "augmented_lagrangian_minimize", capture)
+    with pytest.raises(_Captured) as info:
+        design_trajectory(problem, omega, harmonics, ALOptions(seed=0))
+    return info.value.args
+
+
+def _score_bits(pair):
+    """The bits of an (InformationObjective, ConstraintRecord) pair."""
+    score, record = pair
+    return (
+        np.array(score).tobytes(),
+        list(record.equalities), record.equality_vector().tobytes(),
+        list(record.inequalities), record.inequality_vector().tobytes(),
+    )
 
 
 class TestDesign:
@@ -410,21 +454,84 @@ class TestDesign:
         for name in ("fourier_eval", "information_objective", "evaluate_constraints",
                      "regressor_batch"):
             counted(excite, name)
+        block_sizes = []  # the rows of each evaluate(X) the solver asks for
+        real_minimize = excite.augmented_lagrangian_minimize
+
+        def recorded(evaluate, *args, **kwargs):
+            def recording(X):
+                block_sizes.append(len(X))
+                return evaluate(X)
+
+            return real_minimize(recording, *args, **kwargs)
+
+        monkeypatch.setattr(excite, "augmented_lagrangian_minimize", recorded)
         problem = DesignProblem(model=builtin_fixture("planar2").model, sample_rate=20.0)
         opts = ALOptions(seed=4, subproblem_budget=60, outer_iterations=2, restarts=1)
         _, report = design_trajectory(problem, 2 * math.pi * 0.1, 3, opts)
-        # Each evaluate(x) samples once and scores once, one per AL evaluation.
+        # Each candidate is sampled once and scored once, one per AL evaluation.
         # Nothing is evaluated twice: not the subproblem result that ends each
-        # outer iteration, nor x0 and the result for the report. The design
-        # basis adds one regressor and the only SVD.
+        # outer iteration, nor x0 and the result for the report. The candidates
+        # of one evaluate(X) share a regressor call per block: 200 samples of
+        # planar2's 2 x 26 regressor rows are 83,200 bytes a candidate. The
+        # design basis adds one regressor and the only SVD.
         evaluations = report.evaluations
+        per_block = excite._DESIGN_BLOCK_BYTES // 83_200
+        blocks = sum(-(-size // per_block) for size in block_sizes)
+        assert sum(block_sizes) == evaluations
+        assert blocks + 1 < evaluations + 1
         assert calls == {
             "svd": 1,
             "fourier_eval": 0,
             "information_objective": evaluations,
             "evaluate_constraints": evaluations,
-            "regressor_batch": evaluations + 1,
+            "regressor_batch": blocks + 1,
         }
+
+    def test_a_designed_trajectory_shares_no_memory_with_the_report(self):
+        problem = DesignProblem(model=builtin_fixture("planar2").model, sample_rate=20.0)
+        opts = ALOptions(seed=4, subproblem_budget=60, outer_iterations=1, restarts=1)
+        traj, report = design_trajectory(problem, 2 * math.pi * 0.1, 3, opts)
+        for values in (traj.offsets, traj.sine_coeffs, traj.cosine_coeffs):
+            assert not np.shares_memory(values, report.x)
+            assert not values.flags.writeable
+
+    @given(
+        model=_random_chain(),
+        k=st.integers(1, 5),
+        per_block=st.integers(1, 5),
+        start_at=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_block_scores_each_candidate_as_it_scores_alone(
+        self, model, k, per_block, start_at, seed
+    ):
+        # The design's evaluate(X) stacks a block's samples into one regressor
+        # call; each candidate's objective and constraints keep their bits. One
+        # candidate is the all-zero start, whose regressor is rank-deficient.
+        samples, L = 40, 2  # a 2 s period at 20 Hz
+        candidate_bytes = samples * model.num_joints * num_params(model) * 8
+        problem = DesignProblem(model=model, sample_rate=20.0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(excite, "_DESIGN_BLOCK_BYTES", per_block * candidate_bytes)
+            evaluate, x0, step = _design_evaluate(patch, problem, 2 * math.pi * 0.5, L)
+            rng = np.random.default_rng(seed)
+            X = x0 + step * rng.standard_normal((k, x0.size))
+            X[min(start_at, k - 1)] = x0
+            together = evaluate(X)
+            alone = [evaluate(x[None])[0] for x in X]
+        assert len(together) == k
+        assert [_score_bits(pair) for pair in together] == [_score_bits(pair) for pair in alone]
+        assert math.isinf(together[min(start_at, k - 1)][0].value)
+
+    def test_a_chain3_design_is_the_same_one_candidate_per_call(self, monkeypatch):
+        problem = DesignProblem(model=builtin_fixture("chain3").model, sample_rate=20.0)
+        opts = ALOptions(seed=3, subproblem_budget=120, outer_iterations=2)
+        omega = 2 * math.pi * 0.05
+        traj, report = design_trajectory(problem, omega, 5, opts)
+        monkeypatch.setattr(excite, "_DESIGN_BLOCK_BYTES", 1)
+        alone_traj, alone_report = design_trajectory(problem, omega, 5, opts)
+        assert trajectory_to_dict(alone_traj) == trajectory_to_dict(traj)
+        assert repr(alone_report.as_dict()) == repr(report.as_dict())
 
     def test_one_trajectory_per_design_and_per_returned_draw(self, monkeypatch):
         # The period is checked where its grid is built, so no FourierTrajectory

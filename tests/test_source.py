@@ -150,3 +150,48 @@ def test_the_check_sees_a_trajectory_built_to_check():
         "DEFAULT = FourierTrajectory(1.0, 1)\n"
     )
     assert _trajectories_built_to_check(source) == ["line 2", "line 7"]
+
+
+def _regressor_callers(source: str) -> list[str]:
+    """The functions, as ``outer.inner`` paths, in which ``source`` calls
+    ``regressor_batch``, each with the line of the call."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id == "regressor_batch"
+            ):
+                found.append(f"line {child.lineno}: {'.'.join(scope) or '<module>'}")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_excite_calls_the_regressor_only_for_the_basis_and_in_blocks():
+    # A design evaluation asks for regressor rows only through the block
+    # evaluator, which shares one call among the candidates of a block.
+    source = (Path(armid.__file__).parent / "excite.py").read_text()
+    scopes = {line.split(": ")[1] for line in _regressor_callers(source)}
+    assert scopes == {"_design_basis", "design_trajectory.evaluate"}
+
+
+def test_the_check_sees_a_regressor_call_outside_the_block_evaluator():
+    source = (
+        "def _design_basis(m):\n    return regressor_batch(m)\n"
+        "def design_trajectory(m):\n"
+        "    def evaluate(X):\n        return regressor_batch(m, X)\n"
+        "    def score(x):\n        return regressor_batch(m, x)\n"
+        "    return evaluate\n"
+        "W = regressor_batch(None)\n"
+    )
+    assert _regressor_callers(source) == [
+        "line 2: _design_basis", "line 5: design_trajectory.evaluate",
+        "line 7: design_trajectory.score", "line 9: <module>",
+    ]
