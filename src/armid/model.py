@@ -18,6 +18,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -62,16 +63,17 @@ class ValidationError(ModelError):
 def check_number(
     value, name: str, error: type[ArmidError], positive: bool = False, integer: bool = False
 ) -> float:
-    """``value`` as a float if it is finite and >= 0, or > 0 with ``positive``, and a
-    whole number with ``integer``, else ``error`` naming ``name`` and the value: the
-    one rule for armid's numeric settings."""
+    """``value`` as a float if it is finite and >= 0, or > 0 with ``positive``, and an
+    int (Python's or numpy's; no float, not even 2.0, which numpy rejects as a count or
+    seed) with ``integer``, else ``error`` naming ``name`` and the value: the one rule
+    for armid's numeric settings."""
     try:
         number = float(value)
     except OverflowError:  # an integer beyond float range
         number = math.inf
     if not (math.isfinite(number) and (number > 0.0 if positive else number >= 0.0)):
         raise error(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
-    if integer and not number.is_integer():
+    if integer and not isinstance(value, numbers.Integral):
         raise error(f"{name} must be an integer, got {value}")
     return number
 

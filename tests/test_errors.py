@@ -328,6 +328,11 @@ _BARE = identify.least_squares(dynamics.RegressorStack(np.eye(6, 2), np.zeros(6)
             id="excite-fractional-harmonics",
         ),
         pytest.param(
+            lambda: excite.design_trajectory(DesignProblem(_PLANAR2), 1.0, 2.0),
+            excite.ExciteError, "harmonics must be an integer, got 2.0",
+            id="excite-float-harmonics",
+        ),
+        pytest.param(
             lambda: FourierTrajectory(1.0, 1.5, [0.0], [[0.0]], [[0.0]]),
             excite.ExciteError, "harmonics must be an integer, got 1.5",
             id="excite-trajectory-fractional-harmonics",
@@ -336,6 +341,11 @@ _BARE = identify.least_squares(dynamics.RegressorStack(np.eye(6, 2), np.zeros(6)
             lambda: ALOptions(restarts=0.5),
             excite.ExciteError, "restarts must be an integer, got 0.5",
             id="excite-fractional-restarts",
+        ),
+        pytest.param(
+            lambda: ALOptions(seed=2.0),
+            excite.ExciteError, "seed must be an integer, got 2.0",
+            id="excite-float-seed",
         ),
         pytest.param(
             lambda: NoiseSpec(seed=2.5),
