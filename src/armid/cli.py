@@ -25,7 +25,8 @@ from .dynamics import stack_regressor
 from .excite import ALOptions, DesignProblem
 from .identify import IdentifyError
 from .model import (
-    ArmidError, check_number, json_entry, json_hash, read_json, read_text, write_csv, write_json,
+    ArmidError, check_number, json_entry, json_hash, json_number, read_json, read_text, write_csv,
+    write_json,
 )
 from .signals import SignalError
 
@@ -140,10 +141,10 @@ def _payload_from_spec(path: str) -> model_mod.LinkInertialParams:
     spec = read_json(path)
     if "first_moment" in spec:
         return model_mod.rigid_body_from_dict(spec, path)
-    radius = json_entry(spec, "radius", path, (), default=0.05)
+    radius = json_number(spec, "radius", path, 0.05, positive=True)
     return model_mod.solid_sphere_params(
         json_entry(spec, "mass", path, ()),
-        check_number(radius, f"{path}: 'radius'", model_mod.ModelError, positive=True),
+        radius,
         json_entry(spec, "com", path, (3,), default=np.zeros(3)),
     )
 
@@ -171,19 +172,12 @@ def cmd_simulate(args) -> list[str]:
 # --- identify ---------------------------------------------------------------------
 
 
-def _manifest_number(spec, key: str, where, default: float, positive: bool = False) -> float:
-    """A number of a dataset's manifest, under the range rule of every float
-    setting; an error names ``where`` and ``key``."""
-    value = json_entry(spec, key, where, (), SignalError, default)
-    return check_number(value, f"{where}: {key!r}", SignalError, positive)
-
-
 def _resolve_cutoffs(args, manifest, where, rate: float) -> tuple[float | None, float | None]:
     """The cutoff flags, ``auto`` as min(10 Hz, ``rate`` / 4) on noisy data, else None;
     ``rate`` is the trials' own."""
     noise = json_entry(manifest, "noise", where, default={})
     stds = [
-        _manifest_number(noise, k, f"{where} 'noise'", 0.0)
+        json_number(noise, k, f"{where} 'noise'", 0.0, SignalError)
         for k in ("torque_abs_std", "torque_rel_std", "position_std")
     ]
     default = min(10.0, rate / 4.0) if any(std > 0.0 for std in stds) else None
@@ -232,7 +226,7 @@ def cmd_identify(args) -> list[str]:
     where = Path(args.data) / signals.MANIFEST_NAME
     entry = partial(json_entry, manifest, where=where)
     truth = entry("truth_parameters", kind=(model_mod.num_params(robot),), default=None)
-    char_length = _manifest_number(manifest, "char_length", where, 0.3, positive=True)
+    char_length = json_number(manifest, "char_length", where, 0.3, SignalError, positive=True)
     truth_payload = entry("payload", default=None)
     if truth_payload:
         truth_payload = model_mod.rigid_body_from_dict(truth_payload, f"{where} 'payload'")

@@ -657,6 +657,15 @@ def json_entry(spec, key: str, where, kind=None, error=ModelError, default=_REQU
     return float(array) if kind == () else array
 
 
+def json_number(
+    spec, key: str, where, default=_REQUIRED, error=ModelError, positive: bool = False
+) -> float:
+    """``spec[key]`` read by :func:`json_entry` as a float, ``default`` if missing,
+    under :func:`check_number`'s range rule; every error names ``where`` and ``key``."""
+    value = json_entry(spec, key, where, (), error, default)
+    return check_number(value, f"{where}: {key!r}", error, positive)
+
+
 def model_from_dict(data: dict, where="model") -> RobotModel:
     """Inverse of :func:`model_to_dict`; a missing or malformed entry, or one
     the model rejects, raises :class:`ModelError` naming ``where``."""

@@ -23,8 +23,8 @@ import numpy as np
 from . import identify
 from .dynamics import stack_regressor
 from .model import (
-    ArmidError, LinkInertialParams, RobotModel, check_number, float_rows, is_physically_feasible,
-    json_entry, model_from_dict, pack_params, read_json, read_text, write_csv, write_json,
+    ArmidError, LinkInertialParams, RobotModel, float_rows, is_physically_feasible, json_entry,
+    json_number, model_from_dict, pack_params, read_json, read_text, write_csv, write_json,
 )
 
 # Samples discarded at each boundary per differentiation pass (the five-point
@@ -105,7 +105,11 @@ def lowpass_zero_phase(x: np.ndarray, cutoff: float, rate: float) -> np.ndarray:
 
     A pass is the recursion y[n] + a1 y[n-1] + a2 y[n-2] = b0 u[n] + b1 u[n-1]
     + b2 u[n-2], with the initial state added to the first two right-hand
-    sides, solved by :func:`_recursion_blocked`.
+    sides. From a zero state it is that right-hand side convolved with h[n] =
+    Im(p^(n+1)) / Im(p), p the pole with Im(p) = sqrt(2) K / D > 0: a linear
+    convolution by one real FFT per column, zero-padded to a power of two of at
+    least 2 P - 1 for P padded samples, h not truncated. Both passes share h's
+    spectrum, and every column is transformed alike.
     """
     if not 0.0 < cutoff < rate / 2.0:
         raise SignalError(
@@ -120,7 +124,6 @@ def lowpass_zero_phase(x: np.ndarray, cutoff: float, rate: float) -> np.ndarray:
     d = 1.0 + math.sqrt(2.0) * k + k * k
     b0 = b2 = k * k / d
     b1 = 2.0 * b0
-    a1 = 2.0 * (k * k - 1.0) / d
     a2 = (1.0 - math.sqrt(2.0) * k + k * k) / d
     cols = x.reshape(x.shape[0], -1)
     padded = np.concatenate(
@@ -130,6 +133,15 @@ def lowpass_zero_phase(x: np.ndarray, cutoff: float, rate: float) -> np.ndarray:
             2.0 * cols[-1] - cols[-2 : -_FILTER_PAD - 2 : -1],
         ]
     )
+    size = 1 << (2 * len(padded) - 2).bit_length()  # the least power of two >= 2 P - 1
+    # The pole from K alone, as a1 and a2 lose digits to cancellation near 0 and
+    # rate / 2: |p|^2 = a2 = 1 - 2 Im(p), and w is its angle from the nearer real half-axis.
+    im_p, re_p = math.sqrt(2.0) * k / d, (1.0 - k * k) / d
+    n = np.arange(1.0, len(padded) + 1.0)
+    h = np.exp(0.5 * math.log1p(-2.0 * im_p) * n) * np.sin(math.atan2(im_p, abs(re_p)) * n) / im_p
+    if re_p < 0.0:  # p = -|p| e^(-i w), so Im(p^n) = (-1)^(n+1) |p|^n sin(n w)
+        h[1::2] *= -1.0
+    spectrum = np.fft.rfft(h, size)[:, None]
 
     def one_pass(u: np.ndarray) -> np.ndarray:
         rhs = b0 * u
@@ -137,63 +149,10 @@ def lowpass_zero_phase(x: np.ndarray, cutoff: float, rate: float) -> np.ndarray:
         rhs[2:] += b2 * u[:-2]
         rhs[0] += (1.0 - b0) * u[0]
         rhs[1] += (b2 - a2) * u[0]
-        return _recursion_blocked(rhs, a1, a2)
+        return np.fft.irfft(np.fft.rfft(rhs, size, axis=0) * spectrum, size, axis=0)[: len(u)]
 
     y = one_pass(one_pass(padded)[::-1])[::-1]
     return np.ascontiguousarray(y[_FILTER_PAD:-_FILTER_PAD]).reshape(x.shape)
-
-
-# Samples per block of the blocked recursion: each pass takes this many
-# vectorized steps plus one small step per block.
-_RECURSION_BLOCK = 64
-
-
-def _recursion_blocked(rhs: np.ndarray, a1: float, a2: float) -> np.ndarray:
-    """Solve y[n] + a1 y[n-1] + a2 y[n-2] = rhs[n] from y[-1] = y[-2] = 0.
-
-    ``rhs`` is (P, C); each column is solved on its own. Every block of
-    ``_RECURSION_BLOCK`` samples is first solved from a zero state, all blocks
-    and columns in one vectorized step per sample. A block's solution then
-    gains the homogeneous responses h1 and h2 (the zero-input response to a
-    unit y[-1] or y[-2]), weighted by the last two values of the block before,
-    which are carried forward block by block. Only elementwise arithmetic is
-    used, so a column's result never depends on the other columns.
-    """
-    P, C = rhs.shape
-    L = _RECURSION_BLOCK
-    blocks = -(-P // L)
-    z = np.zeros((blocks * L, C))
-    z[:P] = rhs
-    # Sample-major layout: z[i] holds sample i of every block, contiguous.
-    z = np.ascontiguousarray(z.reshape(blocks, L, C).transpose(1, 0, 2))
-    tmp = np.empty((blocks, C))
-    np.multiply(z[0], a1, out=tmp)
-    z[1] -= tmp
-    for i in range(2, L):
-        np.multiply(z[i - 1], a1, out=tmp)
-        z[i] -= tmp
-        np.multiply(z[i - 2], a2, out=tmp)
-        z[i] -= tmp
-    # h[i] = (h1[i], h2[i]); Python floats, since 64 tiny steps cost more as arrays.
-    h = [(0.0, 1.0), (1.0, 0.0)]  # y[-2], y[-1]
-    for i in range(2, L + 2):
-        (u1, u2), (v1, v2) = h[i - 1], h[i - 2]
-        h.append((-a1 * u1 - a2 * v1, -a1 * u2 - a2 * v2))
-    h = np.array(h[2:])
-    # carry[k]: y at the last and second-last sample of block k. It starts as
-    # the zero-state values and gains the carry of block k - 1.
-    carry = np.stack((z[-1], z[-2]), axis=1)
-    h1_end = h[[-1, -2], 0, None]  # h1 at the last and second-last sample
-    h2_end = h[[-1, -2], 1, None]
-    term = np.empty((2, C))
-    for k in range(1, blocks):
-        np.multiply(h1_end, carry[k - 1, 0], out=term)
-        carry[k] += term
-        np.multiply(h2_end, carry[k - 1, 1], out=term)
-        carry[k] += term
-    z[:, 1:] += h[:, 0, None, None] * carry[:-1, 0]
-    z[:, 1:] += h[:, 1, None, None] * carry[:-1, 1]
-    return z.transpose(1, 0, 2).reshape(blocks * L, C)[:P]
 
 
 def _five_point_derivative(x: np.ndarray, dt: float) -> np.ndarray:
@@ -409,7 +368,9 @@ MANIFEST_NAME = "manifest.json"  # beside a dataset's trial_*.csv files
 
 def save_dataset(out_dir, trials: Sequence[RawTrial], manifest: dict) -> list[Path]:
     """Write a dataset directory: ``trials[k]`` to ``trial_{k:03d}.csv`` with
-    :func:`trial_to_csv`, then ``manifest``; returns the trial paths.
+    :func:`trial_to_csv`, then ``manifest``; returns the trial paths. A
+    directory with other ``trial_*.csv`` files, which a reader would count in,
+    is refused before anything is written.
 
     Trial 0's ``[t | q]`` block is formatted first and shared, as in
     :func:`trial_to_csv`. With at least two trials and two usable CPUs, one
@@ -421,6 +382,11 @@ def save_dataset(out_dir, trials: Sequence[RawTrial], manifest: dict) -> list[Pa
     """
     out_dir = Path(out_dir)
     paths = [out_dir / f"trial_{k:03d}.csv" for k in range(len(trials))]
+    stale = sorted(set(out_dir.glob("trial_*.csv")).difference(paths))
+    if stale:
+        found = ", ".join(path.name for path in stale)
+        left = f"which a dataset of {len(trials)} trials would leave beside its own"
+        raise SignalError(f"{out_dir} holds {found}, {left}")
     shared_text: dict = {}  # trials without position noise share their t, q text
     if trials:
         _t_q_rows(trials[0], shared_text)
@@ -538,8 +504,7 @@ def load_dataset(data_dir) -> tuple[dict, RobotModel, list[RawTrial]]:
         raise SignalError(f"{paths[0]}: {joints}")
     _check_trial_set(trials, paths)
     rate = trials[0].sample_rate
-    recorded = json_entry(manifest, "rate", manifest_path, (), SignalError, rate)
-    check_number(recorded, f"{manifest_path}: 'rate'", SignalError, positive=True)
+    recorded = json_number(manifest, "rate", manifest_path, rate, SignalError, positive=True)
     if abs(recorded - rate) > 1e-9 * rate:
         found = f"but the trials are sampled at {rate} Hz"
         raise SignalError(f"{manifest_path}: 'rate' is {recorded} Hz, {found}")

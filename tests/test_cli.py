@@ -758,19 +758,33 @@ class TestSimulateIdentifyPipeline:
         assert str(info.value) == f"trial 1: {problem.format('trial 0')}"
 
     def test_trial_files_must_match_the_manifest_count(self, tmp_path, capsys):
-        # A smaller rerun into the same directory leaves the first run's
-        # trial_002..005 behind; they must not be averaged into the second's.
+        # A smaller rerun into the same directory would leave the first run's
+        # trial_002..005 behind, so it is refused before anything is written.
         traj_path = _write_trajectory(tmp_path, "planar2")
         data_dir = tmp_path / "data"
-        for trials, seed in (("6", "1"), ("2", "2")):
-            code = main(
+
+        def simulate(trials, seed):
+            return main(
                 [
                     "simulate", "--fixture", "planar2", "--traj", str(traj_path),
                     "--trials", trials, "--seed", seed, "--rate", "50", "--out", str(data_dir),
                 ]
             )
-            assert code == EXIT_OK
+
+        assert simulate("6", "1") == EXIT_OK
+        before = {path.name: path.read_bytes() for path in data_dir.iterdir()}
+        assert simulate("2", "2") == EXIT_ERROR
+        stale = ", ".join(f"trial_{k:03d}.csv" for k in range(2, 6))
+        assert capsys.readouterr().err == (
+            f"error: {data_dir} holds {stale}, which a dataset of 2 trials would leave "
+            "beside its own\n"
+        )
+        assert {path.name: path.read_bytes() for path in data_dir.iterdir()} == before
+        assert main(["identify", "--data", str(data_dir), "--out", str(tmp_path / "six")]) == 0
+        # The readers still count the trial files against the manifest.
         manifest_path = data_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest_path.write_text(json.dumps({**manifest, "trials": 2}))
         for command in ("identify", "tune-filters"):
             out = tmp_path / command
             assert main([command, "--data", str(data_dir), "--out", str(out)]) == EXIT_ERROR
@@ -780,7 +794,6 @@ class TestSimulateIdentifyPipeline:
             )
             assert not out.exists()
         # A manifest without a trial count takes every trial file.
-        manifest = json.loads(manifest_path.read_text())
         del manifest["trials"]
         manifest_path.write_text(json.dumps(manifest))
         assert main(["identify", "--data", str(data_dir), "--out", str(tmp_path / "o")]) == 0

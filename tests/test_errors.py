@@ -372,6 +372,11 @@ _BARE = identify.least_squares(dynamics.RegressorStack(np.eye(6, 2), np.zeros(6)
             identify.IdentifyError, "payload_identify needs a stack with link structure",
             id="identify-payload-bare-stack",
         ),
+        pytest.param(
+            lambda: identify.nearest_base_params({0.0: np.zeros(2)}, math.nan),
+            identify.IdentifyError, "configuration must be finite, got nan",
+            id="identify-nan-configuration",
+        ),
     ],
 )
 def test_library_input_checks_name_the_problem(call, error, message):

@@ -89,13 +89,14 @@ class TestLowpass:
 
     def test_matches_scipy_sosfiltfilt(self):
         rng = np.random.default_rng(11)
-        # Lengths on both sides of the recursion's 64-sample block edges, of
-        # the input and of the input padded by 9 samples at each end.
+        # Lengths on both sides of powers of two, of the input and of the input
+        # padded by 9 samples at each end. The lowest cutoff puts the poles
+        # within 0.5 % of 1, where rounding has the most room to grow.
         edges = (46, 47, 63, 64, 65, 110, 111, 128, 129)
-        for samples in (10, 11, 37, *edges, 500, 5000):
+        for samples in (10, 11, 37, *edges, 500, 2000, 5000):
             for shape in ((samples,), (samples, 3)):
                 x = rng.standard_normal(shape).cumsum(axis=0)
-                for ratio in (0.0025, 0.01, 0.1, 0.3, 0.45, 0.49):
+                for ratio in (0.0005, 0.0025, 0.01, 0.1, 0.3, 0.45, 0.49):
                     y = lowpass_zero_phase(x, ratio * 100.0, 100.0)
                     assert y.shape == x.shape
                     diff = np.max(np.abs(y - _sosfiltfilt(x, ratio * 100.0, 100.0)))
@@ -109,10 +110,20 @@ class TestLowpass:
 
     def test_columns_filtered_independently(self):
         # process_trial filters qd and qdd in one call; each column's bytes
-        # must equal those of filtering it alone.
-        x = np.random.default_rng(5).standard_normal((300, 4))
-        alone = np.column_stack([lowpass_zero_phase(x[:, i], 7.0, 100.0) for i in range(4)])
-        np.testing.assert_array_equal(lowpass_zero_phase(x, 7.0, 100.0), alone)
+        # must equal those of filtering it alone, whatever the width, the
+        # length, the memory order and the column's place in the batch.
+        rng = np.random.default_rng(5)
+        for samples in (10, 11, 64, 129, 1000, 5000):
+            x = rng.standard_normal((samples, 17)).cumsum(axis=0)
+            for cutoff in (0.25, 2.0, 7.0, 20.0, 49.0):
+                alone = np.column_stack(
+                    [lowpass_zero_phase(x[:, i], cutoff, 100.0) for i in range(17)]
+                )
+                for width in range(1, 18):
+                    picked = (np.arange(width) + 3 * width) % 17
+                    for layout in (np.ascontiguousarray, np.asfortranarray):
+                        y = lowpass_zero_phase(layout(x[:, picked]), cutoff, 100.0)
+                        np.testing.assert_array_equal(y, alone[:, picked], (samples, cutoff, width))
 
 
 def _sosfiltfilt(x, cutoff, rate):
