@@ -763,7 +763,7 @@ class TestSimulateIdentifyPipeline:
         traj_path = _write_trajectory(tmp_path, "planar2")
         data_dir = tmp_path / "data"
 
-        def simulate(trials, seed):
+        def simulate_into_data(trials, seed):
             return main(
                 [
                     "simulate", "--fixture", "planar2", "--traj", str(traj_path),
@@ -771,9 +771,9 @@ class TestSimulateIdentifyPipeline:
                 ]
             )
 
-        assert simulate("6", "1") == EXIT_OK
+        assert simulate_into_data("6", "1") == EXIT_OK
         before = {path.name: path.read_bytes() for path in data_dir.iterdir()}
-        assert simulate("2", "2") == EXIT_ERROR
+        assert simulate_into_data("2", "2") == EXIT_ERROR
         stale = ", ".join(f"trial_{k:03d}.csv" for k in range(2, 6))
         assert capsys.readouterr().err == (
             f"error: {data_dir} holds {stale}, which a dataset of 2 trials would leave "
